@@ -5,9 +5,8 @@ particle under the symmetry group, so the action reduces to a functional of
 a single closed path u: [0, T] -> R^3 sampled on a uniform grid.  The
 discretization is the classic broken-line action: forward-difference
 velocities and trapezoidal (here: uniform periodic) quadrature of the
-potential.  Gradients are exact derivatives of the discrete functional,
-which is what makes the quasi-Newton minimization in choreo.minimize
-reliable.
+potential.  Gradients are exact derivatives of the discrete functional, so
+a quasi-Newton minimizer can use them directly.
 
 Symmetry reductions (time-shift and reflection constraints on the loop)
 are represented as finite groups of loop transformations; the reduction
@@ -55,8 +54,7 @@ class SymmetryReduction:
 
     The klein kind additionally pins u(0) to the plane {x3 = 0} and
     u(T/4) to {x2 = 0}; membership of the open quadrants there is a
-    property of the homotopy class, monitored by the optimizer rather
-    than enforced here.
+    property of the homotopy class and is not enforced here.
     """
 
     kind: str
@@ -122,19 +120,20 @@ class SymmetryReduction:
         mats an (n, 3, 3) array.  Boundary nodes fixed by part of the group
         get the average over their stabilizer, so the lift is total."""
         free = self.free_nodes(n)
-        free_set = set(int(j) for j in free)
         rep = -np.ones(n, dtype=int)
         mats = np.zeros((n, 3, 3))
         counts = np.zeros(n, dtype=int)
         for shift, flip, A in self.transforms(n):
             # invariance u_j = A u_{sigma(j)} with sigma(j) = flip*j + shift
             # reads backwards as u_{sigma(j)} = A^T u_j on invariant loops.
-            for j in free_set:
-                i = (flip * j + shift) % n
-                if rep[i] == -1 or rep[i] == j:
-                    rep[i] = j
-                    mats[i] += A.T
-                    counts[i] += 1
+            # sigma is a bijection, so the images i of the free nodes are
+            # distinct and the updates below touch each node at most once.
+            i = (flip * free + shift) % n
+            take = (rep[i] == -1) | (rep[i] == free)
+            i = i[take]
+            rep[i] = free[take]
+            mats[i] += A.T
+            counts[i] += 1
         if np.any(rep < 0):
             raise ValueError("fundamental nodes do not cover the loop")
         mats /= counts[:, None, None]
@@ -143,12 +142,9 @@ class SymmetryReduction:
     def lift(self, z, n):
         """Reconstruct the full loop from values at the free nodes."""
         rep, mats = self.node_images(n)
+        # free_nodes(n) is arange, so a free node is its own row of z
         z = np.asarray(z, float).reshape(len(self.free_nodes(n)), 3)
-        pos = {int(j): k for k, j in enumerate(self.free_nodes(n))}
-        out = np.empty((n, 3))
-        for i in range(n):
-            out[i] = mats[i] @ z[pos[rep[i]]]
-        return out
+        return np.einsum("nij,nj->ni", mats, z[rep])
 
     def restrict(self, points):
         """Values of a (symmetric) loop at the free nodes."""
@@ -175,11 +171,8 @@ class SymmetryReduction:
     def reduce_gradient(self, grad, n):
         """Chain rule: gradient with respect to the free-node values."""
         rep, mats = self.node_images(n)
-        free = self.free_nodes(n)
-        pos = {int(j): k for k, j in enumerate(free)}
-        out = np.zeros((len(free), 3))
-        for i in range(n):
-            out[pos[rep[i]]] += mats[i].T @ grad[i]
+        out = np.zeros((len(self.free_nodes(n)), 3))
+        np.add.at(out, rep, np.einsum("nji,nj->ni", mats, grad))
         return out
 
 
@@ -248,28 +241,46 @@ class ActionBreakdown:
         return self.total
 
 
-def _difference_matrices(group):
-    """The matrices R - I for the non-identity group elements."""
-    out = []
-    for R in group:
-        if np.allclose(R, np.eye(3), atol=1e-9):
-            continue
-        out.append(np.asarray(R, float) - np.eye(3))
-    return out
+def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
+    """Node-wise potentials of the constellation generated by the nodes.
 
-
-def _check_nodes(pts, bmats, need_origin):
-    """Raise CollisionError at the first node on the collision set."""
-    if need_origin:
-        r = np.linalg.norm(pts, axis=1)
-        bad = np.nonzero(r < _COLLISION_FLOOR)[0]
-        if len(bad):
-            raise CollisionError(bad[0], f"loop node {bad[0]} is at the origin")
-    for B in bmats:
-        d = np.linalg.norm(pts @ B.T, axis=1)
-        bad = np.nonzero(d < _COLLISION_FLOOR)[0]
+    Returns (central, pair, grad): central = m0/|u|^alpha and pair =
+    (mutual/2) sum_{R != I} |(R - I)u|^(-alpha) at each node, and with
+    with_gradient the gradient of their sum at each node (else None).  The
+    pair sum is skipped when mutual is 0.  Raises CollisionError at the
+    first node on the collision set, checking the origin first.
+    """
+    r = np.linalg.norm(pts, axis=1)
+    bad = np.flatnonzero(r < _COLLISION_FLOOR)
+    if len(bad):
+        raise CollisionError(bad[0], f"loop node {bad[0]} is at the origin")
+    central = m0 * r ** (-alpha)
+    pair = np.zeros(len(pts))
+    pair_grad = np.zeros_like(pts) if with_gradient else None
+    for D in group.difference_matrices if mutual else ():
+        w = pts @ D.T
+        d = np.linalg.norm(w, axis=1)
+        bad = np.flatnonzero(d < _COLLISION_FLOOR)
         if len(bad):
             raise CollisionError(bad[0])
+        p = d ** (-alpha)
+        pair += p
+        if with_gradient:
+            pair_grad += (w * (p / (d * d))[:, None]) @ D
+    grad = None
+    if with_gradient:
+        grad = -alpha * ((central / (r * r))[:, None] * pts + 0.5 * mutual * pair_grad)
+    return central, 0.5 * mutual * pair, grad
+
+
+def _coefficients(cone, epsilon):
+    """(central mass, mutual weight, prefactor) of the physical action
+    (epsilon None) or of the rescaled functional at epsilon."""
+    if epsilon is None:
+        return cone.central_mass, 1.0, cone.group.order
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    return 1.0, epsilon, 1.0
 
 
 def _kinetic(pts, period, factor):
@@ -279,78 +290,29 @@ def _kinetic(pts, period, factor):
     return factor * float(np.sum(diff * diff)) / (2.0 * h)
 
 
-def action(loop, cone):
+def action(loop, cone, epsilon=None):
     """Action of the symmetric constellation generated by the loop.
 
     N * integral of |u'|^2/2 + m0/|u|^alpha + (1/2) sum_{R != I}
     |(R - I)u|^(-alpha), with N the group order.  Forward-difference
     velocities, uniform quadrature of the potential.  Raises
     CollisionError when a node sits on the collision set.
+
+    With epsilon given this is instead the rescaled functional
+    |v'|^2/2 + |v|^(-alpha) + (eps/2) sum, with no N factor and unit
+    central mass: the physical action is N * m0^(2/(2+alpha)) times its
+    value at eps = 1/m0.  At eps = 0 the mutual part is dropped entirely
+    (pure central problem).
     """
     pts = np.asarray(loop.points, float)
-    n = len(pts)
-    h = loop.period / n
-    alpha = cone.alpha
-    m0 = cone.central_mass
-    N = cone.group.order
-    bmats = _difference_matrices(cone.group)
-    _check_nodes(pts, bmats, need_origin=True)
-
-    kinetic = _kinetic(pts, loop.period, N)
-    r = np.linalg.norm(pts, axis=1)
-    central = N * h * m0 * float(np.sum(r ** (-alpha)))
-    mutual = 0.0
-    for B in bmats:
-        d = np.linalg.norm(pts @ B.T, axis=1)
-        mutual += float(np.sum(d ** (-alpha)))
-    mutual *= N * h * 0.5
-    return ActionBreakdown(kinetic=kinetic, central=central, mutual=mutual)
-
-
-def rescaled_action_eps(loop, cone, epsilon):
-    """Action of the rescaled problem: |v'|^2/2 + |v|^(-alpha) + (eps/2) sum.
-
-    No N factor and unit central mass: the physical action is
-    N * m0^(2/(2+alpha)) times this value at eps = 1/m0.  At eps = 0 the
-    mutual part is dropped entirely (pure central problem).
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    pts = np.asarray(loop.points, float)
-    n = len(pts)
-    h = loop.period / n
-    alpha = cone.alpha
-    bmats = _difference_matrices(cone.group) if epsilon > 0 else []
-    _check_nodes(pts, bmats, need_origin=True)
-
-    kinetic = _kinetic(pts, loop.period, 1.0)
-    r = np.linalg.norm(pts, axis=1)
-    central = h * float(np.sum(r ** (-alpha)))
-    mutual = 0.0
-    for B in bmats:
-        d = np.linalg.norm(pts @ B.T, axis=1)
-        mutual += float(np.sum(d ** (-alpha)))
-    mutual *= epsilon * h * 0.5
-    return ActionBreakdown(kinetic=kinetic, central=central, mutual=mutual)
-
-
-def _full_gradient(pts, period, alpha, m0_coeff, mutual_coeff, prefactor, bmats):
-    """Gradient of prefactor * sum_j h*(m0_coeff/|u|^a + mutual_coeff/2 *
-    sum_B |Bu|^-a) plus the kinetic part, with respect to all nodes."""
-    n = len(pts)
-    h = period / n
-    grad = prefactor / h * (2.0 * pts - np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0))
-    if m0_coeff != 0.0:
-        r = np.linalg.norm(pts, axis=1)
-        grad += (-prefactor * h * alpha * m0_coeff) * pts / (r ** (alpha + 2.0))[:, None]
-    if mutual_coeff != 0.0:
-        for B in bmats:
-            w = pts @ B.T
-            d = np.linalg.norm(w, axis=1)
-            grad += (-prefactor * h * alpha * mutual_coeff / 2.0) * (
-                w / (d ** (alpha + 2.0))[:, None]
-            ) @ B
-    return grad
+    h = loop.period / len(pts)
+    m0, mutual, prefactor = _coefficients(cone, epsilon)
+    central, pair, _ = _potential(pts, cone.group, cone.alpha, m0, mutual)
+    return ActionBreakdown(
+        kinetic=_kinetic(pts, loop.period, prefactor),
+        central=prefactor * h * float(np.sum(central)),
+        mutual=prefactor * h * float(np.sum(pair)),
+    )
 
 
 def gradient(loop, cone, epsilon=None):
@@ -362,17 +324,11 @@ def gradient(loop, cone, epsilon=None):
     (shape (n_free, 3)); otherwise shape (n, 3).
     """
     pts = np.asarray(loop.points, float)
-    alpha = cone.alpha
-    if epsilon is None:
-        bmats = _difference_matrices(cone.group)
-        _check_nodes(pts, bmats, need_origin=True)
-        grad = _full_gradient(
-            pts, loop.period, alpha, cone.central_mass, 1.0, cone.group.order, bmats
-        )
-    else:
-        bmats = _difference_matrices(cone.group) if epsilon > 0 else []
-        _check_nodes(pts, bmats, need_origin=True)
-        grad = _full_gradient(pts, loop.period, alpha, 1.0, epsilon, 1.0, bmats)
+    h = loop.period / len(pts)
+    m0, mutual, prefactor = _coefficients(cone, epsilon)
+    _, _, grad = _potential(pts, cone.group, cone.alpha, m0, mutual, with_gradient=True)
+    stretch = 2.0 * pts - np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    grad = prefactor * (stretch / h + h * grad)
     if loop.reduction is None:
         return grad
     return loop.reduction.reduce_gradient(grad, len(pts))
@@ -394,32 +350,6 @@ def second_variation_vertical(m0, T):
     return 0.5 * omega**2 * T * (1.0 - ratio)
 
 
-def loop_to_csv(loop, path):
-    """Write the generating particle as CSV with header t,x,y,z."""
-    t = loop.times
-    with open(path, "w") as fh:
-        fh.write("t,x,y,z\n")
-        for j in range(loop.n):
-            x, y, z = loop.points[j]
-            fh.write(f"{t[j]:.17g},{x:.17g},{y:.17g},{z:.17g}\n")
-
-
-def constellation_to_csv(loop, group, path):
-    """Write all bodies as CSV with header t,body,x,y,z.
-
-    Body 0 is the central mass at the origin; bodies 1..N are the group
-    images of the generating particle in the group's element order.
-    """
-    t = loop.times
-    with open(path, "w") as fh:
-        fh.write("t,body,x,y,z\n")
-        for j in range(loop.n):
-            fh.write(f"{t[j]:.17g},0,0,0,0\n")
-            for b, R in enumerate(group, start=1):
-                x, y, z = R @ loop.points[j]
-                fh.write(f"{t[j]:.17g},{b},{x:.17g},{y:.17g},{z:.17g}\n")
-
-
 def discrete_energy(loop, cone):
     """Node-wise first integral |u'|^2/2 - m0/|u|^a - (1/2) sum |Bu|^-a.
 
@@ -431,9 +361,5 @@ def discrete_energy(loop, cone):
     h = loop.period / n
     vel = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2.0 * h)
     kin = 0.5 * np.sum(vel * vel, axis=1)
-    r = np.linalg.norm(pts, axis=1)
-    pot = cone.central_mass * r ** (-cone.alpha)
-    for B in _difference_matrices(cone.group):
-        d = np.linalg.norm(pts @ B.T, axis=1)
-        pot = pot + 0.5 * d ** (-cone.alpha)
-    return kin - pot
+    central, pair, _ = _potential(pts, cone.group, cone.alpha, cone.central_mass, 1.0)
+    return kin - (central + pair)

@@ -25,8 +25,7 @@ from scipy import integrate
 
 from .groups import builtin_group
 from .homotopy import build_archimedean, sequence_counts
-
-TWO_PI = 2.0 * math.pi
+from .reference_tables import TWO_PI
 
 # Quadrature targets: the tabulated constants carry five decimals, so the
 # integrals are pushed two orders further.
@@ -48,13 +47,6 @@ def k_alpha_p(alpha, order):
         raise ValueError("order must be an integer >= 2")
     j = np.arange(1, order)
     return float(np.sum(np.sin(j * np.pi / order) ** (-alpha)))
-
-
-def _difference_matrices(group):
-    eye = group.identity_index
-    return np.array(
-        [R - np.eye(3) for i, R in enumerate(group.elements) if i != eye]
-    )
 
 
 def zeta(group, alpha, which, conjugate=None):
@@ -85,7 +77,7 @@ def zeta(group, alpha, which, conjugate=None):
             x = (1.0 - s) * a + s * b
             return 2.0 / float(np.linalg.norm(x)) ** alpha
     else:
-        diffs = _difference_matrices(poly.group)
+        diffs = poly.group.difference_matrices
 
         def integrand(s):
             x = (1.0 - s) * a + s * b
@@ -119,7 +111,7 @@ def delta_min(group, which):
     poly = build_archimedean(group)
     q, q1, q2 = poly.base_points
     m = np.array(q) + np.array(q2 if which == 2 else q1)
-    diffs = _difference_matrices(poly.group)
+    diffs = poly.group.difference_matrices
     return float(np.min(np.linalg.norm(diffs @ m, axis=1))) / 2.0
 
 
@@ -264,7 +256,7 @@ def rotating_polygon_action(m0, period, satellites=4, return_radius=False):
     if period <= 0.0:
         raise ValueError("period must be positive")
     group = builtin_group("Z2N", n=satellites // 2)
-    diffs = _difference_matrices(group)
+    diffs = group.difference_matrices
     e1 = np.array([1.0, 0.0, 0.0])
     # potential coefficient per unit radius: m0/|u| plus half the pairwise sum
     mu = m0 + 0.5 * float(np.sum(1.0 / np.linalg.norm(diffs @ e1, axis=1)))

@@ -15,6 +15,7 @@ the rest of the package.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,15 @@ class RotationGroup:
             if np.allclose(R, np.eye(3), atol=_IDENTITY_ATOL):
                 return i
         raise ValueError("group has no identity element")
+
+    @cached_property
+    def difference_matrices(self):
+        """The matrices R - I of the non-identity elements, stacked in
+        element order as a read-only (order - 1, 3, 3) array."""
+        eye = self.identity_index
+        D = np.array([R - np.eye(3) for i, R in enumerate(self.elements) if i != eye])
+        D.flags.writeable = False
+        return D
 
     def proper_elements(self):
         return [R for R in self.elements if np.linalg.det(R) > 0]

@@ -22,10 +22,9 @@ import numpy as np
 
 from .action import LoopPath
 from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key
-from .reference_tables import catalog_entry, catalog_rows
+from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
 _KEY_TOL = 1e-9
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from choreo.action import (
     discrete_energy,
     gradient,
     rescale_parameter,
-    rescaled_action_eps,
     second_variation_vertical,
 )
 from choreo.groups import builtin_group, generate_group
@@ -135,7 +134,7 @@ def test_rescaling_identity():
     v = random_symmetric_loop("KLEIN", red, 96, seed=2)
     u = v.with_points(m0**beta * v.points)
     a_u = action(u, cone).total
-    a_v = rescaled_action_eps(v, cone, 1.0 / m0).total
+    a_v = action(v, cone, epsilon=1.0 / m0).total
     N = cone.group.order
     assert a_u == pytest.approx(N * m0 ** (2.0 * beta) * a_v, rel=1e-10)
 
@@ -144,7 +143,7 @@ def test_rescaled_monotone_in_eps():
     cone = cone_for("KLEIN", alpha=1.0)
     red = SymmetryReduction("klein_reflections")
     loop = random_symmetric_loop("KLEIN", red, 96, seed=3)
-    vals = [rescaled_action_eps(loop, cone, e).total for e in (0.0, 0.01, 0.1, 1.0)]
+    vals = [action(loop, cone, epsilon=e).total for e in (0.0, 0.01, 0.1, 1.0)]
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
 
@@ -158,10 +157,36 @@ def test_rescaled_eps0_circle():
     t = np.arange(n) * (T / n)
     pts = np.stack([rho * np.cos(t), rho * np.sin(t), np.zeros(n)], axis=1)
     loop = LoopPath(points=pts, period=T)
-    val = rescaled_action_eps(loop, cone_for("KLEIN"), 0.0).total
+    val = action(loop, cone_for("KLEIN"), epsilon=0.0).total
     exact = 1.5 * (2 * np.pi) ** (2.0 / 3.0) * T ** (1.0 / 3.0)  # = 3 pi here
     assert abs(val - exact) / exact < 1e-6
     assert exact == pytest.approx(3 * np.pi, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "tag,alpha,m0",
+    [("T", 1.0, 0.7), ("O", 1.5, 2.0), ("I", 1.2, 0.3), ("Z4", 1.7, 1.1), ("KLEIN", 1.0, 0.9)],
+)
+def test_action_matches_direct_body_sum(tag, alpha, m0):
+    # the (1+N)-body potential over the constellation {R u_j}: every
+    # unordered pair of satellites plus each satellite against the centre
+    group = builtin_group(tag)
+    n = 16
+    rng = np.random.default_rng(13)
+    t = np.arange(n) * (2 * np.pi / n)
+    pts = np.stack([1.3 * np.cos(t), 1.1 * np.sin(t), 0.5 * np.cos(t + 0.4)], axis=1)
+    pts += 0.1 * rng.normal(size=pts.shape)
+    loop = LoopPath(points=pts, period=2 * np.pi)
+    a = action(loop, SimpleNamespace(group=group, alpha=alpha, central_mass=m0))
+
+    h = loop.period / n
+    bodies = np.einsum("gij,nj->gni", np.array(group.elements), pts)
+    first, second = np.triu_indices(group.order, 1)
+    pair_dist = np.linalg.norm(bodies[first] - bodies[second], axis=-1)
+    mutual = h * np.sum(pair_dist ** (-alpha))
+    central = h * m0 * np.sum(np.linalg.norm(bodies, axis=-1) ** (-alpha))
+    assert a.mutual == pytest.approx(mutual, rel=1e-12)
+    assert a.central == pytest.approx(central, rel=1e-12)
 
 
 def test_quadrature_second_order():
@@ -264,6 +289,66 @@ def test_apply_symmetry_reduction_idempotent():
     assert red.violation(once.points) < 1e-13
 
 
+def reference_node_images(red, n):
+    """Node-by-node construction of SymmetryReduction.node_images."""
+    free = red.free_nodes(n)
+    rep = -np.ones(n, dtype=int)
+    mats = np.zeros((n, 3, 3))
+    counts = np.zeros(n, dtype=int)
+    for shift, flip, A in red.transforms(n):
+        for j in free:
+            i = (flip * j + shift) % n
+            if rep[i] == -1 or rep[i] == j:
+                rep[i] = j
+                mats[i] += A.T
+                counts[i] += 1
+    mats /= counts[:, None, None]
+    return rep, mats
+
+
+def reference_lift(red, z, n):
+    rep, mats = reference_node_images(red, n)
+    return np.array([mats[i] @ z[rep[i]] for i in range(n)])
+
+
+def reference_reduce_gradient(red, grad, n):
+    rep, mats = reference_node_images(red, n)
+    out = np.zeros((len(red.free_nodes(n)), 3))
+    for i in range(n):
+        out[rep[i]] += mats[i].T @ grad[i]
+    return out
+
+
+@pytest.mark.parametrize("n", [12, 60, 240, 1200])
+@pytest.mark.parametrize(
+    "red",
+    [
+        SymmetryReduction("italian"),
+        SymmetryReduction("klein_reflections"),
+        SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4),
+        SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3),
+    ],
+    ids=["italian", "klein", "extra-O4", "extra-T3"],
+)
+def test_reduction_matches_node_loop(red, n):
+    rep, mats = red.node_images(n)
+    ref_rep, ref_mats = reference_node_images(red, n)
+    assert np.array_equal(rep, ref_rep)
+    assert np.array_equal(mats, ref_mats)
+    if red.kind == "klein_reflections":
+        # boundary nodes average over their stabilizer: u_0 lies in {x3 = 0}
+        assert np.linalg.det(mats[0]) == 0.0 and np.linalg.det(mats[n // 4]) == 0.0
+
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(len(red.free_nodes(n)), 3))
+    g = rng.normal(size=(n, 3))
+    lifted = red.lift(z, n)
+    reduced = red.reduce_gradient(g, n)
+    assert np.max(np.abs(lifted - reference_lift(red, z, n))) <= 1e-14
+    assert np.max(np.abs(reduced - reference_reduce_gradient(red, g, n))) <= 1e-14
+    assert np.sum(lifted * g) == pytest.approx(np.sum(z * reduced), rel=1e-12)
+
+
 def test_incompatible_sample_count():
     red = SymmetryReduction("klein_reflections")
     with pytest.raises(ValueError):
@@ -328,6 +413,27 @@ def test_gradient_full_space_matches_fd():
                 action(LoopPath(points=pp, period=2 * np.pi), cone).total
                 - action(LoopPath(points=pm, period=2 * np.pi), cone).total
             ) / (2 * h)
+    assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-6
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_rescaled_gradient_matches_fd(epsilon):
+    cone = cone_for("O", alpha=1.3)
+    n = 24
+    t = np.arange(n) * (2 * np.pi / n)
+    pts = np.stack([1.2 * np.cos(t), 0.9 * np.sin(t) + 0.3, 0.4 * np.cos(2 * t) + 0.2], axis=1)
+
+    def f(p):
+        return action(LoopPath(points=p, period=2 * np.pi), cone, epsilon=epsilon).total
+
+    g = gradient(LoopPath(points=pts, period=2 * np.pi), cone, epsilon)
+    h = 1e-6
+    fd = np.zeros_like(pts)
+    for i in range(n):
+        for c in range(3):
+            step = np.zeros_like(pts)
+            step[i, c] = h
+            fd[i, c] = (f(pts + step) - f(pts - step)) / (2 * h)
     assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-6
 
 
