@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,6 +26,7 @@ from .groups import RotationGroup, builtin_group, full_group_tessellation, matri
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
 _KEY_TOL = 1e-9
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +543,52 @@ class _TessGeometry:
             self._perm_cache[key] = perm
         return perm
 
+    @cached_property
+    def circle_classes(self):
+        """Canonical reduced words of the sampled great circles, both directions.
+
+        Samples the normals of 300 Fibonacci directions, skipping circles
+        that pass within 5e-3 of a pole.  Depends only on the tessellation.
+        """
+        classes = set()
+        for axis in _fibonacci_directions(300):
+            axis = axis / np.linalg.norm(axis)
+            if np.min(np.abs(self.points @ axis)) < 5e-3:
+                continue
+            word = _circle_word(self, axis)
+            if not word:
+                continue
+            reduced = reduce_cyclic_word(word)
+            if reduced:
+                classes.add(canonical_cyclic_word(reduced))
+                classes.add(canonical_cyclic_word(reduced[::-1]))
+        return tuple(sorted(classes))
+
+    @cached_property
+    def arc_table(self):
+        """(angles, allowed): pole-to-pole angles and the admissible short arcs.
+
+        allowed[i] lists (j, angle) for every pole j that is neither i, nor
+        antipodal to i, nor separated from i by a pole on the short arc.
+        """
+        pts = self.points
+        angles = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
+        angles.setflags(write=False)
+        allowed = {}
+        for i in range(len(pts)):
+            row = []
+            for j in range(len(pts)):
+                if j == i:
+                    continue
+                th = angles[i, j]
+                if th < 1e-7 or th > math.pi - 1e-6:
+                    continue
+                if _pole_inside_arc(pts, pts[i], pts[j]):
+                    continue
+                row.append((j, float(th)))
+            allowed[i] = row
+        return angles, allowed
+
 
 _GEOMETRY_CACHE = {}
 
@@ -599,26 +647,31 @@ def merge_cyclic_duplicates(word):
 
 
 def reduce_cyclic_word(word):
-    """Cyclically reduced chamber word (backtracks removed); () if contractible.
+    """A cyclically reduced rotation of the chamber word; () if contractible.
 
     Adjacent chambers share exactly one wall, so an immediate return crosses
-    the same wall twice and cancels.
+    the same wall twice and cancels.  One stack pass reduces the walk closed
+    at its first chamber, then matching ends are trimmed off the wrap-around.
+    The rotation returned is not canonical: compare results through
+    canonical_cyclic_word.
     """
-    w = merge_cyclic_duplicates(list(word))
-    changed = True
-    while changed and len(w) > 2:
-        changed = False
-        n = len(w)
-        for i in range(n):
-            if w[i] == w[(i + 2) % n]:
-                for k in sorted(((i + 1) % n, (i + 2) % n), reverse=True):
-                    del w[k]
-                w = merge_cyclic_duplicates(w)
-                changed = True
-                break
-    if len(w) <= 2:
+    w = list(word)
+    stack = []
+    for c in w + w[:1]:
+        if stack and stack[-1] == c:
+            continue
+        if len(stack) > 1 and stack[-2] == c:
+            stack.pop()
+            continue
+        stack.append(c)
+    # stack is a reduced walk from w[0] back to w[0]
+    i, j = 0, len(stack) - 1
+    while j - i > 2 and stack[i + 1] == stack[j - 1]:
+        i += 1
+        j -= 1
+    if j - i <= 2:
         return ()
-    return tuple(w)
+    return tuple(stack[i:j])
 
 
 def canonical_cyclic_word(word):
@@ -964,7 +1017,9 @@ class MinimalAngleResult:
     semi_axes lists the junction directions in traversal order; arc i joins
     semi_axes[i] to semi_axes[i+1] (cyclically) sweeping arc_angles[i];
     times[i] is the junction passage time under the constant angular speed
-    total_angle / period.
+    total_angle / period.  The search counters give the heap pops, the
+    distinct closed skeletons tried and the junction resolutions checked;
+    they are 0 for the closed-form KLEIN loop.
     """
 
     total_angle: float
@@ -973,6 +1028,9 @@ class MinimalAngleResult:
     times: np.ndarray
     centrality: str
     word: tuple
+    pops: int
+    skeletons: int
+    combinations: int
 
 
 def _fibonacci_directions(n):
@@ -1011,30 +1069,17 @@ def _circle_word(geom, axis):
     return merge_cyclic_duplicates(word)
 
 
-def _central_circle_exists(geom, target_word, samples=300):
-    """Search sampled great circles for a planar representative of the class."""
+def _central_circle_exists(geom, target_word):
+    """True if a sampled great circle, run once or repeated, carries the class.
+
+    A cyclically reduced word stays reduced when repeated, and the canonical
+    form of its r-th power is the r-th power of its canonical form.
+    """
     target = canonical_cyclic_word(target_word)
-    if not target:
-        return False
-    pole_pts = geom.points
-    for axis in _fibonacci_directions(samples):
-        axis = axis / np.linalg.norm(axis)
-        if np.min(np.abs(pole_pts @ axis)) < 5e-3:
-            continue
-        word = _circle_word(geom, axis)
-        if not word:
-            continue
-        reduced = reduce_cyclic_word(word)
-        if not reduced:
-            continue
-        reps = max(1, -(-len(target) // len(reduced)) + 1)
-        for direction in (list(reduced), list(reversed(reduced))):
-            for r in range(1, reps + 1):
-                if r * len(direction) > 4 * len(target) + 8:
-                    break
-                if canonical_cyclic_word(reduce_cyclic_word(direction * r)) == target:
-                    return True
-    return False
+    n = len(target)
+    return n > 0 and any(
+        n % len(c) == 0 and c * (n // len(c)) == target for c in geom.circle_classes
+    )
 
 
 def _arc_geometry(za, zb):
@@ -1108,7 +1153,8 @@ def _skeleton_realizes(geom, target, fund_axes, tri_perm_pows, M, turn_cap, comb
 
     fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
     loop is the concatenation of M symmetry-translated copies of the
-    fundamental block.  Returns the realized full word or None.
+    fundamental block.  Returns the realized full word (or None) and the
+    number of junction resolutions checked.
     """
     f = len(fund_axes) - 1
     pts = geom.points
@@ -1158,9 +1204,20 @@ def _skeleton_realizes(geom, target, fund_axes, tri_perm_pows, M, turn_cap, comb
             for k in range(M):
                 perm = tri_perm_pows[k]
                 word += [perm[c] for c in block]
-            if canonical_cyclic_word(reduce_cyclic_word(word)) == target:
-                return tuple(word)
-    return None
+            reduced = reduce_cyclic_word(word)
+            if len(reduced) == len(target) and canonical_cyclic_word(reduced) == target:
+                return tuple(word), tried
+    return None, tried
+
+
+def _logged(cone, result):
+    """Send the search counters of one min_total_angle call to the module logger."""
+    _log.debug(
+        "min_total_angle %s: total_angle=%r arcs=%d pops=%d skeletons=%d combinations=%d",
+        cone.group.tag, result.total_angle, len(result.arc_angles),
+        result.pops, result.skeletons, result.combinations,
+    )
+    return result
 
 
 def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
@@ -1182,14 +1239,18 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
         axes = np.array(
             [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
         )
-        return MinimalAngleResult(
+        result = MinimalAngleResult(
             total_angle=TWO_PI,
             semi_axes=axes,
             arc_angles=np.full(4, 0.5 * math.pi),
             times=np.array([0.0, 0.25 * T, 0.5 * T, 0.75 * T]),
             centrality="non-central",
             word=(),
+            pops=0,
+            skeletons=0,
+            combinations=0,
         )
+        return _logged(cone, result)
 
     nu = cone.nu
     geom = _geometry(nu.polyhedron.tessellation)
@@ -1215,21 +1276,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
 
     pts = geom.points
     P = len(pts)
-    cosines = np.clip(pts @ pts.T, -1.0, 1.0)
-    angles = np.arccos(cosines)
-    allowed = {}
-    for i in range(P):
-        row = []
-        for j in range(P):
-            if j == i:
-                continue
-            th = angles[i, j]
-            if th < 1e-7 or th > math.pi - 1e-6:
-                continue
-            if _pole_inside_arc(pts, pts[i], pts[j]):
-                continue
-            row.append((j, float(th)))
-        allowed[i] = row
+    angles, allowed = geom.arc_table
 
     fmax = max(2, math.ceil(4 * nu.steps / M))
     heap = []
@@ -1237,7 +1284,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
     for s0 in range(P):
         heapq.heappush(heap, (0.0, next(serial), (s0,), False))
     seen_skeletons = set()
-    pops = 0
+    pops = combinations = 0
     while heap:
         pops += 1
         if pops > max_pops:
@@ -1253,9 +1300,10 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
             if canon in seen_skeletons:
                 continue
             seen_skeletons.add(canon)
-            word = _skeleton_realizes(
+            word, tried = _skeleton_realizes(
                 geom, target, axes, tri_perm_pows, M, turn_cap, combo_cap
             )
+            combinations += tried
             if word is None:
                 continue
             m = len(full)
@@ -1265,14 +1313,18 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
             )
             total = float(arc_angles.sum())
             times = np.concatenate(([0.0], np.cumsum(arc_angles)[:-1])) * (T / total)
-            return MinimalAngleResult(
+            result = MinimalAngleResult(
                 total_angle=total,
                 semi_axes=semi_axes,
                 arc_angles=arc_angles,
                 times=times,
                 centrality=centrality,
                 word=word,
+                pops=pops,
+                skeletons=len(seen_skeletons),
+                combinations=combinations,
             )
+            return _logged(cone, result)
         narcs = len(axes) - 1
         if narcs >= fmax:
             continue

@@ -1,5 +1,8 @@
 import json
+import logging
 import math
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +248,81 @@ def test_reduce_cyclic_word_properties(word):
         k = len(word) // 2
         rotated = list(word[k:]) + list(word[:k])
         assert H.canonical_cyclic_word(H.reduce_cyclic_word(rotated)) == H.canonical_cyclic_word(red)
+
+
+def reference_reduce_cyclic_word(word):
+    """The quadratic restart loop that reduce_cyclic_word replaced (reference)."""
+    w = H.merge_cyclic_duplicates(list(word))
+    changed = True
+    while changed and len(w) > 2:
+        changed = False
+        n = len(w)
+        for i in range(n):
+            if w[i] == w[(i + 2) % n]:
+                for k in sorted(((i + 1) % n, (i + 2) % n), reverse=True):
+                    del w[k]
+                w = H.merge_cyclic_duplicates(w)
+                changed = True
+                break
+    if len(w) <= 2:
+        return ()
+    return tuple(w)
+
+
+def random_closed_walk(rng, neighbors):
+    """Seeded closed walk in a chamber graph, with repeated chambers.
+
+    A random walk (each step stays put with probability 1/5) is closed by a
+    shortest path back to its start; the result has 2 to 60 chambers.
+    """
+    while True:
+        walk = [int(rng.integers(len(neighbors)))]
+        for _ in range(int(rng.integers(1, 60))):
+            here = walk[-1]
+            walk.append(here if rng.random() < 0.2 else int(rng.choice(neighbors[here])))
+        start, end = walk[0], walk[-1]
+        prev = {end: None}
+        frontier = [end]
+        while start not in prev:
+            reached = []
+            for a in frontier:
+                for b in neighbors[a]:
+                    if b not in prev:
+                        prev[b] = a
+                        reached.append(b)
+            frontier = reached
+        between = []
+        c = prev[start]
+        while c is not None and c != end:
+            between.append(c)
+            c = prev[c]
+        word = walk + between[::-1]
+        if 2 <= len(word) <= 60:
+            return word
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_reduce_cyclic_word_matches_restart_loop(tag):
+    neighbors = H.build_archimedean(tag).tessellation.neighbors
+    rng = np.random.default_rng([3, "TOI".index(tag)])
+    contractible = 0
+    for _ in range(2000):
+        word = random_closed_walk(rng, neighbors)
+        for a, b in zip(word, word[1:] + word[:1]):
+            assert a == b or b in neighbors[a]
+        new, old = H.reduce_cyclic_word(word), reference_reduce_cyclic_word(word)
+        assert (new == ()) == (old == ())
+        assert H.canonical_cyclic_word(new) == H.canonical_cyclic_word(old)
+        assert H.reduce_cyclic_word(new) == new
+        contractible += new == ()
+    assert 100 < contractible < 1900
+
+
+@pytest.mark.parametrize("tag,name", ALL_ROWS)
+def test_cone_reduced_word_matches_restart_loop(tag, name):
+    cone = H.catalog_cone(tag, name)
+    old = reference_reduce_cyclic_word(cone.triangle_sequence.triangles)
+    assert H.canonical_cyclic_word(cone.reduced_word) == H.canonical_cyclic_word(old)
 
 
 # ---------------------------------------------------------------------------
@@ -536,3 +614,133 @@ def test_min_total_angle_budget_exhaustion():
     cone = H.catalog_cone("T", "nu1")
     with pytest.raises(RuntimeError, match="exhausted"):
         H.min_total_angle(cone, max_pops=5)
+
+
+@lru_cache(maxsize=None)
+def reference_circle_words(tag):
+    """Reduced words of the 300 sampled great circles, in sample order."""
+    geom = H._geometry(H.build_archimedean(tag).tessellation)
+    words = []
+    for axis in H._fibonacci_directions(300):
+        axis = axis / np.linalg.norm(axis)
+        if np.min(np.abs(geom.points @ axis)) < 5e-3:
+            continue
+        word = H._circle_word(geom, axis)
+        if not word:
+            continue
+        reduced = reference_reduce_cyclic_word(word)
+        if reduced:
+            words.append(reduced)
+    return tuple(words)
+
+
+@lru_cache(maxsize=None)
+def reference_power_class(direction, r):
+    return H.canonical_cyclic_word(reference_reduce_cyclic_word(list(direction) * r))
+
+
+def reference_central_circle_exists(tag, target_word):
+    """The sampled-circle loop that _central_circle_exists replaced (reference).
+
+    The circle words and their powers do not depend on the target, so they
+    are memoized; the sampling, filters, repetition caps and comparisons are
+    the old ones.
+    """
+    target = H.canonical_cyclic_word(target_word)
+    if not target:
+        return False
+    for reduced in reference_circle_words(tag):
+        reps = max(1, -(-len(target) // len(reduced)) + 1)
+        for direction in (reduced, reduced[::-1]):
+            for r in range(1, reps + 1):
+                if r * len(direction) > 4 * len(target) + 8:
+                    break
+                if reference_power_class(direction, r) == target:
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_central_circle_exists_matches_sampled_loop(tag):
+    geom = H._geometry(H.build_archimedean(tag).tessellation)
+    assert geom.circle_classes
+    sampled = {
+        H.canonical_cyclic_word(w)
+        for reduced in reference_circle_words(tag)
+        for w in (reduced, reduced[::-1])
+    }
+    for c in sampled | set(geom.circle_classes):
+        for word in (c, c + c):
+            assert H._central_circle_exists(geom, word)
+            assert reference_central_circle_exists(tag, word)
+    group = builtin_group(tag)
+    for entry in catalog_rows(tag):
+        word = H.catalog_cone(tag, entry.name).reduced_word
+        for R in group.elements:
+            perm = geom.triangle_permutation(R)
+            moved = H.canonical_cyclic_word(perm[c] for c in word)
+            assert not H._central_circle_exists(geom, moved)
+            assert not reference_central_circle_exists(tag, moved)
+    assert not H._central_circle_exists(geom, ())
+
+
+def conjugated_cone(base, element):
+    nu = base.nu.transformed(base.group.elements[element])
+    M = base.extra_symmetry[1]
+    return H.ConeSpec(
+        group=base.group, nu=nu, alpha=base.alpha,
+        extra_symmetry=(H.find_extra_symmetry(nu, M)[0], M),
+        period=base.period, central_mass=base.central_mass,
+    )
+
+
+# min_total_angle of the 14 rows that finish in under a second, each
+# conjugated by group elements 0 and |G|/2, recorded at full precision from
+# the search with the quadratic word reduction and the sampled-circle loop.
+PINS = json.loads((Path(__file__).parent / "data" / "min_total_angle_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PINS, ids=lambda p: f"{p['tag']}-{p['name']}-g{p['element']}")
+def test_min_total_angle_pinned(pin):
+    cone = conjugated_cone(H.catalog_cone(pin["tag"], pin["name"]), pin["element"])
+    res = H.min_total_angle(cone)
+    assert repr(res.total_angle) == repr(pin["total_angle"])
+    assert len(res.arc_angles) == pin["arcs"]
+    assert res.semi_axes.tobytes() == np.array(pin["semi_axes"]).tobytes()
+    assert H.canonical_cyclic_word(res.word) == tuple(pin["word"])
+
+
+def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
+    caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
+    klein = H.min_total_angle(
+        H.ConeSpec(
+            group=builtin_group("KLEIN"), nu=None, alpha=1.0, extra_symmetry=None,
+            period=TWO_PI, central_mass=0.5,
+        )
+    )
+    assert (klein.pops, klein.skeletons, klein.combinations) == (0, 0, 0)
+
+    tries = []
+    realize = H._skeleton_realizes
+
+    def counted(*args):
+        word, tried = realize(*args)
+        tries.append(tried)
+        return word, tried
+
+    monkeypatch.setattr(H, "_skeleton_realizes", counted)
+    cone = H.catalog_cone("T", "nu1")
+    res = H.min_total_angle(cone)
+    assert res.skeletons == len(tries) > 1
+    assert res.combinations == sum(tries) > res.skeletons
+    assert res.pops > res.skeletons
+    messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
+    assert len(messages) == 2
+    for result, message in zip((klein, res), messages):
+        counts = f"pops={result.pops} skeletons={result.skeletons} combinations={result.combinations}"
+        assert counts in message
+    assert capsys.readouterr() == ("", "")
+    # the search stops at its pop budget: res.pops is exactly enough
+    assert H.min_total_angle(cone, max_pops=res.pops).total_angle == res.total_angle
+    with pytest.raises(RuntimeError, match="pop budget"):
+        H.min_total_angle(cone, max_pops=res.pops - 1)
