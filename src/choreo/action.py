@@ -22,6 +22,7 @@ REFLECT_X2 = np.diag([1.0, -1.0, 1.0])
 REFLECT_X3 = np.diag([1.0, 1.0, -1.0])
 
 _COLLISION_FLOOR = 1e-13
+_BLOCK = 512  # nodes per pass of the pair kernel: bounds its (nodes, 3k) temporaries
 
 
 class CollisionError(ValueError):
@@ -247,8 +248,9 @@ def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
     Returns (central, pair, grad): central = m0/|u|^alpha and pair =
     (mutual/2) sum_{R != I} |(R - I)u|^(-alpha) at each node, and with
     with_gradient the gradient of their sum at each node (else None).  The
-    pair sum is skipped when mutual is 0.  Raises CollisionError at the
-    first node on the collision set, checking the origin first.
+    pair sum runs over the group's distinct pair forms, _BLOCK nodes at a
+    time, and is skipped when mutual is 0.  Raises CollisionError at the
+    lowest node on the collision set, checking the origin first.
     """
     r = np.linalg.norm(pts, axis=1)
     bad = np.flatnonzero(r < _COLLISION_FLOOR)
@@ -257,16 +259,17 @@ def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
     central = m0 * r ** (-alpha)
     pair = np.zeros(len(pts))
     pair_grad = np.zeros_like(pts) if with_gradient else None
-    for D in group.difference_matrices if mutual else ():
-        w = pts @ D.T
-        d = np.linalg.norm(w, axis=1)
-        bad = np.flatnonzero(d < _COLLISION_FLOOR)
-        if len(bad):
-            raise CollisionError(bad[0])
-        p = d ** (-alpha)
-        pair += p
+    F, mult = group.pair_forms
+    for s in range(0, len(pts) if mutual else 0, _BLOCK):
+        y = (pts[s:s + _BLOCK] @ F).reshape(-1, 3, len(mult))
+        d2 = np.einsum("brk,brk->bk", y, y)
+        if d2.min() < _COLLISION_FLOOR**2:
+            raise CollisionError(s + np.flatnonzero(d2.min(axis=1) < _COLLISION_FLOOR**2)[0])
+        p = d2 ** (-0.5 * alpha)
+        pair[s:s + len(y)] = p @ mult
         if with_gradient:
-            pair_grad += (w * (p / (d * d))[:, None]) @ D
+            w = (y * (mult * p / d2)[:, None, :]).reshape(len(y), -1)
+            pair_grad[s:s + len(y)] = w @ F.T
     grad = None
     if with_gradient:
         grad = -alpha * ((central / (r * r))[:, None] * pts + 0.5 * mutual * pair_grad)

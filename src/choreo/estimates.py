@@ -49,6 +49,13 @@ def k_alpha_p(alpha, order):
     return float(np.sum(np.sin(j * np.pi / order) ** (-alpha)))
 
 
+def _pair_sum(group, x, alpha):
+    """sum_{R != I} |(R - I)x|^(-alpha), over the group's distinct pair forms."""
+    F, mult = group.pair_forms
+    y = (x @ F).reshape(3, -1)
+    return float(mult @ np.einsum("rk,rk->k", y, y) ** (-0.5 * alpha))
+
+
 def zeta(group, alpha, which, conjugate=None):
     """Potential integral along one base edge of the Archimedean graph.
 
@@ -77,12 +84,8 @@ def zeta(group, alpha, which, conjugate=None):
             x = (1.0 - s) * a + s * b
             return 2.0 / float(np.linalg.norm(x)) ** alpha
     else:
-        diffs = poly.group.difference_matrices
-
         def integrand(s):
-            x = (1.0 - s) * a + s * b
-            d = np.linalg.norm(diffs @ x, axis=1)
-            return float(np.sum(d ** (-alpha)))
+            return _pair_sum(poly.group, (1.0 - s) * a + s * b, alpha)
 
     value, err = integrate.quad(
         integrand, 0.0, 1.0, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=200
@@ -111,8 +114,8 @@ def delta_min(group, which):
     poly = build_archimedean(group)
     q, q1, q2 = poly.base_points
     m = np.array(q) + np.array(q2 if which == 2 else q1)
-    diffs = poly.group.difference_matrices
-    return float(np.min(np.linalg.norm(diffs @ m, axis=1))) / 2.0
+    y = (m @ poly.group.pair_forms[0]).reshape(3, -1)
+    return math.sqrt(np.min(np.einsum("rk,rk->k", y, y))) / 2.0
 
 
 def tilde_U0(group, alpha, triangle=0):
@@ -256,10 +259,9 @@ def rotating_polygon_action(m0, period, satellites=4, return_radius=False):
     if period <= 0.0:
         raise ValueError("period must be positive")
     group = builtin_group("Z2N", n=satellites // 2)
-    diffs = group.difference_matrices
     e1 = np.array([1.0, 0.0, 0.0])
     # potential coefficient per unit radius: m0/|u| plus half the pairwise sum
-    mu = m0 + 0.5 * float(np.sum(1.0 / np.linalg.norm(diffs @ e1, axis=1)))
+    mu = m0 + 0.5 * _pair_sum(group, e1, 1.0)
     omega = TWO_PI / period
     radius = (mu / omega ** 2) ** (1.0 / 3.0)
 
@@ -267,7 +269,7 @@ def rotating_polygon_action(m0, period, satellites=4, return_radius=False):
         u = radius * np.array([math.cos(omega * t), math.sin(omega * t), 0.0])
         kinetic = 0.5 * (radius * omega) ** 2
         central = m0 / float(np.linalg.norm(u))
-        mutual = 0.5 * float(np.sum(1.0 / np.linalg.norm(diffs @ u, axis=1)))
+        mutual = 0.5 * _pair_sum(group, u, 1.0)
         return kinetic + central + mutual
 
     value, err = integrate.quad(

@@ -69,6 +69,7 @@ class RotationGroup:
     constructions of the same group list the elements identically.  Despite
     the name, elements of determinant -1 are allowed (the vertical groups
     are generated by rotoreflections); the polyhedral groups are proper.
+    ``pair_forms`` caches the factors every pair-potential evaluation uses.
     """
 
     tag: str
@@ -87,13 +88,21 @@ class RotationGroup:
         raise ValueError("group has no identity element")
 
     @cached_property
-    def difference_matrices(self):
-        """The matrices R - I of the non-identity elements, stacked in
-        element order as a read-only (order - 1, 3, 3) array."""
-        eye = self.identity_index
-        D = np.array([R - np.eye(3) for i, R in enumerate(self.elements) if i != eye])
-        D.flags.writeable = False
-        return D
+    def pair_forms(self):
+        """One R - I per distinct form (R - I)^T (R - I) = 2I - R - R^T of the
+        non-identity elements R (R and R^-1 share one), as read-only (F, mult):
+        column r*k + j of the (3, 3k) matrix F is row r of the first R - I of
+        form j, so |(R - I)u|^2 sums (u @ F)^2 over the columns c with
+        c % k == j, and mult[j] counts the elements of form j."""
+        forms, eye = {}, self.identity_index
+        for i, R in enumerate(self.elements):
+            D = R - np.eye(3)
+            if i != eye:
+                forms.setdefault(matrix_key(D.T @ D), [D, 0])[1] += 1
+        F = np.array([D for D, _ in forms.values()]).transpose(2, 1, 0).reshape(3, -1)
+        mult = np.array([m for _, m in forms.values()], dtype=float)
+        F.flags.writeable = mult.flags.writeable = False
+        return F, mult
 
     def proper_elements(self):
         return [R for R in self.elements if np.linalg.det(R) > 0]

@@ -1154,7 +1154,7 @@ def _skeleton_realizes(geom, target, fund_axes, tri_perm_pows, M, turn_cap, comb
     fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
     loop is the concatenation of M symmetry-translated copies of the
     fundamental block.  Returns the realized full word (or None) and the
-    number of junction resolutions checked.
+    number of junction resolutions checked, raising past combo_cap of them.
     """
     f = len(fund_axes) - 1
     pts = geom.points
@@ -1220,14 +1220,15 @@ def _logged(cone, result):
     return result
 
 
-def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
+def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_000):
     """Minimal total angle of circular-arc loops through rotation semi-axes
     realizing the cone's loop class, with the realizing skeleton.
 
     Runs a uniform-cost search over symmetry-periodic junction sequences;
     the first closed skeleton whose chamber word (over junction and
     wall-side resolutions) matches the class is optimal.  Raises ValueError
-    for central cones and RuntimeError on search exhaustion.
+    for central cones and RuntimeError on search exhaustion: past max_pops
+    heap pops or combo_cap junction resolutions checked over the whole call.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1301,7 +1302,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=500_000):
                 continue
             seen_skeletons.add(canon)
             word, tried = _skeleton_realizes(
-                geom, target, axes, tri_perm_pows, M, turn_cap, combo_cap
+                geom, target, axes, tri_perm_pows, M, turn_cap, combo_cap - combinations
             )
             combinations += tried
             if word is None:

@@ -2,9 +2,11 @@
 
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
+from choreo import action as A
 from choreo.action import (
     ActionBreakdown,
     CollisionError,
@@ -17,7 +19,7 @@ from choreo.action import (
     rescale_parameter,
     second_variation_vertical,
 )
-from choreo.groups import builtin_group, generate_group
+from choreo.groups import builtin_group, generate_group, poles
 
 
 def cone_for(tag, alpha=1.0, m0=0.0):
@@ -109,6 +111,27 @@ def test_collision_error_reports_node():
     with pytest.raises(CollisionError) as err:
         action(loop, cone_for("Z4"))
     assert err.value.node == 5
+
+
+def test_collision_error_reports_lowest_node_of_a_polyhedral_pair_collision():
+    group = builtin_group("I")
+    axes = {k: [p.point for p in poles(group) if p.order == k] for k in (3, 5)}
+    n = 1024
+    t = np.arange(n) * (2 * np.pi / n)
+    pts = np.stack([1.3 * np.cos(t), 1.1 * np.sin(t), 0.5 * np.cos(t + 0.4)], axis=1)
+    pts[5] = 1.2 * axes[3][0]
+    pts[300] = 1.1 * axes[5][0]  # same block of nodes as node 5
+    pts[700] = 0.9 * axes[3][7]  # another 3-fold axis, in a later block
+    cone = SimpleNamespace(group=group, alpha=1.5, central_mass=0.8)
+    loop = LoopPath(points=pts, period=2 * np.pi)
+    for evaluate in (action, gradient, discrete_energy):
+        with pytest.raises(CollisionError, match="collision set") as err:
+            evaluate(loop, cone)
+        assert err.value.node == 5
+    pts[900] = 0.0  # the origin is checked before any pair collision
+    with pytest.raises(CollisionError, match="origin") as err:
+        action(LoopPath(points=pts, period=2 * np.pi), cone)
+    assert err.value.node == 900
 
 
 def test_scaling_homogeneity():
@@ -500,3 +523,103 @@ def test_rayleigh_quotient_matches_closed_form():
     # second derivative of the 4-satellite action is 4 times it
     closed = second_variation_vertical(m0, T)
     assert second == pytest.approx(4.0 * closed, rel=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# pair-form kernel against the per-element loop
+
+
+def reference_potential(pts, group, alpha, m0, mutual, with_gradient=False):
+    """The loop over the |G| - 1 difference matrices that the pair-form
+    kernel replaced (reference); collision checks left out."""
+    r = np.linalg.norm(pts, axis=1)
+    central = m0 * r ** (-alpha)
+    pair = np.zeros(len(pts))
+    pair_grad = np.zeros_like(pts)
+    eye = group.identity_index
+    for i, R in enumerate(group.elements):
+        if i == eye or not mutual:
+            continue
+        D = R - np.eye(3)
+        w = pts @ D.T
+        d = np.linalg.norm(w, axis=1)
+        p = d ** (-alpha)
+        pair += p
+        pair_grad += (w * (p / (d * d))[:, None]) @ D
+    grad = -alpha * ((central / (r * r))[:, None] * pts + 0.5 * mutual * pair_grad)
+    return central, 0.5 * mutual * pair, grad if with_gradient else None
+
+
+KERNEL_GROUPS = {"T": None, "O": None, "I": None, "Z4": None, "KLEIN": None, "Z2N": 3}
+ORDER3 = SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3)
+
+
+def kernel_values(loop, cone):
+    """Everything the kernel feeds, keyed by name."""
+    group, alpha, m0 = cone.group, cone.alpha, cone.central_mass
+    central, pair, grad = A._potential(loop.points, group, alpha, m0, 0.6, with_gradient=True)
+    out = {"central": central, "pair": pair, "potential_gradient": grad}
+    for eps in (None, 0.3):
+        parts = action(loop, cone, epsilon=eps)
+        for name in ("kinetic", "central", "mutual"):
+            out[f"{name}@{eps}"] = getattr(parts, name)
+        out[f"gradient_full@{eps}"] = gradient(loop.with_points(loop.points), cone, epsilon=eps)
+        if loop.reduction is not None:
+            out[f"gradient_reduced@{eps}"] = gradient(loop, cone, epsilon=eps)
+    out["discrete_energy"] = discrete_energy(loop, cone)
+    return out
+
+
+@pytest.mark.parametrize("n", [12, 513, 1537])
+@pytest.mark.parametrize("tag", list(KERNEL_GROUPS))
+def test_pair_form_kernel_matches_element_loop(tag, n, monkeypatch):
+    # n = 513 and 1537 leave a partial last block of nodes; 1537 = 29 * 53
+    # admits no reduction, so the reduced gradient is checked at 12 and 513
+    group = builtin_group(tag, n=KERNEL_GROUPS[tag])
+    rng = np.random.default_rng([n, group.order])
+    t = np.arange(n) * (2 * np.pi / n)
+    pts = np.stack([1.3 * np.cos(t), 1.1 * np.sin(t), 0.5 * np.cos(t + 0.4)], axis=1)
+    for k in range(1, 4):
+        pts += (0.08 / k) * np.cos(k * t)[:, None] * rng.normal(size=3)
+        pts += (0.08 / k) * np.sin(k * t)[:, None] * rng.normal(size=3)
+    reduction = ORDER3 if n % 3 == 0 else None
+    if reduction is not None:
+        pts = reduction.project(pts)
+    loop = LoopPath(points=pts, period=2.1, reduction=reduction)
+    cone = SimpleNamespace(group=group, alpha=1.37, central_mass=1.7)
+    got = kernel_values(loop, cone)
+    monkeypatch.setattr(A, "_potential", reference_potential)
+    want = kernel_values(loop, cone)
+    assert got.keys() == want.keys()
+    assert ("gradient_reduced@None" in got) == (reduction is not None)
+    for name in want:
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(np.asarray(got[name]) - want[name])) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_pair_term_near_a_pole_axis_matches_mpmath(tag):
+    # u = a + delta e with e orthogonal to the pole axis a: rotations about
+    # a bring copies within ~delta, and float rounding in (R - I)u costs a
+    # relative eps |u| / delta at best; the reference sums the float group
+    # elements exactly at 40 digits
+    group = builtin_group(tag)
+    eye = group.identity_index
+    others = [R for i, R in enumerate(group.elements) if i != eye]
+    alpha = 1.5
+    for pole in poles(group):
+        a = pole.point
+        e = np.cross(a, [0.3, -0.5, 0.8])
+        e /= np.linalg.norm(e)
+        for delta in (1e-3, 1e-6):
+            u = a + delta * e
+            pair = A._potential(u[None], group, alpha, 1.0, 1.0)[1][0]
+            with mpmath.workdps(40):
+                uu = mpmath.matrix([mpmath.mpf(c) for c in u])
+                total = mpmath.mpf(0)
+                for R in others:
+                    D = mpmath.matrix(R.tolist()) - mpmath.eye(3)
+                    total += mpmath.norm(D * uu) ** mpmath.mpf(-alpha)
+                ref = float(total / 2)
+            bound = np.finfo(float).eps * np.linalg.norm(u) / delta
+            assert abs(pair - ref) <= bound * ref, (pole, delta)

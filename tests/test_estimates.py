@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +241,38 @@ def test_delta_min_icosahedron_published_values_are_swapped():
     assert abs(delta_min("I", 1) - GROUP_CONSTANTS["delta_2"]["I"]) < 1e-5
     assert abs(delta_min("I", 2) - GROUP_CONSTANTS["delta_1"]["I"]) < 1e-5
     assert abs(delta_min("I", 1) - GROUP_CONSTANTS["delta_1"]["I"]) > 0.1
+
+
+def reference_edge(tag, which):
+    """Base edge endpoints and the matrices R - I of the non-identity elements."""
+    poly = build_archimedean(tag)
+    q, q1, q2 = (np.array(v) for v in poly.base_points)
+    eye = poly.group.identity_index
+    diffs = [R - np.eye(3) for i, R in enumerate(poly.group.elements) if i != eye]
+    return q, q2 if which == 2 else q1, diffs
+
+
+def reference_zeta(tag, alpha, which):
+    """zeta's pair integral summed element by element, as before the
+    pair-form kernel (reference)."""
+    a, b, diffs = reference_edge(tag, which)
+
+    def integrand(s):
+        x = (1.0 - s) * a + s * b
+        return float(np.sum(np.linalg.norm(np.array(diffs) @ x, axis=1) ** (-alpha)))
+
+    return integrate.quad(integrand, 0.0, 1.0, epsabs=E._QUAD_ABS, epsrel=E._QUAD_REL, limit=200)[0]
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_zeta_and_delta_min_match_element_loop(tag):
+    for which in (1, 2):
+        for alpha in (1.0, 1.37, 1.5, 1.9):
+            want = reference_zeta(tag, alpha, which)
+            assert abs(zeta(tag, alpha, which) - want) <= 1e-13 * want
+        a, b, diffs = reference_edge(tag, which)
+        want = min(np.linalg.norm(D @ (a + b)) for D in diffs) / 2.0
+        assert abs(delta_min(tag, which) - want) <= 1e-13 * want
 
 
 def test_delta_min_rejects_bad_which():

@@ -162,6 +162,35 @@ def test_stabilizer_is_cyclic():
             assert stab == powers
 
 
+@pytest.mark.parametrize(
+    "tag,n,forms",
+    [("T", None, 7), ("O", None, 16), ("I", None, 37), ("Z4", None, 2), ("KLEIN", None, 3),
+     ("Z2N", 3, 3)],
+)
+def test_pair_forms_cover_every_element_once(tag, n, forms):
+    G = builtin_group(tag, n=n)
+    F, mult = G.pair_forms
+    assert F.shape == (3, 3 * forms) and mult.shape == (forms,)
+    assert not F.flags.writeable and not mult.flags.writeable
+    assert mult.sum() == G.order - 1
+    # form j has the columns j, j + k, j + 2k: the rows of its R - I
+    Q = [F[:, j::forms] @ F[:, j::forms].T for j in range(forms)]
+    counts = np.zeros(forms)
+    u = np.random.default_rng(3).normal(size=(5, 3))
+    for i, R in enumerate(G.elements):
+        if i == G.identity_index:
+            continue
+        D = R - np.eye(3)
+        match = [j for j in range(forms) if np.allclose(Q[j], D.T @ D, atol=1e-12)]
+        assert len(match) == 1
+        counts[match[0]] += 1
+        d2 = np.einsum("ni,ij,nj->n", u, Q[match[0]], u)
+        assert np.allclose(d2, np.sum((u @ D.T) ** 2, axis=1), rtol=1e-13)
+    assert np.array_equal(counts, mult)
+    # R and R^-1 = R^T share a form, so no form holds more than two elements
+    assert set(mult) <= {1.0, 2.0}
+
+
 # ---------------------------------------------------------------------------
 # collision set distances
 

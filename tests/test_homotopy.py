@@ -744,3 +744,23 @@ def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
     assert H.min_total_angle(cone, max_pops=res.pops).total_angle == res.total_angle
     with pytest.raises(RuntimeError, match="pop budget"):
         H.min_total_angle(cone, max_pops=res.pops - 1)
+
+
+def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
+    tries = []
+    realize = H._skeleton_realizes
+
+    def counted(*args):
+        word, tried = realize(*args)
+        tries.append(tried)
+        return word, tried
+
+    monkeypatch.setattr(H, "_skeleton_realizes", counted)
+    cone = H.catalog_cone("T", "nu1")
+    res = H.min_total_angle(cone)
+    # one less than the call's total is still more than any one skeleton
+    # needs, so only a budget over the whole call can stop the search
+    assert max(tries) < res.combinations - 1
+    assert H.min_total_angle(cone, combo_cap=res.combinations).total_angle == res.total_angle
+    with pytest.raises(RuntimeError, match="resolution budget"):
+        H.min_total_angle(cone, combo_cap=res.combinations - 1)
