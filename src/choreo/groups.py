@@ -104,9 +104,6 @@ class RotationGroup:
         F.flags.writeable = mult.flags.writeable = False
         return F, mult
 
-    def proper_elements(self):
-        return [R for R in self.elements if np.linalg.det(R) > 0]
-
     def __iter__(self):
         return iter(self.elements)
 

@@ -566,15 +566,16 @@ class _TessGeometry:
 
     @cached_property
     def arc_table(self):
-        """(angles, allowed): pole-to-pole angles and the admissible short arcs.
+        """(angles, successors): pole-to-pole angles and the admissible short arcs.
 
-        allowed[i] lists (j, angle) for every pole j that is neither i, nor
-        antipodal to i, nor separated from i by a pole on the short arc.
+        successors[i] lists (angle, j), sorted, for every pole j that is
+        neither i, nor antipodal to i, nor separated from i by a pole on the
+        short arc: ties in angle go to the lower pole index.
         """
         pts = self.points
         angles = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
         angles.setflags(write=False)
-        allowed = {}
+        successors = []
         for i in range(len(pts)):
             row = []
             for j in range(len(pts)):
@@ -585,9 +586,35 @@ class _TessGeometry:
                     continue
                 if _pole_inside_arc(pts, pts[i], pts[j]):
                     continue
-                row.append((j, float(th)))
-            allowed[i] = row
-        return angles, allowed
+                row.append((float(th), j))
+            successors.append(sorted(row))
+        return angles, successors
+
+    @cached_property
+    def winding_steps(self):
+        """Winding vector of every chamber step, packed into one integer.
+
+        H_1 of the sphere minus the P poles is Z^(P-1), counted by the signed
+        crossings of the P-1 edges of a BFS spanning tree of the pole graph.
+        Coordinate e sits at bit 32e of a signed integer, so vectors add as
+        integers.  Maps (a, b) to the step a -> b between adjacent chambers
+        and (a, a) to 0.
+        """
+        pts, tris = self.points, self.triangles
+        tree, order = {}, [0]
+        for p in order:
+            for q in sorted({v for ti in self.fan[p] for v in tris[ti]} - set(order)):
+                tree[frozenset((p, q))] = len(tree)
+                order.append(q)
+        steps = {(t, t): 0 for t in range(len(tris))}
+        for s in range(len(tris)):
+            for t in self.tess.neighbors[s]:
+                edge = frozenset(tris[s]) & frozenset(tris[t])
+                a, b = sorted(edge)
+                unit = 1 << 32 * tree[edge] if edge in tree else 0
+                left = np.cross(pts[a], pts[b]) @ pts[list(tris[s])].sum(axis=0) > 0.0
+                steps[s, t] = unit if left else -unit
+        return steps
 
 
 _GEOMETRY_CACHE = {}
@@ -1018,8 +1045,9 @@ class MinimalAngleResult:
     semi_axes[i] to semi_axes[i+1] (cyclically) sweeping arc_angles[i];
     times[i] is the junction passage time under the constant angular speed
     total_angle / period.  The search counters give the heap pops, the
-    distinct closed skeletons tried and the junction resolutions checked;
-    they are 0 for the closed-form KLEIN loop.
+    distinct closed skeletons tried, the junction resolutions covered (reduced
+    or rejected by the winding filter) and the word reductions performed
+    (checked); they are 0 for the closed-form KLEIN loop.
     """
 
     total_angle: float
@@ -1031,6 +1059,7 @@ class MinimalAngleResult:
     pops: int
     skeletons: int
     combinations: int
+    checked: int
 
 
 def _fibonacci_directions(n):
@@ -1148,74 +1177,149 @@ def _junction_route(geom, pid, c_in, c_out, direction, turns):
     return [fan[(i_in + direction * s) % L] for s in range(1, total)]
 
 
-def _skeleton_realizes(geom, target, fund_axes, tri_perm_pows, M, turn_cap, combo_cap):
-    """Try junction/side resolutions of the arc skeleton against the class word.
-
-    fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
-    loop is the concatenation of M symmetry-translated copies of the
-    fundamental block.  Returns the realized full word (or None) and the
-    number of junction resolutions checked, raising past combo_cap of them.
+def _resolutions(geom, fund_axes, tri_perm, turn_cap, sym_steps):
+    """Wall-side selections of the fundamental block, in product order: yields
+    (arc_sel, option_lists, weights, arc_winding), the weights being the winding
+    vectors of the junction routes (entry and exit steps included) and
+    arc_winding that of the arcs' own steps, each summed over the M copies.
     """
-    f = len(fund_axes) - 1
-    pts = geom.points
     arc_choices = []
-    for i in range(f):
-        za, zb = pts[fund_axes[i]], pts[fund_axes[i + 1]]
+    for a, b in zip(fund_axes, fund_axes[1:]):
+        za, zb = geom.points[a], geom.points[b]
         wall = _arc_wall(geom, za, zb)
         if wall is None:
             arc_choices.append([_off_wall_itinerary(geom, za, zb)])
         else:
-            arc_choices.append(
-                [_on_wall_itinerary(geom, za, zb, wall, s) for s in (1.0, -1.0)]
-            )
-
-    tried = 0
-    tri_perm = tri_perm_pows[1 % M] if M > 1 else tri_perm_pows[0]
+            arc_choices.append([_on_wall_itinerary(geom, za, zb, wall, s) for s in (1.0, -1.0)])
     for arc_sel in itertools.product(*arc_choices):
-        specs = []
-        for j in range(1, f):
-            specs.append((fund_axes[j], arc_sel[j - 1][-1], arc_sel[j][0]))
-        specs.append((fund_axes[f], arc_sel[f - 1][-1], tri_perm[arc_sel[0][0]]))
-
-        option_lists = []
-        for pid, c_in, c_out in specs:
-            opts, seen = [], set()
+        exits = [run[0] for run in arc_sel[1:]] + [tri_perm[arc_sel[0][0]]]
+        option_lists, weights = [], []
+        for pid, c_in, c_out in zip(fund_axes[1:], (run[-1] for run in arc_sel), exits):
+            opts, ws = [], []
             for direction in (1, -1):
                 for turns in range(turn_cap + 1):
-                    route = tuple(_junction_route(geom, pid, c_in, c_out, direction, turns))
-                    if route not in seen:
-                        seen.add(route)
-                        opts.append(list(route))
+                    route = _junction_route(geom, pid, c_in, c_out, direction, turns)
+                    if route not in opts:
+                        opts.append(route)
+                        path = [c_in, *route, c_out]
+                        ws.append(sum(sym_steps[step] for step in zip(path, path[1:])))
             option_lists.append(opts)
+            weights.append(ws)
+        arc_winding = sum(sym_steps[step] for run in arc_sel for step in zip(run, run[1:]))
+        yield arc_sel, option_lists, weights, arc_winding
 
-        for junc_sel in itertools.product(*option_lists):
-            tried += 1
-            if tried > combo_cap:
-                raise RuntimeError(
-                    "minimal-angle realization search exhausted its resolution budget"
-                )
-            block = []
-            for i in range(f):
-                if i > 0:
-                    block += junc_sel[i - 1]
-                block += arc_sel[i]
-            block += junc_sel[f - 1]
-            word = []
-            for k in range(M):
-                perm = tri_perm_pows[k]
-                word += [perm[c] for c in block]
+
+def _winding_solutions(weights, residual):
+    """Option index tuples, in product order, whose weights sum to residual.
+
+    reach[j] holds the sums reachable over the junctions after j, so the walk
+    enters only options that can still complete the residual.
+    """
+    reach = [{0}]
+    for ws in weights[:0:-1]:
+        reach.insert(0, {w + s for w in ws for s in reach[0]})
+
+    def walk(j, rest):
+        if j == len(weights):
+            yield ()
+        else:
+            for o, w in enumerate(weights[j]):
+                if rest - w in reach[j]:
+                    yield from ((o, *tail) for tail in walk(j + 1, rest - w))
+
+    return walk(0, residual)
+
+
+def _skeleton_realizes(geom, target, goal, sym_steps, fund_axes, tri_perm_pows, turn_cap, combo_cap):
+    """Try junction/side resolutions of the arc skeleton against the class word.
+
+    fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
+    loop is the concatenation of M symmetry-translated copies of the
+    fundamental block.  The winding vector is an invariant of the class, so
+    only resolutions whose vector is the target's (goal) can match; they
+    come in product order, and the first one whose reduced word is the
+    target is the match a check of every resolution would find.  Returns
+    the full word (or None), the resolutions covered (reduced, or rejected
+    by the filter) up to the match, and the reductions performed; raises
+    past combo_cap covered resolutions.
+    """
+    tried = checked = 0
+    for arc_sel, option_lists, weights, arc_winding in _resolutions(
+        geom, fund_axes, tri_perm_pows[1 % len(tri_perm_pows)], turn_cap, sym_steps
+    ):
+        sizes = [len(opts) for opts in option_lists]
+        found = None
+        for sel in _winding_solutions(weights, goal - arc_winding):
+            index = 0
+            for o, n in zip(sel, sizes):
+                index = index * n + o
+            if tried + index + 1 > combo_cap:
+                break
+            checked += 1
+            block = [c for run, opts, o in zip(arc_sel, option_lists, sel) for c in run + opts[o]]
+            word = [perm[c] for perm in tri_perm_pows for c in block]
             reduced = reduce_cyclic_word(word)
             if len(reduced) == len(target) and canonical_cyclic_word(reduced) == target:
-                return tuple(word), tried
-    return None, tried
+                found = tuple(word)
+                break
+        tried += index + 1 if found else math.prod(sizes)
+        if tried > combo_cap:
+            raise RuntimeError(
+                "minimal-angle realization search exhausted its resolution budget"
+            )
+        if found:
+            return found, tried, checked
+    return None, tried, checked
+
+
+def _skeleton_pops(successors, M, fmax, pole_perm):
+    """Uniform-cost search over symmetry-periodic junction sequences.
+
+    Yields (cost, axes, closed) in the order of the key (cost, parent pop,
+    successor pole, closed) from every pole at cost 0.  An open sequence of
+    fewer than fmax arcs is extended by each successor of its last pole,
+    closed when that is the symmetry image of its first.  A pop's successors
+    enter the heap lazily, one entry per tie group of equal computed cost: no
+    other key falls inside a group, so popping it yields its members in turn
+    and pushes the parent's next, costlier group.
+    """
+    heap = []
+
+    def push_group(base, parent, axes, start):
+        succ = successors[axes[-1]]
+        if start < len(succ):
+            heapq.heappush(heap, (base + M * succ[start][0], parent, axes, base, start))
+
+    pops = 0
+    for s0 in range(len(successors)):
+        pops += 1
+        yield 0.0, (s0,), False
+        push_group(0.0, pops, (s0,), 0)
+    while heap:
+        cost, parent, axes, base, start = heapq.heappop(heap)
+        succ = successors[axes[-1]]
+        end = start + 1
+        while end < len(succ) and base + M * succ[end][0] == cost:
+            end += 1
+        push_group(base, parent, axes, end)
+        close = pole_perm[axes[0]]
+        for j in sorted(j for _, j in succ[start:end]):
+            child = axes + (j,)
+            pops += 1
+            yield cost, child, False
+            if len(child) - 1 < fmax:
+                push_group(cost, pops, child, 0)
+            if j == close:
+                pops += 1
+                yield cost, child, True
 
 
 def _logged(cone, result):
     """Send the search counters of one min_total_angle call to the module logger."""
     _log.debug(
-        "min_total_angle %s: total_angle=%r arcs=%d pops=%d skeletons=%d combinations=%d",
+        "min_total_angle %s: total_angle=%r arcs=%d pops=%d skeletons=%d combinations=%d checked=%d",
         cone.group.tag, result.total_angle, len(result.arc_angles),
-        result.pops, result.skeletons, result.combinations,
+        result.pops, result.skeletons, result.combinations, result.checked,
     )
     return result
 
@@ -1226,9 +1330,13 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
 
     Runs a uniform-cost search over symmetry-periodic junction sequences;
     the first closed skeleton whose chamber word (over junction and
-    wall-side resolutions) matches the class is optimal.  Raises ValueError
-    for central cones and RuntimeError on search exhaustion: past max_pops
-    heap pops or combo_cap junction resolutions checked over the whole call.
+    wall-side resolutions) matches the class is optimal.  The lazy heap pops
+    in the order of an eager one, and a winding-number filter hands over only
+    the resolutions with the class's winding vector, in product order; so
+    the result, pops, skeletons and combinations are those of reducing every
+    resolution in turn, while checked counts the reductions made.  Raises
+    ValueError for central cones and RuntimeError on search exhaustion: past
+    max_pops heap pops or combo_cap junction resolutions covered in the call.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1250,6 +1358,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
             pops=0,
             skeletons=0,
             combinations=0,
+            checked=0,
         )
         return _logged(cone, result)
 
@@ -1260,80 +1369,57 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
         raise ValueError("central cone: a planar loop through the origin represents this class")
     centrality = "centrality unknown (no planar representative found among sampled circles)"
 
-    if cone.extra_symmetry is not None:
-        R, M = cone.extra_symmetry
-    else:
-        R, M = np.eye(3), 1
-    pole_perm = geom.pole_permutation(R)
+    R, M = cone.extra_symmetry if cone.extra_symmetry is not None else (np.eye(3), 1)
+    pole_perm, tri_perm = geom.pole_permutation(R), geom.triangle_permutation(R)
+    pole_perm_pows = [tuple(range(len(geom.points)))]
     tri_perm_pows = [tuple(range(len(geom.triangles)))]
     for _ in range(1, M):
-        prev = tri_perm_pows[-1]
-        step = geom.triangle_permutation(R)
-        tri_perm_pows.append(tuple(step[p] for p in prev))
-    pole_perm_pows = [tuple(range(len(geom.points)))]
-    for _ in range(1, M):
-        prev = pole_perm_pows[-1]
-        pole_perm_pows.append(tuple(pole_perm[p] for p in prev))
+        pole_perm_pows.append(tuple(pole_perm[p] for p in pole_perm_pows[-1]))
+        tri_perm_pows.append(tuple(tri_perm[c] for c in tri_perm_pows[-1]))
 
     pts = geom.points
-    P = len(pts)
-    angles, allowed = geom.arc_table
+    angles, successors = geom.arc_table
+    steps = geom.winding_steps
+    sym_steps = {(a, b): sum(steps[p[a], p[b]] for p in tri_perm_pows) for a, b in steps}
+    goal = sum(steps[target[i - 1], target[i]] for i in range(len(target)))
 
     fmax = max(2, math.ceil(4 * nu.steps / M))
-    heap = []
-    serial = itertools.count()
-    for s0 in range(P):
-        heapq.heappush(heap, (0.0, next(serial), (s0,), False))
     seen_skeletons = set()
-    pops = combinations = 0
-    while heap:
+    pops = combinations = checked = 0
+    for cost, axes, closed in _skeleton_pops(successors, M, fmax, pole_perm):
         pops += 1
         if pops > max_pops:
             raise RuntimeError("minimal-angle search exhausted its pop budget")
-        cost, _, axes, closed = heapq.heappop(heap)
-        if closed:
-            full = []
-            f = len(axes) - 1
-            for k in range(M):
-                perm = pole_perm_pows[k]
-                full.extend(perm[a] for a in axes[:-1])
-            canon = min(tuple(full[i:] + full[:i]) for i in range(len(full)))
-            if canon in seen_skeletons:
-                continue
-            seen_skeletons.add(canon)
-            word, tried = _skeleton_realizes(
-                geom, target, axes, tri_perm_pows, M, turn_cap, combo_cap - combinations
-            )
-            combinations += tried
-            if word is None:
-                continue
-            m = len(full)
-            semi_axes = pts[full]
-            arc_angles = np.array(
-                [angles[full[i], full[(i + 1) % m]] for i in range(m)]
-            )
-            total = float(arc_angles.sum())
-            times = np.concatenate(([0.0], np.cumsum(arc_angles)[:-1])) * (T / total)
-            result = MinimalAngleResult(
-                total_angle=total,
-                semi_axes=semi_axes,
-                arc_angles=arc_angles,
-                times=times,
-                centrality=centrality,
-                word=word,
-                pops=pops,
-                skeletons=len(seen_skeletons),
-                combinations=combinations,
-            )
-            return _logged(cone, result)
-        narcs = len(axes) - 1
-        if narcs >= fmax:
+        if not closed:
             continue
-        last = axes[-1]
-        close_target = pole_perm[axes[0]]
-        for j, th in allowed[last]:
-            new_cost = cost + M * th
-            heapq.heappush(heap, (new_cost, next(serial), axes + (j,), False))
-            if j == close_target:
-                heapq.heappush(heap, (new_cost, next(serial), axes + (j,), True))
+        full = [perm[a] for perm in pole_perm_pows for a in axes[:-1]]
+        canon = min(tuple(full[i:] + full[:i]) for i in range(len(full)))
+        if canon in seen_skeletons:
+            continue
+        seen_skeletons.add(canon)
+        word, tried, reductions = _skeleton_realizes(
+            geom, target, goal, sym_steps, axes, tri_perm_pows, turn_cap, combo_cap - combinations
+        )
+        combinations += tried
+        checked += reductions
+        if word is None:
+            continue
+        m = len(full)
+        semi_axes = pts[full]
+        arc_angles = np.array([angles[full[i], full[(i + 1) % m]] for i in range(m)])
+        total = float(arc_angles.sum())
+        times = np.concatenate(([0.0], np.cumsum(arc_angles)[:-1])) * (T / total)
+        result = MinimalAngleResult(
+            total_angle=total,
+            semi_axes=semi_axes,
+            arc_angles=arc_angles,
+            times=times,
+            centrality=centrality,
+            word=word,
+            pops=pops,
+            skeletons=len(seen_skeletons),
+            combinations=combinations,
+            checked=checked,
+        )
+        return _logged(cone, result)
     raise RuntimeError("minimal-angle search exhausted all candidates without a realization")

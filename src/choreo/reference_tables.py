@@ -35,10 +35,6 @@ class CatalogEntry:
     def steps(self):
         return len(self.labels) - 1
 
-    @property
-    def k_total(self):
-        return self.k1 + (self.k2 or 0)
-
 
 LOOP_CATALOG = (
     CatalogEntry("T", "nu1", (1, 5, 2, 6, 11, 3, 12, 9, 1), 2, 8, None, 1.0),

@@ -1,6 +1,9 @@
+import heapq
+import itertools
 import json
 import logging
 import math
+from collections import Counter, defaultdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -696,18 +699,35 @@ def conjugated_cone(base, element):
 
 # min_total_angle of the 14 rows that finish in under a second, each
 # conjugated by group elements 0 and |G|/2, recorded at full precision from
-# the search with the quadratic word reduction and the sampled-circle loop.
+# the search with the quadratic word reduction and the sampled-circle loop;
+# then the unconjugated T nu6, O nu1, O nu2 and I nu1 (element null).  These
+# and the search counters come from the search that reduced every junction
+# resolution in turn.  The last entry, I nu2, never finished there: it was
+# first recorded from the winding-filtered search.
 PINS = json.loads((Path(__file__).parent / "data" / "min_total_angle_pins.json").read_text())
 
 
-@pytest.mark.parametrize("pin", PINS, ids=lambda p: f"{p['tag']}-{p['name']}-g{p['element']}")
+def pin_id(pin):
+    suffix = "" if pin["element"] is None else f"-g{pin['element']}"
+    return f"{pin['tag']}-{pin['name']}{suffix}"
+
+
+def pinned_cone(pin):
+    base = H.catalog_cone(pin["tag"], pin["name"])
+    return base if pin["element"] is None else conjugated_cone(base, pin["element"])
+
+
+@pytest.mark.parametrize("pin", PINS, ids=pin_id)
 def test_min_total_angle_pinned(pin):
-    cone = conjugated_cone(H.catalog_cone(pin["tag"], pin["name"]), pin["element"])
-    res = H.min_total_angle(cone)
+    res = H.min_total_angle(pinned_cone(pin))
     assert repr(res.total_angle) == repr(pin["total_angle"])
     assert len(res.arc_angles) == pin["arcs"]
     assert res.semi_axes.tobytes() == np.array(pin["semi_axes"]).tobytes()
     assert H.canonical_cyclic_word(res.word) == tuple(pin["word"])
+    assert (res.pops, res.skeletons, res.combinations) == (
+        pin["pops"], pin["skeletons"], pin["combinations"]
+    )
+    assert 1 <= res.checked <= res.combinations
 
 
 def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
@@ -718,27 +738,31 @@ def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
             period=TWO_PI, central_mass=0.5,
         )
     )
-    assert (klein.pops, klein.skeletons, klein.combinations) == (0, 0, 0)
+    assert (klein.pops, klein.skeletons, klein.combinations, klein.checked) == (0, 0, 0, 0)
 
-    tries = []
+    tries, checks = [], []
     realize = H._skeleton_realizes
 
     def counted(*args):
-        word, tried = realize(*args)
+        word, tried, checked = realize(*args)
         tries.append(tried)
-        return word, tried
+        checks.append(checked)
+        return word, tried, checked
 
     monkeypatch.setattr(H, "_skeleton_realizes", counted)
     cone = H.catalog_cone("T", "nu1")
     res = H.min_total_angle(cone)
     assert res.skeletons == len(tries) > 1
     assert res.combinations == sum(tries) > res.skeletons
+    assert res.checked == sum(checks) >= 1
+    assert res.combinations > res.checked
     assert res.pops > res.skeletons
     messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
     assert len(messages) == 2
     for result, message in zip((klein, res), messages):
         counts = f"pops={result.pops} skeletons={result.skeletons} combinations={result.combinations}"
         assert counts in message
+        assert f"checked={result.checked}" in message
     assert capsys.readouterr() == ("", "")
     # the search stops at its pop budget: res.pops is exactly enough
     assert H.min_total_angle(cone, max_pops=res.pops).total_angle == res.total_angle
@@ -751,9 +775,9 @@ def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
     realize = H._skeleton_realizes
 
     def counted(*args):
-        word, tried = realize(*args)
+        word, tried, checked = realize(*args)
         tries.append(tried)
-        return word, tried
+        return word, tried, checked
 
     monkeypatch.setattr(H, "_skeleton_realizes", counted)
     cone = H.catalog_cone("T", "nu1")
@@ -764,3 +788,211 @@ def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
     assert H.min_total_angle(cone, combo_cap=res.combinations).total_angle == res.total_angle
     with pytest.raises(RuntimeError, match="resolution budget"):
         H.min_total_angle(cone, combo_cap=res.combinations - 1)
+
+
+# ---------------------------------------------------------------------------
+# The winding filter and the lazy heap against the loops they replaced
+
+DIFF_CASES = [(p["tag"], p["name"], p["element"]) for p in PINS if p["element"] is not None]
+
+
+def reference_resolutions(geom, fund_axes, tri_perm, turn_cap):
+    """(arc_sel, option_lists) per wall-side selection, as the product loop built them."""
+    f = len(fund_axes) - 1
+    pts = geom.points
+    arc_choices = []
+    for i in range(f):
+        za, zb = pts[fund_axes[i]], pts[fund_axes[i + 1]]
+        wall = H._arc_wall(geom, za, zb)
+        if wall is None:
+            arc_choices.append([H._off_wall_itinerary(geom, za, zb)])
+        else:
+            arc_choices.append(
+                [H._on_wall_itinerary(geom, za, zb, wall, s) for s in (1.0, -1.0)]
+            )
+    out = []
+    for arc_sel in itertools.product(*arc_choices):
+        specs = []
+        for j in range(1, f):
+            specs.append((fund_axes[j], arc_sel[j - 1][-1], arc_sel[j][0]))
+        specs.append((fund_axes[f], arc_sel[f - 1][-1], tri_perm[arc_sel[0][0]]))
+        option_lists = []
+        for pid, c_in, c_out in specs:
+            opts, seen = [], set()
+            for direction in (1, -1):
+                for turns in range(turn_cap + 1):
+                    route = tuple(H._junction_route(geom, pid, c_in, c_out, direction, turns))
+                    if route not in seen:
+                        seen.add(route)
+                        opts.append(list(route))
+            option_lists.append(opts)
+        out.append((arc_sel, option_lists))
+    return out
+
+
+def reference_full_word(arc_sel, option_lists, sel, tri_perm_pows):
+    junc_sel = [opts[o] for opts, o in zip(option_lists, sel)]
+    f = len(arc_sel)
+    block = []
+    for i in range(f):
+        if i > 0:
+            block += junc_sel[i - 1]
+        block += arc_sel[i]
+    block += junc_sel[f - 1]
+    word = []
+    for perm in tri_perm_pows:
+        word += [perm[c] for c in block]
+    return word
+
+
+@lru_cache(maxsize=None)
+def reference_cuts(tag):
+    """An independent basis of H_1 of the sphere minus the poles.
+
+    Signed crossings of a depth-first spanning tree of the pole graph,
+    rooted at the last pole; leaving the chamber on the left of the tree
+    edge (a, b), a < b, counts +1.  Other steps map to None.
+    """
+    tess = H.build_archimedean(tag).tessellation
+    geom = H._geometry(tess)
+    pts = geom.points
+    edges = {}
+    for s, tri in enumerate(geom.triangles):
+        for t in tess.neighbors[s]:
+            edges[s, t] = tuple(sorted(set(tri) & set(geom.triangles[t])))
+    linked = defaultdict(set)
+    for a, b in edges.values():
+        linked[a].add(b)
+        linked[b].add(a)
+    tree, seen, stack = {}, set(), [(len(pts) - 1, None)]
+    while stack:
+        p, parent = stack.pop()
+        if p in seen:
+            continue
+        seen.add(p)
+        if parent is not None:
+            tree[tuple(sorted((p, parent)))] = len(tree)
+        stack.extend((q, p) for q in sorted(linked[p]) if q not in seen)
+    assert len(tree) == len(pts) - 1
+    cuts = {}
+    for (s, t), (a, b) in edges.items():
+        cuts[s, t] = None
+        if (a, b) in tree:
+            centre = pts[list(geom.triangles[s])].mean(axis=0)
+            left = np.linalg.det(np.array([pts[a], pts[b], centre])) > 0.0
+            cuts[s, t] = (tree[a, b], 1 if left else -1)
+    return cuts
+
+
+def reference_winding(cuts, word):
+    word = list(word)
+    vec = Counter()
+    for a, b in zip(word, word[1:] + word[:1]):
+        if a != b and cuts[a, b] is not None:
+            e, sign = cuts[a, b]
+            vec[e] += sign
+    return frozenset(item for item in vec.items() if item[1])
+
+
+def unpack_winding(packed, P):
+    """The P - 1 signed 32-bit coordinates of a packed winding vector."""
+    coords = []
+    for _ in range(P - 1):
+        digit = (packed + 2**31) % 2**32 - 2**31
+        coords.append(digit)
+        packed = (packed - digit) >> 32
+    assert packed == 0
+    return coords
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_winding_steps_are_a_basis_of_the_first_homology(tag):
+    """Each chamber step crosses at most one cut, the reverse step undoes it,
+    and the loops around the P poles span a lattice of rank P - 1 with the
+    single relation that their sum is 0 (a dropped cut lowers the rank)."""
+    tess = H.build_archimedean(tag).tessellation
+    geom = H._geometry(tess)
+    steps = geom.winding_steps
+    P, ntri = len(geom.points), len(geom.triangles)
+    assert set(steps) == {(s, t) for s in range(ntri) for t in (s, *tess.neighbors[s])}
+    for (s, t), packed in steps.items():
+        assert steps[t, s] == -packed
+        assert sorted(map(abs, unpack_winding(packed, P)))[-2:] in ([0, 0], [0, 1])
+    loops = np.array([
+        unpack_winding(sum(steps[a, b] for a, b in zip(fan, fan[1:] + fan[:1])), P)
+        for fan in (geom.fan[p] for p in range(P))
+    ])
+    assert not loops.sum(axis=0).any()
+    assert np.linalg.matrix_rank(loops) == P - 1
+
+
+@pytest.mark.parametrize("tag,name,element", DIFF_CASES)
+def test_winding_filter_matches_filtered_product(tag, name, element, monkeypatch):
+    """For every skeleton the search visits, the winding DP hands over exactly
+    the resolutions of the old product whose winding vector is the target's,
+    in product order, and no resolution that realizes the class is lost."""
+    calls = []
+    realize = H._skeleton_realizes
+
+    def recorded(*args):
+        calls.append(args)
+        return realize(*args)
+
+    monkeypatch.setattr(H, "_skeleton_realizes", recorded)
+    cone = conjugated_cone(H.catalog_cone(tag, name), element)
+    H.min_total_angle(cone)
+    cuts = reference_cuts(tag)
+    goal = reference_winding(cuts, cone.canonical_word)
+    realized = 0
+    for geom, target, packed_goal, sym_steps, fund_axes, tri_perm_pows, turn_cap, _ in calls:
+        assert target == cone.canonical_word
+        tri_perm = tri_perm_pows[1 % len(tri_perm_pows)]
+        old = reference_resolutions(geom, fund_axes, tri_perm, turn_cap)
+        new = list(H._resolutions(geom, fund_axes, tri_perm, turn_cap, sym_steps))
+        assert [(arc_sel, option_lists) for arc_sel, option_lists, _, _ in new] == old
+        for arc_sel, option_lists, weights, arc_winding in new:
+            passing, matching = [], []
+            for sel in itertools.product(*(range(len(opts)) for opts in option_lists)):
+                word = reference_full_word(arc_sel, option_lists, sel, tri_perm_pows)
+                if reference_winding(cuts, word) == goal:
+                    passing.append(sel)
+                reduced = H.reduce_cyclic_word(word)
+                if len(reduced) == len(target) and H.canonical_cyclic_word(reduced) == target:
+                    matching.append(sel)
+            assert list(H._winding_solutions(weights, packed_goal - arc_winding)) == passing
+            assert set(matching) <= set(passing)
+            realized += len(matching)
+    assert realized >= 1
+
+
+def reference_eager_pops(successors, M, fmax, pole_perm):
+    """The eager heap the lazy one replaced: every successor of a pop is
+    pushed at once, and ties in cost go to the earlier push."""
+    allowed = [sorted((j, th) for th, j in row) for row in successors]
+    heap, serial = [], itertools.count()
+    for s0 in range(len(allowed)):
+        heapq.heappush(heap, (0.0, next(serial), (s0,), False))
+    while heap:
+        cost, _, axes, closed = heapq.heappop(heap)
+        yield cost, axes, closed
+        if closed or len(axes) - 1 >= fmax:
+            continue
+        close_target = pole_perm[axes[0]]
+        for j, th in allowed[axes[-1]]:
+            new_cost = cost + M * th
+            heapq.heappush(heap, (new_cost, next(serial), axes + (j,), False))
+            if j == close_target:
+                heapq.heappush(heap, (new_cost, next(serial), axes + (j,), True))
+
+
+@pytest.mark.parametrize("tag,name,element", DIFF_CASES)
+def test_lazy_heap_pops_like_the_eager_heap(tag, name, element):
+    cone = conjugated_cone(H.catalog_cone(tag, name), element)
+    pops = H.min_total_angle(cone).pops
+    R, M = cone.extra_symmetry
+    geom = H._geometry(cone.nu.polyhedron.tessellation)
+    args = (geom.arc_table[1], M, max(2, math.ceil(4 * cone.nu.steps / M)), geom.pole_permutation(R))
+    lazy = list(itertools.islice(H._skeleton_pops(*args), pops))
+    eager = list(itertools.islice(reference_eager_pops(*args), pops))
+    assert len(lazy) == pops
+    assert lazy == eager
