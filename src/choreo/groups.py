@@ -11,8 +11,12 @@ For the three polyhedral groups the rotation axes cut the unit sphere into
 2N spherical triangles (N the group order).  That tessellation, together
 with the reflections across its walls, drives the homotopy bookkeeping in
 the rest of the package.
+
+Each derived table has one owner, the group or the tessellation, and is a
+cached attribute of it, built on first use.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,7 +73,8 @@ class RotationGroup:
     constructions of the same group list the elements identically.  Despite
     the name, elements of determinant -1 are allowed (the vertical groups
     are generated by rotoreflections); the polyhedral groups are proper.
-    ``pair_forms`` caches the factors every pair-potential evaluation uses.
+    The element index, the element orders and the factors every
+    pair-potential evaluation uses (``pair_forms``) are built once per group.
     """
 
     tag: str
@@ -80,12 +85,40 @@ class RotationGroup:
     def order(self):
         return len(self.elements)
 
+    @cached_property
+    def _positions(self):
+        return {matrix_key(R): i for i, R in enumerate(self.elements)}
+
+    def index(self, R):
+        """Position of R in elements; KeyError if R is not an element."""
+        return self._positions[matrix_key(R)]
+
     @property
     def identity_index(self):
-        for i, R in enumerate(self.elements):
-            if np.allclose(R, np.eye(3), atol=_IDENTITY_ATOL):
-                return i
-        raise ValueError("group has no identity element")
+        try:
+            return self.index(np.eye(3))
+        except KeyError:
+            raise ValueError("group has no identity element") from None
+
+    @cached_property
+    def element_orders(self):
+        """Smallest k >= 1 with R^k = I for each element R, indexed like
+        elements: R^M = I exactly when M % order == 0."""
+        E = np.array(self.elements)
+        P, orders = E, np.zeros(len(E), dtype=int)
+        for k in range(1, len(E) + 1):
+            orders[(orders == 0) & np.isclose(P, np.eye(3), atol=_IDENTITY_ATOL).all(axis=(1, 2))] = k
+            if orders.all():
+                return tuple(orders.tolist())
+            P = P @ E
+        raise ValueError("no power of an element up to the group order is the identity")
+
+    def point_permutations(self, points):
+        """How the elements permute a point set they preserve, indexed like
+        elements: entry g maps i to the index of elements[g] @ points[i]."""
+        index = {matrix_key(p): i for i, p in enumerate(points)}
+        images = np.round(np.einsum("gij,pj->gpi", self.elements, points), KEY_DECIMALS) + 0.0
+        return tuple(tuple(index[tuple(x)] for x in image) for image in images)
 
     @cached_property
     def pair_forms(self):
@@ -238,17 +271,11 @@ def pole_orbits(group, pole_list=None):
     """
     if pole_list is None:
         pole_list = poles(group)
-    index = {matrix_key(p.point): i for i, p in enumerate(pole_list)}
-    seen = set()
+    perms = group.point_permutations(np.array([p.point for p in pole_list]))
     orbits = []
-    for i, p in enumerate(pole_list):
-        if i in seen:
-            continue
-        orb = set()
-        for R in group:
-            orb.add(index[matrix_key(R @ p.point)])
-        seen |= orb
-        orbits.append(sorted(orb))
+    for i in range(len(pole_list)):
+        if not any(i in orb for orb in orbits):
+            orbits.append(sorted({perm[i] for perm in perms}))
     return orbits
 
 
@@ -327,7 +354,9 @@ class Tessellation:
     non-increasing along the tuple and the right angle sits at c (the
     order-2 pole).  neighbors[i] lists the three triangles sharing an edge
     with triangle i.  reflections are the wall reflections (Householder
-    matrices) of the full symmetry group.
+    matrices) of the full symmetry group.  The tessellation owns the tables
+    derived from it (pole points, chamber and wall normals, pole fans, the
+    permutations by the group elements), each built on first use.
     """
 
     group: RotationGroup
@@ -335,16 +364,99 @@ class Tessellation:
     triangles: list
     neighbors: list
     reflections: list
-    orbit_of_pole: list
-    vertex_orbits: tuple  # (a_orbit, b_orbit, c_orbit) indices into pole_orbits
 
-    @property
+    @cached_property
     def points(self):
-        return np.array([p.point for p in self.poles])
+        """Unit pole directions, one row per pole (read-only)."""
+        pts = np.array([p.point for p in self.poles])
+        pts.flags.writeable = False
+        return pts
+
+    @cached_property
+    def pole_order(self):
+        return tuple(p.order for p in self.poles)
 
     def triangle_points(self, i):
         a, b, c = self.triangles[i]
         return self.points[[a, b, c]]
+
+    @cached_property
+    def _chamber_normals(self):
+        """Unit normals (chamber, side, xyz) of the side planes, pointing inward."""
+        normals = np.empty((len(self.triangles), 3, 3))
+        for ti, (a, b, c) in enumerate(self.triangles):
+            pa, pb, pc = self.points[a], self.points[b], self.points[c]
+            for k, (u, v, w) in enumerate(((pa, pb, pc), (pb, pc, pa), (pc, pa, pb))):
+                n = np.cross(u, v)
+                n /= np.linalg.norm(n)
+                if n @ w < 0.0:
+                    n = -n
+                normals[ti, k] = n
+        return normals
+
+    def locate(self, x):
+        """Index of the chamber containing the unit vector x (best margin)."""
+        v = np.asarray(x, dtype=float)
+        v = v / np.linalg.norm(v)
+        margins = np.einsum("tks,s->tk", self._chamber_normals, v).min(axis=1)
+        ti = int(np.argmax(margins))
+        if margins[ti] < -1e-9:
+            raise ValueError("point does not lie in any chamber")
+        return ti
+
+    @cached_property
+    def wall_normals(self):
+        """Unit normal of each reflection's mirror, in reflection order, with
+        its first nonzero coordinate positive."""
+        walls = []
+        for Rf in self.reflections:
+            w, V = np.linalg.eigh(Rf)
+            n = V[:, int(np.argmin(w))]
+            for comp in n:
+                if abs(comp) > 1e-9:
+                    if comp < 0.0:
+                        n = -n
+                    break
+            walls.append(n / np.linalg.norm(n))
+        return np.array(walls)
+
+    @cached_property
+    def fan(self):
+        """fan[p]: the 2 * order chambers around pole p, in angular order."""
+        fans = []
+        for pid, p in enumerate(self.points):
+            incident = [ti for ti, t in enumerate(self.triangles) if pid in t]
+            seed = np.array([1.0, 0.0, 0.0])
+            if abs(p @ seed) > 0.9:
+                seed = np.array([0.0, 1.0, 0.0])
+            e1 = seed - (seed @ p) * p
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(p, e1)
+
+            def around(ti):
+                cen = self.points[list(self.triangles[ti])].mean(axis=0)
+                flat = cen - (cen @ p) * p
+                return math.atan2(flat @ e2, flat @ e1)
+
+            incident.sort(key=around)
+            if len(incident) != 2 * self.pole_order[pid]:
+                raise ValueError("pole fan size does not match twice the pole order")
+            fans.append(tuple(incident))
+        return tuple(fans)
+
+    @cached_property
+    def pole_permutations(self):
+        """How each group element permutes the poles, indexed like group.elements."""
+        return self.group.point_permutations(self.points)
+
+    @cached_property
+    def triangle_permutations(self):
+        """How each group element permutes the chambers, indexed like group.elements."""
+        index = {frozenset(t): ti for ti, t in enumerate(self.triangles)}
+        return tuple(
+            tuple(index[frozenset(pperm[v] for v in t)] for t in self.triangles)
+            for pperm in self.pole_permutations
+        )
 
 
 def spherical_triangle_area(p1, p2, p3):
@@ -372,10 +484,6 @@ def full_group_tessellation(group):
     pts = np.array([p.point for p in pole_list])
     orders = np.array([p.order for p in pole_list])
     orbits = pole_orbits(group, pole_list)
-    orbit_of = {}
-    for oi, orb in enumerate(orbits):
-        for i in orb:
-            orbit_of[i] = oi
 
     c_candidates = [oi for oi, orb in enumerate(orbits) if orders[orb[0]] == 2]
     if len(c_candidates) != 1:
@@ -415,9 +523,10 @@ def full_group_tessellation(group):
     neighbors = [tuple(sorted(ns)) for ns in neighbors]
 
     # Wall reflections: Householder matrices across the great-circle planes
-    # spanned by triangle edges, kept when they preserve the pole set.
+    # spanned by triangle edges, kept when they preserve the pole set.  Many
+    # edges lie on one wall; each distinct reflection is checked once.
     pole_keys = {matrix_key(p) for p in pts}
-    refl = {}
+    tried, refl = set(), {}
     for ia, ib, ic in triangles:
         for i, j in ((ia, ib), (ib, ic), (ia, ic)):
             nrm = np.cross(pts[i], pts[j])
@@ -426,8 +535,12 @@ def full_group_tessellation(group):
                 continue
             nrm = nrm / norm
             S = np.eye(3) - 2.0 * np.outer(nrm, nrm)
+            key = matrix_key(S)
+            if key in tried:
+                continue
+            tried.add(key)
             if all(matrix_key(S @ p) in pole_keys for p in pts):
-                refl[matrix_key(S)] = S
+                refl[key] = S
     reflections = [refl[k] for k in sorted(refl.keys())]
 
     tess = Tessellation(
@@ -436,8 +549,6 @@ def full_group_tessellation(group):
         triangles=triangles,
         neighbors=neighbors,
         reflections=reflections,
-        orbit_of_pole=[orbit_of[i] for i in range(len(pole_list))],
-        vertex_orbits=(oa, ob, c_orb),
     )
     total = sum(
         spherical_triangle_area(*tess.triangle_points(i)) for i in range(len(triangles))

@@ -41,7 +41,8 @@ class ArchimedeanPolyhedron:
     The base point sits on the triangle side joining the two higher-order
     poles of the base tessellation triangle, equidistant from the planes of
     the other two sides, so that both reflected copies q1, q2 are at the
-    same chord distance ell.
+    same chord distance ell.  Cached per tag, it owns the minimal-angle
+    search tables over its tessellation, each built on first use.
     """
 
     def __init__(self, group, tessellation, vertices, edges, base_points):
@@ -63,8 +64,6 @@ class ArchimedeanPolyhedron:
             adj[i].append((j, typ))
             adj[j].append((i, typ))
         self._adjacency = {i: tuple(sorted(pairs)) for i, pairs in adj.items()}
-        self._vertex_index = {matrix_key(v): i for i, v in enumerate(self.vertices)}
-        self._vperm_cache = {}
 
     @property
     def vertex_count(self):
@@ -77,16 +76,86 @@ class ArchimedeanPolyhedron:
         """Side type of the edge {i, j}, or None if the pair is not an edge."""
         return self.edges.get((min(i, j), max(i, j)))
 
-    def vertex_permutation(self, R):
-        """How the group element R permutes the vertex indices."""
-        key = matrix_key(R)
-        perm = self._vperm_cache.get(key)
-        if perm is None:
-            perm = tuple(
-                self._vertex_index[matrix_key(R @ v)] for v in self.vertices
-            )
-            self._vperm_cache[key] = perm
-        return perm
+    @cached_property
+    def vertex_permutations(self):
+        """How each group element permutes the vertex indices, indexed like
+        group.elements."""
+        return self.group.point_permutations(self.vertices)
+
+    @cached_property
+    def circle_classes(self):
+        """Canonical reduced words of the sampled great circles, both directions.
+
+        Samples the normals of 300 Fibonacci directions, skipping circles
+        that pass within 5e-3 of a pole.  Depends only on the tessellation.
+        """
+        tess = self.tessellation
+        classes = set()
+        for axis in _fibonacci_directions(300):
+            axis = axis / np.linalg.norm(axis)
+            if np.min(np.abs(tess.points @ axis)) < 5e-3:
+                continue
+            word = _circle_word(tess, axis)
+            if not word:
+                continue
+            reduced = reduce_cyclic_word(word)
+            if reduced:
+                classes.add(canonical_cyclic_word(reduced))
+                classes.add(canonical_cyclic_word(reduced[::-1]))
+        return tuple(sorted(classes))
+
+    @cached_property
+    def arc_table(self):
+        """(angles, successors): pole-to-pole angles and the admissible short arcs.
+
+        successors[i] lists (angle, j), sorted, for every pole j that is
+        neither i, nor antipodal to i, nor separated from i by a pole on the
+        short arc: ties in angle go to the lower pole index.
+        """
+        pts = self.tessellation.points
+        angles = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
+        angles.setflags(write=False)
+        successors = []
+        for i in range(len(pts)):
+            row = []
+            for j in range(len(pts)):
+                if j == i:
+                    continue
+                th = angles[i, j]
+                if th < 1e-7 or th > math.pi - 1e-6:
+                    continue
+                if _pole_inside_arc(pts, pts[i], pts[j]):
+                    continue
+                row.append((float(th), j))
+            successors.append(sorted(row))
+        return angles, successors
+
+    @cached_property
+    def winding_steps(self):
+        """Winding vector of every chamber step, packed into one integer.
+
+        H_1 of the sphere minus the P poles is Z^(P-1), counted by the signed
+        crossings of the P-1 edges of a BFS spanning tree of the pole graph.
+        Coordinate e sits at bit 32e of a signed integer, so vectors add as
+        integers.  Maps (a, b) to the step a -> b between adjacent chambers
+        and (a, a) to 0.
+        """
+        tess = self.tessellation
+        pts, tris = tess.points, tess.triangles
+        tree, order = {}, [0]
+        for p in order:
+            for q in sorted({v for ti in tess.fan[p] for v in tris[ti]} - set(order)):
+                tree[frozenset((p, q))] = len(tree)
+                order.append(q)
+        steps = {(t, t): 0 for t in range(len(tris))}
+        for s in range(len(tris)):
+            for t in tess.neighbors[s]:
+                edge = frozenset(tris[s]) & frozenset(tris[t])
+                a, b = sorted(edge)
+                unit = 1 << 32 * tree[edge] if edge in tree else 0
+                left = np.cross(pts[a], pts[b]) @ pts[list(tris[s])].sum(axis=0) > 0.0
+                steps[s, t] = unit if left else -unit
+        return steps
 
     def __repr__(self):
         return (
@@ -211,16 +280,8 @@ def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
     ValueError if the rows cannot be realized.
     """
     nv = polyhedron.vertex_count
-    group = polyhedron.group
-    perms = [polyhedron.vertex_permutation(R) for R in group.elements]
-    powers = {}
-
-    def element_power_is_identity(idx, M):
-        key = (idx, M)
-        if key not in powers:
-            P = np.linalg.matrix_power(group.elements[idx], M)
-            powers[key] = np.allclose(P, np.eye(3), atol=1e-9)
-        return powers[key]
+    perms = polyhedron.vertex_permutations
+    orders = polyhedron.group.element_orders
 
     prepared = []
     for labels, M, k1, k2 in rows:
@@ -241,11 +302,7 @@ def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
             return True
         per, M, shift, k1, k2 = prepared[ri]
         L = len(per)
-        cands0 = [
-            p
-            for idx, p in enumerate(perms)
-            if element_power_is_identity(idx, M)
-        ]
+        cands0 = [p for p, order in zip(perms, orders) if M % order == 0]
 
         def pair_filter(cands, upto):
             out = []
@@ -408,7 +465,7 @@ class VertexSequence:
 
     def transformed(self, R):
         """The image sequence under a group element R."""
-        perm = self.polyhedron.vertex_permutation(R)
+        perm = self.polyhedron.vertex_permutations[self.polyhedron.group.index(R)]
         return VertexSequence(self.polyhedron, tuple(perm[i] for i in self.vertex_ids))
 
     def __repr__(self):
@@ -444,188 +501,12 @@ def find_extra_symmetry(nu, M):
         return []
     shift = S // M
     ids = nu.vertex_ids
-    eye = np.eye(3)
-    found = []
-    for R in poly.group.elements:
-        if not np.allclose(np.linalg.matrix_power(R, M), eye, atol=1e-9):
-            continue
-        perm = poly.vertex_permutation(R)
-        if all(perm[ids[j]] == ids[(j + shift) % S] for j in range(S)):
-            found.append(R)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Tessellation geometry helpers
-
-
-class _TessGeometry:
-    """Located chambers, wall normals, and pole fans for one tessellation."""
-
-    def __init__(self, tess):
-        self.tess = tess
-        self.points = tess.points
-        self.points.setflags(write=False)
-        self.triangles = [tuple(t) for t in tess.triangles]
-        self.pole_order = [p.order for p in tess.poles]
-        ntri = len(self.triangles)
-
-        normals = np.empty((ntri, 3, 3))
-        for ti, (a, b, c) in enumerate(self.triangles):
-            pa, pb, pc = self.points[a], self.points[b], self.points[c]
-            for k, (u, v, w) in enumerate(((pa, pb, pc), (pb, pc, pa), (pc, pa, pb))):
-                n = np.cross(u, v)
-                n /= np.linalg.norm(n)
-                if n @ w < 0.0:
-                    n = -n
-                normals[ti, k] = n
-        self._normals = normals
-        self._tri_index = {frozenset(t): ti for ti, t in enumerate(self.triangles)}
-
-        walls = []
-        for Rf in tess.reflections:
-            w, V = np.linalg.eigh(Rf)
-            n = V[:, int(np.argmin(w))]
-            for comp in n:
-                if abs(comp) > 1e-9:
-                    if comp < 0.0:
-                        n = -n
-                    break
-            walls.append(n / np.linalg.norm(n))
-        self.wall_normals = np.array(walls)
-
-        self._pole_index = {matrix_key(p): i for i, p in enumerate(self.points)}
-        self.fan = {}
-        for pid in range(len(self.points)):
-            incident = [ti for ti, t in enumerate(self.triangles) if pid in t]
-            p = self.points[pid]
-            seed = np.array([1.0, 0.0, 0.0])
-            if abs(p @ seed) > 0.9:
-                seed = np.array([0.0, 1.0, 0.0])
-            e1 = seed - (seed @ p) * p
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(p, e1)
-
-            def around(ti):
-                cen = self.points[list(self.triangles[ti])].mean(axis=0)
-                flat = cen - (cen @ p) * p
-                return math.atan2(flat @ e2, flat @ e1)
-
-            incident.sort(key=around)
-            if len(incident) != 2 * self.pole_order[pid]:
-                raise ValueError("pole fan size does not match twice the pole order")
-            self.fan[pid] = incident
-        self._perm_cache = {}
-
-    def locate(self, x):
-        """Index of the chamber containing the unit vector x (best margin)."""
-        v = np.asarray(x, dtype=float)
-        v = v / np.linalg.norm(v)
-        margins = np.einsum("tks,s->tk", self._normals, v).min(axis=1)
-        ti = int(np.argmax(margins))
-        if margins[ti] < -1e-9:
-            raise ValueError("point does not lie in any chamber")
-        return ti
-
-    def pole_permutation(self, R):
-        return tuple(
-            self._pole_index[matrix_key(R @ p)] for p in self.points
-        )
-
-    def triangle_permutation(self, R):
-        key = matrix_key(R)
-        perm = self._perm_cache.get(key)
-        if perm is None:
-            pperm = self.pole_permutation(R)
-            perm = tuple(
-                self._tri_index[frozenset(pperm[v] for v in t)] for t in self.triangles
-            )
-            self._perm_cache[key] = perm
-        return perm
-
-    @cached_property
-    def circle_classes(self):
-        """Canonical reduced words of the sampled great circles, both directions.
-
-        Samples the normals of 300 Fibonacci directions, skipping circles
-        that pass within 5e-3 of a pole.  Depends only on the tessellation.
-        """
-        classes = set()
-        for axis in _fibonacci_directions(300):
-            axis = axis / np.linalg.norm(axis)
-            if np.min(np.abs(self.points @ axis)) < 5e-3:
-                continue
-            word = _circle_word(self, axis)
-            if not word:
-                continue
-            reduced = reduce_cyclic_word(word)
-            if reduced:
-                classes.add(canonical_cyclic_word(reduced))
-                classes.add(canonical_cyclic_word(reduced[::-1]))
-        return tuple(sorted(classes))
-
-    @cached_property
-    def arc_table(self):
-        """(angles, successors): pole-to-pole angles and the admissible short arcs.
-
-        successors[i] lists (angle, j), sorted, for every pole j that is
-        neither i, nor antipodal to i, nor separated from i by a pole on the
-        short arc: ties in angle go to the lower pole index.
-        """
-        pts = self.points
-        angles = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
-        angles.setflags(write=False)
-        successors = []
-        for i in range(len(pts)):
-            row = []
-            for j in range(len(pts)):
-                if j == i:
-                    continue
-                th = angles[i, j]
-                if th < 1e-7 or th > math.pi - 1e-6:
-                    continue
-                if _pole_inside_arc(pts, pts[i], pts[j]):
-                    continue
-                row.append((float(th), j))
-            successors.append(sorted(row))
-        return angles, successors
-
-    @cached_property
-    def winding_steps(self):
-        """Winding vector of every chamber step, packed into one integer.
-
-        H_1 of the sphere minus the P poles is Z^(P-1), counted by the signed
-        crossings of the P-1 edges of a BFS spanning tree of the pole graph.
-        Coordinate e sits at bit 32e of a signed integer, so vectors add as
-        integers.  Maps (a, b) to the step a -> b between adjacent chambers
-        and (a, a) to 0.
-        """
-        pts, tris = self.points, self.triangles
-        tree, order = {}, [0]
-        for p in order:
-            for q in sorted({v for ti in self.fan[p] for v in tris[ti]} - set(order)):
-                tree[frozenset((p, q))] = len(tree)
-                order.append(q)
-        steps = {(t, t): 0 for t in range(len(tris))}
-        for s in range(len(tris)):
-            for t in self.tess.neighbors[s]:
-                edge = frozenset(tris[s]) & frozenset(tris[t])
-                a, b = sorted(edge)
-                unit = 1 << 32 * tree[edge] if edge in tree else 0
-                left = np.cross(pts[a], pts[b]) @ pts[list(tris[s])].sum(axis=0) > 0.0
-                steps[s, t] = unit if left else -unit
-        return steps
-
-
-_GEOMETRY_CACHE = {}
-
-
-def _geometry(tess):
-    geom = _GEOMETRY_CACHE.get(id(tess))
-    if geom is None or geom.tess is not tess:
-        geom = _TessGeometry(tess)
-        _GEOMETRY_CACHE[id(tess)] = geom
-    return geom
+    group = poly.group
+    return [
+        R
+        for R, order, perm in zip(group.elements, group.element_orders, poly.vertex_permutations)
+        if M % order == 0 and all(perm[ids[j]] == ids[(j + shift) % S] for j in range(S))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +596,7 @@ def cyclic_words_equal(a, b):
     )
 
 
-def triangles_from_vertices(nu, tessellation=None):
+def triangles_from_vertices(nu):
     """Chamber itinerary of the vertex path radially projected to the sphere.
 
     Each graph edge crosses exactly one wall at its midpoint, so the two
@@ -723,12 +604,11 @@ def triangles_from_vertices(nu, tessellation=None):
     wall without crossing contributes no chamber change.
     """
     poly = nu.polyhedron
-    tess = tessellation if tessellation is not None else poly.tessellation
-    geom = _geometry(tess)
+    tess = poly.tessellation
     ids = nu.vertex_ids
     S = len(ids)
     pts = poly.vertices
-    pole_pts = geom.points
+    pole_pts = tess.points
 
     raw = []
     for i in range(S):
@@ -741,7 +621,7 @@ def triangles_from_vertices(nu, tessellation=None):
             x /= nx
             if np.max(pole_pts @ x) > 1.0 - 1e-12:
                 raise ValueError("path passes through a pole: degenerate projection")
-            raw.append(geom.locate(x))
+            raw.append(tess.locate(x))
     merged = merge_cyclic_duplicates(raw)
     return TriangleSequence(tess, tuple(merged))
 
@@ -762,15 +642,15 @@ def is_alpha_simple(t_seq, alpha):
     """
     if not 1.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [1, 2)")
-    geom = _geometry(t_seq.tessellation)
+    tess = t_seq.tessellation
     tris = list(t_seq.triangles)
     L = len(tris)
     kappa = math.floor(1.0 / (2.0 - alpha))
-    touched = sorted({v for t in tris for v in geom.triangles[t]})
+    touched = sorted({v for t in tris for v in tess.triangles[t]})
     for pid in touched:
-        o = geom.pole_order[pid]
+        o = tess.pole_order[pid]
         W = 2 * kappa * o + 1
-        member = [pid in geom.triangles[t] for t in tris]
+        member = [pid in tess.triangles[t] for t in tris]
         reps = 1 + (W + L - 1) // L
         ext_m = member * reps
         ext_t = tris * reps
@@ -793,14 +673,14 @@ def is_tied_to_two_coboundary_axes(t_seq):
     and both poles are used.  Condition (ii): some tessellation chamber has
     both p1 and p2 as vertices.
     """
-    geom = _geometry(t_seq.tessellation)
+    tess = t_seq.tessellation
     tris = list(t_seq.triangles)
     L = len(tris)
 
     pairs = sorted(
         {
             tuple(sorted(pair))
-            for t in geom.triangles
+            for t in tess.triangles
             for pair in itertools.combinations(t, 2)
         }
     )
@@ -810,7 +690,7 @@ def is_tied_to_two_coboundary_axes(t_seq):
     def member_row(pid):
         row = member.get(pid)
         if row is None:
-            row = [pid in geom.triangles[t] for t in tris]
+            row = [pid in tess.triangles[t] for t in tris]
             member[pid] = row
         return row
 
@@ -818,7 +698,7 @@ def is_tied_to_two_coboundary_axes(t_seq):
         m1, m2 = member_row(p1), member_row(p2)
         if not all(a or b for a, b in zip(m1, m2)):
             continue
-        o1, o2 = geom.pole_order[p1], geom.pole_order[p2]
+        o1, o2 = tess.pole_order[p1], tess.pole_order[p2]
         for offset in range(L):
             rot = [tris[(offset + i) % L] for i in range(L)]
             r1 = [m1[(offset + i) % L] for i in range(L)]
@@ -916,16 +796,17 @@ class ConeSpec:
             M = int(M)
             if M < 1:
                 raise ValueError("extra symmetry order M must be a positive integer")
-            keyset = {matrix_key(g) for g in self.group.elements}
-            if matrix_key(R) not in keyset:
-                raise ValueError("extra symmetry element is not in the group")
-            if not np.allclose(np.linalg.matrix_power(R, M), np.eye(3), atol=1e-9):
+            try:
+                g = self.group.index(R)
+            except KeyError:
+                raise ValueError("extra symmetry element is not in the group") from None
+            if M % self.group.element_orders[g]:
                 raise ValueError("extra symmetry element does not have order dividing M")
             S = self.nu.steps
             if S % M:
                 raise ValueError("sequence length is not divisible by M")
             shift = S // M
-            perm = self.nu.polyhedron.vertex_permutation(R)
+            perm = self.nu.polyhedron.vertex_permutations[g]
             ids = self.nu.vertex_ids
             if any(perm[ids[j]] != ids[(j + shift) % S] for j in range(S)):
                 raise ValueError("extra symmetry does not shift the sequence by steps/M")
@@ -933,10 +814,10 @@ class ConeSpec:
         word = self.reduced_word
         if not word:
             raise ValueError("the loop class is contractible; the cone is not coercive")
-        geom = _geometry(self.nu.polyhedron.tessellation)
-        common = set(geom.triangles[word[0]])
+        tris = self.nu.polyhedron.tessellation.triangles
+        common = set(tris[word[0]])
         for t in word[1:]:
-            common &= set(geom.triangles[t])
+            common &= set(tris[t])
         if common:
             raise ValueError(
                 "the loop class winds around a single rotation axis; the cone is excluded"
@@ -963,11 +844,7 @@ class ConeSpec:
         extra = None
         if self.extra_symmetry is not None:
             R, M = self.extra_symmetry
-            key = matrix_key(R)
-            idx = next(
-                i for i, g in enumerate(self.group.elements) if matrix_key(g) == key
-            )
-            extra = {"element_index": idx, "M": M}
+            extra = {"element_index": self.group.index(R), "M": M}
         return {
             "group": self.group.tag,
             "nu": list(self.nu.vertex_ids) if self.nu is not None else None,
@@ -1071,7 +948,7 @@ def _fibonacci_directions(n):
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
 
 
-def _circle_word(geom, axis):
+def _circle_word(tess, axis):
     """Cyclic chamber word of the full great circle with the given unit normal."""
     seed = np.array([1.0, 0.0, 0.0])
     if abs(axis @ seed) > 0.9:
@@ -1080,7 +957,7 @@ def _circle_word(geom, axis):
     u /= np.linalg.norm(u)
     v = np.cross(axis, u)
     events = []
-    for n in geom.wall_normals:
+    for n in tess.wall_normals:
         A, B = n @ u, n @ v
         if math.hypot(A, B) < 1e-12:
             return None
@@ -1094,11 +971,11 @@ def _circle_word(geom, axis):
     bounds = events + [events[0] + TWO_PI]
     for a, b in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (a + b)
-        word.append(geom.locate(math.cos(mid) * u + math.sin(mid) * v))
+        word.append(tess.locate(math.cos(mid) * u + math.sin(mid) * v))
     return merge_cyclic_duplicates(word)
 
 
-def _central_circle_exists(geom, target_word):
+def _central_circle_exists(poly, target_word):
     """True if a sampled great circle, run once or repeated, carries the class.
 
     A cyclically reduced word stays reduced when repeated, and the canonical
@@ -1107,11 +984,11 @@ def _central_circle_exists(geom, target_word):
     target = canonical_cyclic_word(target_word)
     n = len(target)
     return n > 0 and any(
-        n % len(c) == 0 and c * (n // len(c)) == target for c in geom.circle_classes
+        n % len(c) == 0 and c * (n // len(c)) == target for c in poly.circle_classes
     )
 
 
-def _arc_geometry(za, zb):
+def _arc_param(za, zb):
     c = float(np.clip(za @ zb, -1.0, 1.0))
     theta = math.acos(c)
     w = zb - c * za
@@ -1121,7 +998,7 @@ def _arc_geometry(za, zb):
 
 def _pole_inside_arc(points, za, zb):
     """True if some pole lies strictly inside the open short arc."""
-    theta, w = _arc_geometry(za, zb)
+    theta, w = _arc_param(za, zb)
     normal = np.cross(za, w)
     coplanar = np.abs(points @ normal) < 1e-9
     phi = np.arctan2(points @ w, points @ za)
@@ -1129,11 +1006,11 @@ def _pole_inside_arc(points, za, zb):
     return bool(np.any(coplanar & inside))
 
 
-def _arc_wall(geom, za, zb):
+def _arc_wall(tess, za, zb):
     """Index of the wall whose great circle carries the whole arc, or None."""
     hits = [
         wi
-        for wi, n in enumerate(geom.wall_normals)
+        for wi, n in enumerate(tess.wall_normals)
         if abs(n @ za) < 1e-9 and abs(n @ zb) < 1e-9
     ]
     if not hits:
@@ -1143,10 +1020,10 @@ def _arc_wall(geom, za, zb):
     return hits[0]
 
 
-def _off_wall_itinerary(geom, za, zb):
-    theta, w = _arc_geometry(za, zb)
+def _off_wall_itinerary(tess, za, zb):
+    theta, w = _arc_param(za, zb)
     events = []
-    for n in geom.wall_normals:
+    for n in tess.wall_normals:
         A, B = n @ za, n @ w
         base = math.atan2(-A, B)
         for k in (-1, 0, 1, 2):
@@ -1157,19 +1034,19 @@ def _off_wall_itinerary(geom, za, zb):
     word = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (a + b)
-        word.append(geom.locate(math.cos(mid) * za + math.sin(mid) * w))
+        word.append(tess.locate(math.cos(mid) * za + math.sin(mid) * w))
     return merge_consecutive(word)
 
 
-def _on_wall_itinerary(geom, za, zb, wall, side):
-    theta, w = _arc_geometry(za, zb)
+def _on_wall_itinerary(tess, za, zb, wall, side):
+    theta, w = _arc_param(za, zb)
     mid = math.cos(0.5 * theta) * za + math.sin(0.5 * theta) * w
-    nudged = mid + side * 1e-7 * geom.wall_normals[wall]
-    return [geom.locate(nudged)]
+    nudged = mid + side * 1e-7 * tess.wall_normals[wall]
+    return [tess.locate(nudged)]
 
-def _junction_route(geom, pid, c_in, c_out, direction, turns):
+def _junction_route(tess, pid, c_in, c_out, direction, turns):
     """Chambers strictly between c_in and c_out going around the pole fan."""
-    fan = geom.fan[pid]
+    fan = tess.fan[pid]
     L = len(fan)
     i_in, i_out = fan.index(c_in), fan.index(c_out)
     steps = (direction * (i_out - i_in)) % L
@@ -1177,7 +1054,7 @@ def _junction_route(geom, pid, c_in, c_out, direction, turns):
     return [fan[(i_in + direction * s) % L] for s in range(1, total)]
 
 
-def _resolutions(geom, fund_axes, tri_perm, turn_cap, sym_steps):
+def _resolutions(tess, fund_axes, tri_perm, turn_cap, sym_steps):
     """Wall-side selections of the fundamental block, in product order: yields
     (arc_sel, option_lists, weights, arc_winding), the weights being the winding
     vectors of the junction routes (entry and exit steps included) and
@@ -1185,12 +1062,12 @@ def _resolutions(geom, fund_axes, tri_perm, turn_cap, sym_steps):
     """
     arc_choices = []
     for a, b in zip(fund_axes, fund_axes[1:]):
-        za, zb = geom.points[a], geom.points[b]
-        wall = _arc_wall(geom, za, zb)
+        za, zb = tess.points[a], tess.points[b]
+        wall = _arc_wall(tess, za, zb)
         if wall is None:
-            arc_choices.append([_off_wall_itinerary(geom, za, zb)])
+            arc_choices.append([_off_wall_itinerary(tess, za, zb)])
         else:
-            arc_choices.append([_on_wall_itinerary(geom, za, zb, wall, s) for s in (1.0, -1.0)])
+            arc_choices.append([_on_wall_itinerary(tess, za, zb, wall, s) for s in (1.0, -1.0)])
     for arc_sel in itertools.product(*arc_choices):
         exits = [run[0] for run in arc_sel[1:]] + [tri_perm[arc_sel[0][0]]]
         option_lists, weights = [], []
@@ -1198,7 +1075,7 @@ def _resolutions(geom, fund_axes, tri_perm, turn_cap, sym_steps):
             opts, ws = [], []
             for direction in (1, -1):
                 for turns in range(turn_cap + 1):
-                    route = _junction_route(geom, pid, c_in, c_out, direction, turns)
+                    route = _junction_route(tess, pid, c_in, c_out, direction, turns)
                     if route not in opts:
                         opts.append(route)
                         path = [c_in, *route, c_out]
@@ -1230,7 +1107,7 @@ def _winding_solutions(weights, residual):
     return walk(0, residual)
 
 
-def _skeleton_realizes(geom, target, goal, sym_steps, fund_axes, tri_perm_pows, turn_cap, combo_cap):
+def _skeleton_realizes(tess, target, goal, sym_steps, fund_axes, tri_perm_pows, turn_cap, combo_cap):
     """Try junction/side resolutions of the arc skeleton against the class word.
 
     fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
@@ -1245,7 +1122,7 @@ def _skeleton_realizes(geom, target, goal, sym_steps, fund_axes, tri_perm_pows, 
     """
     tried = checked = 0
     for arc_sel, option_lists, weights, arc_winding in _resolutions(
-        geom, fund_axes, tri_perm_pows[1 % len(tri_perm_pows)], turn_cap, sym_steps
+        tess, fund_axes, tri_perm_pows[1 % len(tri_perm_pows)], turn_cap, sym_steps
     ):
         sizes = [len(opts) for opts in option_lists]
         found = None
@@ -1363,23 +1240,25 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
         return _logged(cone, result)
 
     nu = cone.nu
-    geom = _geometry(nu.polyhedron.tessellation)
+    poly = nu.polyhedron
+    tess = poly.tessellation
     target = cone.canonical_word
-    if _central_circle_exists(geom, target):
+    if _central_circle_exists(poly, target):
         raise ValueError("central cone: a planar loop through the origin represents this class")
     centrality = "centrality unknown (no planar representative found among sampled circles)"
 
     R, M = cone.extra_symmetry if cone.extra_symmetry is not None else (np.eye(3), 1)
-    pole_perm, tri_perm = geom.pole_permutation(R), geom.triangle_permutation(R)
-    pole_perm_pows = [tuple(range(len(geom.points)))]
-    tri_perm_pows = [tuple(range(len(geom.triangles)))]
+    g = tess.group.index(R)
+    pole_perm, tri_perm = tess.pole_permutations[g], tess.triangle_permutations[g]
+    pole_perm_pows = [tuple(range(len(tess.points)))]
+    tri_perm_pows = [tuple(range(len(tess.triangles)))]
     for _ in range(1, M):
         pole_perm_pows.append(tuple(pole_perm[p] for p in pole_perm_pows[-1]))
         tri_perm_pows.append(tuple(tri_perm[c] for c in tri_perm_pows[-1]))
 
-    pts = geom.points
-    angles, successors = geom.arc_table
-    steps = geom.winding_steps
+    pts = tess.points
+    angles, successors = poly.arc_table
+    steps = poly.winding_steps
     sym_steps = {(a, b): sum(steps[p[a], p[b]] for p in tri_perm_pows) for a, b in steps}
     goal = sum(steps[target[i - 1], target[i]] for i in range(len(target)))
 
@@ -1398,7 +1277,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
             continue
         seen_skeletons.add(canon)
         word, tried, reductions = _skeleton_realizes(
-            geom, target, goal, sym_steps, axes, tri_perm_pows, turn_cap, combo_cap - combinations
+            tess, target, goal, sym_steps, axes, tri_perm_pows, turn_cap, combo_cap - combinations
         )
         combinations += tried
         checked += reductions

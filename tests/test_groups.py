@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from choreo.groups import (
     Pole,
+    RotationGroup,
     builtin_group,
     collision_distance,
     fixed_point_sets,
@@ -93,6 +94,42 @@ def test_polyhedral_groups_are_proper():
     for tag in ("T", "O", "I"):
         G = builtin_group(tag)
         assert all(np.linalg.det(R) > 0 for R in G)
+
+
+# ---------------------------------------------------------------------------
+# element index and element orders
+
+
+@pytest.mark.parametrize(
+    "tag,n", [("T", None), ("O", None), ("I", None), ("Z4", None), ("KLEIN", None), ("Z2N", 3)]
+)
+def test_element_orders_match_matrix_powers(tag, n):
+    """M % order == 0 is the old test R^M = I by matrix_power, for M <= 120."""
+    G = builtin_group(tag, n=n)
+    assert len(G.element_orders) == G.order
+    for R, order in zip(G.elements, G.element_orders):
+        for M in range(1, 121):
+            power_is_identity = np.allclose(np.linalg.matrix_power(R, M), np.eye(3), atol=1e-9)
+            assert (M % order == 0) == power_is_identity
+
+
+def test_element_orders_reject_a_malformed_element_list():
+    G = RotationGroup(tag="bad", elements=[np.eye(3), rotation_matrix([0, 0, 1], 1.0)])
+    with pytest.raises(ValueError, match="no power"):
+        G.element_orders
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_index_locates_elements_and_rejects_others(tag):
+    G = builtin_group(tag)
+    for i, R in enumerate(G.elements):
+        assert G.index(R) == i
+        assert G.index(R + 1e-12) == i
+    assert np.array_equal(G.elements[G.identity_index], np.eye(3))
+    with pytest.raises(KeyError):
+        G.index(-np.eye(3))
+    with pytest.raises(ValueError, match="no identity"):
+        RotationGroup(tag="bad", elements=[-np.eye(3)]).identity_index
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +344,62 @@ def test_reflections_preserve_pole_set():
         assert float(np.linalg.det(S)) == pytest.approx(-1.0, abs=1e-12)
         for p in pts:
             assert matrix_key(S @ p) in keys
+
+
+def reference_reflections(tess):
+    """The wall reflections as built before each wall was checked once: every
+    triangle edge is pole-checked and the last copy of each reflection kept."""
+    pts = tess.points
+    pole_keys = {matrix_key(p) for p in pts}
+    refl = {}
+    for ia, ib, ic in tess.triangles:
+        for i, j in ((ia, ib), (ib, ic), (ia, ic)):
+            nrm = np.cross(pts[i], pts[j])
+            norm = np.linalg.norm(nrm)
+            if norm < 1e-12:
+                continue
+            nrm = nrm / norm
+            S = np.eye(3) - 2.0 * np.outer(nrm, nrm)
+            if all(matrix_key(S @ p) in pole_keys for p in pts):
+                refl[matrix_key(S)] = S
+    return [refl[k] for k in sorted(refl.keys())]
+
+
+@pytest.mark.parametrize("tag,walls", [("T", 6), ("O", 9), ("I", 15)])
+def test_reflections_match_the_every_edge_loop(tag, walls):
+    tess = full_group_tessellation(builtin_group(tag))
+    assert len(tess.reflections) == walls
+    reference = reference_reflections(tess)
+    assert [S.tobytes() for S in tess.reflections] == [S.tobytes() for S in reference]
+    assert tess.wall_normals.shape == (walls, 3)
+    for n, S in zip(tess.wall_normals, tess.reflections):
+        assert np.allclose(np.eye(3) - 2.0 * np.outer(n, n), S, atol=1e-12)
+
+
+def reference_pole_permutation(tess, R):
+    """The per-element pole map the tessellation tables replaced."""
+    index = {matrix_key(p): i for i, p in enumerate(tess.points)}
+    return tuple(index[matrix_key(R @ p)] for p in tess.points)
+
+
+def reference_triangle_permutation(tess, R):
+    pperm = reference_pole_permutation(tess, R)
+    index = {frozenset(t): ti for ti, t in enumerate(tess.triangles)}
+    return tuple(index[frozenset(pperm[v] for v in t)] for t in tess.triangles)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_permutation_tables_match_per_element_maps(tag):
+    tess = full_group_tessellation(builtin_group(tag))
+    G = tess.group
+    assert len(tess.pole_permutations) == len(tess.triangle_permutations) == G.order
+    for g, R in enumerate(G.elements):
+        assert tess.pole_permutations[g] == reference_pole_permutation(tess, R)
+        assert tess.triangle_permutations[g] == reference_triangle_permutation(tess, R)
+
+
+def test_tessellation_points_are_built_once_and_read_only():
+    tess = full_group_tessellation(builtin_group("O"))
+    assert tess.points is tess.points
+    assert not tess.points.flags.writeable
+    assert np.array_equal(tess.points, [p.point for p in tess.poles])

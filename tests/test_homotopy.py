@@ -1,8 +1,10 @@
+import gc
 import heapq
 import itertools
 import json
 import logging
 import math
+import weakref
 from collections import Counter, defaultdict
 from functools import lru_cache
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choreo import homotopy as H
-from choreo.groups import builtin_group
+from choreo.groups import builtin_group, full_group_tessellation, matrix_key
 from choreo.reference_tables import (
     GROUP_CONSTANT_DEVIATIONS,
     GROUP_CONSTANTS,
@@ -109,6 +111,16 @@ def test_base_points(tag):
     keys = {tuple(np.round(v, 6)) for v in poly.vertices}
     assert tuple(np.round(q1, 6)) in keys
     assert tuple(np.round(q2, 6)) in keys
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_vertex_permutations_match_per_element_maps(tag):
+    """The table against the per-element vertex map it replaced."""
+    poly = H.build_archimedean(tag)
+    index = {matrix_key(v): i for i, v in enumerate(poly.vertices)}
+    assert len(poly.vertex_permutations) == poly.group.order
+    for g, R in enumerate(poly.group.elements):
+        assert poly.vertex_permutations[g] == tuple(index[matrix_key(R @ v)] for v in poly.vertices)
 
 
 def test_build_archimedean_rejects_vertical_tags():
@@ -343,9 +355,9 @@ def test_back_and_forth_is_contractible():
 
 def square_circuit_around_order4_pole():
     poly = H.build_archimedean("O")
-    geom = H._geometry(poly.tessellation)
-    pid = next(p for p in range(len(geom.pole_order)) if geom.pole_order[p] == 4)
-    p = geom.points[pid]
+    tess = poly.tessellation
+    pid = next(p for p in range(len(tess.pole_order)) if tess.pole_order[p] == 4)
+    p = tess.points[pid]
     near = np.argsort(-(poly.vertices @ p))[:4]
     seed = np.array([1.0, 0.0, 0.0])
     if abs(seed @ p) > 0.9:
@@ -360,13 +372,13 @@ def square_circuit_around_order4_pole():
 
 def test_square_circuit_winds_a_single_axis():
     poly, pid, nu = square_circuit_around_order4_pole()
-    geom = H._geometry(poly.tessellation)
+    tess = poly.tessellation
     word = H.triangles_from_vertices(nu)
     reduced = H.reduce_cyclic_word(word.triangles)
     assert len(reduced) == 8
-    shared = set(geom.triangles[reduced[0]])
+    shared = set(tess.triangles[reduced[0]])
     for t in reduced[1:]:
-        shared &= set(geom.triangles[t])
+        shared &= set(tess.triangles[t])
     assert shared == {pid}
     assert not H.is_alpha_simple(word, 1.0)
 
@@ -388,8 +400,7 @@ def test_catalog_words_are_reduced_simple_untied(tag, name):
 
 
 def full_fan_word(tess, pid, start=None):
-    geom = H._geometry(tess)
-    fan = list(geom.fan[pid])
+    fan = list(tess.fan[pid])
     if start is not None:
         k = fan.index(start)
         fan = fan[k:] + fan[:k]
@@ -399,8 +410,7 @@ def full_fan_word(tess, pid, start=None):
 def test_five_turns_around_order2_pole_never_simple():
     poly = H.build_archimedean("T")
     tess = poly.tessellation
-    geom = H._geometry(tess)
-    pid = next(p for p in range(len(geom.pole_order)) if geom.pole_order[p] == 2)
+    pid = next(p for p in range(len(tess.pole_order)) if tess.pole_order[p] == 2)
     word = full_fan_word(tess, pid) * 5
     seq = H.TriangleSequence(tess, tuple(word))
     assert not H.is_alpha_simple(seq, 1.0)
@@ -410,8 +420,7 @@ def test_five_turns_around_order2_pole_never_simple():
 def test_alpha_simple_threshold_and_monotonicity():
     poly = H.build_archimedean("T")
     tess = poly.tessellation
-    geom = H._geometry(tess)
-    pid = next(p for p in range(len(geom.pole_order)) if geom.pole_order[p] == 3)
+    pid = next(p for p in range(len(tess.pole_order)) if tess.pole_order[p] == 3)
     fan = full_fan_word(tess, pid)
     c = fan[:5]
     d = next(t for t in tess.neighbors[c[4]] if t not in fan)
@@ -424,11 +433,20 @@ def test_alpha_simple_threshold_and_monotonicity():
         assert later or not earlier
 
 
+def test_tessellation_is_freed_after_the_diagnostics():
+    tess = full_group_tessellation(builtin_group("T"))
+    alive = weakref.ref(tess)
+    seq = H.TriangleSequence(tess, (0, tess.neighbors[0][0]))
+    assert H.is_alpha_simple(seq, 1.0)
+    del tess, seq
+    gc.collect()
+    assert alive() is None
+
+
 def test_tied_to_two_axes_examples():
     poly = H.build_archimedean("T")
     tess = poly.tessellation
-    geom = H._geometry(tess)
-    p1, p2, p3 = geom.triangles[0]
+    p1, p2, p3 = tess.triangles[0]
     X = 0
     r1 = full_fan_word(tess, p1, start=X)
     r2 = full_fan_word(tess, p2, start=X)
@@ -539,6 +557,18 @@ def test_cone_spec_extra_symmetry_validation():
         )
 
 
+def test_cone_spec_rejects_an_order_not_dividing_M():
+    nu = row_sequence("O", "nu1")
+    group = nu.polyhedron.group
+    good = H.find_extra_symmetry(nu, 2)[0]
+    assert group.element_orders[group.index(good)] == 2
+    with pytest.raises(ValueError, match="order dividing M"):
+        H.ConeSpec(
+            group=group, nu=nu, alpha=1.0, extra_symmetry=(good, 3),
+            period=TWO_PI, central_mass=0.0,
+        )
+
+
 @pytest.mark.parametrize("tag,name", [("T", "nu1"), ("O", "nu6"), ("I", "nu3")])
 def test_cone_config_roundtrip(tag, name, tmp_path):
     cone = H.catalog_cone(tag, name, period=3.5, central_mass=2.0)
@@ -622,13 +652,13 @@ def test_min_total_angle_budget_exhaustion():
 @lru_cache(maxsize=None)
 def reference_circle_words(tag):
     """Reduced words of the 300 sampled great circles, in sample order."""
-    geom = H._geometry(H.build_archimedean(tag).tessellation)
+    tess = H.build_archimedean(tag).tessellation
     words = []
     for axis in H._fibonacci_directions(300):
         axis = axis / np.linalg.norm(axis)
-        if np.min(np.abs(geom.points @ axis)) < 5e-3:
+        if np.min(np.abs(tess.points @ axis)) < 5e-3:
             continue
-        word = H._circle_word(geom, axis)
+        word = H._circle_word(tess, axis)
         if not word:
             continue
         reduced = reference_reduce_cyclic_word(word)
@@ -665,26 +695,26 @@ def reference_central_circle_exists(tag, target_word):
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_central_circle_exists_matches_sampled_loop(tag):
-    geom = H._geometry(H.build_archimedean(tag).tessellation)
-    assert geom.circle_classes
+    poly = H.build_archimedean(tag)
+    assert poly.circle_classes
     sampled = {
         H.canonical_cyclic_word(w)
         for reduced in reference_circle_words(tag)
         for w in (reduced, reduced[::-1])
     }
-    for c in sampled | set(geom.circle_classes):
+    for c in sampled | set(poly.circle_classes):
         for word in (c, c + c):
-            assert H._central_circle_exists(geom, word)
+            assert H._central_circle_exists(poly, word)
             assert reference_central_circle_exists(tag, word)
     group = builtin_group(tag)
     for entry in catalog_rows(tag):
         word = H.catalog_cone(tag, entry.name).reduced_word
         for R in group.elements:
-            perm = geom.triangle_permutation(R)
+            perm = poly.tessellation.triangle_permutations[group.index(R)]
             moved = H.canonical_cyclic_word(perm[c] for c in word)
-            assert not H._central_circle_exists(geom, moved)
+            assert not H._central_circle_exists(poly, moved)
             assert not reference_central_circle_exists(tag, moved)
-    assert not H._central_circle_exists(geom, ())
+    assert not H._central_circle_exists(poly, ())
 
 
 def conjugated_cone(base, element):
@@ -854,12 +884,11 @@ def reference_cuts(tag):
     edge (a, b), a < b, counts +1.  Other steps map to None.
     """
     tess = H.build_archimedean(tag).tessellation
-    geom = H._geometry(tess)
-    pts = geom.points
+    pts = tess.points
     edges = {}
-    for s, tri in enumerate(geom.triangles):
+    for s, tri in enumerate(tess.triangles):
         for t in tess.neighbors[s]:
-            edges[s, t] = tuple(sorted(set(tri) & set(geom.triangles[t])))
+            edges[s, t] = tuple(sorted(set(tri) & set(tess.triangles[t])))
     linked = defaultdict(set)
     for a, b in edges.values():
         linked[a].add(b)
@@ -878,7 +907,7 @@ def reference_cuts(tag):
     for (s, t), (a, b) in edges.items():
         cuts[s, t] = None
         if (a, b) in tree:
-            centre = pts[list(geom.triangles[s])].mean(axis=0)
+            centre = pts[list(tess.triangles[s])].mean(axis=0)
             left = np.linalg.det(np.array([pts[a], pts[b], centre])) > 0.0
             cuts[s, t] = (tree[a, b], 1 if left else -1)
     return cuts
@@ -910,17 +939,17 @@ def test_winding_steps_are_a_basis_of_the_first_homology(tag):
     """Each chamber step crosses at most one cut, the reverse step undoes it,
     and the loops around the P poles span a lattice of rank P - 1 with the
     single relation that their sum is 0 (a dropped cut lowers the rank)."""
-    tess = H.build_archimedean(tag).tessellation
-    geom = H._geometry(tess)
-    steps = geom.winding_steps
-    P, ntri = len(geom.points), len(geom.triangles)
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    steps = poly.winding_steps
+    P, ntri = len(tess.points), len(tess.triangles)
     assert set(steps) == {(s, t) for s in range(ntri) for t in (s, *tess.neighbors[s])}
     for (s, t), packed in steps.items():
         assert steps[t, s] == -packed
         assert sorted(map(abs, unpack_winding(packed, P)))[-2:] in ([0, 0], [0, 1])
     loops = np.array([
         unpack_winding(sum(steps[a, b] for a, b in zip(fan, fan[1:] + fan[:1])), P)
-        for fan in (geom.fan[p] for p in range(P))
+        for fan in (tess.fan[p] for p in range(P))
     ])
     assert not loops.sum(axis=0).any()
     assert np.linalg.matrix_rank(loops) == P - 1
@@ -990,8 +1019,9 @@ def test_lazy_heap_pops_like_the_eager_heap(tag, name, element):
     cone = conjugated_cone(H.catalog_cone(tag, name), element)
     pops = H.min_total_angle(cone).pops
     R, M = cone.extra_symmetry
-    geom = H._geometry(cone.nu.polyhedron.tessellation)
-    args = (geom.arc_table[1], M, max(2, math.ceil(4 * cone.nu.steps / M)), geom.pole_permutation(R))
+    poly = cone.nu.polyhedron
+    pole_perm = poly.tessellation.pole_permutations[poly.group.index(R)]
+    args = (poly.arc_table[1], M, max(2, math.ceil(4 * cone.nu.steps / M)), pole_perm)
     lazy = list(itertools.islice(H._skeleton_pops(*args), pops))
     eager = list(itertools.islice(reference_eager_pops(*args), pops))
     assert len(lazy) == pops
