@@ -84,8 +84,15 @@ def zeta(group, alpha, which, conjugate=None):
             x = (1.0 - s) * a + s * b
             return 2.0 / float(np.linalg.norm(x)) ** alpha
     else:
+        # |(R - I)x(s)|^2 of each pair form is a quadratic in s.
+        F, mult = poly.group.pair_forms
+        A = (a @ F).reshape(3, -1)
+        D = (b @ F).reshape(3, -1) - A
+        c0, c1, c2 = (np.einsum("rk,rk->k", u, v) for u, v in ((A, A), (A, D), (D, D)))
+        c1 *= 2.0
+
         def integrand(s):
-            return _pair_sum(poly.group, (1.0 - s) * a + s * b, alpha)
+            return float(mult @ (c0 + s * (c1 + s * c2)) ** (-0.5 * alpha))
 
     value, err = integrate.quad(
         integrand, 0.0, 1.0, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=200
@@ -97,8 +104,10 @@ def zeta(group, alpha, which, conjugate=None):
     return float(value)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _zeta_cached(tag, alpha, which):
+    # Bounded: certificates at a fresh exponent add three entries each, while
+    # the exponent-1 entries every certificate reads stay recent.
     return zeta(tag, alpha, which)
 
 
@@ -123,23 +132,18 @@ def tilde_U0(group, alpha, triangle=0):
 
     Returns (1/2^(alpha+1)) * sum over poles p of k_alpha_p(alpha, order_p)
     divided by max_{u in triangle} |u x p|^alpha.  The maximum is resolved
-    in closed form: when the corner products u_j . p all share a strict
-    sign the maximum sits at a corner, otherwise the plane orthogonal to p
-    crosses the triangle and the maximum is 1.  Every triangle gives the
-    same value; ``triangle`` selects which one to use.
+    in closed form and read from the tessellation's ``widest_chords`` table,
+    which does not depend on alpha; k_alpha_p is evaluated once per distinct
+    pole order.  Every triangle gives the same value; ``triangle`` selects
+    which one to use.
     """
     if not 1.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [1, 2)")
     tess = build_archimedean(group).tessellation
-    corners = tess.triangle_points(triangle)
+    k = {order: k_alpha_p(alpha, order) for order in set(tess.pole_order)}
     total = 0.0
-    for pole in tess.poles:
-        dots = corners @ pole.point
-        if dots.min() > 0.0 or dots.max() < 0.0:
-            largest = float(np.linalg.norm(np.cross(corners, pole.point), axis=1).max())
-        else:
-            largest = 1.0
-        total += k_alpha_p(alpha, pole.order) / largest ** alpha
+    for order, largest in zip(tess.pole_order, tess.widest_chords[triangle].tolist()):
+        total += k[order] / largest ** alpha
     return total / 2.0 ** (alpha + 1.0)
 
 

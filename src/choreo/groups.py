@@ -243,24 +243,20 @@ def poles(group):
     The order of a pole counts the group rotations fixing it (identity
     included), i.e. the size of its cyclic stabilizer.
     """
-    elements = group.elements if isinstance(group, RotationGroup) else list(group)
+    E = np.array(group.elements if isinstance(group, RotationGroup) else list(group), dtype=float)
+    dets = np.linalg.det(E)
+    eye = np.isclose(E, np.eye(3), atol=_IDENTITY_ATOL).all(axis=(1, 2))
     seen = {}
-    for R in elements:
-        if np.linalg.det(R) < 0 or np.allclose(R, np.eye(3), atol=_IDENTITY_ATOL):
+    for R, d, e in zip(E, dets, eye):
+        if d < 0 or e:
             continue
         a = _rotation_axis(R)
         for s in (1.0, -1.0):
             seen[matrix_key(s * a)] = s * a
-    out = []
-    for k in sorted(seen.keys()):
-        p = seen[k]
-        stab = sum(
-            1
-            for R in elements
-            if np.linalg.det(R) > 0 and np.linalg.norm(R @ p - p) < 1e-9
-        )
-        out.append(Pole(point=p, order=stab))
-    return out
+    pts = np.array([seen[k] for k in sorted(seen.keys())]).reshape(-1, 3)
+    moved = np.linalg.norm(np.einsum("gij,pj->pgi", E, pts) - pts[:, None, :], axis=-1)
+    orders = ((moved < 1e-9) & (dets > 0)).sum(axis=1)
+    return [Pole(point=p, order=int(o)) for p, o in zip(pts, orders)]
 
 
 def pole_orbits(group, pole_list=None):
@@ -356,7 +352,8 @@ class Tessellation:
     with triangle i.  reflections are the wall reflections (Householder
     matrices) of the full symmetry group.  The tessellation owns the tables
     derived from it (pole points, chamber and wall normals, pole fans, the
-    permutations by the group elements), each built on first use.
+    permutations by the group elements, the widest chamber-to-axis chords
+    behind the potential floor), each built on first use.
     """
 
     group: RotationGroup
@@ -379,6 +376,28 @@ class Tessellation:
     def triangle_points(self, i):
         a, b, c = self.triangles[i]
         return self.points[[a, b, c]]
+
+    @cached_property
+    def widest_chords(self):
+        """Max of |u x p| over the closed chamber t, at [t, p] (read-only).
+
+        When the corner products u_j . p share a strict sign the maximum sits
+        at a corner; otherwise the plane orthogonal to p crosses the chamber
+        and the maximum is 1.
+        """
+        chords = np.empty((len(self.triangles), len(self.points)))
+        # One product per pair: some corners lie on the plane orthogonal to a
+        # pole, and a batched product rounds their ~1e-17 dot products to
+        # other signs, so the branch would pick a corner chord 1 - 2^-52 for 1.
+        for t in range(len(self.triangles)):
+            tri = self.triangle_points(t)
+            chords[t] = np.linalg.norm(np.cross(tri, self.points[:, None]), axis=-1).max(axis=-1)
+            for p, point in enumerate(self.points):
+                dots = tri @ point
+                if not (dots.min() > 0.0 or dots.max() < 0.0):
+                    chords[t, p] = 1.0
+        chords.flags.writeable = False
+        return chords
 
     @cached_property
     def _chamber_normals(self):

@@ -18,6 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -81,6 +82,28 @@ class ArchimedeanPolyhedron:
         """How each group element permutes the vertex indices, indexed like
         group.elements."""
         return self.group.point_permutations(self.vertices)
+
+    @cached_property
+    def edge_chambers(self):
+        """Read-only map from every ordered edge (i, j), with endpoints a and
+        b, to the chambers of the radial projections of (1 - s) * a + s * b at
+        s = 0.25 and 0.75."""
+        tess = self.tessellation
+        table = {}
+        for i, j in itertools.chain(self.edges, ((j, i) for i, j in self.edges)):
+            a, b = self.vertices[i], self.vertices[j]
+            pair = []
+            for s in (0.25, 0.75):
+                x = (1.0 - s) * a + s * b
+                nx = np.linalg.norm(x)
+                if nx < 1e-9:
+                    raise ValueError("path passes through the origin: degenerate projection")
+                x /= nx
+                if np.max(tess.points @ x) > 1.0 - 1e-12:
+                    raise ValueError("path passes through a pole: degenerate projection")
+                pair.append(tess.locate(x))
+            table[i, j] = tuple(pair)
+        return MappingProxyType(table)
 
     @cached_property
     def circle_classes(self):
@@ -600,30 +623,17 @@ def triangles_from_vertices(nu):
     """Chamber itinerary of the vertex path radially projected to the sphere.
 
     Each graph edge crosses exactly one wall at its midpoint, so the two
-    half-edges sample the two chambers; a vertex where the path touches a
-    wall without crossing contributes no chamber change.
+    half-edges sample the two chambers, read from the polyhedron's
+    ``edge_chambers`` table; a vertex where the path touches a wall without
+    crossing contributes no chamber change.
     """
     poly = nu.polyhedron
-    tess = poly.tessellation
     ids = nu.vertex_ids
     S = len(ids)
-    pts = poly.vertices
-    pole_pts = tess.points
-
     raw = []
     for i in range(S):
-        a, b = pts[ids[i]], pts[ids[(i + 1) % S]]
-        for s in (0.25, 0.75):
-            x = (1.0 - s) * a + s * b
-            nx = np.linalg.norm(x)
-            if nx < 1e-9:
-                raise ValueError("path passes through the origin: degenerate projection")
-            x /= nx
-            if np.max(pole_pts @ x) > 1.0 - 1e-12:
-                raise ValueError("path passes through a pole: degenerate projection")
-            raw.append(tess.locate(x))
-    merged = merge_cyclic_duplicates(raw)
-    return TriangleSequence(tess, tuple(merged))
+        raw.extend(poly.edge_chambers[ids[i], ids[(i + 1) % S]])
+    return TriangleSequence(poly.tessellation, tuple(merge_cyclic_duplicates(raw)))
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +867,8 @@ class ConeSpec:
 
 def cone_from_config(config):
     """Inverse of ConeSpec.to_config."""
-    group = builtin_group(config["group"])
+    tag = str(config["group"]).upper()
+    group = build_archimedean(tag).group if tag in ("T", "O", "I") else builtin_group(tag)
     nu = None
     if config.get("nu") is not None:
         poly = build_archimedean(group)

@@ -28,7 +28,7 @@ from choreo.estimates import (
     tilde_U0,
     zeta,
 )
-from choreo.groups import builtin_group
+from choreo.groups import builtin_group, rotation_matrix
 from choreo.homotopy import ConeSpec, build_archimedean, catalog_cone
 from choreo.reference_tables import (
     ALPHA1_BOUNDS,
@@ -275,6 +275,43 @@ def test_zeta_and_delta_min_match_element_loop(tag):
         assert abs(delta_min(tag, which) - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_pair_integrand_matches_the_pair_sum(tag, monkeypatch):
+    # The integrand zeta hands to the quadrature, against _pair_sum at the
+    # point (1 - s) a + s b: the integrand before the coefficients of the
+    # quadratic in s were precomputed (reference).
+    seen = []
+    quad = integrate.quad
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return quad(f, *args, **kwargs)
+
+    monkeypatch.setattr(E.integrate, "quad", spy)
+    poly = build_archimedean(tag)
+    q, q1, q2 = poly.base_points
+    tilt = rotation_matrix([1.0, 2.0, 3.0], 0.7)
+    for which in (1, 2):
+        for conjugate in (None, tilt):
+            a, b = q, q2 if which == 2 else q1
+            if conjugate is not None:
+                a, b = conjugate @ a, conjugate @ b
+            for alpha in (1.0, 1.37, 1.5, 1.9):
+                zeta(tag, alpha, which, conjugate=conjugate)
+                for s in np.linspace(0.0, 1.0, 41):
+                    want = E._pair_sum(poly.group, (1.0 - s) * a + s * b, alpha)
+                    assert abs(seen[-1](s) - want) <= 1e-13 * want
+
+
+def test_zeta_cache_is_bounded():
+    info = E._zeta_cached.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 64
+    for alpha in np.linspace(1.0, 1.999, 1000):
+        E._zeta_cached("T", float(alpha), 0)
+    info = E._zeta_cached.cache_info()
+    assert info.currsize <= info.maxsize
+
+
 def test_delta_min_rejects_bad_which():
     with pytest.raises(ValueError):
         delta_min("T", 0)
@@ -323,6 +360,30 @@ def test_tilde_u0_grid_cross_check(tag, alpha):
     closed = tilde_U0(tag, alpha)
     assert grid_value >= closed - 1e-12
     assert grid_value <= closed * (1.0 + 1e-6)
+
+
+def reference_tilde_u0(tag, alpha, triangle):
+    """tilde_U0 with a cross product, a norm and a k_alpha_p per pole, as
+    before the chord table (reference)."""
+    tess = build_archimedean(tag).tessellation
+    corners = tess.triangle_points(triangle)
+    total = 0.0
+    for pole in tess.poles:
+        dots = corners @ pole.point
+        if dots.min() > 0.0 or dots.max() < 0.0:
+            largest = float(np.linalg.norm(np.cross(corners, pole.point), axis=1).max())
+        else:
+            largest = 1.0
+        total += k_alpha_p(alpha, pole.order) / largest ** alpha
+    return total / 2.0 ** (alpha + 1.0)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_tilde_u0_matches_the_per_pole_loop(tag):
+    tess = build_archimedean(tag).tessellation
+    for alpha in (1.0, 1.37, 1.5, 1.9):
+        for t in range(len(tess.triangles)):
+            assert tilde_U0(tag, alpha, triangle=t) == reference_tilde_u0(tag, alpha, t)
 
 
 def test_tilde_u0_consistent_with_published_columns():

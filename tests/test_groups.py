@@ -176,6 +176,31 @@ def test_poles_are_unit_and_closed_under_group():
                 assert matrix_key(R @ p.point) in pts
 
 
+def reference_pole_orders(elements, pole_list):
+    """Stabilizer orders counted with a det and a norm per (pole, element)
+    pair, as before the one-pass count (reference)."""
+    return [
+        sum(1 for R in elements if np.linalg.det(R) > 0 and np.linalg.norm(R @ p.point - p.point) < 1e-9)
+        for p in pole_list
+    ]
+
+
+@pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None), ("Z4", None), ("KLEIN", None), ("Z2N", 3)])
+def test_pole_orders_match_the_per_pair_loop(tag, n):
+    G = group_of(tag, n)
+    ps = poles(G)
+    assert ps
+    assert [p.order for p in ps] == reference_pole_orders(G.elements, ps)
+    assert all(type(p.order) is int for p in ps)
+    plain = poles([np.array(R) for R in G.elements])
+    assert [p.order for p in plain] == [p.order for p in ps]
+    assert [p.point.tobytes() for p in plain] == [p.point.tobytes() for p in ps]
+
+
+def test_poles_of_the_trivial_group_are_empty():
+    assert poles([np.eye(3)]) == []
+
+
 def test_pole_orbits_sizes():
     G = builtin_group("O")
     orbs = pole_orbits(G)
@@ -403,3 +428,30 @@ def test_tessellation_points_are_built_once_and_read_only():
     assert tess.points is tess.points
     assert not tess.points.flags.writeable
     assert np.array_equal(tess.points, [p.point for p in tess.poles])
+
+
+def reference_widest_chords(tess, triangle):
+    """Max of |u x p| over one chamber, pole by pole, as tilde_U0 evaluated
+    it before the chord table (reference)."""
+    corners = tess.triangle_points(triangle)
+    row = []
+    for pole in tess.poles:
+        dots = corners @ pole.point
+        if dots.min() > 0.0 or dots.max() < 0.0:
+            row.append(float(np.linalg.norm(np.cross(corners, pole.point), axis=1).max()))
+        else:
+            row.append(1.0)
+    return row
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_widest_chords_match_the_per_pole_loop(tag):
+    tess = full_group_tessellation(builtin_group(tag))
+    table = tess.widest_chords
+    assert table is tess.widest_chords
+    assert not table.flags.writeable
+    assert table.shape == (len(tess.triangles), len(tess.poles))
+    for t in range(len(tess.triangles)):
+        assert table[t].tolist() == reference_widest_chords(tess, t)
+    # every chamber sees some axis plane cross it and some axis at a corner
+    assert (table == 1.0).any(axis=1).all() and (table < 1.0).any(axis=1).all()

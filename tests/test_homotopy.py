@@ -235,6 +235,45 @@ def test_group_action_preserves_diagnostics(element, row):
     assert H.is_tied_to_two_coboundary_axes(word_moved) == H.is_tied_to_two_coboundary_axes(word)
 
 
+def reference_chamber_word(nu):
+    """The chamber word with each half-edge projected and located per call,
+    as before the edge table (reference)."""
+    poly = nu.polyhedron
+    tess = poly.tessellation
+    ids = nu.vertex_ids
+    raw = []
+    for i in range(len(ids)):
+        a, b = poly.vertices[ids[i]], poly.vertices[ids[(i + 1) % len(ids)]]
+        for s in (0.25, 0.75):
+            x = (1.0 - s) * a + s * b
+            x /= np.linalg.norm(x)
+            assert np.max(tess.points @ x) <= 1.0 - 1e-12
+            raw.append(tess.locate(x))
+    return tuple(H.merge_cyclic_duplicates(raw))
+
+
+@pytest.mark.parametrize("tag,name", ALL_ROWS)
+def test_edge_chambers_match_the_per_edge_projection(tag, name):
+    nu = row_sequence(tag, name)
+    poly = nu.polyhedron
+    for R in poly.group.elements:
+        moved = nu.transformed(R)
+        assert H.triangles_from_vertices(moved).triangles == reference_chamber_word(moved)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_edge_chambers_cover_both_directions_of_every_edge(tag):
+    poly = H.build_archimedean(tag)
+    table = poly.edge_chambers
+    assert table is poly.edge_chambers
+    assert len(table) == 2 * len(poly.edges)
+    for i, j in poly.edges:
+        assert table[j, i] == table[i, j][::-1]
+        assert table[i, j][1] in poly.tessellation.neighbors[table[i, j][0]]
+    with pytest.raises(TypeError):
+        table[0, 0] = (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Cyclic words
 
@@ -579,6 +618,8 @@ def test_cone_config_roundtrip(tag, name, tmp_path):
     H.save_cone(cone, path)
     loaded = H.load_cone(path)
     assert json.dumps(loaded.to_config(), sort_keys=True) == blob
+    assert again.group is again.nu.polyhedron.group is cone.group
+    assert loaded.group is loaded.nu.polyhedron.group
     assert loaded.alpha == cone.alpha
     assert loaded.nu.vertex_ids == cone.nu.vertex_ids
 
