@@ -5,9 +5,10 @@ built from the total mass, a potential floor on the sphere of normalized
 configurations, and the number of collisions per period.  A class is
 certified collision-free when an explicit loop in the class beats that
 bound.  This module computes the constants on both sides: the edge
-potential integrals ``zeta``, the collision chord distances ``delta_min``,
-the reciprocal-sine sums ``k_alpha_p``, the tessellation potential floor
-``tilde_U0``, the collision lower bounds, the comparison loop actions, and
+potential integrals ``zeta`` (on a fixed pair of Gauss-Legendre rules),
+the collision chord distances ``delta_min``, the reciprocal-sine sums
+``k_alpha_p``, the tessellation potential floor ``tilde_U0``, the
+collision lower bounds, the comparison loop actions (in closed form), and
 the certificates bundling the resulting inequalities.
 
 All inequalities are evaluated in the form that holds for every value of
@@ -17,20 +18,27 @@ mass range at once.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
-from .groups import builtin_group
 from .homotopy import build_archimedean, sequence_counts
 from .reference_tables import TWO_PI
 
-# Quadrature targets: the tabulated constants carry five decimals, so the
-# integrals are pushed two orders further.
-_QUAD_ABS = 1e-10
-_QUAD_REL = 1e-12
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+# The edge integrands are analytic on the closed segment, so Gauss-Legendre
+# converges geometrically: zeta keeps the finer rule and refuses a value on
+# which the two rules differ by more than _QUAD_TOL, three orders past the
+# five tabulated decimals.
+_COARSE_RULE = _gauss_legendre(24)
+_FINE_RULE = _gauss_legendre(48)
 _QUAD_TOL = 1e-8
 
 
@@ -49,24 +57,17 @@ def k_alpha_p(alpha, order):
     return float(np.sum(np.sin(j * np.pi / order) ** (-alpha)))
 
 
-def _pair_sum(group, x, alpha):
-    """sum_{R != I} |(R - I)x|^(-alpha), over the group's distinct pair forms."""
-    F, mult = group.pair_forms
-    y = (x @ F).reshape(3, -1)
-    return float(mult @ np.einsum("rk,rk->k", y, y) ** (-0.5 * alpha))
-
-
-def zeta(group, alpha, which, conjugate=None):
+def zeta(group, alpha, which):
     """Potential integral along one base edge of the Archimedean graph.
 
     For which = 1 or 2 the integrand is the pairwise potential
     sum_{R != I} |(R - I) x(s)|^(-alpha) along the straight segment from q
     to q_1 or q_2; for which = 0 it is the central term 2 / |x(s)|^alpha,
     whose value is the same along either edge because both join unit
-    vectors at the common edge length.  Adaptive quadrature, absolute
-    tolerance 1e-8.  A rotation passed as ``conjugate`` is applied to both
-    segment endpoints; elements of the symmetry group leave the value
-    unchanged.
+    vectors at the common edge length.  The segment stays off the collision
+    set, so the integrand is analytic on it: the value is the 48-node
+    Gauss-Legendre sum, and a RuntimeError is raised when the 24-node sum
+    differs from it by more than 1e-8.
     """
     if which not in (0, 1, 2):
         raise ValueError("which must be 0, 1 or 2")
@@ -75,33 +76,26 @@ def zeta(group, alpha, which, conjugate=None):
     poly = build_archimedean(group)
     q, q1, q2 = poly.base_points
     a, b = np.array(q), np.array(q2 if which == 2 else q1)
-    if conjugate is not None:
-        C = np.asarray(conjugate, float)
-        a, b = C @ a, C @ b
-
     if which == 0:
-        def integrand(s):
-            x = (1.0 - s) * a + s * b
-            return 2.0 / float(np.linalg.norm(x)) ** alpha
+        # the central term 2/|x|^alpha: one form, the identity, of weight 2
+        F, mult = np.eye(3), np.array([2.0])
     else:
-        # |(R - I)x(s)|^2 of each pair form is a quadratic in s.
         F, mult = poly.group.pair_forms
-        A = (a @ F).reshape(3, -1)
-        D = (b @ F).reshape(3, -1) - A
-        c0, c1, c2 = (np.einsum("rk,rk->k", u, v) for u, v in ((A, A), (A, D), (D, D)))
-        c1 *= 2.0
+    # |F x(s)|^2 of each form is a quadratic c0 + s (c1 + s c2).
+    A = (a @ F).reshape(3, -1)
+    D = (b @ F).reshape(3, -1) - A
+    c0, c1, c2 = (np.einsum("rk,rk->k", u, v)[:, None] for u, v in ((A, A), (A, D), (D, D)))
+    c1 *= 2.0
 
-        def integrand(s):
-            return float(mult @ (c0 + s * (c1 + s * c2)) ** (-0.5 * alpha))
+    def rule(nodes, weights):
+        return float(mult @ (c0 + nodes * (c1 + nodes * c2)) ** (-0.5 * alpha) @ weights)
 
-    value, err = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=200
-    )
-    if err > _QUAD_TOL:
+    value, coarse = rule(*_FINE_RULE), rule(*_COARSE_RULE)
+    if abs(value - coarse) > _QUAD_TOL:
         raise RuntimeError(
-            f"edge integral did not converge: error estimate {err:.3e}"
+            f"edge integral did not converge: rule difference {abs(value - coarse):.3e}"
         )
-    return float(value)
+    return value
 
 
 @lru_cache(maxsize=64)
@@ -247,13 +241,15 @@ def hiphop_square_action(m0, period):
     )
 
 
-def rotating_polygon_action(m0, period, satellites=4, return_radius=False):
-    """Action of the uniformly rotating regular polygon, by quadrature.
+def rotating_polygon_action(m0, period, satellites=4):
+    """Action of the uniformly rotating regular polygon, in closed form.
 
     The satellites sit at the vertices of a horizontal regular polygon that
-    turns once per period.  The radius makes the circle a critical point of
-    the action restricted to circles, and the action integral is then
-    evaluated by quadrature along the exact trajectory.
+    turns once per period.  On a circle of radius r the potential of each
+    satellite is mu/r with mu = m0 + k/4, k the reciprocal-sine sum; the
+    radius makes the circle a critical point of the action restricted to
+    circles, where the kinetic term is mu/(2r).  The integrand is constant
+    in time, so the action is (3/2) s T mu / r.
     """
     satellites = int(satellites)
     if satellites < 4 or satellites % 2:
@@ -262,31 +258,9 @@ def rotating_polygon_action(m0, period, satellites=4, return_radius=False):
         raise ValueError("m0 must be nonnegative")
     if period <= 0.0:
         raise ValueError("period must be positive")
-    group = builtin_group("Z2N", n=satellites // 2)
-    e1 = np.array([1.0, 0.0, 0.0])
-    # potential coefficient per unit radius: m0/|u| plus half the pairwise sum
-    mu = m0 + 0.5 * _pair_sum(group, e1, 1.0)
-    omega = TWO_PI / period
-    radius = (mu / omega ** 2) ** (1.0 / 3.0)
-
-    def integrand(t):
-        u = radius * np.array([math.cos(omega * t), math.sin(omega * t), 0.0])
-        kinetic = 0.5 * (radius * omega) ** 2
-        central = m0 / float(np.linalg.norm(u))
-        mutual = 0.5 * _pair_sum(group, u, 1.0)
-        return kinetic + central + mutual
-
-    value, err = integrate.quad(
-        integrand, 0.0, period, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=200
-    )
-    if err > _QUAD_TOL * max(1.0, abs(value)):
-        raise RuntimeError(
-            f"polygon action quadrature did not converge: error estimate {err:.3e}"
-        )
-    total = satellites * float(value)
-    if return_radius:
-        return total, float(radius)
-    return total
+    mu = m0 + 0.25 * k_alpha_p(1.0, satellites)
+    radius = (mu * (period / TWO_PI) ** 2) ** (1.0 / 3.0)
+    return 1.5 * satellites * period * mu / radius
 
 
 def klein_test_loop_bound(m0, period, rho=None):
@@ -428,6 +402,13 @@ def test_loop_action_bound(cone):
 # Certificates
 
 
+def _record_dict(record, flags):
+    """A record's fields, then the named pass flags."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)}
+    out.update((flag, getattr(record, flag)) for flag in flags)
+    return out
+
+
 @dataclass(frozen=True)
 class EstimateCertificate:
     """Record of the sufficient inequalities excluding total collisions.
@@ -487,33 +468,7 @@ class EstimateCertificate:
         )
 
     def as_dict(self):
-        return {
-            "cone_id": self.cone_id,
-            "group": self.group,
-            "alpha": self.alpha,
-            "collisions": self.collisions,
-            "k1": self.k1,
-            "k2": self.k2,
-            "k_nu": self.k_nu,
-            "ell": self.ell,
-            "zeta0": self.zeta0,
-            "zeta1": self.zeta1,
-            "zeta2": self.zeta2,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "tilde_u0": self.tilde_u0,
-            "c_const": self.c_const,
-            "potential_lhs": self.potential_lhs,
-            "potential_rhs": self.potential_rhs,
-            "potential_pass": self.potential_pass,
-            "central_lhs": self.central_lhs,
-            "central_rhs": self.central_rhs,
-            "central_pass": self.central_pass,
-            "direct_lhs": self.direct_lhs,
-            "direct_rhs": self.direct_rhs,
-            "direct_pass": self.direct_pass,
-            "passed": self.passed,
-        }
+        return _record_dict(self, ("potential_pass", "central_pass", "direct_pass", "passed"))
 
 
 def certify_no_total_collisions(cone, label=None):
@@ -625,75 +580,51 @@ class ExclusionComparison:
         return self.intercept_pass and self.slope_pass
 
     def as_dict(self):
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "central_mass": self.central_mass,
-            "bound": self.bound.value,
-            "comparison_action": self.comparison_action,
-            "intercept_lhs": self.intercept_lhs,
-            "intercept_rhs": self.intercept_rhs,
-            "intercept_pass": self.intercept_pass,
-            "slope_lhs": self.slope_lhs,
-            "slope_rhs": self.slope_rhs,
-            "slope_pass": self.slope_pass,
-            "direct_pass": self.direct_pass,
-            "passed": self.passed,
-        }
+        flags = ("intercept_pass", "slope_pass", "direct_pass", "passed")
+        return {**_record_dict(self, flags), "bound": self.bound.value}
 
 
-def _affine_slope(values_at_0_and_1):
-    v0, v1 = values_at_0_and_1
-    return v1 ** 1.5 - v0 ** 1.5
+def _exclusion(label, kind, m0, compare, bound):
+    """Compare ``compare(m)`` with the CollisionBound ``bound(m)`` at m0, and
+    the intercepts and 3/2-power slopes at masses 0 and 1."""
+    lhs = [float(compare(m)) for m in (0.0, 1.0)]
+    rhs = [bound(m).value for m in (0.0, 1.0)]
+    return ExclusionComparison(
+        label=label,
+        kind=kind,
+        central_mass=float(m0),
+        bound=bound(m0),
+        comparison_action=float(compare(m0)),
+        intercept_lhs=lhs[0],
+        intercept_rhs=rhs[0],
+        slope_lhs=lhs[1] ** 1.5 - lhs[0] ** 1.5,
+        slope_rhs=rhs[1] ** 1.5 - rhs[0] ** 1.5,
+    )
 
 
 def hiphop_exclusion(m0, period, satellites=4):
     """Exclusion comparison for the antisymmetric vertical classes.
 
-    The comparison loop is the uniformly rotating square for four
-    satellites and the rotating regular polygon (evaluated by quadrature)
-    for more.  The crude pairwise estimate behind the collision bound loses
-    to the polygon potential once the satellite count grows, so the
-    mass-free verdict can honestly fail for large polygons.
+    The comparison loop is the uniformly rotating regular polygon (the
+    square for four satellites).  The crude pairwise estimate behind the
+    collision bound loses to the polygon potential once the satellite count
+    grows, so the mass-free verdict can honestly fail for large polygons.
     """
-    def compare(m):
-        if satellites == 4:
-            return hiphop_square_action(m, period)
-        return rotating_polygon_action(m, period, satellites)
-
-    def bound_at(m):
-        return hiphop_collision_bound(m, period, satellites).value
-
-    return ExclusionComparison(
-        label=f"rotating {satellites}-gon vs collision bound",
-        kind="hiphop",
-        central_mass=float(m0),
-        bound=hiphop_collision_bound(m0, period, satellites),
-        comparison_action=float(compare(m0)),
-        intercept_lhs=float(compare(0.0)),
-        intercept_rhs=float(bound_at(0.0)),
-        slope_lhs=_affine_slope([compare(0.0), compare(1.0)]),
-        slope_rhs=_affine_slope([bound_at(0.0), bound_at(1.0)]),
+    return _exclusion(
+        f"rotating {satellites}-gon vs collision bound",
+        "hiphop",
+        m0,
+        lambda m: rotating_polygon_action(m, period, satellites),
+        lambda m: hiphop_collision_bound(m, period, satellites),
     )
 
 
 def klein_exclusion(m0, period):
     """Exclusion comparison for the coordinate-axes symmetry class."""
-
-    def compare(m):
-        return klein_test_loop_bound(m, period)
-
-    def bound_at(m):
-        return klein_collision_bound(m, period).value
-
-    return ExclusionComparison(
-        label="four half circles vs collision bound",
-        kind="klein",
-        central_mass=float(m0),
-        bound=klein_collision_bound(m0, period),
-        comparison_action=float(compare(m0)),
-        intercept_lhs=float(compare(0.0)),
-        intercept_rhs=float(bound_at(0.0)),
-        slope_lhs=_affine_slope([compare(0.0), compare(1.0)]),
-        slope_rhs=_affine_slope([bound_at(0.0), bound_at(1.0)]),
+    return _exclusion(
+        "four half circles vs collision bound",
+        "klein",
+        m0,
+        lambda m: klein_test_loop_bound(m, period),
+        lambda m: klein_collision_bound(m, period),
     )

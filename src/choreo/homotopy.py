@@ -472,7 +472,7 @@ class VertexSequence:
     def steps(self):
         return len(self.vertex_ids)
 
-    @property
+    @cached_property
     def k_nu(self):
         """Minimal cyclic period of the id listing."""
         ids = self.vertex_ids
@@ -495,9 +495,9 @@ class VertexSequence:
         return f"VertexSequence({self.polyhedron.group.tag!r}, {list(self.vertex_ids)})"
 
 
-def sequence_counts(nu, polyhedron=None):
+def sequence_counts(nu):
     """(k_nu, k1, k2): minimal period and side-type counts per period."""
-    poly = polyhedron if polyhedron is not None else nu.polyhedron
+    poly = nu.polyhedron
     k = nu.k_nu
     per = nu.vertex_ids[:k]
     k1 = k2 = 0

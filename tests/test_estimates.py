@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -28,7 +29,7 @@ from choreo.estimates import (
     tilde_U0,
     zeta,
 )
-from choreo.groups import builtin_group, rotation_matrix
+from choreo.groups import builtin_group
 from choreo.homotopy import ConeSpec, build_archimedean, catalog_cone
 from choreo.reference_tables import (
     ALPHA1_BOUNDS,
@@ -39,6 +40,10 @@ from choreo.reference_tables import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# Targets of the adaptive reference quadratures below.
+QUAD_ABS = 1e-10
+QUAD_REL = 1e-12
 
 # Frozen quadrature oracles, recomputed from scratch and pinned tightly.
 # Agreement with the published five-decimal rounded values is asserted
@@ -166,18 +171,6 @@ def test_zeta_central_term_independent_quadrature():
             assert abs(simpson - zeta(tag, 1.0, 0)) < 1e-9
 
 
-def test_zeta_conjugation_symmetry():
-    rng = np.random.default_rng(7)
-    for tag in ("T", "O", "I"):
-        group = builtin_group(tag)
-        base = [zeta(tag, 1.3, w) for w in (0, 1, 2)]
-        picks = rng.choice(len(group.elements), size=5, replace=False)
-        for idx in picks:
-            R = group.elements[idx]
-            for w in (0, 1, 2):
-                assert abs(zeta(tag, 1.3, w, conjugate=R) - base[w]) < 1e-9
-
-
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 @pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.7, 1.9])
 def test_zeta_ordering_on_alpha_grid(tag, alpha):
@@ -261,7 +254,7 @@ def reference_zeta(tag, alpha, which):
         x = (1.0 - s) * a + s * b
         return float(np.sum(np.linalg.norm(np.array(diffs) @ x, axis=1) ** (-alpha)))
 
-    return integrate.quad(integrand, 0.0, 1.0, epsabs=E._QUAD_ABS, epsrel=E._QUAD_REL, limit=200)[0]
+    return integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200)[0]
 
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
@@ -275,32 +268,65 @@ def test_zeta_and_delta_min_match_element_loop(tag):
         assert abs(delta_min(tag, which) - want) <= 1e-13 * want
 
 
+def pair_sum(group, x, alpha):
+    """sum_{R != I} |(R - I)x|^(-alpha) over the group's distinct pair forms,
+    as zeta's integrand was evaluated point by point (reference)."""
+    F, mult = group.pair_forms
+    y = (x @ F).reshape(3, -1)
+    return float(mult @ np.einsum("rk,rk->k", y, y) ** (-0.5 * alpha))
+
+
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
-def test_pair_integrand_matches_the_pair_sum(tag, monkeypatch):
-    # The integrand zeta hands to the quadrature, against _pair_sum at the
-    # point (1 - s) a + s b: the integrand before the coefficients of the
-    # quadratic in s were precomputed (reference).
-    seen = []
-    quad = integrate.quad
-
-    def spy(f, *args, **kwargs):
-        seen.append(f)
-        return quad(f, *args, **kwargs)
-
-    monkeypatch.setattr(E.integrate, "quad", spy)
+def test_pair_integrand_matches_the_pair_sum(tag):
+    # zeta's fixed Gauss-Legendre sum over the quadratic coefficients,
+    # against adaptive quadrature of the pair sum at the point (1 - s) a + s b.
     poly = build_archimedean(tag)
     q, q1, q2 = poly.base_points
-    tilt = rotation_matrix([1.0, 2.0, 3.0], 0.7)
     for which in (1, 2):
-        for conjugate in (None, tilt):
-            a, b = q, q2 if which == 2 else q1
-            if conjugate is not None:
-                a, b = conjugate @ a, conjugate @ b
-            for alpha in (1.0, 1.37, 1.5, 1.9):
-                zeta(tag, alpha, which, conjugate=conjugate)
-                for s in np.linspace(0.0, 1.0, 41):
-                    want = E._pair_sum(poly.group, (1.0 - s) * a + s * b, alpha)
-                    assert abs(seen[-1](s) - want) <= 1e-13 * want
+        a, b = q, q2 if which == 2 else q1
+        for alpha in (1.0, 1.37, 1.5, 1.9):
+            want = integrate.quad(
+                lambda s: pair_sum(poly.group, (1.0 - s) * a + s * b, alpha),
+                0.0, 1.0, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200,
+            )[0]
+            assert abs(zeta(tag, alpha, which) - want) <= 1e-13 * want
+
+
+def mp_zeta(tag, alpha, which):
+    """zeta at 30 digits: mpmath.quad over the element-by-element sum, with
+    each |(R - I) x(s)|^2 expanded in s in 30-digit arithmetic (reference)."""
+    a, b, diffs = reference_edge(tag, which)
+    forms, weight = ([np.eye(3)], 2) if which == 0 else (diffs, 1)
+    with mpmath.workdps(30):
+        coeffs = []
+        for M in forms:
+            M = mpmath.matrix(M.tolist())
+            u = M * mpmath.matrix(a.tolist())
+            d = M * mpmath.matrix(b.tolist()) - u
+            coeffs.append(((u.T * u)[0], 2 * (u.T * d)[0], (d.T * d)[0]))
+        power = -mpmath.mpf(alpha) / 2
+
+        def integrand(s):
+            return weight * mpmath.fsum((c0 + s * (c1 + s * c2)) ** power for c0, c1, c2 in coeffs)
+
+        return mpmath.quad(integrand, [0, 1])
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+@pytest.mark.parametrize("alpha", [1.0, 1.9])
+def test_zeta_matches_30_digit_quadrature(tag, alpha):
+    for which in (0, 1, 2):
+        want = mp_zeta(tag, alpha, which)
+        assert abs(zeta(tag, alpha, which) - want) <= 1e-14 * want, which
+
+
+def test_zeta_refuses_rules_that_disagree(monkeypatch):
+    # a 4-node coarse rule is far from the 48-node value on every edge
+    monkeypatch.setattr(E, "_COARSE_RULE", E._gauss_legendre(4))
+    for tag in ("T", "O", "I"):
+        for which in (0, 1, 2):
+            with pytest.raises(RuntimeError):
+                zeta(tag, 1.0, which)
 
 
 def test_zeta_cache_is_bounded():
@@ -571,20 +597,6 @@ def test_klein_explicit_loop_respects_bound(m0):
 # test loop actions for the polyhedral classes
 
 
-@pytest.mark.parametrize(
-    "tag,name,m0",
-    [("T", "nu1", 0.0), ("O", "nu1", 0.0), ("O", "nu6", 2.5), ("I", "nu3", 1.0)],
-)
-def test_test_loop_action_matches_discrete_action(tag, name, m0):
-    cone = table_cone(tag, name, m0)
-    result = E.test_loop_action_exact(cone)
-    samples = 200 * cone.nu.steps
-    loop = H.test_loop(cone.nu, cone.period, samples)
-    scaled = loop.with_points(result.scale * np.asarray(loop.points))
-    discrete = action(scaled, cone).total
-    assert abs(discrete - result.value) < 1e-5 * result.value
-
-
 def test_test_loop_action_octahedron_mix_value():
     # the mass-free potential coefficient of the first octahedral class
     cone = table_cone("O", "nu1")
@@ -593,17 +605,6 @@ def test_test_loop_action_octahedron_mix_value():
     expected = (24 / 2.0) * (cone.period / 10) * mix
     assert abs(result.potential - expected) < 1e-9 * expected
     assert abs(mix - 199.7300) < 1e-3 * 199.7300
-
-
-def test_test_loop_scale_is_optimal():
-    for tag, name, m0 in [("T", "nu1", 0.0), ("O", "nu6", 1.0)]:
-        cone = table_cone(tag, name, m0)
-        result = E.test_loop_action_exact(cone)
-        assert result.at_scale(result.scale) == pytest.approx(result.value, rel=1e-12)
-        assert result.at_scale(0.5 * result.scale) > result.value
-        assert result.at_scale(2.0 * result.scale) > result.value
-    with pytest.raises(ValueError):
-        result.at_scale(0.0)
 
 
 def test_test_loop_scale_optimality_discrete_route():
@@ -625,36 +626,35 @@ ALL_TABLE_ROWS = sorted(ALPHA1_BOUNDS) + ALPHA_GT1_ROWS
 def test_loop_action_exact():
     # the returned scale minimizes lam^2 * kinetic + lam^(-alpha) * potential
     for tag, name in ALL_TABLE_ROWS:
-        for m0 in (0.0, 2.5):
+        for m0 in (0.0, 1.0, 2.5):
             result = E.test_loop_action_exact(table_cone(tag, name, m0))
             scale, alpha = result.scale, result.alpha
             assert result.at_scale(scale) == pytest.approx(result.value, rel=1e-12), (tag, name, m0)
             stationary = alpha * scale ** (-alpha - 1.0) * result.potential
             assert 2.0 * scale * result.kinetic == pytest.approx(stationary, rel=1e-12), (tag, name, m0)
+            assert result.at_scale(0.5 * scale) > result.value, (tag, name, m0)
+            assert result.at_scale(2.0 * scale) > result.value, (tag, name, m0)
+    with pytest.raises(ValueError):
+        result.at_scale(0.0)
 
 
-def test_loop_action_bound():
-    # a heavy central mass makes the chord term 8/(4 - ell^2) dominate
-    for tag, name in ALPHA_GT1_ROWS:
-        cone = table_cone(tag, name, 50.0)
-        assert E.test_loop_action_bound(cone) >= E.test_loop_action_exact(cone).value, (tag, name)
-
-
-def test_loop():
+@pytest.mark.parametrize(
+    "tag,name,m0", [(tag, name, m0) for tag, name in ALL_TABLE_ROWS for m0 in (0.0, 1.0, 2.5)]
+)
+def test_test_loop_action_matches_discrete_action(tag, name, m0):
     # at 200 samples per step the rescaled loop's discrete action matches the closed form
-    for tag, name in ALL_TABLE_ROWS:
-        for m0 in (0.0, 2.5):
-            cone = table_cone(tag, name, m0)
-            result = E.test_loop_action_exact(cone)
-            loop = H.test_loop(cone.nu, cone.period, 200 * cone.nu.steps)
-            scaled = loop.with_points(result.scale * np.asarray(loop.points))
-            discrete = action(scaled, cone).total
-            assert abs(discrete - result.value) < 1e-5 * result.value, (tag, name, m0)
+    cone = table_cone(tag, name, m0)
+    result = E.test_loop_action_exact(cone)
+    loop = H.test_loop(cone.nu, cone.period, 200 * cone.nu.steps)
+    scaled = loop.with_points(result.scale * np.asarray(loop.points))
+    discrete = action(scaled, cone).total
+    assert abs(discrete - result.value) < 1e-5 * result.value
 
 
 @pytest.mark.parametrize("tag,name", ALPHA_GT1_ROWS)
-@pytest.mark.parametrize("m0", [0.0, 1.0])
+@pytest.mark.parametrize("m0", [0.0, 1.0, 50.0])
 def test_test_loop_bound_dominates_exact(tag, name, m0):
+    # at m0 = 50 the chord term 8/(4 - ell^2) dominates
     cone = table_cone(tag, name, m0)
     assert E.test_loop_action_bound(cone) >= E.test_loop_action_exact(cone).value
 
@@ -738,6 +738,47 @@ def test_certificate_label_and_dict():
     payload = cert.as_dict()
     assert payload["passed"] is True
     assert json.loads(json.dumps(payload)) == payload
+
+
+def listed_certificate_dict(c):
+    """EstimateCertificate.as_dict with every key written out, as before the
+    dict was derived from the fields (reference)."""
+    return {
+        "cone_id": c.cone_id, "group": c.group, "alpha": c.alpha,
+        "collisions": c.collisions, "k1": c.k1, "k2": c.k2, "k_nu": c.k_nu,
+        "ell": c.ell, "zeta0": c.zeta0, "zeta1": c.zeta1, "zeta2": c.zeta2,
+        "delta1": c.delta1, "delta2": c.delta2, "tilde_u0": c.tilde_u0,
+        "c_const": c.c_const,
+        "potential_lhs": c.potential_lhs, "potential_rhs": c.potential_rhs,
+        "potential_pass": c.potential_pass,
+        "central_lhs": c.central_lhs, "central_rhs": c.central_rhs,
+        "central_pass": c.central_pass,
+        "direct_lhs": c.direct_lhs, "direct_rhs": c.direct_rhs,
+        "direct_pass": c.direct_pass, "passed": c.passed,
+    }
+
+
+def listed_exclusion_dict(r):
+    """ExclusionComparison.as_dict with every key written out (reference)."""
+    return {
+        "label": r.label, "kind": r.kind, "central_mass": r.central_mass,
+        "bound": r.bound.value, "comparison_action": r.comparison_action,
+        "intercept_lhs": r.intercept_lhs, "intercept_rhs": r.intercept_rhs,
+        "intercept_pass": r.intercept_pass,
+        "slope_lhs": r.slope_lhs, "slope_rhs": r.slope_rhs,
+        "slope_pass": r.slope_pass,
+        "direct_pass": r.direct_pass, "passed": r.passed,
+    }
+
+
+def test_record_dicts_match_the_listed_keys():
+    for tag, name in ALL_TABLE_ROWS:
+        cert = certify_no_total_collisions(table_cone(tag, name), label=f"{tag} {name}")
+        assert cert.as_dict() == listed_certificate_dict(cert), (tag, name)
+    for report in (hiphop_exclusion(0.5, TWO_PI), klein_exclusion(1.5, TWO_PI)):
+        payload = report.as_dict()
+        assert payload == listed_exclusion_dict(report)
+        assert type(payload["bound"]) is float
 
 
 def test_certificate_rejects_vertical_cones():
