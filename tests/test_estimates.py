@@ -623,32 +623,54 @@ ALPHA_GT1_ROWS = sorted(ALPHA_GT1_BOUNDS)
 ALL_TABLE_ROWS = sorted(ALPHA1_BOUNDS) + ALPHA_GT1_ROWS
 
 
+TEST_LOOP_CASES = [
+    (tag, name, m0) for tag, name in ALL_TABLE_ROWS for m0 in (0.0, 1.0, 2.5)
+]
+
+
 def test_loop_action_exact():
-    # the returned scale minimizes lam^2 * kinetic + lam^(-alpha) * potential
-    for tag, name in ALL_TABLE_ROWS:
-        for m0 in (0.0, 1.0, 2.5):
-            result = E.test_loop_action_exact(table_cone(tag, name, m0))
-            scale, alpha = result.scale, result.alpha
-            assert result.at_scale(scale) == pytest.approx(result.value, rel=1e-12), (tag, name, m0)
-            stationary = alpha * scale ** (-alpha - 1.0) * result.potential
-            assert 2.0 * scale * result.kinetic == pytest.approx(stationary, rel=1e-12), (tag, name, m0)
-            assert result.at_scale(0.5 * scale) > result.value, (tag, name, m0)
-            assert result.at_scale(2.0 * scale) > result.value, (tag, name, m0)
+    # the returned scale is a stationary point of lam^2 * kinetic + lam^(-alpha) * potential
+    for tag, name, m0 in TEST_LOOP_CASES:
+        result = E.test_loop_action_exact(table_cone(tag, name, m0))
+        scale, alpha = result.scale, result.alpha
+        assert result.at_scale(scale) == pytest.approx(result.value, rel=1e-12), (tag, name, m0)
+        stationary = alpha * scale ** (-alpha - 1.0) * result.potential
+        assert 2.0 * scale * result.kinetic == pytest.approx(stationary, rel=1e-12), (tag, name, m0)
+
+
+def test_test_loop_scale_is_optimal():
+    # ... and its minimum: halving or doubling the scale raises the action
+    for tag, name, m0 in TEST_LOOP_CASES:
+        result = E.test_loop_action_exact(table_cone(tag, name, m0))
+        assert result.at_scale(0.5 * result.scale) > result.value, (tag, name, m0)
+        assert result.at_scale(2.0 * result.scale) > result.value, (tag, name, m0)
     with pytest.raises(ValueError):
         result.at_scale(0.0)
 
 
-@pytest.mark.parametrize(
-    "tag,name,m0", [(tag, name, m0) for tag, name in ALL_TABLE_ROWS for m0 in (0.0, 1.0, 2.5)]
-)
-def test_test_loop_action_matches_discrete_action(tag, name, m0):
+def assert_discrete_action_matches(tag, name, m0):
     # at 200 samples per step the rescaled loop's discrete action matches the closed form
     cone = table_cone(tag, name, m0)
     result = E.test_loop_action_exact(cone)
     loop = H.test_loop(cone.nu, cone.period, 200 * cone.nu.steps)
     scaled = loop.with_points(result.scale * np.asarray(loop.points))
     discrete = action(scaled, cone).total
-    assert abs(discrete - result.value) < 1e-5 * result.value
+    assert abs(discrete - result.value) < 1e-5 * result.value, (tag, name, m0)
+
+
+DISCRETE_SPOT_CASES = [("T", "nu1", 0.0), ("O", "nu1", 0.0), ("O", "nu6", 2.5), ("I", "nu3", 1.0)]
+
+
+@pytest.mark.parametrize("tag,name,m0", DISCRETE_SPOT_CASES)
+def test_test_loop_action_matches_discrete_action(tag, name, m0):
+    assert_discrete_action_matches(tag, name, m0)
+
+
+def test_loop():
+    # every other catalog row and mass; the spot cases above are not rerun
+    for case in TEST_LOOP_CASES:
+        if case not in DISCRETE_SPOT_CASES:
+            assert_discrete_action_matches(*case)
 
 
 @pytest.mark.parametrize("tag,name", ALPHA_GT1_ROWS)
