@@ -226,21 +226,6 @@ def klein_collision_bound(m0, period):
 # Comparison loop actions for the vertical classes
 
 
-def hiphop_square_action(m0, period):
-    """Action of the uniformly rotating square with four unit satellites."""
-    if m0 < 0.0:
-        raise ValueError("m0 must be nonnegative")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    return (
-        3.0
-        * 2.0 ** (-1.0 / 3.0)
-        * (1.0 + 2.0 * math.sqrt(2.0) + 4.0 * m0) ** (2.0 / 3.0)
-        * (TWO_PI) ** (2.0 / 3.0)
-        * period ** (1.0 / 3.0)
-    )
-
-
 def rotating_polygon_action(m0, period, satellites=4):
     """Action of the uniformly rotating regular polygon, in closed form.
 

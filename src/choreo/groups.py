@@ -9,8 +9,8 @@ tetrahedron, octahedron and icosahedron.
 
 For the three polyhedral groups the rotation axes cut the unit sphere into
 2N spherical triangles (N the group order).  That tessellation, together
-with the reflections across its walls, drives the homotopy bookkeeping in
-the rest of the package.
+with the unit normals of its walls, drives the homotopy bookkeeping in the
+rest of the package.
 
 Each derived table has one owner, the group or the tessellation, and is a
 cached attribute of it, built on first use.
@@ -349,18 +349,20 @@ class Tessellation:
     triangles[i] = (a, b, c) indexes into poles; vertex orders are
     non-increasing along the tuple and the right angle sits at c (the
     order-2 pole).  neighbors[i] lists the three triangles sharing an edge
-    with triangle i.  reflections are the wall reflections (Householder
-    matrices) of the full symmetry group.  The tessellation owns the tables
-    derived from it (pole points, chamber and wall normals, pole fans, the
-    permutations by the group elements, the widest chamber-to-axis chords
-    behind the potential floor), each built on first use.
+    with triangle i.  wall_normals is the read-only (W, 3) array of the unit
+    normals of the walls, the great circles whose mirror maps preserve the
+    pole set, each with its first nonzero coordinate positive.  The
+    tessellation owns the tables derived from it (pole points, chamber
+    normals, pole fans, the permutations by the group elements, the widest
+    chamber-to-axis chords behind the potential floor), each built on first
+    use.
     """
 
     group: RotationGroup
     poles: list
     triangles: list
     neighbors: list
-    reflections: list
+    wall_normals: np.ndarray
 
     @cached_property
     def points(self):
@@ -422,22 +424,6 @@ class Tessellation:
         if margins[ti] < -1e-9:
             raise ValueError("point does not lie in any chamber")
         return ti
-
-    @cached_property
-    def wall_normals(self):
-        """Unit normal of each reflection's mirror, in reflection order, with
-        its first nonzero coordinate positive."""
-        walls = []
-        for Rf in self.reflections:
-            w, V = np.linalg.eigh(Rf)
-            n = V[:, int(np.argmin(w))]
-            for comp in n:
-                if abs(comp) > 1e-9:
-                    if comp < 0.0:
-                        n = -n
-                    break
-            walls.append(n / np.linalg.norm(n))
-        return np.array(walls)
 
     @cached_property
     def fan(self):
@@ -541,11 +527,11 @@ def full_group_tessellation(group):
         neighbors[ts[1]].append(ts[0])
     neighbors = [tuple(sorted(ns)) for ns in neighbors]
 
-    # Wall reflections: Householder matrices across the great-circle planes
-    # spanned by triangle edges, kept when they preserve the pole set.  Many
-    # edges lie on one wall; each distinct reflection is checked once.
+    # Walls: the great-circle planes spanned by triangle edges whose
+    # reflection p - 2 (p.n) n preserves the pole set.  Many edges lie on one
+    # wall; each distinct wall is checked once.
     pole_keys = {matrix_key(p) for p in pts}
-    tried, refl = set(), {}
+    tried, walls = set(), {}
     for ia, ib, ic in triangles:
         for i, j in ((ia, ib), (ib, ic), (ia, ic)):
             nrm = np.cross(pts[i], pts[j])
@@ -553,21 +539,23 @@ def full_group_tessellation(group):
             if norm < 1e-12:
                 continue
             nrm = nrm / norm
-            S = np.eye(3) - 2.0 * np.outer(nrm, nrm)
-            key = matrix_key(S)
+            if nrm[np.flatnonzero(np.abs(nrm) > 1e-9)[0]] < 0.0:
+                nrm = -nrm
+            key = matrix_key(nrm)
             if key in tried:
                 continue
             tried.add(key)
-            if all(matrix_key(S @ p) in pole_keys for p in pts):
-                refl[key] = S
-    reflections = [refl[k] for k in sorted(refl.keys())]
+            if all(matrix_key(p - 2.0 * (p @ nrm) * nrm) in pole_keys for p in pts):
+                walls[key] = nrm
+    wall_normals = np.array([walls[k] for k in sorted(walls)])
+    wall_normals.flags.writeable = False
 
     tess = Tessellation(
         group=group,
         poles=pole_list,
         triangles=triangles,
         neighbors=neighbors,
-        reflections=reflections,
+        wall_normals=wall_normals,
     )
     total = sum(
         spherical_triangle_area(*tess.triangle_points(i)) for i in range(len(triangles))

@@ -85,24 +85,19 @@ class ArchimedeanPolyhedron:
 
     @cached_property
     def edge_chambers(self):
-        """Read-only map from every ordered edge (i, j), with endpoints a and
-        b, to the chambers of the radial projections of (1 - s) * a + s * b at
-        s = 0.25 and 0.75."""
+        """Read-only map from every ordered edge (i, j) to the chambers that
+        the great arc from vertex i to vertex j runs through, in order, as
+        _arc_itinerary reads them.  Raises ValueError unless every edge runs
+        through exactly two adjacent chambers (an edge through a pole meets
+        more, or two that only share the pole)."""
         tess = self.tessellation
         table = {}
         for i, j in itertools.chain(self.edges, ((j, i) for i, j in self.edges)):
-            a, b = self.vertices[i], self.vertices[j]
-            pair = []
-            for s in (0.25, 0.75):
-                x = (1.0 - s) * a + s * b
-                nx = np.linalg.norm(x)
-                if nx < 1e-9:
-                    raise ValueError("path passes through the origin: degenerate projection")
-                x /= nx
-                if np.max(tess.points @ x) > 1.0 - 1e-12:
-                    raise ValueError("path passes through a pole: degenerate projection")
-                pair.append(tess.locate(x))
-            table[i, j] = tuple(pair)
+            theta, w = _arc_param(self.vertices[i], self.vertices[j])
+            word = _arc_itinerary(tess, self.vertices[i], w, theta)
+            if len(word) != 2 or word[1] not in tess.neighbors[word[0]]:
+                raise ValueError(f"edge ({i}, {j}) does not cross one wall to an adjacent chamber")
+            table[i, j] = tuple(word)
         return MappingProxyType(table)
 
     @cached_property
@@ -118,10 +113,7 @@ class ArchimedeanPolyhedron:
             axis = axis / np.linalg.norm(axis)
             if np.min(np.abs(tess.points @ axis)) < 5e-3:
                 continue
-            word = _circle_word(tess, axis)
-            if not word:
-                continue
-            reduced = reduce_cyclic_word(word)
+            reduced = reduce_cyclic_word(_circle_word(tess, axis))
             if reduced:
                 classes.add(canonical_cyclic_word(reduced))
                 classes.add(canonical_cyclic_word(reduced[::-1]))
@@ -199,24 +191,11 @@ def _build_archimedean_cached(tag):
     n1 /= np.linalg.norm(n1)
     n2 = np.cross(a, c)
     n2 /= np.linalg.norm(n2)
-
-    def along(t):
-        v = (1.0 - t) * a + t * b
-        return v / np.linalg.norm(v)
-
-    def gap(t):
-        v = along(t)
-        return abs(v @ n1) - abs(v @ n2)
-
-    lo, hi = 0.0, 1.0
-    glo = gap(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) * glo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q = along(0.5 * (lo + hi))
+    # b lies on the plane of n1 and a on that of n2, so (1 - t) a + t b is
+    # (1 - t)|a.n1| from the first plane and t|b.n2| from the second.
+    t = abs(a @ n1) / (abs(a @ n1) + abs(b @ n2))
+    q = (1.0 - t) * a + t * b
+    q /= np.linalg.norm(q)
     q1 = q - 2.0 * (q @ n1) * n1
     q2 = q - 2.0 * (q @ n2) * n2
 
@@ -267,28 +246,6 @@ def build_archimedean(group):
 
 # ---------------------------------------------------------------------------
 # Vertex numberings
-
-
-def canonical_numbering(polyhedron):
-    """Label i+1 for vertex i (deterministic group-element orbit order)."""
-    return {i + 1: i for i in range(polyhedron.vertex_count)}
-
-
-def load_numbering(path, polyhedron=None):
-    """Read a vertex numbering from a JSON file {label: vertex_index}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    numbering = {}
-    for label, vid in raw.items():
-        numbering[int(label)] = int(vid)
-    values = list(numbering.values())
-    if len(set(values)) != len(values):
-        raise ValueError("numbering maps two labels to the same vertex")
-    if polyhedron is not None:
-        nv = polyhedron.vertex_count
-        if any(v < 0 or v >= nv for v in values):
-            raise ValueError("numbering contains an out-of-range vertex index")
-    return numbering
 
 
 def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
@@ -512,24 +469,26 @@ def sequence_counts(nu):
     return k, k1, k2
 
 
+def _shifting(nu, M, elements):
+    """The element indices g, among elements, whose vertex permutation moves
+    nu on by steps/M positions (M must divide the step count)."""
+    ids, shift = nu.vertex_ids, nu.steps // M
+    moved = ids[shift:] + ids[:shift]
+    perms = nu.polyhedron.vertex_permutations
+    return [g for g in elements if all(perms[g][i] == j for i, j in zip(ids, moved))]
+
+
 def find_extra_symmetry(nu, M):
     """Group elements R with R^M = identity realizing the cyclic shift by steps/M.
 
     Returns the matching matrices in deterministic element order (possibly
     empty).
     """
-    poly = nu.polyhedron
-    S = nu.steps
-    if M < 1 or S % M:
+    if M < 1 or nu.steps % M:
         return []
-    shift = S // M
-    ids = nu.vertex_ids
-    group = poly.group
-    return [
-        R
-        for R, order, perm in zip(group.elements, group.element_orders, poly.vertex_permutations)
-        if M % order == 0 and all(perm[ids[j]] == ids[(j + shift) % S] for j in range(S))
-    ]
+    group = nu.polyhedron.group
+    dividing = [g for g, order in enumerate(group.element_orders) if M % order == 0]
+    return [group.elements[g] for g in _shifting(nu, M, dividing)]
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +581,9 @@ def cyclic_words_equal(a, b):
 def triangles_from_vertices(nu):
     """Chamber itinerary of the vertex path radially projected to the sphere.
 
-    Each graph edge crosses exactly one wall at its midpoint, so the two
-    half-edges sample the two chambers, read from the polyhedron's
-    ``edge_chambers`` table; a vertex where the path touches a wall without
-    crossing contributes no chamber change.
+    Each graph edge crosses exactly one wall, at its midpoint, between the
+    two chambers of the polyhedron's ``edge_chambers`` table; a vertex where
+    the path touches a wall without crossing contributes no chamber change.
     """
     poly = nu.polyhedron
     ids = nu.vertex_ids
@@ -812,13 +770,9 @@ class ConeSpec:
                 raise ValueError("extra symmetry element is not in the group") from None
             if M % self.group.element_orders[g]:
                 raise ValueError("extra symmetry element does not have order dividing M")
-            S = self.nu.steps
-            if S % M:
+            if self.nu.steps % M:
                 raise ValueError("sequence length is not divisible by M")
-            shift = S // M
-            perm = self.nu.polyhedron.vertex_permutations[g]
-            ids = self.nu.vertex_ids
-            if any(perm[ids[j]] != ids[(j + shift) % S] for j in range(S)):
+            if not _shifting(self.nu, M, [g]):
                 raise ValueError("extra symmetry does not shift the sequence by steps/M")
             object.__setattr__(self, "extra_symmetry", (R, M))
         word = self.reduced_word
@@ -898,13 +852,11 @@ def load_cone(path):
         return cone_from_config(json.load(fh))
 
 
-def catalog_cone(tag, name, *, period=TWO_PI, central_mass=0.0, alpha=None, numbering=None):
+def catalog_cone(tag, name, *, period=TWO_PI, central_mass=0.0, alpha=None):
     """ConeSpec for a published catalog row under the reconstructed numbering."""
     entry = catalog_entry(str(tag).upper(), name)
     poly = build_archimedean(entry.tag)
-    if numbering is None:
-        numbering = published_numbering(entry.tag)
-    nu = VertexSequence.from_labels(poly, entry.labels, numbering)
+    nu = VertexSequence.from_labels(poly, entry.labels, published_numbering(entry.tag))
     matches = find_extra_symmetry(nu, entry.M)
     if not matches:
         raise ValueError(
@@ -966,24 +918,7 @@ def _circle_word(tess, axis):
         seed = np.array([0.0, 1.0, 0.0])
     u = seed - (seed @ axis) * axis
     u /= np.linalg.norm(u)
-    v = np.cross(axis, u)
-    events = []
-    for n in tess.wall_normals:
-        A, B = n @ u, n @ v
-        if math.hypot(A, B) < 1e-12:
-            return None
-        base = math.atan2(-A, B)
-        for k in (0, 1, 2):
-            phi = base + k * math.pi
-            phi %= TWO_PI
-            events.append(phi)
-    events = sorted(set(round(e, 12) for e in events))
-    word = []
-    bounds = events + [events[0] + TWO_PI]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (a + b)
-        word.append(tess.locate(math.cos(mid) * u + math.sin(mid) * v))
-    return merge_cyclic_duplicates(word)
+    return merge_cyclic_duplicates(_arc_itinerary(tess, u, np.cross(axis, u), TWO_PI))
 
 
 def _central_circle_exists(poly, target_word):
@@ -1019,34 +954,28 @@ def _pole_inside_arc(points, za, zb):
 
 def _arc_wall(tess, za, zb):
     """Index of the wall whose great circle carries the whole arc, or None."""
-    hits = [
-        wi
-        for wi, n in enumerate(tess.wall_normals)
-        if abs(n @ za) < 1e-9 and abs(n @ zb) < 1e-9
-    ]
-    if not hits:
-        return None
+    normals = tess.wall_normals
+    hits = np.flatnonzero(np.maximum(np.abs(normals @ za), np.abs(normals @ zb)) < 1e-9)
     if len(hits) > 1:
         raise ValueError("arc endpoints lie on two common walls")
-    return hits[0]
+    return int(hits[0]) if len(hits) else None
 
 
-def _off_wall_itinerary(tess, za, zb):
-    theta, w = _arc_param(za, zb)
-    events = []
-    for n in tess.wall_normals:
-        A, B = n @ za, n @ w
-        base = math.atan2(-A, B)
-        for k in (-1, 0, 1, 2):
-            phi = base + k * math.pi
-            if 1e-9 < phi < theta - 1e-9:
-                events.append(phi)
-    bounds = [0.0] + sorted(events) + [theta]
-    word = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (a + b)
-        word.append(tess.locate(math.cos(mid) * za + math.sin(mid) * w))
-    return merge_consecutive(word)
+def _arc_itinerary(tess, za, w, theta):
+    """Chambers met in turn along the great arc of angle theta that leaves the
+    unit vector za towards the unit tangent w, repeats merged.
+
+    cos(phi) za + sin(phi) w lies on the wall of normal n where
+    tan(phi) = -(n.za)/(n.w), so every wall is met at atan2(-n.za, n.w)
+    modulo pi.  Crossings within 1e-9 of either end do not count, so the arc
+    may start or end on a wall; one chamber is read between crossings.
+    """
+    base = np.arctan2(-(tess.wall_normals @ za), tess.wall_normals @ w)
+    phis = (base[:, None] + math.pi * np.arange(-1, 3)).ravel()
+    cuts = np.sort(phis[(phis > 1e-9) & (phis < theta - 1e-9)])
+    bounds = np.concatenate(([0.0], cuts, [theta]))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    return merge_consecutive(tess.locate(math.cos(m) * za + math.sin(m) * w) for m in mids)
 
 
 def _on_wall_itinerary(tess, za, zb, wall, side):
@@ -1076,7 +1005,8 @@ def _resolutions(tess, fund_axes, tri_perm, turn_cap, sym_steps):
         za, zb = tess.points[a], tess.points[b]
         wall = _arc_wall(tess, za, zb)
         if wall is None:
-            arc_choices.append([_off_wall_itinerary(tess, za, zb)])
+            theta, w = _arc_param(za, zb)
+            arc_choices.append([_arc_itinerary(tess, za, w, theta)])
         else:
             arc_choices.append([_on_wall_itinerary(tess, za, zb, wall, s) for s in (1.0, -1.0)])
     for arc_sel in itertools.product(*arc_choices):

@@ -20,7 +20,6 @@ from choreo.estimates import (
     general_lower_bound,
     hiphop_collision_bound,
     hiphop_exclusion,
-    hiphop_square_action,
     k_alpha_p,
     klein_collision_bound,
     klein_exclusion,
@@ -501,18 +500,32 @@ def test_platonic_direct_bound_increases_with_mass():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def square_action(m0, period):
+    """Action of the uniformly rotating square with four unit satellites, the
+    square's own closed form (reference)."""
+    return (
+        3.0
+        * 2.0 ** (-1.0 / 3.0)
+        * (1.0 + 2.0 * math.sqrt(2.0) + 4.0 * m0) ** (2.0 / 3.0)
+        * (TWO_PI) ** (2.0 / 3.0)
+        * period ** (1.0 / 3.0)
+    )
+
+
 def test_hiphop_square_action_pinned_value():
-    assert abs(hiphop_square_action(0.0, TWO_PI) - 36.6132303182604) < 1e-9
+    assert abs(rotating_polygon_action(0.0, TWO_PI, 4) - 36.6132303182604) < 1e-9
 
 
 def test_hiphop_square_action_period_scaling():
     # action scales with the cube root of the period
-    assert abs(hiphop_square_action(2.0, 8.0 * TWO_PI) - 2.0 * hiphop_square_action(2.0, TWO_PI)) < 1e-10
+    assert abs(
+        rotating_polygon_action(2.0, 8.0 * TWO_PI, 4) - 2.0 * rotating_polygon_action(2.0, TWO_PI, 4)
+    ) < 1e-10
 
 
 @pytest.mark.parametrize("m0", [0.0, 0.5, 3.0, 100.0])
 def test_square_action_matches_polygon_quadrature(m0):
-    closed = hiphop_square_action(m0, TWO_PI)
+    closed = square_action(m0, TWO_PI)
     quad = rotating_polygon_action(m0, TWO_PI, 4)
     assert abs(closed - quad) < 1e-10 * closed
 
@@ -531,7 +544,7 @@ def test_polygon_action_closed_form(satellites, m0):
 
 def test_hiphop_comparison_beats_bound_for_all_masses():
     for m0 in (0.0, 0.1, 1.0, 25.0, 1e6):
-        assert hiphop_square_action(m0, TWO_PI) < hiphop_collision_bound(m0, TWO_PI).value
+        assert rotating_polygon_action(m0, TWO_PI, 4) < hiphop_collision_bound(m0, TWO_PI).value
 
 
 def test_hiphop_bound_and_square_cross_at_negative_mass():
@@ -816,7 +829,7 @@ def test_hiphop_exclusion_report():
     report = hiphop_exclusion(0.0, TWO_PI)
     assert report.passed and report.direct_pass
     assert report.kind == "hiphop"
-    assert report.comparison_action == pytest.approx(hiphop_square_action(0.0, TWO_PI))
+    assert report.comparison_action == pytest.approx(square_action(0.0, TWO_PI))
     assert report.bound.value == pytest.approx(hiphop_collision_bound(0.0, TWO_PI).value)
     # the three-halves powers are affine in the mass; their slopes differ
     # by the factor 2 coming from the coefficient ratio 2^(2/3)

@@ -314,7 +314,7 @@ def test_tessellation_counts():
     for tag, n_tris, n_refl in (("T", 24, 6), ("O", 48, 9), ("I", 120, 15)):
         tess = full_group_tessellation(builtin_group(tag))
         assert len(tess.triangles) == n_tris
-        assert len(tess.reflections) == n_refl
+        assert len(tess.wall_normals) == n_refl
 
 
 def test_tessellation_rejects_non_polyhedral():
@@ -361,11 +361,16 @@ def test_tessellation_neighbors():
             assert i in tess.neighbors[j]
 
 
+def wall_reflections(tess):
+    """The Householder matrix I - 2 n n^T of every wall normal n."""
+    return [np.eye(3) - 2.0 * np.outer(n, n) for n in tess.wall_normals]
+
+
 def test_reflections_preserve_pole_set():
     tess = full_group_tessellation(builtin_group("I"))
     pts = tess.points
     keys = {matrix_key(p) for p in pts}
-    for S in tess.reflections:
+    for S in wall_reflections(tess):
         assert float(np.linalg.det(S)) == pytest.approx(-1.0, abs=1e-12)
         for p in pts:
             assert matrix_key(S @ p) in keys
@@ -392,13 +397,26 @@ def reference_reflections(tess):
 
 @pytest.mark.parametrize("tag,walls", [("T", 6), ("O", 9), ("I", 15)])
 def test_reflections_match_the_every_edge_loop(tag, walls):
+    """The walls' reflections are the every-edge loop's, one per wall, and
+    each normal is a unit vector with its first nonzero coordinate positive."""
     tess = full_group_tessellation(builtin_group(tag))
-    assert len(tess.reflections) == walls
-    reference = reference_reflections(tess)
-    assert [S.tobytes() for S in tess.reflections] == [S.tobytes() for S in reference]
     assert tess.wall_normals.shape == (walls, 3)
-    for n, S in zip(tess.wall_normals, tess.reflections):
-        assert np.allclose(np.eye(3) - 2.0 * np.outer(n, n), S, atol=1e-12)
+    reference = reference_reflections(tess)
+    built = sorted(wall_reflections(tess), key=matrix_key)
+    assert [matrix_key(S) for S in built] == [matrix_key(S) for S in reference]
+    for S, R in zip(built, reference):
+        assert np.allclose(S, R, atol=1e-12)
+    for n in tess.wall_normals:
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-15
+        assert n[np.abs(n) > 1e-9][0] > 0.0
+
+
+def test_wall_normals_are_stored_read_only():
+    tess = full_group_tessellation(builtin_group("O"))
+    assert "wall_normals" in vars(tess)
+    assert not tess.wall_normals.flags.writeable
+    with pytest.raises(ValueError):
+        tess.wall_normals[0, 0] = 1.0
 
 
 def reference_pole_permutation(tess, R):

@@ -169,22 +169,6 @@ def test_reconstruct_rejects_impossible_rows():
         H.reconstruct_numbering(poly, rows)
 
 
-def test_numbering_io(tmp_path):
-    poly = H.build_archimedean("T")
-    numbering = H.canonical_numbering(poly)
-    assert numbering == {i + 1: i for i in range(12)}
-    path = tmp_path / "numbering.json"
-    path.write_text(json.dumps({str(k): v for k, v in numbering.items()}))
-    assert H.load_numbering(path, poly) == numbering
-
-    path.write_text(json.dumps({"1": 0, "2": 0}))
-    with pytest.raises(ValueError):
-        H.load_numbering(path, poly)
-    path.write_text(json.dumps({"1": 99}))
-    with pytest.raises(ValueError):
-        H.load_numbering(path, poly)
-
-
 # ---------------------------------------------------------------------------
 # Vertex sequences
 
@@ -207,7 +191,7 @@ def test_vertex_sequence_validation():
     with pytest.raises(ValueError):
         H.VertexSequence(poly, (0, 99))
     with pytest.raises(ValueError):
-        H.VertexSequence.from_labels(poly, (1, 999, 1), H.canonical_numbering(poly))
+        H.VertexSequence.from_labels(poly, (1, 999, 1), {1: 0, 2: 1})
 
 
 def test_minimal_period_of_doubled_listing():
@@ -272,6 +256,25 @@ def test_edge_chambers_cover_both_directions_of_every_edge(tag):
         assert table[i, j][1] in poly.tessellation.neighbors[table[i, j][0]]
     with pytest.raises(TypeError):
         table[0, 0] = (0, 0)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_edge_chambers_refuse_an_edge_through_a_pole(order):
+    """A chord of the O solid whose radial projection runs through a pole of
+    the given order meets only chambers around that pole: the quarter-point
+    samples used to return two chambers that share the pole and no wall."""
+    poly = H.build_archimedean("O")
+    tess = poly.tessellation
+    chords = []
+    for i, j in itertools.combinations(range(poly.vertex_count), 2):
+        mid = poly.vertices[i] + poly.vertices[j]
+        hit = np.flatnonzero(tess.points @ mid > (1.0 - 1e-12) * np.linalg.norm(mid))
+        if len(hit) and tess.pole_order[hit[0]] == order:
+            chords.append((np.linalg.norm(poly.vertices[i] - poly.vertices[j]), i, j))
+    _, i, j = min(chords)
+    through = H.ArchimedeanPolyhedron(poly.group, tess, poly.vertices, {(i, j): 1}, poly.base_points)
+    with pytest.raises(ValueError, match="adjacent chamber"):
+        through.edge_chambers
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +587,19 @@ def test_cone_spec_extra_symmetry_validation():
         and np.allclose(R @ R, np.eye(3), atol=1e-9)
         and not np.allclose(R, np.eye(3), atol=1e-9)
     )
-    with pytest.raises(ValueError, match="shift"):
+    with pytest.raises(ValueError, match="does not shift the sequence by steps/M"):
         H.ConeSpec(
             group=group, nu=nu, alpha=1.0, extra_symmetry=(other, 2),
             period=TWO_PI, central_mass=0.0,
         )
+    # an even M that the step count is not divisible by; the order 2 of good divides it
+    uneven = next(M for M in range(4, 2 * nu.steps, 2) if nu.steps % M)
+    for M, message in ((uneven, "not divisible by M"), (0, "positive integer")):
+        with pytest.raises(ValueError, match=message):
+            H.ConeSpec(
+                group=group, nu=nu, alpha=1.0, extra_symmetry=(good, M),
+                period=TWO_PI, central_mass=0.0,
+            )
     with pytest.raises(ValueError):
         H.ConeSpec(
             group=group, nu=nu, alpha=2.0, extra_symmetry=None,
@@ -690,16 +701,91 @@ def test_min_total_angle_budget_exhaustion():
         H.min_total_angle(cone, max_pops=5)
 
 
+def reference_circle_word(tess, axis):
+    """The great-circle word as its own wall-crossing loop read it, with its
+    rounding and de-duplication of the crossing angles (reference)."""
+    seed = np.array([1.0, 0.0, 0.0])
+    if abs(axis @ seed) > 0.9:
+        seed = np.array([0.0, 1.0, 0.0])
+    u = seed - (seed @ axis) * axis
+    u /= np.linalg.norm(u)
+    v = np.cross(axis, u)
+    events = []
+    for n in tess.wall_normals:
+        A, B = n @ u, n @ v
+        if math.hypot(A, B) < 1e-12:
+            return None
+        base = math.atan2(-A, B)
+        for k in (0, 1, 2):
+            events.append((base + k * math.pi) % TWO_PI)
+    events = sorted(set(round(e, 12) for e in events))
+    word = []
+    bounds = events + [events[0] + TWO_PI]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (a + b)
+        word.append(tess.locate(math.cos(mid) * u + math.sin(mid) * v))
+    return H.merge_cyclic_duplicates(word)
+
+
+def reference_off_wall_itinerary(tess, za, zb):
+    """The pole-to-pole arc's chambers as its own wall-crossing loop read
+    them (reference)."""
+    theta, w = H._arc_param(za, zb)
+    events = []
+    for n in tess.wall_normals:
+        A, B = n @ za, n @ w
+        base = math.atan2(-A, B)
+        for k in (-1, 0, 1, 2):
+            phi = base + k * math.pi
+            if 1e-9 < phi < theta - 1e-9:
+                events.append(phi)
+    bounds = [0.0] + sorted(events) + [theta]
+    word = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (a + b)
+        word.append(tess.locate(math.cos(mid) * za + math.sin(mid) * w))
+    return H.merge_consecutive(word)
+
+
+def sampled_circle_axes(tess):
+    """The 300 Fibonacci normals whose circles keep 5e-3 away from every pole."""
+    axes = [axis / np.linalg.norm(axis) for axis in H._fibonacci_directions(300)]
+    return [axis for axis in axes if np.min(np.abs(tess.points @ axis)) >= 5e-3]
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_circle_words_match_the_crossing_loop(tag):
+    tess = H.build_archimedean(tag).tessellation
+    axes = sampled_circle_axes(tess)
+    assert len(axes) > 200
+    for axis in axes:
+        # the same cyclic word, before reduction, up to where it starts
+        word, reference = H._circle_word(tess, axis), reference_circle_word(tess, axis)
+        assert H.canonical_cyclic_word(word) == H.canonical_cyclic_word(reference)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_arc_itinerary_matches_the_crossing_loop_on_every_successor_arc(tag):
+    """Every successor arc off a wall; an arc along a wall has no chamber of
+    its own, and the search reads it with _on_wall_itinerary instead."""
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    arcs = [(a, b) for a, row in enumerate(poly.arc_table[1]) for _, b in row]
+    off_wall = [(a, b) for a, b in arcs if H._arc_wall(tess, tess.points[a], tess.points[b]) is None]
+    assert 0 < len(off_wall) < len(arcs)
+    for a, b in off_wall:
+        za, zb = tess.points[a], tess.points[b]
+        theta, w = H._arc_param(za, zb)
+        assert H._arc_itinerary(tess, za, w, theta) == reference_off_wall_itinerary(tess, za, zb)
+
+
 @lru_cache(maxsize=None)
 def reference_circle_words(tag):
     """Reduced words of the 300 sampled great circles, in sample order."""
     tess = H.build_archimedean(tag).tessellation
     words = []
-    for axis in H._fibonacci_directions(300):
-        axis = axis / np.linalg.norm(axis)
-        if np.min(np.abs(tess.points @ axis)) < 5e-3:
-            continue
-        word = H._circle_word(tess, axis)
+    for axis in sampled_circle_axes(tess):
+        word = reference_circle_word(tess, axis)
         if not word:
             continue
         reduced = reference_reduce_cyclic_word(word)
@@ -876,7 +962,7 @@ def reference_resolutions(geom, fund_axes, tri_perm, turn_cap):
         za, zb = pts[fund_axes[i]], pts[fund_axes[i + 1]]
         wall = H._arc_wall(geom, za, zb)
         if wall is None:
-            arc_choices.append([H._off_wall_itinerary(geom, za, zb)])
+            arc_choices.append([reference_off_wall_itinerary(geom, za, zb)])
         else:
             arc_choices.append(
                 [H._on_wall_itinerary(geom, za, zb, wall, s) for s in (1.0, -1.0)]
