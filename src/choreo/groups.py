@@ -49,7 +49,7 @@ def rotation_matrix(axis, angle):
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-@dataclass
+@dataclass(eq=False)
 class Pole:
     """A unit direction fixed by some non-identity proper rotation.
 
@@ -65,7 +65,7 @@ class Pole:
         return f"Pole(({p[0]:+.6f}, {p[1]:+.6f}, {p[2]:+.6f}), order={self.order})"
 
 
-@dataclass
+@dataclass(eq=False)
 class RotationGroup:
     """A finite group of orthogonal matrices with a stable element order.
 
@@ -342,7 +342,7 @@ def collision_distance(x, group):
     return float(out[0]) if single else out.reshape(x.shape[:-1])
 
 
-@dataclass
+@dataclass(eq=False)
 class Tessellation:
     """The sphere cut by the rotation axes of a polyhedral group.
 

@@ -26,7 +26,8 @@ from .action import LoopPath
 from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
-_KEY_TOL = 1e-9
+# How far the minimal-angle search lowers its A* bound on open entries.
+_BOUND_SLACK = 1e-9
 _log = logging.getLogger(__name__)
 
 
@@ -89,12 +90,15 @@ class ArchimedeanPolyhedron:
         the great arc from vertex i to vertex j runs through, in order, as
         _arc_itinerary reads them.  Raises ValueError unless every edge runs
         through exactly two adjacent chambers (an edge through a pole meets
-        more, or two that only share the pole)."""
+        more, or two that only share the pole, or runs along a wall)."""
         tess = self.tessellation
         table = {}
         for i, j in itertools.chain(self.edges, ((j, i) for i, j in self.edges)):
             theta, w = _arc_param(self.vertices[i], self.vertices[j])
-            word = _arc_itinerary(tess, self.vertices[i], w, theta)
+            try:
+                word = _arc_itinerary(tess, self.vertices[i], w, theta)
+            except ValueError:  # along a wall
+                word = ()
             if len(word) != 2 or word[1] not in tess.neighbors[word[0]]:
                 raise ValueError(f"edge ({i}, {j}) does not cross one wall to an adjacent chamber")
             table[i, j] = tuple(word)
@@ -144,6 +148,36 @@ class ArchimedeanPolyhedron:
                 row.append((float(th), j))
             successors.append(sorted(row))
         return angles, successors
+
+    @cached_property
+    def closing_angles(self):
+        """P x P read-only array of the least angle of a chain of successor
+        arcs from pole i to pole k (0 on the diagonal, inf if none exists).
+
+        The table is the fixed point of one relaxation over every successor
+        arc, symmetrized: each pass can only lower an entry, and at the fixed
+        point d[i, k] <= theta(i, j) + d[j, k] holds for every successor arc
+        exactly in floating point (Floyd-Warshall misses this by a rounding
+        on I), so the minimal-angle search can use it as a consistent bound.
+        A pass relaxes one row at a time, over the pole itself at angle 0 and
+        its successors, so it makes no P x P x P temporary (1.9 MB for I).
+        """
+        _, successors = self.arc_table
+        hops = [
+            (np.array([i] + [j for _, j in row]), np.array([[0.0]] + [[theta] for theta, _ in row]))
+            for i, row in enumerate(successors)
+        ]
+        d = np.full((len(successors),) * 2, math.inf)
+        for i, (js, thetas) in enumerate(hops):
+            d[i, js] = thetas[:, 0]
+        while True:
+            relaxed = np.array([(thetas + d[js]).min(axis=0) for js, thetas in hops])
+            relaxed = np.minimum(relaxed, relaxed.T)
+            if np.array_equal(relaxed, d):
+                break
+            d = relaxed
+        d.setflags(write=False)
+        return d
 
     @cached_property
     def winding_steps(self):
@@ -884,10 +918,11 @@ class MinimalAngleResult:
     semi_axes lists the junction directions in traversal order; arc i joins
     semi_axes[i] to semi_axes[i+1] (cyclically) sweeping arc_angles[i];
     times[i] is the junction passage time under the constant angular speed
-    total_angle / period.  The search counters give the heap pops, the
-    distinct closed skeletons tried, the junction resolutions covered (reduced
-    or rejected by the winding filter) and the word reductions performed
-    (checked); they are 0 for the closed-form KLEIN loop.
+    total_angle / period.  The search counters give the pops of the A*
+    search (open sequences and closed skeletons, up to the realizing one),
+    the distinct closed skeletons tried, the junction resolutions covered
+    (reduced or rejected by the winding filter) and the word reductions
+    performed (checked); they are 0 for the closed-form KLEIN loop.
     """
 
     total_angle: float
@@ -969,8 +1004,13 @@ def _arc_itinerary(tess, za, w, theta):
     tan(phi) = -(n.za)/(n.w), so every wall is met at atan2(-n.za, n.w)
     modulo pi.  Crossings within 1e-9 of either end do not count, so the arc
     may start or end on a wall; one chamber is read between crossings.
+    Raises ValueError for an arc that runs along a wall (n.za and n.w both
+    within 1e-9 of 0): it has no chamber of its own.
     """
-    base = np.arctan2(-(tess.wall_normals @ za), tess.wall_normals @ w)
+    along, across = tess.wall_normals @ za, tess.wall_normals @ w
+    if np.any(np.maximum(np.abs(along), np.abs(across)) < 1e-9):
+        raise ValueError("the arc runs along a wall")
+    base = np.arctan2(-along, across)
     phis = (base[:, None] + math.pi * np.arange(-1, 3)).ravel()
     cuts = np.sort(phis[(phis > 1e-9) & (phis < theta - 1e-9)])
     bounds = np.concatenate(([0.0], cuts, [theta]))
@@ -978,53 +1018,106 @@ def _arc_itinerary(tess, za, w, theta):
     return merge_consecutive(tess.locate(math.cos(m) * za + math.sin(m) * w) for m in mids)
 
 
-def _on_wall_itinerary(tess, za, zb, wall, side):
-    theta, w = _arc_param(za, zb)
-    mid = math.cos(0.5 * theta) * za + math.sin(0.5 * theta) * w
-    nudged = mid + side * 1e-7 * tess.wall_normals[wall]
-    return [tess.locate(nudged)]
+def _on_wall_itinerary(tess, a, b, wall):
+    """The one-chamber runs on either side of the arc from pole a to pole b
+    along a wall, the side its normal points to first.
 
-def _junction_route(tess, pid, c_in, c_out, direction, turns):
-    """Chambers strictly between c_in and c_out going around the pole fan."""
-    fan = tess.fan[pid]
-    L = len(fan)
-    i_in, i_out = fan.index(c_in), fan.index(c_out)
-    steps = (direction * (i_out - i_in)) % L
-    total = steps + turns * L
-    return [fan[(i_in + direction * s) % L] for s in range(1, total)]
-
-
-def _resolutions(tess, fund_axes, tri_perm, turn_cap, sym_steps):
-    """Wall-side selections of the fundamental block, in product order: yields
-    (arc_sel, option_lists, weights, arc_winding), the weights being the winding
-    vectors of the junction routes (entry and exit steps included) and
-    arc_winding that of the arcs' own steps, each summed over the M copies.
+    With no pole inside, the arc is the side {a, b} of exactly two chambers;
+    the third corner of each tells its side of the wall.
     """
-    arc_choices = []
-    for a, b in zip(fund_axes, fund_axes[1:]):
-        za, zb = tess.points[a], tess.points[b]
-        wall = _arc_wall(tess, za, zb)
-        if wall is None:
-            theta, w = _arc_param(za, zb)
-            arc_choices.append([_arc_itinerary(tess, za, w, theta)])
+    first, second = sorted(set(tess.fan[a]) & set(tess.fan[b]))
+    (corner,) = set(tess.triangles[first]) - {a, b}
+    if tess.wall_normals[wall] @ tess.points[corner] < 0.0:
+        first, second = second, first
+    return [[first], [second]]
+
+
+class _SearchOptions(dict):
+    """The arc and junction options of one min_total_angle call, each built
+    on first use and kept for the rest of the call.
+
+    (a, b) maps to the wall-side choices of the arc from pole a to pole b as
+    (chambers, winding) pairs: one run for an arc off every wall, one on
+    either side for an arc along a wall.  (pole, c_in, c_out) maps to
+    (routes, weights): the distinct routes around the pole's fan from
+    chamber c_in to c_out, with up to turn_cap extra turns either way, and
+    their windings, entry and exit steps included.  (pole,) maps to the
+    windings of the walk once around its fan, from fan[0] up to each fan
+    position (the last is the whole loop).  A winding is the packed winding
+    vector of the steps, summed over the M symmetry copies (perms).
+    """
+
+    def __init__(self, poly, perms, turn_cap):
+        super().__init__()
+        self.tess, self.steps = poly.tessellation, poly.winding_steps
+        self.perms, self.turn_cap = perms, turn_cap
+
+    def winding(self, path):
+        return sum(self.steps[p[a], p[b]] for a, b in zip(path, path[1:]) for p in self.perms)
+
+    def __missing__(self, key):
+        tess = self.tess
+        if len(key) == 1:
+            fan = tess.fan[key[0]]
+            steps = zip(fan, fan[1:] + fan[:1])
+            value = list(itertools.accumulate(map(self.winding, steps), initial=0))
+        elif len(key) == 2:
+            za, zb = tess.points[key[0]], tess.points[key[1]]
+            wall = _arc_wall(tess, za, zb)
+            if wall is None:
+                theta, w = _arc_param(za, zb)
+                runs = [_arc_itinerary(tess, za, w, theta)]
+            else:
+                runs = _on_wall_itinerary(tess, *key, wall)
+            value = [(run, self.winding(run)) for run in runs]
         else:
-            arc_choices.append([_on_wall_itinerary(tess, za, zb, wall, s) for s in (1.0, -1.0)])
-    for arc_sel in itertools.product(*arc_choices):
-        exits = [run[0] for run in arc_sel[1:]] + [tri_perm[arc_sel[0][0]]]
-        option_lists, weights = [], []
-        for pid, c_in, c_out in zip(fund_axes[1:], (run[-1] for run in arc_sel), exits):
-            opts, ws = [], []
-            for direction in (1, -1):
-                for turns in range(turn_cap + 1):
-                    route = _junction_route(tess, pid, c_in, c_out, direction, turns)
-                    if route not in opts:
-                        opts.append(route)
-                        path = [c_in, *route, c_out]
-                        ws.append(sum(sym_steps[step] for step in zip(path, path[1:])))
-            option_lists.append(opts)
-            weights.append(ws)
-        arc_winding = sum(sym_steps[step] for run in arc_sel for step in zip(run, run[1:]))
-        yield arc_sel, option_lists, weights, arc_winding
+            # The routes run through `cycle`, the fan repeated, one way or the
+            # other; the route with t turns has steps + t * L - 1 chambers.
+            # The walk from c_in to c_out winds by `ahead` one way and by
+            # ahead - loop the other (0 both ways if c_in is c_out), and
+            # each turn adds one loop's winding.
+            pid, c_in, c_out = key
+            fan = tess.fan[pid]
+            L, prefix = len(fan), self[pid,]
+            loop = prefix[-1]
+            i_in, i_out = fan.index(c_in), fan.index(c_out)
+            ahead = prefix[i_out] - prefix[i_in] + (loop if i_out < i_in else 0)
+            cycle = fan * (self.turn_cap + 2)
+            routes, weights = [], []
+            for direction, ring, start, base in (
+                (1, cycle, i_in, ahead),
+                (-1, cycle[::-1], L - 1 - i_in, ahead - loop if i_out != i_in else 0),
+            ):
+                steps = (direction * (i_out - i_in)) % L
+                for turns in range(self.turn_cap + 1):
+                    route = list(ring[start + 1 : start + steps + turns * L])
+                    if route not in routes:
+                        routes.append(route)
+                        weights.append(base + direction * turns * loop)
+            value = routes, weights
+        self[key] = value
+        return value
+
+
+def _resolutions(options, fund_axes):
+    """Wall-side selections of the fundamental block, in product order: yields
+    (arc_sel, option_lists, weights, arc_winding), read from the call's
+    options; arc_winding is the winding of the selected arcs' own steps.
+    """
+    exit_perm = options.perms[1 % len(options.perms)]
+    arc_choices = [options[a, b] for a, b in zip(fund_axes, fund_axes[1:])]
+    for choice in itertools.product(*arc_choices):
+        arc_sel = tuple(run for run, _ in choice)
+        exits = [run[0] for run in arc_sel[1:]] + [exit_perm[arc_sel[0][0]]]
+        junctions = [
+            options[key] for key in zip(fund_axes[1:], (run[-1] for run in arc_sel), exits)
+        ]
+        yield (
+            arc_sel,
+            [routes for routes, _ in junctions],
+            [weights for _, weights in junctions],
+            sum(winding for _, winding in choice),
+        )
 
 
 def _winding_solutions(weights, residual):
@@ -1048,23 +1141,21 @@ def _winding_solutions(weights, residual):
     return walk(0, residual)
 
 
-def _skeleton_realizes(tess, target, goal, sym_steps, fund_axes, tri_perm_pows, turn_cap, combo_cap):
+def _skeleton_realizes(options, target, goal, fund_axes, combo_cap):
     """Try junction/side resolutions of the arc skeleton against the class word.
 
     fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
     loop is the concatenation of M symmetry-translated copies of the
-    fundamental block.  The winding vector is an invariant of the class, so
-    only resolutions whose vector is the target's (goal) can match; they
-    come in product order, and the first one whose reduced word is the
-    target is the match a check of every resolution would find.  Returns
-    the full word (or None), the resolutions covered (reduced, or rejected
-    by the filter) up to the match, and the reductions performed; raises
-    past combo_cap covered resolutions.
+    fundamental block, options.perms.  The winding vector is an invariant
+    of the class, so only resolutions whose vector is the target's (goal)
+    can match; they come in product order, and the first one whose reduced
+    word is the target is the match a check of every resolution would find.
+    Returns the full word (or None), the resolutions covered (reduced, or
+    rejected by the filter) up to the match, and the reductions performed;
+    raises past combo_cap covered resolutions.
     """
     tried = checked = 0
-    for arc_sel, option_lists, weights, arc_winding in _resolutions(
-        tess, fund_axes, tri_perm_pows[1 % len(tri_perm_pows)], turn_cap, sym_steps
-    ):
+    for arc_sel, option_lists, weights, arc_winding in _resolutions(options, fund_axes):
         sizes = [len(opts) for opts in option_lists]
         found = None
         for sel in _winding_solutions(weights, goal - arc_winding):
@@ -1075,7 +1166,7 @@ def _skeleton_realizes(tess, target, goal, sym_steps, fund_axes, tri_perm_pows, 
                 break
             checked += 1
             block = [c for run, opts, o in zip(arc_sel, option_lists, sel) for c in run + opts[o]]
-            word = [perm[c] for perm in tri_perm_pows for c in block]
+            word = [perm[c] for perm in options.perms for c in block]
             reduced = reduce_cyclic_word(word)
             if len(reduced) == len(target) and canonical_cyclic_word(reduced) == target:
                 found = tuple(word)
@@ -1090,46 +1181,66 @@ def _skeleton_realizes(tess, target, goal, sym_steps, fund_axes, tri_perm_pows, 
     return None, tried, checked
 
 
-def _skeleton_pops(successors, M, fmax, pole_perm):
-    """Uniform-cost search over symmetry-periodic junction sequences.
+def _skeleton_pops(successors, closing, M, fmax, pole_perm):
+    """A* search over symmetry-periodic junction sequences.
 
-    Yields (cost, axes, closed) in the order of the key (cost, parent pop,
-    successor pole, closed) from every pole at cost 0.  An open sequence of
-    fewer than fmax arcs is extended by each successor of its last pole,
-    closed when that is the symmetry image of its first.  A pop's successors
-    enter the heap lazily, one entry per tie group of equal computed cost: no
-    other key falls inside a group, so popping it yields its members in turn
-    and pushes the parent's next, costlier group.
+    Yields (cost, axes, closed) from every pole at cost 0.  An open sequence
+    of fewer than fmax arcs is extended by each successor j of its last pole,
+    and closed when j is the symmetry image of its first pole.  Entries pop
+    in the order of (f, k, closed): k = (cost, parent's k, j) and f = cost +
+    M * closing[j, close], lowered by _BOUND_SLACK on open entries, so that
+    a rounding never lifts an ancestor's f to its closed descendant's cost.
+    The bound ignores fmax, so it is admissible; the closing table makes it
+    consistent and it is 0 on closed entries, so closed entries pop in the
+    order of (cost, k): the order in which a uniform-cost search that breaks
+    ties by push order pops them.  Open entries that cannot close (inf
+    bound) or grow (fmax arcs) are not pushed.  The open children of a pop
+    enter the heap lazily, in the order of their f: each entry carries its
+    siblings' row and rank, and pushes the next sibling when it pops.
     """
-    heap = []
+    bounds = (M * closing - _BOUND_SLACK).tolist()
+    ranked = {}
 
-    def push_group(base, parent, axes, start):
-        succ = successors[axes[-1]]
-        if start < len(succ):
-            heapq.heappush(heap, (base + M * succ[start][0], parent, axes, base, start))
+    def children(i, close):
+        """(row, twin): row lists (M theta + bound, M theta, j), sorted, for
+        the successors j of pole i that can still reach close; twin is M
+        theta for the arc to close itself, or None."""
+        entry = ranked.get((i, close))
+        if entry is None:
+            h = bounds[close]
+            row = sorted(
+                [(M * theta + h[j], M * theta, j) for theta, j in successors[i] if h[j] < math.inf]
+            )
+            twin = next((mt for _, mt, j in row if j == close), None)
+            entry = ranked[i, close] = row, twin
+        return entry
 
-    pops = 0
-    for s0 in range(len(successors)):
-        pops += 1
-        yield 0.0, (s0,), False
-        push_group(0.0, pops, (s0,), 0)
+    def push_open(parent, axes, row, rank):
+        offset, mt, j = row[rank]
+        key = (parent[0] + mt, parent, j)
+        heapq.heappush(heap, (parent[0] + offset, key, False, axes + (j,), row, rank))
+
+    heap = [
+        (bounds[pole_perm[s0]][s0], (0.0, (), s0), False, (s0,), (), -1)
+        for s0 in range(len(successors))
+        if bounds[pole_perm[s0]][s0] < math.inf
+    ]
+    heapq.heapify(heap)
     while heap:
-        cost, parent, axes, base, start = heapq.heappop(heap)
-        succ = successors[axes[-1]]
-        end = start + 1
-        while end < len(succ) and base + M * succ[end][0] == cost:
-            end += 1
-        push_group(base, parent, axes, end)
+        _, key, closed, axes, siblings, rank = heapq.heappop(heap)
+        cost = key[0]
+        yield cost, axes, closed
+        if closed:
+            continue
+        if rank + 1 < len(siblings):
+            push_open(key[1], axes[:-1], siblings, rank + 1)
         close = pole_perm[axes[0]]
-        for j in sorted(j for _, j in succ[start:end]):
-            child = axes + (j,)
-            pops += 1
-            yield cost, child, False
-            if len(child) - 1 < fmax:
-                push_group(cost, pops, child, 0)
-            if j == close:
-                pops += 1
-                yield cost, child, True
+        row, twin = children(axes[-1], close)
+        if row and len(axes) < fmax:
+            push_open(key, axes, row, 0)
+        if twin is not None:
+            closed_key = (cost + twin, key, close)
+            heapq.heappush(heap, (cost + twin, closed_key, True, axes + (close,), (), -1))
 
 
 def _logged(cone, result):
@@ -1146,15 +1257,20 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
     """Minimal total angle of circular-arc loops through rotation semi-axes
     realizing the cone's loop class, with the realizing skeleton.
 
-    Runs a uniform-cost search over symmetry-periodic junction sequences;
-    the first closed skeleton whose chamber word (over junction and
-    wall-side resolutions) matches the class is optimal.  The lazy heap pops
-    in the order of an eager one, and a winding-number filter hands over only
-    the resolutions with the class's winding vector, in product order; so
-    the result, pops, skeletons and combinations are those of reducing every
-    resolution in turn, while checked counts the reductions made.  Raises
-    ValueError for central cones and RuntimeError on search exhaustion: past
-    max_pops heap pops or combo_cap junction resolutions covered in the call.
+    Runs an A* search over symmetry-periodic junction sequences, bounded
+    below by the least angle still needed to close (the polyhedron's
+    closing_angles); the bound is admissible, so the first closed skeleton
+    whose chamber word (over junction and wall-side resolutions) matches the
+    class is still optimal.  Closed skeletons pop in the order a
+    uniform-cost search pops them, up to the answer, and a winding-number
+    filter hands over only the resolutions with the class's winding vector,
+    in product order; so the result, skeletons and combinations are those
+    of reducing every resolution of every skeleton in turn, while pops
+    counts the A* pops (open sequences and closed skeletons) and checked the
+    reductions made.  Arc and junction options are built once per call.
+    Raises ValueError for central cones and RuntimeError on search
+    exhaustion: past max_pops heap pops or combo_cap junction resolutions
+    covered in the call.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1200,13 +1316,13 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
     pts = tess.points
     angles, successors = poly.arc_table
     steps = poly.winding_steps
-    sym_steps = {(a, b): sum(steps[p[a], p[b]] for p in tri_perm_pows) for a, b in steps}
     goal = sum(steps[target[i - 1], target[i]] for i in range(len(target)))
+    options = _SearchOptions(poly, tri_perm_pows, turn_cap)
 
     fmax = max(2, math.ceil(4 * nu.steps / M))
     seen_skeletons = set()
     pops = combinations = checked = 0
-    for cost, axes, closed in _skeleton_pops(successors, M, fmax, pole_perm):
+    for cost, axes, closed in _skeleton_pops(successors, poly.closing_angles, M, fmax, pole_perm):
         pops += 1
         if pops > max_pops:
             raise RuntimeError("minimal-angle search exhausted its pop budget")
@@ -1218,7 +1334,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
             continue
         seen_skeletons.add(canon)
         word, tried, reductions = _skeleton_realizes(
-            tess, target, goal, sym_steps, axes, tri_perm_pows, turn_cap, combo_cap - combinations
+            options, target, goal, axes, combo_cap - combinations
         )
         combinations += tried
         checked += reductions

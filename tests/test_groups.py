@@ -317,6 +317,15 @@ def test_tessellation_counts():
         assert len(tess.wall_normals) == n_refl
 
 
+def test_separate_builds_compare_by_identity():
+    """Array fields make field-wise == ambiguous; equality is identity."""
+    first, second = (full_group_tessellation(builtin_group("T")) for _ in range(2))
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert first.group != second.group and first.poles[0] != second.poles[0]
+    assert len({first, second, first.group, second.group}) == 4
+
+
 def test_tessellation_rejects_non_polyhedral():
     with pytest.raises(ValueError):
         full_group_tessellation(builtin_group("KLEIN"))

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from choreo import homotopy as H
 from choreo.groups import builtin_group, full_group_tessellation, matrix_key
@@ -779,6 +781,50 @@ def test_arc_itinerary_matches_the_crossing_loop_on_every_successor_arc(tag):
         assert H._arc_itinerary(tess, za, w, theta) == reference_off_wall_itinerary(tess, za, zb)
 
 
+@pytest.mark.parametrize("tag,along_walls", [("T", 72), ("O", 144), ("I", 360)])
+def test_arc_itinerary_refuses_exactly_the_arcs_along_a_wall(tag, along_walls):
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    flagged, refused = set(), set()
+    for a, row in enumerate(poly.arc_table[1]):
+        for _, b in row:
+            za, zb = tess.points[a], tess.points[b]
+            if H._arc_wall(tess, za, zb) is not None:
+                flagged.add((a, b))
+            theta, w = H._arc_param(za, zb)
+            try:
+                H._arc_itinerary(tess, za, w, theta)
+            except ValueError as exc:
+                assert "along a wall" in str(exc)
+                refused.add((a, b))
+    assert refused == flagged
+    assert len(refused) == along_walls
+
+
+def reference_on_wall_itinerary(tess, za, zb, wall, side):
+    """The chamber beside an arc along a wall, located at the arc's midpoint
+    nudged 1e-7 off the wall towards side * its normal (reference)."""
+    theta, w = H._arc_param(za, zb)
+    mid = math.cos(0.5 * theta) * za + math.sin(0.5 * theta) * w
+    return [tess.locate(mid + side * 1e-7 * tess.wall_normals[wall])]
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_on_wall_runs_match_the_nudged_midpoint(tag):
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    checked = 0
+    for a, row in enumerate(poly.arc_table[1]):
+        for _, b in row:
+            za, zb = tess.points[a], tess.points[b]
+            wall = H._arc_wall(tess, za, zb)
+            if wall is not None:
+                sides = [reference_on_wall_itinerary(tess, za, zb, wall, s) for s in (1.0, -1.0)]
+                assert H._on_wall_itinerary(tess, a, b, wall) == sides
+                checked += 1
+    assert checked > 0
+
+
 @lru_cache(maxsize=None)
 def reference_circle_words(tag):
     """Reduced words of the 300 sampled great circles, in sample order."""
@@ -858,9 +904,11 @@ def conjugated_cone(base, element):
 # conjugated by group elements 0 and |G|/2, recorded at full precision from
 # the search with the quadratic word reduction and the sampled-circle loop;
 # then the unconjugated T nu6, O nu1, O nu2 and I nu1 (element null).  These
-# and the search counters come from the search that reduced every junction
-# resolution in turn.  The last entry, I nu2, never finished there: it was
-# first recorded from the winding-filtered search.
+# and the skeleton and combination counters come from the search that
+# reduced every junction resolution in turn.  The last entry, I nu2, never
+# finished there: it was first recorded from the winding-filtered search.
+# pops counts the pops of the A* search, which were re-recorded when it
+# replaced the uniform-cost heap; every other field stayed bitwise equal.
 PINS = json.loads((Path(__file__).parent / "data" / "min_total_angle_pins.json").read_text())
 
 
@@ -953,6 +1001,16 @@ def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
 DIFF_CASES = [(p["tag"], p["name"], p["element"]) for p in PINS if p["element"] is not None]
 
 
+def reference_junction_route(tess, pid, c_in, c_out, direction, turns):
+    """Chambers strictly between c_in and c_out going around the pole fan
+    (reference)."""
+    fan = tess.fan[pid]
+    L = len(fan)
+    i_in, i_out = fan.index(c_in), fan.index(c_out)
+    total = (direction * (i_out - i_in)) % L + turns * L
+    return tuple(fan[(i_in + direction * s) % L] for s in range(1, total))
+
+
 def reference_resolutions(geom, fund_axes, tri_perm, turn_cap):
     """(arc_sel, option_lists) per wall-side selection, as the product loop built them."""
     f = len(fund_axes) - 1
@@ -965,7 +1023,7 @@ def reference_resolutions(geom, fund_axes, tri_perm, turn_cap):
             arc_choices.append([reference_off_wall_itinerary(geom, za, zb)])
         else:
             arc_choices.append(
-                [H._on_wall_itinerary(geom, za, zb, wall, s) for s in (1.0, -1.0)]
+                [reference_on_wall_itinerary(geom, za, zb, wall, s) for s in (1.0, -1.0)]
             )
     out = []
     for arc_sel in itertools.product(*arc_choices):
@@ -978,7 +1036,7 @@ def reference_resolutions(geom, fund_axes, tri_perm, turn_cap):
             opts, seen = [], set()
             for direction in (1, -1):
                 for turns in range(turn_cap + 1):
-                    route = tuple(H._junction_route(geom, pid, c_in, c_out, direction, turns))
+                    route = reference_junction_route(geom, pid, c_in, c_out, direction, turns)
                     if route not in seen:
                         seen.add(route)
                         opts.append(list(route))
@@ -1100,11 +1158,12 @@ def test_winding_filter_matches_filtered_product(tag, name, element, monkeypatch
     cuts = reference_cuts(tag)
     goal = reference_winding(cuts, cone.canonical_word)
     realized = 0
-    for geom, target, packed_goal, sym_steps, fund_axes, tri_perm_pows, turn_cap, _ in calls:
+    for options, target, packed_goal, fund_axes, _ in calls:
         assert target == cone.canonical_word
+        tri_perm_pows = options.perms
         tri_perm = tri_perm_pows[1 % len(tri_perm_pows)]
-        old = reference_resolutions(geom, fund_axes, tri_perm, turn_cap)
-        new = list(H._resolutions(geom, fund_axes, tri_perm, turn_cap, sym_steps))
+        old = reference_resolutions(options.tess, fund_axes, tri_perm, options.turn_cap)
+        new = list(H._resolutions(options, fund_axes))
         assert [(arc_sel, option_lists) for arc_sel, option_lists, _, _ in new] == old
         for arc_sel, option_lists, weights, arc_winding in new:
             passing, matching = [], []
@@ -1143,13 +1202,54 @@ def reference_eager_pops(successors, M, fmax, pole_perm):
 
 @pytest.mark.parametrize("tag,name,element", DIFF_CASES)
 def test_lazy_heap_pops_like_the_eager_heap(tag, name, element):
+    """Up to the answer theta*, the A* search pops exactly the closed
+    sequences that the eager uniform-cost heap pops at cost <= theta*, in
+    the same order and at bitwise the same costs, with fewer pops."""
     cone = conjugated_cone(H.catalog_cone(tag, name), element)
     pops = H.min_total_angle(cone).pops
     R, M = cone.extra_symmetry
     poly = cone.nu.polyhedron
     pole_perm = poly.tessellation.pole_permutations[poly.group.index(R)]
-    args = (poly.arc_table[1], M, max(2, math.ceil(4 * cone.nu.steps / M)), pole_perm)
-    lazy = list(itertools.islice(H._skeleton_pops(*args), pops))
-    eager = list(itertools.islice(reference_eager_pops(*args), pops))
-    assert len(lazy) == pops
-    assert lazy == eager
+    successors, fmax = poly.arc_table[1], max(2, math.ceil(4 * cone.nu.steps / M))
+    search = H._skeleton_pops(successors, poly.closing_angles, M, fmax, pole_perm)
+    astar = list(itertools.islice(search, pops))
+    assert len(astar) == pops
+    closed = [(cost, axes) for cost, axes, is_closed in astar if is_closed]
+    theta_star = closed[-1][0]
+    assert all(cost <= theta_star for cost, _ in closed)
+    eager, eager_pops = [], 0
+    for cost, axes, is_closed in reference_eager_pops(successors, M, fmax, pole_perm):
+        eager_pops += 1
+        if is_closed:
+            eager.append((cost, axes))
+            if len(eager) == len(closed):
+                break
+    assert eager == closed
+    assert pops < eager_pops
+
+
+def reference_closing_angles(poly):
+    """Shortest chains of successor arcs, by scipy's Dijkstra (reference)."""
+    successors = poly.arc_table[1]
+    rows = [i for i, row in enumerate(successors) for _ in row]
+    cols = [j for row in successors for _, j in row]
+    angles = [theta for row in successors for theta, _ in row]
+    graph = csr_matrix((angles, (rows, cols)), shape=(len(successors),) * 2)
+    return shortest_path(graph, method="D")
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_closing_angles_are_a_consistent_bound(tag):
+    """Zero diagonal, symmetric, the shortest chain angles, and consistent
+    exactly in floating point: no successor arc shortcuts the table."""
+    poly = H.build_archimedean(tag)
+    d = poly.closing_angles
+    successors = poly.arc_table[1]
+    assert d.shape == (len(successors),) * 2 and not d.flags.writeable
+    assert not np.diagonal(d).any()
+    assert np.array_equal(d, d.T)
+    np.testing.assert_allclose(d, reference_closing_angles(poly), rtol=1e-14, atol=0.0)
+    for i, row in enumerate(successors):
+        for theta, j in row:
+            assert d[i, j] <= theta
+            assert (d[i] <= theta + d[j]).all()
