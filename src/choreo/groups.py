@@ -416,14 +416,17 @@ class Tessellation:
         return normals
 
     def locate(self, x):
-        """Index of the chamber containing the unit vector x (best margin)."""
+        """Index of the chamber containing the vector x (best margin); for an
+        (N, 3) array of vectors, the list of their N indices."""
         v = np.asarray(x, dtype=float)
-        v = v / np.linalg.norm(v)
-        margins = np.einsum("tks,s->tk", self._chamber_normals, v).min(axis=1)
-        ti = int(np.argmax(margins))
-        if margins[ti] < -1e-9:
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        sides = np.einsum("tks,...s->...tk", self._chamber_normals, v)
+        # the least of the three sides pairwise: numpy reduces an axis of
+        # length 3 about ten times slower
+        margins = np.minimum(np.minimum(sides[..., 0], sides[..., 1]), sides[..., 2])
+        if (margins.max(axis=-1) < -1e-9).any():
             raise ValueError("point does not lie in any chamber")
-        return ti
+        return margins.argmax(axis=-1).tolist()
 
     @cached_property
     def fan(self):

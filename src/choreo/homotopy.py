@@ -180,6 +180,60 @@ class ArchimedeanPolyhedron:
         return d
 
     @cached_property
+    def successor_orders(self):
+        """successor_orders[i][k]: the successors j of pole i that can still
+        reach pole k (closing_angles[j, k] < inf), in the order of
+        (theta_ij + d_jk, theta_ij, j), as a bytes object of their positions
+        in arc_table's successors[i].  Read-only, 250 kB for I.
+
+        The minimal-angle search pushes the children of an open sequence in
+        this order: M (theta + d) rounds monotonically in theta + d, so the
+        order holds for every symmetry order M.  successors[i] is sorted by
+        (theta, j), so a stable sort on theta + d breaks its ties that way.
+        """
+        _, successors = self.arc_table
+        d = self.closing_angles
+        orders = []
+        for row in successors:
+            thetas = np.array([theta for theta, _ in row])
+            # [k, r]: theta + d to pole k through the r-th successor
+            via = thetas + d[[j for _, j in row]].T
+            counts = np.isfinite(via).sum(axis=1)
+            ranks = np.argsort(via, axis=1, kind="stable")
+            orders.append(tuple(bytes(r[:n].tolist()) for r, n in zip(ranks, counts)))
+        return tuple(orders)
+
+    @cached_property
+    def arc_runs(self):
+        """Read-only map from every successor arc (a, b) of arc_table to its
+        wall-side runs, each a tuple of chambers: one run, the chambers the
+        arc runs through (_arc_itinerary), for an arc off every wall, and
+        two, one either side (_on_wall_itinerary), for an arc along a wall.
+
+        The arcs off a wall locate their samples in one batch per starting
+        pole: one batch for the whole table (4,560 samples for I) would make
+        a 13 MB temporary of chamber margins.
+        """
+        tess = self.tessellation
+        pts = tess.points
+        table = {}
+        for a, row in enumerate(self.arc_table[1]):
+            samples = {}
+            for _, b in row:
+                wall = _arc_wall(tess, pts[a], pts[b])
+                if wall is None:
+                    theta, w = _arc_param(pts[a], pts[b])
+                    samples[b] = _arc_samples(tess, pts[a], w, theta)
+                else:
+                    table[a, b] = tuple(map(tuple, _on_wall_itinerary(tess, a, b, wall)))
+            if samples:
+                chambers = iter(tess.locate(np.concatenate(list(samples.values()))))
+                for b, points in samples.items():
+                    run = merge_consecutive(itertools.islice(chambers, len(points)))
+                    table[a, b] = (tuple(run),)
+        return MappingProxyType(table)
+
+    @cached_property
     def winding_steps(self):
         """Winding vector of every chamber step, packed into one integer.
 
@@ -996,14 +1050,15 @@ def _arc_wall(tess, za, zb):
     return int(hits[0]) if len(hits) else None
 
 
-def _arc_itinerary(tess, za, w, theta):
-    """Chambers met in turn along the great arc of angle theta that leaves the
-    unit vector za towards the unit tangent w, repeats merged.
+def _arc_samples(tess, za, w, theta):
+    """One point of each stretch between wall crossings of the great arc of
+    angle theta that leaves the unit vector za towards the unit tangent w,
+    in order, as an (N, 3) array.
 
     cos(phi) za + sin(phi) w lies on the wall of normal n where
     tan(phi) = -(n.za)/(n.w), so every wall is met at atan2(-n.za, n.w)
     modulo pi.  Crossings within 1e-9 of either end do not count, so the arc
-    may start or end on a wall; one chamber is read between crossings.
+    may start or end on a wall; the point sits midway between crossings.
     Raises ValueError for an arc that runs along a wall (n.za and n.w both
     within 1e-9 of 0): it has no chamber of its own.
     """
@@ -1015,7 +1070,13 @@ def _arc_itinerary(tess, za, w, theta):
     cuts = np.sort(phis[(phis > 1e-9) & (phis < theta - 1e-9)])
     bounds = np.concatenate(([0.0], cuts, [theta]))
     mids = 0.5 * (bounds[:-1] + bounds[1:])
-    return merge_consecutive(tess.locate(math.cos(m) * za + math.sin(m) * w) for m in mids)
+    return np.cos(mids)[:, None] * za + np.sin(mids)[:, None] * w
+
+
+def _arc_itinerary(tess, za, w, theta):
+    """Chambers met in turn along the great arc of _arc_samples, repeats
+    merged; raises ValueError for an arc along a wall."""
+    return merge_consecutive(tess.locate(_arc_samples(tess, za, w, theta)))
 
 
 def _on_wall_itinerary(tess, a, b, wall):
@@ -1037,19 +1098,19 @@ class _SearchOptions(dict):
     on first use and kept for the rest of the call.
 
     (a, b) maps to the wall-side choices of the arc from pole a to pole b as
-    (chambers, winding) pairs: one run for an arc off every wall, one on
-    either side for an arc along a wall.  (pole, c_in, c_out) maps to
-    (routes, weights): the distinct routes around the pole's fan from
-    chamber c_in to c_out, with up to turn_cap extra turns either way, and
-    their windings, entry and exit steps included.  (pole,) maps to the
-    windings of the walk once around its fan, from fan[0] up to each fan
-    position (the last is the whole loop).  A winding is the packed winding
-    vector of the steps, summed over the M symmetry copies (perms).
+    (chambers, winding) pairs, the runs read from the polyhedron's arc_runs.
+    (pole, c_in, c_out) maps to (routes, weights): the distinct routes
+    around the pole's fan from chamber c_in to c_out, with up to turn_cap
+    extra turns either way, and their windings, entry and exit steps
+    included.  (pole,) maps to the windings of the walk once around its fan,
+    from fan[0] up to each fan position (the last is the whole loop).  A
+    winding is the packed winding vector of the steps, summed over the M
+    symmetry copies (perms); windings and routes are all the call builds.
     """
 
     def __init__(self, poly, perms, turn_cap):
         super().__init__()
-        self.tess, self.steps = poly.tessellation, poly.winding_steps
+        self.tess, self.runs, self.steps = poly.tessellation, poly.arc_runs, poly.winding_steps
         self.perms, self.turn_cap = perms, turn_cap
 
     def winding(self, path):
@@ -1062,14 +1123,7 @@ class _SearchOptions(dict):
             steps = zip(fan, fan[1:] + fan[:1])
             value = list(itertools.accumulate(map(self.winding, steps), initial=0))
         elif len(key) == 2:
-            za, zb = tess.points[key[0]], tess.points[key[1]]
-            wall = _arc_wall(tess, za, zb)
-            if wall is None:
-                theta, w = _arc_param(za, zb)
-                runs = [_arc_itinerary(tess, za, w, theta)]
-            else:
-                runs = _on_wall_itinerary(tess, *key, wall)
-            value = [(run, self.winding(run)) for run in runs]
+            value = [(list(run), self.winding(run)) for run in self.runs[key]]
         else:
             # The routes run through `cycle`, the fan repeated, one way or the
             # other; the route with t turns has steps + t * L - 1 chambers.
@@ -1181,49 +1235,61 @@ def _skeleton_realizes(options, target, goal, fund_axes, combo_cap):
     return None, tried, checked
 
 
-def _skeleton_pops(successors, closing, M, fmax, pole_perm):
-    """A* search over symmetry-periodic junction sequences.
+def _skeleton_pops(poly, M, fmax, pole_perm):
+    """A* search over symmetry-periodic junction sequences on the successor
+    arcs of the polyhedron's arc_table.
 
     Yields (cost, axes, closed) from every pole at cost 0.  An open sequence
     of fewer than fmax arcs is extended by each successor j of its last pole,
     and closed when j is the symmetry image of its first pole.  Entries pop
-    in the order of (f, k, closed): k = (cost, parent's k, j) and f = cost +
-    M * closing[j, close], lowered by _BOUND_SLACK on open entries, so that
-    a rounding never lifts an ancestor's f to its closed descendant's cost.
-    The bound ignores fmax, so it is admissible; the closing table makes it
-    consistent and it is 0 on closed entries, so closed entries pop in the
-    order of (cost, k): the order in which a uniform-cost search that breaks
-    ties by push order pops them.  Open entries that cannot close (inf
-    bound) or grow (fmax arcs) are not pushed.  The open children of a pop
-    enter the heap lazily, in the order of their f: each entry carries its
-    siblings' row and rank, and pushes the next sibling when it pops.
+    in the order of (f, k, closed): k = (cost, parent's k, j), where the arc
+    of angle theta to j adds M * theta to the parent's cost, and f = parent's
+    cost + M * (theta + closing_angles[j, close]), lowered by _BOUND_SLACK on
+    open entries, so that a rounding never lifts an ancestor's f to its
+    closed descendant's cost.  theta + d rounds before the product, so f
+    grows along each successor_orders row for every M.  The bound ignores
+    fmax, so it is admissible; the closing table makes it consistent and it
+    is 0 on closed entries, so closed entries pop in the order of (cost, k):
+    the order in which a uniform-cost search that breaks ties by push order
+    pops them.  Open entries that cannot close (inf bound) or grow (fmax
+    arcs) are not pushed.  The open children of a pop enter the heap lazily,
+    in the order of their successor_orders row: each entry carries its
+    siblings' row and its rank in it, and pushes the next sibling when it
+    pops.  Of the P x P closing table the call reads the P root bounds and
+    the rows of the closing poles it meets.
     """
-    bounds = (M * closing - _BOUND_SLACK).tolist()
-    ranked = {}
+    _, successors = poly.arc_table
+    closing, orders = poly.closing_angles, poly.successor_orders
+    P = len(successors)
+    distances, rows = {}, {}
+    no_row = ((), (), ())
 
     def children(i, close):
-        """(row, twin): row lists (M theta + bound, M theta, j), sorted, for
-        the successors j of pole i that can still reach close; twin is M
-        theta for the arc to close itself, or None."""
-        entry = ranked.get((i, close))
+        """(row, twin): row is (ranks, successors[i], d) with ranks the
+        successor_orders row of (i, close) and d the closing angles to
+        close; twin is M theta for the arc to close itself, or None."""
+        entry = rows.get((i, close))
         if entry is None:
-            h = bounds[close]
-            row = sorted(
-                [(M * theta + h[j], M * theta, j) for theta, j in successors[i] if h[j] < math.inf]
-            )
-            twin = next((mt for _, mt, j in row if j == close), None)
-            entry = ranked[i, close] = row, twin
+            d = distances.get(close)
+            if d is None:
+                # closing_angles is symmetric: its row close is its column
+                d = distances[close] = closing[close].tolist()
+            twin = next((M * theta for theta, j in successors[i] if j == close), None)
+            entry = rows[i, close] = (orders[i][close], successors[i], d), twin
         return entry
 
     def push_open(parent, axes, row, rank):
-        offset, mt, j = row[rank]
-        key = (parent[0] + mt, parent, j)
-        heapq.heappush(heap, (parent[0] + offset, key, False, axes + (j,), row, rank))
+        ranks, succ, d = row
+        theta, j = succ[ranks[rank]]
+        key = (parent[0] + M * theta, parent, j)
+        f = parent[0] + (M * (theta + d[j]) - _BOUND_SLACK)
+        heapq.heappush(heap, (f, key, False, axes + (j,), row, rank))
 
+    roots = (M * closing[list(pole_perm), range(P)] - _BOUND_SLACK).tolist()
     heap = [
-        (bounds[pole_perm[s0]][s0], (0.0, (), s0), False, (s0,), (), -1)
-        for s0 in range(len(successors))
-        if bounds[pole_perm[s0]][s0] < math.inf
+        (roots[s0], (0.0, (), s0), False, (s0,), no_row, -1)
+        for s0 in range(P)
+        if roots[s0] < math.inf
     ]
     heapq.heapify(heap)
     while heap:
@@ -1232,15 +1298,15 @@ def _skeleton_pops(successors, closing, M, fmax, pole_perm):
         yield cost, axes, closed
         if closed:
             continue
-        if rank + 1 < len(siblings):
+        if rank + 1 < len(siblings[0]):
             push_open(key[1], axes[:-1], siblings, rank + 1)
         close = pole_perm[axes[0]]
         row, twin = children(axes[-1], close)
-        if row and len(axes) < fmax:
+        if row[0] and len(axes) < fmax:
             push_open(key, axes, row, 0)
         if twin is not None:
             closed_key = (cost + twin, key, close)
-            heapq.heappush(heap, (cost + twin, closed_key, True, axes + (close,), (), -1))
+            heapq.heappush(heap, (cost + twin, closed_key, True, axes + (close,), no_row, -1))
 
 
 def _logged(cone, result):
@@ -1267,10 +1333,13 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
     in product order; so the result, skeletons and combinations are those
     of reducing every resolution of every skeleton in turn, while pops
     counts the A* pops (open sequences and closed skeletons) and checked the
-    reductions made.  Arc and junction options are built once per call.
-    Raises ValueError for central cones and RuntimeError on search
-    exhaustion: past max_pops heap pops or combo_cap junction resolutions
-    covered in the call.
+    reductions made.  What depends only on the geometry, the arcs' wall-side
+    runs (arc_runs) and the successor rows in bound order
+    (successor_orders), is read from the polyhedron's tables, built on
+    first use; a call builds only the windings over its M symmetry copies,
+    its root bounds and its junction routes, each once.  Raises ValueError
+    for central cones and RuntimeError on search exhaustion: past max_pops
+    heap pops or combo_cap junction resolutions covered in the call.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1314,7 +1383,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
         tri_perm_pows.append(tuple(tri_perm[c] for c in tri_perm_pows[-1]))
 
     pts = tess.points
-    angles, successors = poly.arc_table
+    angles, _ = poly.arc_table
     steps = poly.winding_steps
     goal = sum(steps[target[i - 1], target[i]] for i in range(len(target)))
     options = _SearchOptions(poly, tri_perm_pows, turn_cap)
@@ -1322,7 +1391,7 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
     fmax = max(2, math.ceil(4 * nu.steps / M))
     seen_skeletons = set()
     pops = combinations = checked = 0
-    for cost, axes, closed in _skeleton_pops(successors, poly.closing_angles, M, fmax, pole_perm):
+    for cost, axes, closed in _skeleton_pops(poly, M, fmax, pole_perm):
         pops += 1
         if pops > max_pops:
             raise RuntimeError("minimal-angle search exhausted its pop budget")

@@ -428,6 +428,29 @@ def test_wall_normals_are_stored_read_only():
         tess.wall_normals[0, 0] = 1.0
 
 
+def reference_locate(tess, x):
+    """The chamber whose least side margin is largest, one chamber at a time
+    (reference)."""
+    unit = np.asarray(x, dtype=float) / np.linalg.norm(x)
+    margins = [min(n @ unit for n in normals) for normals in tess._chamber_normals]
+    return margins.index(max(margins))
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_locate_takes_one_point_or_a_batch(tag):
+    """An (N, 3) batch locates like its points one at a time, and a chamber's
+    centroid lies in that chamber."""
+    tess = full_group_tessellation(builtin_group(tag))
+    centroids = [tess.triangle_points(t).mean(axis=0) for t in range(len(tess.triangles))]
+    pts = np.concatenate([np.random.default_rng(7).normal(size=(200, 3)), centroids])
+    singles = [tess.locate(p) for p in pts]
+    assert all(type(t) is int for t in singles)
+    assert singles == [reference_locate(tess, p) for p in pts]
+    assert tess.locate(pts) == singles
+    assert tess.locate(pts[:1]) == singles[:1]
+    assert singles[200:] == list(range(len(tess.triangles)))
+
+
 def reference_pole_permutation(tess, R):
     """The per-element pole map the tessellation tables replaced."""
     index = {matrix_key(p): i for i, p in enumerate(tess.points)}

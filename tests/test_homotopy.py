@@ -1211,7 +1211,7 @@ def test_lazy_heap_pops_like_the_eager_heap(tag, name, element):
     poly = cone.nu.polyhedron
     pole_perm = poly.tessellation.pole_permutations[poly.group.index(R)]
     successors, fmax = poly.arc_table[1], max(2, math.ceil(4 * cone.nu.steps / M))
-    search = H._skeleton_pops(successors, poly.closing_angles, M, fmax, pole_perm)
+    search = H._skeleton_pops(poly, M, fmax, pole_perm)
     astar = list(itertools.islice(search, pops))
     assert len(astar) == pops
     closed = [(cost, axes) for cost, axes, is_closed in astar if is_closed]
@@ -1253,3 +1253,80 @@ def test_closing_angles_are_a_consistent_bound(tag):
         for theta, j in row:
             assert d[i, j] <= theta
             assert (d[i] <= theta + d[j]).all()
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_successor_orders_match_the_sorted_rows(tag):
+    """Every (pole, closing pole) row lists the successors that can still
+    close, as a sort of (theta + d, theta, j) over the successor row does."""
+    poly = H.build_archimedean(tag)
+    d = poly.closing_angles
+    successors = poly.arc_table[1]
+    orders = poly.successor_orders
+    assert len(orders) == len(successors)
+    for i, row in enumerate(successors):
+        assert len(orders[i]) == len(successors)
+        for k in range(len(successors)):
+            reference = sorted(
+                (theta + d[j, k], theta, j) for theta, j in row if d[j, k] < math.inf
+            )
+            assert [row[r][1] for r in orders[i][k]] == [j for _, _, j in reference]
+
+
+@pytest.mark.parametrize("tag,arcs", [("T", 96), ("O", 288), ("I", 1440)])
+def test_arc_runs_match_the_itinerary_readers(tag, arcs):
+    """The batched table holds, for every successor arc, the runs that
+    _arc_itinerary (off a wall) or _on_wall_itinerary (along one) reads."""
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    runs = poly.arc_runs
+    assert sorted(runs) == sorted((a, b) for a, row in enumerate(poly.arc_table[1]) for _, b in row)
+    assert len(runs) == arcs
+    for (a, b), sides in runs.items():
+        za, zb = tess.points[a], tess.points[b]
+        wall = H._arc_wall(tess, za, zb)
+        if wall is None:
+            theta, w = H._arc_param(za, zb)
+            expected = [H._arc_itinerary(tess, za, w, theta)]
+        else:
+            expected = H._on_wall_itinerary(tess, a, b, wall)
+        assert [list(run) for run in sides] == expected
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_search_tables_are_read_only(tag):
+    poly = H.build_archimedean(tag)
+    runs, orders = poly.arc_runs, poly.successor_orders
+    with pytest.raises(TypeError):
+        runs[0, 1] = ((0,),)
+    with pytest.raises(TypeError):
+        orders[0] = ()
+    with pytest.raises(TypeError):
+        orders[0][0] = b""
+    assert all(type(run) is tuple for sides in runs.values() for run in (sides, *sides))
+    assert all(type(row) is bytes for rows in orders for row in rows)
+
+
+def test_min_total_angle_calls_share_the_search_tables(monkeypatch):
+    """Two calls on different conjugates read the polyhedron's tables, not
+    tables of their own."""
+    seen = []
+    pops, realize = H._skeleton_pops, H._skeleton_realizes
+
+    def recorded_pops(poly, *args):
+        seen.append(("orders", poly.successor_orders))
+        return pops(poly, *args)
+
+    def recorded_realize(options, *args):
+        seen.append(("runs", options.runs))
+        return realize(options, *args)
+
+    monkeypatch.setattr(H, "_skeleton_pops", recorded_pops)
+    monkeypatch.setattr(H, "_skeleton_realizes", recorded_realize)
+    base = H.catalog_cone("O", "nu4")
+    poly = base.nu.polyhedron
+    for element in (0, base.group.order // 2):
+        H.min_total_angle(conjugated_cone(base, element))
+    assert {name for name, _ in seen} == {"orders", "runs"}
+    tables = {"orders": poly.successor_orders, "runs": poly.arc_runs}
+    assert all(table is tables[name] for name, table in seen)
