@@ -11,12 +11,21 @@ the collision chord distances ``delta_min``, the reciprocal-sine sums
 collision lower bounds, the comparison loop actions (in closed form), and
 the certificates bundling the resulting inequalities.
 
+Whatever does not depend on the exponent is read from tables built once,
+on first use: the polyhedron's ``edge_quadratics`` (zeta) and
+``midpoint_chords`` (delta_min), the tessellation's ``widest_chords``
+(tilde_U0), the sequence's ``side_counts`` (certificates) and the turn
+sines of each order (k_alpha_p).  A call evaluates only the powers of
+alpha.  Each computed ``zeta`` sends its rule difference to the
+``choreo.estimates`` logger at DEBUG.
+
 All inequalities are evaluated in the form that holds for every value of
 the central mass: the mass-independent part and the coefficient of the
 mass are compared separately, so a passing certificate covers the whole
 mass range at once.
 """
 
+import logging
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -25,6 +34,8 @@ import numpy as np
 
 from .homotopy import build_archimedean, sequence_counts
 from .reference_tables import TWO_PI
+
+_log = logging.getLogger(__name__)
 
 
 def _gauss_legendre(n):
@@ -42,19 +53,28 @@ _FINE_RULE = _gauss_legendre(48)
 _QUAD_TOL = 1e-8
 
 
+@lru_cache(maxsize=32)
+def _turn_sines(order):
+    """Read-only sin(j*pi/order) for j = 1 .. order-1."""
+    sines = np.sin(np.arange(1, order) * np.pi / order)
+    sines.flags.writeable = False
+    return sines
+
+
 def k_alpha_p(alpha, order):
     """Reciprocal sine-power sum over the nontrivial turns about one axis.
 
     Returns sum_{j=1}^{order-1} sin(j*pi/order)^(-alpha), the mutual
-    potential of points equally spaced on a circle, up to scale.
+    potential of points equally spaced on a circle, up to scale.  The sines
+    do not depend on alpha and are read from ``_turn_sines``, a bounded
+    table computed once per order.
     """
     if not 1.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [1, 2)")
     order = int(order)
     if order < 2:
         raise ValueError("order must be an integer >= 2")
-    j = np.arange(1, order)
-    return float(np.sum(np.sin(j * np.pi / order) ** (-alpha)))
+    return float(np.sum(_turn_sines(order) ** (-alpha)))
 
 
 def zeta(group, alpha, which):
@@ -67,34 +87,30 @@ def zeta(group, alpha, which):
     vectors at the common edge length.  The segment stays off the collision
     set, so the integrand is analytic on it: the value is the 48-node
     Gauss-Legendre sum, and a RuntimeError is raised when the 24-node sum
-    differs from it by more than 1e-8.
+    differs from it by more than 1e-8.  The squared distances along the
+    edge are quadratics in s whose coefficients do not depend on alpha;
+    they are read from the polyhedron's ``edge_quadratics`` table, and
+    only the two rules are evaluated per call.  Their difference is logged
+    at DEBUG.
     """
     if which not in (0, 1, 2):
         raise ValueError("which must be 0, 1 or 2")
     if not 1.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [1, 2)")
     poly = build_archimedean(group)
-    q, q1, q2 = poly.base_points
-    a, b = np.array(q), np.array(q2 if which == 2 else q1)
-    if which == 0:
-        # the central term 2/|x|^alpha: one form, the identity, of weight 2
-        F, mult = np.eye(3), np.array([2.0])
-    else:
-        F, mult = poly.group.pair_forms
-    # |F x(s)|^2 of each form is a quadratic c0 + s (c1 + s c2).
-    A = (a @ F).reshape(3, -1)
-    D = (b @ F).reshape(3, -1) - A
-    c0, c1, c2 = (np.einsum("rk,rk->k", u, v)[:, None] for u, v in ((A, A), (A, D), (D, D)))
-    c1 *= 2.0
+    c0, c1, c2, mult = poly.edge_quadratics[which]
 
     def rule(nodes, weights):
         return float(mult @ (c0 + nodes * (c1 + nodes * c2)) ** (-0.5 * alpha) @ weights)
 
     value, coarse = rule(*_FINE_RULE), rule(*_COARSE_RULE)
-    if abs(value - coarse) > _QUAD_TOL:
-        raise RuntimeError(
-            f"edge integral did not converge: rule difference {abs(value - coarse):.3e}"
-        )
+    difference = abs(value - coarse)
+    _log.debug(
+        "zeta %s which=%d alpha=%r: value=%r rule difference=%.3e",
+        poly.group.tag, which, alpha, value, difference,
+    )
+    if difference > _QUAD_TOL:
+        raise RuntimeError(f"edge integral did not converge: rule difference {difference:.3e}")
     return value
 
 
@@ -110,15 +126,12 @@ def delta_min(group, which):
 
     Doubling the midpoint of the edge from q to q_which gives m = q +
     q_which; the value is min over group elements R != I of |(R - I) m| / 2,
-    computed exactly by enumeration.
+    computed exactly by enumerating the pair forms.  It does not depend on
+    alpha and is read from the polyhedron's ``midpoint_chords`` table.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    poly = build_archimedean(group)
-    q, q1, q2 = poly.base_points
-    m = np.array(q) + np.array(q2 if which == 2 else q1)
-    y = (m @ poly.group.pair_forms[0]).reshape(3, -1)
-    return math.sqrt(np.min(np.einsum("rk,rk->k", y, y))) / 2.0
+    return build_archimedean(group).midpoint_chords[which - 1]
 
 
 def tilde_U0(group, alpha, triangle=0):

@@ -417,9 +417,13 @@ class Tessellation:
 
     def locate(self, x):
         """Index of the chamber containing the vector x (best margin); for an
-        (N, 3) array of vectors, the list of their N indices."""
+        (N, 3) array of vectors, the list of their N indices.  Raises
+        ValueError for a zero or non-finite vector, which has no direction."""
         v = np.asarray(x, dtype=float)
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        if not (np.isfinite(norm) & (norm > 0.0)).all():
+            raise ValueError("point must be a finite nonzero vector")
+        v = v / norm
         sides = np.einsum("tks,...s->...tk", self._chamber_normals, v)
         # the least of the three sides pairwise: numpy reduces an axis of
         # length 3 about ten times slower

@@ -43,8 +43,9 @@ class ArchimedeanPolyhedron:
     The base point sits on the triangle side joining the two higher-order
     poles of the base tessellation triangle, equidistant from the planes of
     the other two sides, so that both reflected copies q1, q2 are at the
-    same chord distance ell.  Cached per tag, it owns the minimal-angle
-    search tables over its tessellation, each built on first use.
+    same chord distance ell.  Cached per tag, it owns the exponent-free
+    base-edge constants of the estimates and the minimal-angle search tables
+    over its tessellation, each built on first use.
     """
 
     def __init__(self, group, tessellation, vertices, edges, base_points):
@@ -83,6 +84,41 @@ class ArchimedeanPolyhedron:
         """How each group element permutes the vertex indices, indexed like
         group.elements."""
         return self.group.point_permutations(self.vertices)
+
+    @cached_property
+    def edge_quadratics(self):
+        """Read-only (c0, c1, c2, mult) of each base edge, indexed by which.
+
+        Along x(s) = (1 - s) q + s q_which (q_1 for which = 0), form j of
+        group.pair_forms gives |F_j x(s)|^2 = c0[j] + s (c1[j] + s c2[j]),
+        and mult[j] counts the elements of that form; which = 0 has the
+        identity as its one form, of weight 2 (the central term).  The
+        coefficients are (k, 1) columns, ready to broadcast over nodes.
+        """
+        q, q1, q2 = self.base_points
+        forms = self.group.pair_forms
+        table = []
+        for F, mult, b in ((np.eye(3), np.array([2.0]), q1), (*forms, q1), (*forms, q2)):
+            A = (q @ F).reshape(3, -1)
+            D = (b @ F).reshape(3, -1) - A
+            c0, c1, c2 = (np.einsum("rk,rk->k", u, v)[:, None] for u, v in ((A, A), (A, D), (D, D)))
+            c1 *= 2.0
+            for c in (c0, c1, c2, mult):
+                c.flags.writeable = False
+            table.append((c0, c1, c2, mult))
+        return tuple(table)
+
+    @cached_property
+    def midpoint_chords(self):
+        """(delta_1, delta_2): for which = 1, 2, the least |(R - I) m| / 2 over
+        R != I, with m = q + q_which twice the base edge midpoint."""
+        q, q1, q2 = self.base_points
+        F = self.group.pair_forms[0]
+        chords = []
+        for b in (q1, q2):
+            y = ((q + b) @ F).reshape(3, -1)
+            chords.append(math.sqrt(np.min(np.einsum("rk,rk->k", y, y))) / 2.0)
+        return tuple(chords)
 
     @cached_property
     def edge_chambers(self):
@@ -527,6 +563,14 @@ class VertexSequence:
                 return d
         return L
 
+    @cached_property
+    def side_counts(self):
+        """(k_nu, k1, k2): the minimal period and how many of its sides are of
+        type 1 and of type 2."""
+        edge_type, ids, k = self.polyhedron.edge_type, self.vertex_ids, self.k_nu
+        k1 = [edge_type(ids[i], ids[(i + 1) % k]) for i in range(k)].count(1)
+        return k, k1, k - k1
+
     @property
     def points(self):
         return self.polyhedron.vertices[list(self.vertex_ids)]
@@ -541,20 +585,9 @@ class VertexSequence:
 
 
 def sequence_counts(nu):
-    """(k_nu, k1, k2): minimal period and side-type counts per period."""
-    poly = nu.polyhedron
-    k = nu.k_nu
-    per = nu.vertex_ids[:k]
-    k1 = k2 = 0
-    for i in range(k):
-        typ = poly.edge_type(per[i], per[(i + 1) % k])
-        if typ is None:
-            raise ValueError(f"vertices {per[i]} and {per[(i + 1) % k]} are not adjacent")
-        if typ == 1:
-            k1 += 1
-        else:
-            k2 += 1
-    return k, k1, k2
+    """(k_nu, k1, k2): minimal period and side-type counts per period, read
+    from the sequence's ``side_counts``."""
+    return nu.side_counts
 
 
 def _shifting(nu, M, elements):

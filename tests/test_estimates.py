@@ -1,7 +1,10 @@
 """Tests for the level-estimate constants and collision-exclusion certificates."""
 
 import json
+import logging
 import math
+from collections import Counter
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -35,6 +38,7 @@ from choreo.reference_tables import (
     ALPHA_GT1_BOUNDS,
     GROUP_CONSTANT_DEVIATIONS,
     GROUP_CONSTANTS,
+    LOOP_CATALOG,
     catalog_entry,
 )
 
@@ -244,7 +248,7 @@ def reference_edge(tag, which):
     return q, q2 if which == 2 else q1, diffs
 
 
-def reference_zeta(tag, alpha, which):
+def elementwise_zeta(tag, alpha, which):
     """zeta's pair integral summed element by element, as before the
     pair-form kernel (reference)."""
     a, b, diffs = reference_edge(tag, which)
@@ -260,7 +264,7 @@ def reference_zeta(tag, alpha, which):
 def test_zeta_and_delta_min_match_element_loop(tag):
     for which in (1, 2):
         for alpha in (1.0, 1.37, 1.5, 1.9):
-            want = reference_zeta(tag, alpha, which)
+            want = elementwise_zeta(tag, alpha, which)
             assert abs(zeta(tag, alpha, which) - want) <= 1e-13 * want
         a, b, diffs = reference_edge(tag, which)
         want = min(np.linalg.norm(D @ (a + b)) for D in diffs) / 2.0
@@ -335,6 +339,154 @@ def test_zeta_cache_is_bounded():
         E._zeta_cached("T", float(alpha), 0)
     info = E._zeta_cached.cache_info()
     assert info.currsize <= info.maxsize
+
+
+def reference_zeta(tag, alpha, which):
+    """zeta with its quadratic coefficients rebuilt on every call, as before
+    the polyhedron's edge_quadratics table (reference)."""
+    poly = build_archimedean(tag)
+    q, q1, q2 = poly.base_points
+    a, b = np.array(q), np.array(q2 if which == 2 else q1)
+    if which == 0:
+        F, mult = np.eye(3), np.array([2.0])
+    else:
+        F, mult = poly.group.pair_forms
+    A = (a @ F).reshape(3, -1)
+    D = (b @ F).reshape(3, -1) - A
+    c0, c1, c2 = (np.einsum("rk,rk->k", u, v)[:, None] for u, v in ((A, A), (A, D), (D, D)))
+    c1 *= 2.0
+
+    def rule(nodes, weights):
+        return float(mult @ (c0 + nodes * (c1 + nodes * c2)) ** (-0.5 * alpha) @ weights)
+
+    value, coarse = rule(*E._FINE_RULE), rule(*E._COARSE_RULE)
+    if abs(value - coarse) > E._QUAD_TOL:
+        raise RuntimeError("edge integral did not converge")
+    return value
+
+
+def reference_delta_min(tag, which):
+    """delta_min enumerated over the pair forms on every call, as before the
+    midpoint_chords table (reference)."""
+    poly = build_archimedean(tag)
+    q, q1, q2 = poly.base_points
+    m = np.array(q) + np.array(q2 if which == 2 else q1)
+    y = (m @ poly.group.pair_forms[0]).reshape(3, -1)
+    return math.sqrt(np.min(np.einsum("rk,rk->k", y, y))) / 2.0
+
+
+def reference_sequence_counts(nu):
+    """(k_nu, k1, k2) by walking the side types on every call (reference)."""
+    k = nu.k_nu
+    per = nu.vertex_ids[:k]
+    types = [nu.polyhedron.edge_type(per[i], per[(i + 1) % k]) for i in range(k)]
+    return k, types.count(1), types.count(2)
+
+
+def reference_k_alpha_p(alpha, order):
+    """k_alpha_p with its sines computed on every call (reference)."""
+    j = np.arange(1, order)
+    return float(np.sum(np.sin(j * np.pi / order) ** (-alpha)))
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_edge_tables_match_the_per_call_constants(tag):
+    for which in (0, 1, 2):
+        for alpha in (1.0, 1.37, 1.5, 1.9, 1.999):
+            assert zeta(tag, alpha, which) == reference_zeta(tag, alpha, which), (which, alpha)
+    for which in (1, 2):
+        assert delta_min(tag, which) == reference_delta_min(tag, which)
+
+
+def test_k_alpha_p_matches_per_call_sines():
+    for order in range(2, 13):
+        for alpha in (1.0, 1.37, 1.999):
+            assert k_alpha_p(alpha, order) == reference_k_alpha_p(alpha, order)
+
+
+CERTIFICATE_POINTS = ((1.0, 0.0), (1.37, 0.8), (1.9, 3.5))  # (alpha, m0)
+
+
+@pytest.mark.parametrize("entry", LOOP_CATALOG, ids=lambda e: f"{e.tag}-{e.name}")
+def test_certificates_match_the_per_call_constants(entry, monkeypatch):
+    cones = [
+        catalog_cone(entry.tag, entry.name, alpha=alpha, central_mass=m0)
+        for alpha, m0 in CERTIFICATE_POINTS
+    ]
+    got = [certify_no_total_collisions(cone) for cone in cones]
+    E._zeta_cached.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(E, "zeta", reference_zeta)
+            m.setattr(E, "delta_min", reference_delta_min)
+            m.setattr(E, "sequence_counts", reference_sequence_counts)
+            m.setattr(E, "k_alpha_p", reference_k_alpha_p)
+            want = [certify_no_total_collisions(cone) for cone in cones]
+    finally:
+        E._zeta_cached.cache_clear()
+    for cert, ref in zip(got, want):
+        assert cert.row() == ref.row()
+        assert (cert.direct_lhs, cert.direct_rhs) == (ref.direct_lhs, ref.direct_rhs)
+
+
+def count_builds(monkeypatch, owner, name, builds):
+    """Make the cached_property owner.name count its builds in builds, keyed
+    by (name, id of the instance)."""
+    original = vars(owner)[name]
+
+    def build(obj):
+        builds[name, id(obj)] += 1
+        return original.func(obj)
+
+    counted = cached_property(build)
+    counted.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_certificates_build_each_exponent_free_table_once(monkeypatch):
+    builds = Counter()
+    polys = [build_archimedean(tag) for tag in ("T", "O", "I")]
+    for name in ("edge_quadratics", "midpoint_chords"):
+        count_builds(monkeypatch, H.ArchimedeanPolyhedron, name, builds)
+        for poly in polys:
+            monkeypatch.delitem(vars(poly), name, raising=False)
+    count_builds(monkeypatch, H.VertexSequence, "side_counts", builds)
+    E._turn_sines.cache_clear()
+    bases = [catalog_cone(e.tag, e.name) for e in LOOP_CATALOG]
+    rng = np.random.default_rng(14)
+    for i in range(50):
+        base = bases[i % len(bases)]
+        cone = ConeSpec(
+            group=base.group, nu=base.nu, alpha=float(rng.uniform(1.01, 1.95)),
+            extra_symmetry=base.extra_symmetry, period=base.period,
+            central_mass=float(rng.uniform(0.0, 5.0)),
+        )
+        certify_no_total_collisions(cone)
+        E.test_loop_action_bound(cone)
+    assert set(builds.values()) == {1}
+    for name in ("edge_quadratics", "midpoint_chords"):
+        assert {key for key in builds if key[0] == name} == {(name, id(p)) for p in polys}
+    assert {key for key in builds if key[0] == "side_counts"} == {
+        ("side_counts", id(base.nu)) for base in bases
+    }
+    orders = {order for poly in polys for order in poly.tessellation.pole_order}
+    info = E._turn_sines.cache_info()
+    assert info.misses == info.currsize == len(orders)
+
+
+def test_zeta_logs_its_rule_difference_once_per_computed_value(caplog):
+    alpha = 1.2345678912345
+    with caplog.at_level(logging.DEBUG, logger="choreo.estimates"):
+        first = E._zeta_cached("O", alpha, 1)
+        assert E._zeta_cached("O", alpha, 1) == first  # a cache hit logs nothing
+        zeta("I", alpha, 0)
+    records = [r for r in caplog.records if r.name == "choreo.estimates"]
+    assert len(records) == 2
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert records[0].getMessage().startswith(f"zeta O which=1 alpha={alpha!r}: value={first!r}")
+    for record in records:
+        difference = float(record.getMessage().rsplit("rule difference=", 1)[1])
+        assert 0.0 <= difference <= E._QUAD_TOL
 
 
 def test_delta_min_rejects_bad_which():

@@ -451,6 +451,27 @@ def test_locate_takes_one_point_or_a_batch(tag):
     assert singles[200:] == list(range(len(tess.triangles)))
 
 
+NO_DIRECTION = [[0.0, 0.0, 0.0], [np.nan, 0.2, 0.3], [np.inf, 0.0, 0.0], [0.1, -np.inf, np.inf]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NO_DIRECTION, ids=["zero", "nan", "inf", "infs"])
+def test_locate_refuses_a_point_without_direction(bad):
+    tess = full_group_tessellation(builtin_group("O"))
+    with pytest.raises(ValueError, match="finite nonzero"):
+        tess.locate(np.array(bad))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NO_DIRECTION, ids=["zero", "nan", "inf", "infs"])
+def test_locate_refuses_a_batch_with_a_point_without_direction(bad):
+    tess = full_group_tessellation(builtin_group("O"))
+    batch = np.array([[0.3, 0.2, 0.9], bad, [-0.5, 0.1, 0.4]])
+    with pytest.raises(ValueError, match="finite nonzero"):
+        tess.locate(batch)
+    assert len(tess.locate(batch[[0, 2]])) == 2
+
+
 def reference_pole_permutation(tess, R):
     """The per-element pole map the tessellation tables replaced."""
     index = {matrix_key(p): i for i, p in enumerate(tess.points)}
