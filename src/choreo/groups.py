@@ -17,7 +17,6 @@ cached attribute of it, built on first use.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,8 +72,9 @@ class RotationGroup:
     constructions of the same group list the elements identically.  Despite
     the name, elements of determinant -1 are allowed (the vertical groups
     are generated by rotoreflections); the polyhedral groups are proper.
-    The element index, the element orders and the factors every
-    pair-potential evaluation uses (``pair_forms``) are built once per group.
+    The element index, the element orders, the factors every
+    pair-potential evaluation uses (``pair_forms``) and the fixed sets that
+    collision_distance reads (``fixed_sets``) are built once per group.
     """
 
     tag: str
@@ -136,6 +136,44 @@ class RotationGroup:
         mult = np.array([m for _, m in forms.values()], dtype=float)
         F.flags.writeable = mult.flags.writeable = False
         return F, mult
+
+    @cached_property
+    def fixed_sets(self):
+        """Fixed sets of the non-identity elements, merged by subspace.
+
+        (lines, planes, has_origin_only): read-only unit direction vectors
+        of fixed lines, unit normals of fixed (mirror) planes, and whether
+        some element fixes only the origin.  For every built-in group the
+        planes are empty and the fixed set is a union of lines through 0.
+        """
+        lines = {}
+        planes = {}
+        origin_only = False
+        for R in self.elements:
+            if np.allclose(R, np.eye(3), atol=_IDENTITY_ATOL):
+                continue
+            _, sv, Vt = np.linalg.svd(R - np.eye(3))
+            basis = Vt[sv < 1e-9]  # orthonormal basis of the fixed space
+            if len(basis) == 0:
+                origin_only = True
+            elif len(basis) == 1:
+                d = basis[0] / np.linalg.norm(basis[0])
+                if d[np.argmax(np.abs(d))] < 0:
+                    d = -d
+                lines[matrix_key(d)] = d
+            elif len(basis) == 2:
+                nrm = np.cross(basis[0], basis[1])
+                nrm = nrm / np.linalg.norm(nrm)
+                if nrm[np.argmax(np.abs(nrm))] < 0:
+                    nrm = -nrm
+                planes[matrix_key(nrm)] = nrm
+            else:
+                raise ValueError("non-identity element fixes all of R^3")
+        for v in (*lines.values(), *planes.values()):
+            v.flags.writeable = False
+        line_list = tuple(lines[k] for k in sorted(lines.keys()))
+        plane_list = tuple(planes[k] for k in sorted(planes.keys()))
+        return line_list, plane_list, origin_only
 
     def __iter__(self):
         return iter(self.elements)
@@ -275,59 +313,19 @@ def pole_orbits(group, pole_list=None):
     return orbits
 
 
-def _fixed_space(R, tol=1e-9):
-    """Orthonormal basis of the eigenspace of R for eigenvalue 1."""
-    _, s, Vt = np.linalg.svd(R - np.eye(3))
-    return Vt[s < tol]
-
-
-def fixed_point_sets(group):
-    """Fixed sets of the non-identity elements, merged by subspace.
-
-    Returns (lines, planes, has_origin_only): unit direction vectors of
-    fixed lines, unit normals of fixed (mirror) planes, and whether some
-    element fixes only the origin.  For every built-in group the planes
-    list is empty and the fixed set is a union of lines through 0.
-    """
-    lines = {}
-    planes = {}
-    origin_only = False
-    for R in group:
-        if np.allclose(R, np.eye(3), atol=_IDENTITY_ATOL):
-            continue
-        basis = _fixed_space(R)
-        if len(basis) == 0:
-            origin_only = True
-        elif len(basis) == 1:
-            d = basis[0] / np.linalg.norm(basis[0])
-            if d[np.argmax(np.abs(d))] < 0:
-                d = -d
-            lines[matrix_key(d)] = d
-        elif len(basis) == 2:
-            nrm = np.cross(basis[0], basis[1])
-            nrm = nrm / np.linalg.norm(nrm)
-            if nrm[np.argmax(np.abs(nrm))] < 0:
-                nrm = -nrm
-            planes[matrix_key(nrm)] = nrm
-        else:
-            raise ValueError("non-identity element fixes all of R^3")
-    line_list = [lines[k] for k in sorted(lines.keys())]
-    plane_list = [planes[k] for k in sorted(planes.keys())]
-    return line_list, plane_list, origin_only
-
-
 def collision_distance(x, group):
     """Distance from x to the collision set of the group.
 
     The collision set is the union of fixed sets of the non-identity
     elements: a body on it collides with one of its symmetry copies (or
     the central mass).  Accepts a single point (3,) or an array (..., 3)
-    and returns a float or an array of the leading shape.
+    and returns a float or an array of the leading shape.  The fixed sets
+    are read from group.fixed_sets, built once per group.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    lines, planes, origin_only = fixed_point_sets(group)
+    lines, planes, origin_only = group.fixed_sets
     if not lines and not planes and not origin_only:
         raise ValueError("trivial group has no collision set")
     dists = []
@@ -572,6 +570,3 @@ def full_group_tessellation(group):
     return tess
 
 
-def pole_census(group):
-    """Counter mapping pole order to how many poles have it."""
-    return Counter(p.order for p in poles(group))

@@ -28,6 +28,8 @@ from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
 # How far the minimal-angle search lowers its A* bound on open entries.
 _BOUND_SLACK = 1e-9
+# Search nodes reconstruct_numbering may visit before it gives up.
+_NUMBERING_NODE_CAP = 5_000_000
 _log = logging.getLogger(__name__)
 
 
@@ -43,9 +45,10 @@ class ArchimedeanPolyhedron:
     The base point sits on the triangle side joining the two higher-order
     poles of the base tessellation triangle, equidistant from the planes of
     the other two sides, so that both reflected copies q1, q2 are at the
-    same chord distance ell.  Cached per tag, it owns the exponent-free
-    base-edge constants of the estimates and the minimal-angle search tables
-    over its tessellation, each built on first use.
+    same chord distance ell.  Cached per tag, it owns its tables, each built
+    on first use: the group action on the vertices (vertex_permutations,
+    element_between), the estimates' base-edge constants (edge_quadratics,
+    midpoint_chords), edge_chambers and the minimal-angle search tables.
     """
 
     def __init__(self, group, tessellation, vertices, edges, base_points):
@@ -84,6 +87,21 @@ class ArchimedeanPolyhedron:
         """How each group element permutes the vertex indices, indexed like
         group.elements."""
         return self.group.point_permutations(self.vertices)
+
+    @cached_property
+    def element_between(self):
+        """element_between[a][b]: index of the one group element that maps
+        vertex a to vertex b.  The vertices are one free orbit of the group
+        (vertex i is elements[i] @ q); ValueError if they are not."""
+        table = [[None] * self.vertex_count for _ in range(self.vertex_count)]
+        for g, perm in enumerate(self.vertex_permutations):
+            for a, b in enumerate(perm):
+                if table[a][b] is not None:
+                    raise ValueError(f"elements {table[a][b]} and {g} both map vertex {a} to {b}")
+                table[a][b] = g
+        if self.group.order != self.vertex_count:
+            raise ValueError("the vertices are not one orbit of the group")
+        return tuple(map(tuple, table))
 
     @cached_property
     def edge_quadratics(self):
@@ -372,19 +390,23 @@ def build_archimedean(group):
 # Vertex numberings
 
 
-def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
+def reconstruct_numbering(polyhedron, rows):
     """Assign vertex indices to published labels from sequence data alone.
 
-    rows is an iterable of (labels, M, k1, k2) where labels repeats the
-    starting label at the end.  The search places each row as a closed edge
-    path, prunes on side-type counts, and requires for each row a group
-    element R with R^M = identity that shifts the cycle by steps/M
-    positions.  Labels not used by any row are assigned to the remaining
-    vertices in sorted order, so the result is a bijection.  Raises
-    ValueError if the rows cannot be realized.
+    rows is an iterable of (labels, M, k1, k2) where labels, each in
+    1..vertex_count, repeats the starting label at the end, and M is a
+    positive divisor of the step count (ValueError otherwise).  The search
+    places each row as a closed edge path, prunes on side-type counts, and
+    requires for each row a group element R with R^M = identity that shifts
+    the cycle by steps/M positions: the first placed pair of labels steps/M
+    apart fixes R (element_between), and every other placed pair must agree.
+    Labels not used by any row are assigned to the remaining vertices in
+    sorted order, so the result is a bijection.  Raises ValueError if the
+    rows cannot be realized, RuntimeError past _NUMBERING_NODE_CAP search
+    nodes; logs the node count at DEBUG.
     """
-    nv = polyhedron.vertex_count
-    perms = polyhedron.vertex_permutations
+    nv, tag = polyhedron.vertex_count, polyhedron.group.tag
+    perms, between = polyhedron.vertex_permutations, polyhedron.element_between
     orders = polyhedron.group.element_orders
 
     prepared = []
@@ -393,8 +415,10 @@ def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
         if labels[0] != labels[-1]:
             raise ValueError("each row must repeat its starting label at the end")
         per = labels[:-1]
-        if len(per) % M:
-            raise ValueError("row length is not divisible by its stated M")
+        if not all(1 <= label <= nv for label in per):
+            raise ValueError(f"row labels must lie in 1..{nv}")
+        if M < 1 or len(per) % M:
+            raise ValueError("the symmetry order M must be a positive divisor of the row length")
         prepared.append((per, M, len(per) // M, int(k1), int(k2)))
 
     assign = {}
@@ -406,40 +430,31 @@ def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
             return True
         per, M, shift, k1, k2 = prepared[ri]
         L = len(per)
-        cands0 = [p for p, order in zip(perms, orders) if M % order == 0]
+        pairs = [(per[i], per[(i + shift) % L]) for i in range(L)]
 
-        def pair_filter(cands, upto):
-            out = []
-            for p in cands:
-                ok = True
-                for i in range(upto + 1):
-                    la, lb = per[i], per[(i + shift) % L]
-                    if la in assign and lb in assign and p[assign[la]] != assign[lb]:
-                        ok = False
-                        break
-                if ok:
-                    out.append(p)
-            return out
+        def shift_holds(upto):
+            # The first placed pair fixes the one candidate R; the others must agree.
+            perm = None
+            for la, lb in pairs[: upto + 1]:
+                if la in assign and lb in assign:
+                    a, b = assign[la], assign[lb]
+                    if perm is None:
+                        g = between[a][b]
+                        if M % orders[g]:
+                            return False
+                        perm = perms[g]
+                    elif perm[a] != b:
+                        return False
+            return True
 
-        def place(pos, c1, c2, cands):
+        def place(pos, c1, c2):
             nonlocal nodes
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _NUMBERING_NODE_CAP:
                 raise RuntimeError("numbering reconstruction exceeded its search budget")
             if pos == L:
-                a, b = assign[per[-1]], assign[per[0]]
-                typ = polyhedron.edge_type(a, b)
-                if typ is None:
-                    return False
-                n1, n2 = c1 + (typ == 1), c2 + (typ == 2)
-                if n1 != k1 or n2 != k2:
-                    return False
-                final = [
-                    p
-                    for p in cands
-                    if all(p[assign[per[i]]] == assign[per[(i + shift) % L]] for i in range(L))
-                ]
-                if not final:
+                typ = polyhedron.edge_type(assign[per[-1]], assign[per[0]])
+                if typ is None or (c1 + (typ == 1), c2 + (typ == 2)) != (k1, k2):
                     return False
                 return place_rows(ri + 1)
 
@@ -447,24 +462,14 @@ def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
             prev = assign[per[pos - 1]] if pos > 0 else None
 
             def advance(vid):
-                n1, n2 = c1, c2
-                if pos > 0:
-                    typ = polyhedron.edge_type(prev, vid)
-                    if typ is None:
-                        return None
-                    n1, n2 = c1 + (typ == 1), c2 + (typ == 2)
-                    if n1 > k1 or n2 > k2:
-                        return None
-                filtered = pair_filter(cands, pos)
-                if not filtered:
-                    return None
-                return n1, n2, filtered
+                typ = polyhedron.edge_type(prev, vid) if pos > 0 else 0
+                if typ is None:
+                    return False
+                n1, n2 = c1 + (typ == 1), c2 + (typ == 2)
+                return n1 <= k1 and n2 <= k2 and shift_holds(pos) and place(pos + 1, n1, n2)
 
             if label in assign:
-                step = advance(assign[label])
-                if step is None:
-                    return False
-                return place(pos + 1, step[0], step[1], step[2])
+                return advance(assign[label])
 
             options = range(nv) if pos == 0 else [w for w, _ in polyhedron.neighbors(prev)]
             for vid in sorted(set(options)):
@@ -472,16 +477,17 @@ def reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
                     continue
                 assign[label] = vid
                 used[vid] = True
-                step = advance(vid)
-                if step is not None and place(pos + 1, step[0], step[1], step[2]):
+                if advance(vid):
                     return True
                 del assign[label]
                 used[vid] = False
             return False
 
-        return place(0, 0, 0, cands0)
+        return place(0, 0, 0)
 
-    if not place_rows(0):
+    found = place_rows(0)
+    _log.debug("reconstruct_numbering %s: %d rows, %d nodes", tag, len(prepared), nodes)
+    if not found:
         raise ValueError("the given rows admit no consistent vertex numbering")
 
     numbering = dict(assign)
@@ -501,13 +507,8 @@ def published_numbering(tag):
     """
     tag = str(tag).upper()
     poly = build_archimedean(tag)
-    rows = []
-    for e in catalog_rows(tag):
-        k2 = e.k2 or 0
-        if e.steps != e.k1 + k2:
-            continue
-        rows.append((e.labels, e.M, e.k1, k2))
-    return reconstruct_numbering(poly, rows)
+    entries = [e for e in catalog_rows(tag) if e.steps == e.k1 + (e.k2 or 0)]
+    return reconstruct_numbering(poly, [(e.labels, e.M, e.k1, e.k2 or 0) for e in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -590,26 +591,28 @@ def sequence_counts(nu):
     return nu.side_counts
 
 
-def _shifting(nu, M, elements):
-    """The element indices g, among elements, whose vertex permutation moves
-    nu on by steps/M positions (M must divide the step count)."""
-    ids, shift = nu.vertex_ids, nu.steps // M
+def _shift_element(nu, M):
+    """Index of the group element R that moves nu on by steps/M positions,
+    or None (M must divide the step count).  Only the element that maps the
+    first vertex steps/M stops ahead can do it, and then R^M = identity:
+    R^M fixes that vertex, and only the identity fixes a vertex."""
+    poly, ids, shift = nu.polyhedron, nu.vertex_ids, nu.steps // M
     moved = ids[shift:] + ids[:shift]
-    perms = nu.polyhedron.vertex_permutations
-    return [g for g in elements if all(perms[g][i] == j for i, j in zip(ids, moved))]
+    g = poly.element_between[ids[0]][moved[0]]
+    perm = poly.vertex_permutations[g]
+    return g if all(perm[i] == j for i, j in zip(ids, moved)) else None
 
 
 def find_extra_symmetry(nu, M):
     """Group elements R with R^M = identity realizing the cyclic shift by steps/M.
 
-    Returns the matching matrices in deterministic element order (possibly
-    empty).
+    The list holds at most one matrix, since the vertices are a free orbit
+    (empty unless M is a positive divisor of the step count).
     """
     if M < 1 or nu.steps % M:
         return []
-    group = nu.polyhedron.group
-    dividing = [g for g, order in enumerate(group.element_orders) if M % order == 0]
-    return [group.elements[g] for g in _shifting(nu, M, dividing)]
+    g = _shift_element(nu, M)
+    return [] if g is None else [nu.polyhedron.group.elements[g]]
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +896,7 @@ class ConeSpec:
                 raise ValueError("extra symmetry element does not have order dividing M")
             if self.nu.steps % M:
                 raise ValueError("sequence length is not divisible by M")
-            if not _shifting(self.nu, M, [g]):
+            if _shift_element(self.nu, M) != g:
                 raise ValueError("extra symmetry does not shift the sequence by steps/M")
             object.__setattr__(self, "extra_symmetry", (R, M))
         word = self.reduced_word

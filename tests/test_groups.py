@@ -1,5 +1,7 @@
 """Group construction, poles, collision distances, tessellations."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,9 @@ from choreo.groups import (
     RotationGroup,
     builtin_group,
     collision_distance,
-    fixed_point_sets,
     full_group_tessellation,
     generate_group,
     matrix_key,
-    pole_census,
     pole_orbits,
     poles,
     rotation_matrix,
@@ -134,6 +134,11 @@ def test_index_locates_elements_and_rejects_others(tag):
 
 # ---------------------------------------------------------------------------
 # poles
+
+
+def pole_census(group):
+    """How many poles have each order."""
+    return Counter(p.order for p in poles(group))
 
 
 def test_pole_census_t():
@@ -257,9 +262,53 @@ def test_pair_forms_cover_every_element_once(tag, n, forms):
 # collision set distances
 
 
+def reference_fixed_point_sets(group):
+    """The fixed sets as collision_distance derived them on every call, one
+    SVD per element, kept to check the per-group table against."""
+    lines = {}
+    planes = {}
+    origin_only = False
+    for R in group:
+        if np.allclose(R, np.eye(3), atol=1e-9):
+            continue
+        _, s, Vt = np.linalg.svd(R - np.eye(3))
+        basis = Vt[s < 1e-9]
+        if len(basis) == 0:
+            origin_only = True
+        elif len(basis) == 1:
+            d = basis[0] / np.linalg.norm(basis[0])
+            if d[np.argmax(np.abs(d))] < 0:
+                d = -d
+            lines[matrix_key(d)] = d
+        elif len(basis) == 2:
+            nrm = np.cross(basis[0], basis[1])
+            nrm = nrm / np.linalg.norm(nrm)
+            if nrm[np.argmax(np.abs(nrm))] < 0:
+                nrm = -nrm
+            planes[matrix_key(nrm)] = nrm
+        else:
+            raise ValueError("non-identity element fixes all of R^3")
+    line_list = [lines[k] for k in sorted(lines.keys())]
+    plane_list = [planes[k] for k in sorted(planes.keys())]
+    return line_list, plane_list, origin_only
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_fixed_sets_match_the_per_call_body(tag):
+    G = builtin_group(tag)
+    lines, planes, origin_only = G.fixed_sets
+    want_lines, want_planes, want_origin_only = reference_fixed_point_sets(G)
+    assert origin_only == want_origin_only
+    assert len(lines) == len(want_lines) and len(planes) == len(want_planes)
+    for got, want in zip((*lines, *planes), (*want_lines, *want_planes)):
+        assert got.tolist() == want.tolist()
+        assert not got.flags.writeable
+    assert G.fixed_sets is G.fixed_sets
+
+
 def test_collision_distance_z4_is_axis_distance():
     G = builtin_group("Z4")
-    lines, planes, origin_only = fixed_point_sets(G)
+    lines, planes, origin_only = G.fixed_sets
     assert len(lines) == 1 and not planes
     x = np.array([0.3, -0.4, 7.0])
     assert collision_distance(x, G) == pytest.approx(0.5, abs=1e-12)

@@ -171,6 +171,246 @@ def test_reconstruct_rejects_impossible_rows():
         H.reconstruct_numbering(poly, rows)
 
 
+def published_rows(tag):
+    """The self-consistent catalog rows, as published_numbering passes them."""
+    return [
+        (e.labels, e.M, e.k1, e.k2 or 0)
+        for e in catalog_rows(tag)
+        if e.steps == e.k1 + (e.k2 or 0)
+    ]
+
+
+def reference_reconstruct_numbering(polyhedron, rows, node_cap=5_000_000):
+    """The numbering search that filtered a candidate list of every element
+    of order dividing M at each node, kept to check the element_between
+    lookup against."""
+    nv = polyhedron.vertex_count
+    perms = polyhedron.vertex_permutations
+    orders = polyhedron.group.element_orders
+
+    prepared = []
+    for labels, M, k1, k2 in rows:
+        labels = list(labels)
+        if labels[0] != labels[-1]:
+            raise ValueError("each row must repeat its starting label at the end")
+        per = labels[:-1]
+        if len(per) % M:
+            raise ValueError("row length is not divisible by its stated M")
+        prepared.append((per, M, len(per) // M, int(k1), int(k2)))
+
+    assign = {}
+    used = [False] * nv
+    nodes = 0
+
+    def place_rows(ri):
+        if ri == len(prepared):
+            return True
+        per, M, shift, k1, k2 = prepared[ri]
+        L = len(per)
+        cands0 = [p for p, order in zip(perms, orders) if M % order == 0]
+
+        def pair_filter(cands, upto):
+            out = []
+            for p in cands:
+                ok = True
+                for i in range(upto + 1):
+                    la, lb = per[i], per[(i + shift) % L]
+                    if la in assign and lb in assign and p[assign[la]] != assign[lb]:
+                        ok = False
+                        break
+                if ok:
+                    out.append(p)
+            return out
+
+        def place(pos, c1, c2, cands):
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_cap:
+                raise RuntimeError("numbering reconstruction exceeded its search budget")
+            if pos == L:
+                a, b = assign[per[-1]], assign[per[0]]
+                typ = polyhedron.edge_type(a, b)
+                if typ is None:
+                    return False
+                n1, n2 = c1 + (typ == 1), c2 + (typ == 2)
+                if n1 != k1 or n2 != k2:
+                    return False
+                final = [
+                    p
+                    for p in cands
+                    if all(p[assign[per[i]]] == assign[per[(i + shift) % L]] for i in range(L))
+                ]
+                if not final:
+                    return False
+                return place_rows(ri + 1)
+
+            label = per[pos]
+            prev = assign[per[pos - 1]] if pos > 0 else None
+
+            def advance(vid):
+                n1, n2 = c1, c2
+                if pos > 0:
+                    typ = polyhedron.edge_type(prev, vid)
+                    if typ is None:
+                        return None
+                    n1, n2 = c1 + (typ == 1), c2 + (typ == 2)
+                    if n1 > k1 or n2 > k2:
+                        return None
+                filtered = pair_filter(cands, pos)
+                if not filtered:
+                    return None
+                return n1, n2, filtered
+
+            if label in assign:
+                step = advance(assign[label])
+                if step is None:
+                    return False
+                return place(pos + 1, step[0], step[1], step[2])
+
+            options = range(nv) if pos == 0 else [w for w, _ in polyhedron.neighbors(prev)]
+            for vid in sorted(set(options)):
+                if used[vid]:
+                    continue
+                assign[label] = vid
+                used[vid] = True
+                step = advance(vid)
+                if step is not None and place(pos + 1, step[0], step[1], step[2]):
+                    return True
+                del assign[label]
+                used[vid] = False
+            return False
+
+        return place(0, 0, 0, cands0)
+
+    if not place_rows(0):
+        raise ValueError("the given rows admit no consistent vertex numbering")
+
+    numbering = dict(assign)
+    free_labels = sorted(set(range(1, nv + 1)) - set(numbering))
+    free_vids = sorted(set(range(nv)) - set(numbering.values()))
+    numbering.update(dict(zip(free_labels, free_vids)))
+    return numbering
+
+
+# Each tag's rows, those rows in reverse order, and each row alone.
+ROW_SETS = [
+    (tag, which)
+    for tag in ("T", "O", "I")
+    for which in ["all", "reversed", *range(len(published_rows(tag)))]
+]
+
+
+@pytest.mark.parametrize("tag,which", ROW_SETS)
+def test_reconstruct_numbering_matches_the_candidate_filter(tag, which):
+    rows = published_rows(tag)
+    rows = {"all": rows, "reversed": rows[::-1]}.get(which) or [rows[which]]
+    poly = H.build_archimedean(tag)
+    assert H.reconstruct_numbering(poly, rows) == reference_reconstruct_numbering(poly, rows)
+
+
+def test_row_sets_cover_every_self_consistent_row():
+    assert len(ROW_SETS) == 24
+
+
+@pytest.mark.parametrize("tag,rows,nodes", [("T", 6, 79), ("O", 8, 174), ("I", 4, 4521)])
+def test_reconstruct_numbering_logs_its_node_count(tag, rows, nodes, caplog):
+    caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
+    numbering = H.reconstruct_numbering(H.build_archimedean(tag), published_rows(tag))
+    messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
+    assert messages == [f"reconstruct_numbering {tag}: {rows} rows, {nodes} nodes"]
+    assert numbering == H.published_numbering(tag)
+
+
+def test_reconstruct_numbering_fails_loudly_past_its_node_cap(monkeypatch):
+    monkeypatch.setattr(H, "_NUMBERING_NODE_CAP", 10)
+    with pytest.raises(RuntimeError, match="search budget"):
+        H.reconstruct_numbering(H.build_archimedean("T"), published_rows("T"))
+
+
+def altered_row(tag, name, M=None, relabel=(None, None)):
+    """One catalog row with its symmetry order or one of its labels replaced."""
+    entry = catalog_entry(tag, name)
+    old, new = relabel
+    labels = tuple(new if label == old else label for label in entry.labels)
+    return [(labels, entry.M if M is None else M, entry.k1, entry.k2 or 0)]
+
+
+@pytest.mark.parametrize(
+    "tag,rows,message",
+    [
+        # M = 0 divided by zero, and M = -2 was taken for a symmetry order.
+        ("T", altered_row("T", "nu1", M=0), "positive divisor"),
+        ("T", altered_row("T", "nu1", M=-2), "positive divisor"),
+        # Both were placed, and then labels 24 and 10 were left without a vertex.
+        ("O", altered_row("O", "nu4", relabel=(15, 99)), "must lie in"),
+        ("T", altered_row("T", "nu1", relabel=(9, 0)), "must lie in"),
+    ],
+    ids=["M=0", "M=-2", "label-99", "label-0"],
+)
+def test_reconstruct_numbering_refuses_bad_rows(tag, rows, message):
+    with pytest.raises(ValueError, match=message):
+        H.reconstruct_numbering(H.build_archimedean(tag), rows)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_element_between_is_one_element_per_vertex_pair(tag):
+    poly = H.build_archimedean(tag)
+    table = poly.element_between
+    assert poly.vertex_count == poly.group.order
+    for a, row in enumerate(table):
+        assert sorted(row) == list(range(poly.group.order))
+        assert all(poly.vertex_permutations[g][a] == b for b, g in enumerate(row))
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+
+
+def test_element_between_refuses_a_vertex_set_without_free_action():
+    """The six order-4 poles of O, joined as the octahedron: each is fixed by
+    its own quarter turns, so four elements map it to itself."""
+    poly = H.build_archimedean("O")
+    tess = poly.tessellation
+    axes = tess.points[[p for p, order in enumerate(tess.pole_order) if order == 4]]
+    edges = {
+        (i, j): 1
+        for i, j in itertools.combinations(range(len(axes)), 2)
+        if abs(axes[i] @ axes[j]) < 1e-9
+    }
+    assert len(axes) == 6 and len(edges) == 12
+    octahedron = H.ArchimedeanPolyhedron(poly.group, tess, axes, edges, poly.base_points)
+    with pytest.raises(ValueError, match="both map vertex"):
+        octahedron.element_between
+
+
+def reference_extra_symmetry(nu, M):
+    """Indices of every element R with R^M = identity that moves nu on by
+    steps/M positions, by a scan over the whole group."""
+    if M < 1 or nu.steps % M:
+        return []
+    ids, shift = nu.vertex_ids, nu.steps // M
+    moved = ids[shift:] + ids[:shift]
+    group, perms = nu.polyhedron.group, nu.polyhedron.vertex_permutations
+    return [
+        g
+        for g, R in enumerate(group.elements)
+        if all(perms[g][i] == j for i, j in zip(ids, moved))
+        and np.allclose(np.linalg.matrix_power(R, M), np.eye(3), atol=1e-9)
+    ]
+
+
+def test_find_extra_symmetry_matches_the_element_scan():
+    """Every conjugate of every catalog row, at every M from 0 to steps + 1."""
+    cases = 0
+    for tag, name in ALL_ROWS:
+        base = row_sequence(tag, name)
+        group = base.polyhedron.group
+        for R in group.elements:
+            nu = base.transformed(R)
+            for M in range(nu.steps + 2):
+                found = [group.index(S) for S in H.find_extra_symmetry(nu, M)]
+                assert found == reference_extra_symmetry(nu, M), (tag, name, M)
+                cases += 1
+    assert cases == 9300
+
+
 # ---------------------------------------------------------------------------
 # Vertex sequences
 
