@@ -12,6 +12,14 @@ Symmetry reductions (time-shift and reflection constraints on the loop)
 are represented as finite groups of loop transformations; the reduction
 projects onto the invariant subspace and restricts the variables to a
 fundamental set of nodes.
+
+The potential kernel runs once per orbit of nodes.  When every matrix of
+the reduction lies in the group up to sign, the potential is the same at
+every node of an orbit and its gradients are images of one another
+(symmetric criticality), so action and gradient evaluate the kernel on the
+fundamental nodes only, weighted by their orbit sizes
+(SymmetryReduction.orbit_weights).  Otherwise, and on loops without a
+reduction, the kernel sees every node.
 """
 
 from dataclasses import dataclass
@@ -23,6 +31,17 @@ REFLECT_X3 = np.diag([1.0, 1.0, -1.0])
 
 _COLLISION_FLOOR = 1e-13
 _BLOCK = 512  # nodes per pass of the pair kernel: bounds its (nodes, 3k) temporaries
+
+
+def _signed_member(A, group):
+    """Whether A or -A is an element of group."""
+    for B in (A, -A):
+        try:
+            group.index(B)
+            return True
+        except KeyError:
+            pass
+    return False
 
 
 class CollisionError(ValueError):
@@ -103,7 +122,7 @@ class SymmetryReduction:
         A = np.eye(3)
         for k in range(int(self.M)):
             # invariance u_{j+step} = R u_j gives u_j = R^k u_{j - k*step}
-            out.append(((n - k * step) % n, 1, A.copy()))
+            out.append(((n - k * step) % n, 1, A))
             A = R @ A
         return out
 
@@ -115,29 +134,56 @@ class SymmetryReduction:
             return np.arange(n // 4 + 1)
         return np.arange(n // int(self.M))
 
+    def orbit_weights(self, n, group):
+        """(free_nodes(n), w) with w[j] the size of the orbit of free node j
+        under the transforms, or None when some transform matrix A has
+        neither A nor -A in group.
+
+        Every potential of the group is invariant under +-G, so on an
+        invariant loop the whole orbit of a node shares its potential, and
+        its gradients are images of one another (symmetric criticality).
+        Each orbit has M nodes for "extra" and 2 for "italian"; for
+        "klein_reflections" it has 4, except 2 at nodes 0 and n/4, which a
+        reflection fixes.
+        """
+        # the transform matrices are products of these, and +-G is a group
+        gens = {"italian": [-np.eye(3)], "klein_reflections": [REFLECT_X3, REFLECT_X2]}
+        gens = gens.get(self.kind) or [np.asarray(self.matrix, float)]
+        if not all(_signed_member(A, group) for A in gens):
+            return None
+        free = self.free_nodes(n)
+        w = np.full(len(free), float(self.divisor()))
+        if self.kind == "klein_reflections":
+            w[[0, -1]] = 2.0
+        return free, w
+
     def node_images(self, n):
         """For each node i, a representation u_i = A @ z_rep with rep a free
         node.  Returns (rep, mats) with rep an int array of length n and
         mats an (n, 3, 3) array.  Boundary nodes fixed by part of the group
         get the average over their stabilizer, so the lift is total."""
         free = self.free_nodes(n)
-        rep = -np.ones(n, dtype=int)
-        mats = np.zeros((n, 3, 3))
-        counts = np.zeros(n, dtype=int)
-        for shift, flip, A in self.transforms(n):
-            # invariance u_j = A u_{sigma(j)} with sigma(j) = flip*j + shift
-            # reads backwards as u_{sigma(j)} = A^T u_j on invariant loops.
-            # sigma is a bijection, so the images i of the free nodes are
-            # distinct and the updates below touch each node at most once.
-            i = (flip * free + shift) % n
-            take = (rep[i] == -1) | (rep[i] == free)
-            i = i[take]
-            rep[i] = free[take]
-            mats[i] += A.T
-            counts[i] += 1
-        if np.any(rep < 0):
+        shifts, flips, As = zip(*self.transforms(n))
+        # invariance u_j = A u_{sigma(j)} with sigma(j) = flip*j + shift reads
+        # backwards as u_{sigma(j)} = A^T u_j on invariant loops.  Row k holds
+        # the images sigma_k(free).  The free nodes meet each orbit once, so a
+        # node hit twice is hit from one free node, by its stabilizer.
+        images = (np.multiply.outer(flips, free) + np.array(shifts)[:, None]) % n
+        counts = np.bincount(images.ravel(), minlength=n)
+        if counts.min() == 0:
             raise ValueError("fundamental nodes do not cover the loop")
-        mats /= counts[:, None, None]
+        rep = np.empty(n, dtype=int)
+        rep[images] = free
+        which = np.empty(n, dtype=int)
+        which[images] = np.arange(len(As))[:, None]
+        AT = np.array(As).transpose(0, 2, 1) + 0.0  # + 0.0 clears negative zeros
+        mats = np.take(AT, which, axis=0)
+        shared = np.flatnonzero(counts > 1)
+        if len(shared):
+            # the stabilizer average, summed in transform order
+            hit = images[:, rep[shared]] == shared
+            total = np.add.reduce(hit[:, :, None, None] * AT[:, None], axis=0)
+            mats[shared] = total / counts[shared, None, None]
         return rep, mats
 
     def lift(self, z, n):
@@ -145,7 +191,7 @@ class SymmetryReduction:
         rep, mats = self.node_images(n)
         # free_nodes(n) is arange, so a free node is its own row of z
         z = np.asarray(z, float).reshape(len(self.free_nodes(n)), 3)
-        return np.einsum("nij,nj->ni", mats, z[rep])
+        return np.einsum("nij,nj->ni", mats, np.take(z, rep, axis=0))
 
     def restrict(self, points):
         """Values of a (symmetric) loop at the free nodes."""
@@ -155,13 +201,16 @@ class SymmetryReduction:
     def project(self, points):
         """Group-average: the closest invariant loop; idempotent."""
         pts = np.asarray(points, float)
-        n = len(pts)
         acc = np.zeros_like(pts)
-        trs = self.transforms(n)
+        trs = self.transforms(len(pts))
         for shift, flip, A in trs:
-            idx = (flip * np.arange(n) + shift) % n
-            # (g u)_j = A u_idx(j); averaging over the group projects.
-            acc += pts[idx] @ A.T
+            # (g u)_j = A u_{(flip*j + shift) mod n}, read off as two slices;
+            # averaging over the group projects.
+            if flip == 1:
+                moved = np.concatenate((pts[shift:], pts[:shift]))
+            else:
+                moved = np.concatenate((pts[shift::-1], pts[:shift:-1]))
+            acc += moved @ A.T
         return acc / len(trs)
 
     def violation(self, points):
@@ -172,9 +221,9 @@ class SymmetryReduction:
     def reduce_gradient(self, grad, n):
         """Chain rule: gradient with respect to the free-node values."""
         rep, mats = self.node_images(n)
-        out = np.zeros((len(self.free_nodes(n)), 3))
-        np.add.at(out, rep, np.einsum("nji,nj->ni", mats, grad))
-        return out
+        terms = np.einsum("nji,nj->in", mats, grad)
+        m = len(self.free_nodes(n))
+        return np.stack([np.bincount(rep, weights=t, minlength=m) for t in terms], axis=1)
 
 
 @dataclass(frozen=True)
@@ -251,6 +300,11 @@ def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
     pair sum runs over the group's distinct pair forms, _BLOCK nodes at a
     time, and is skipped when mutual is 0.  Raises CollisionError at the
     lowest node on the collision set, checking the origin first.
+
+    action and gradient pass one node per orbit (the fundamental nodes, a
+    prefix of the loop) when the loop's orbit table applies, else every
+    node; the lowest colliding node of a symmetric loop is always in that
+    prefix, since its orbit lies on the collision set with it.
     """
     r = np.linalg.norm(pts, axis=1)
     bad = np.flatnonzero(r < _COLLISION_FLOOR)
@@ -286,6 +340,14 @@ def _coefficients(cone, epsilon):
     return 1.0, epsilon, 1.0
 
 
+def _orbit_table(loop, group):
+    """The loop's orbit table (SymmetryReduction.orbit_weights), or every
+    node with weight 1 when it has none."""
+    n = loop.n
+    table = None if loop.reduction is None else loop.reduction.orbit_weights(n, group)
+    return table if table is not None else (np.arange(n), np.ones(n))
+
+
 def _kinetic(pts, period, factor):
     n = len(pts)
     h = period / n
@@ -310,11 +372,12 @@ def action(loop, cone, epsilon=None):
     pts = np.asarray(loop.points, float)
     h = loop.period / len(pts)
     m0, mutual, prefactor = _coefficients(cone, epsilon)
-    central, pair, _ = _potential(pts, cone.group, cone.alpha, m0, mutual)
+    free, w = _orbit_table(loop, cone.group)
+    central, pair, _ = _potential(pts[free], cone.group, cone.alpha, m0, mutual)
     return ActionBreakdown(
         kinetic=_kinetic(pts, loop.period, prefactor),
-        central=prefactor * h * float(np.sum(central)),
-        mutual=prefactor * h * float(np.sum(pair)),
+        central=prefactor * h * float(np.sum(w * central)),
+        mutual=prefactor * h * float(np.sum(w * pair)),
     )
 
 
@@ -329,12 +392,15 @@ def gradient(loop, cone, epsilon=None):
     pts = np.asarray(loop.points, float)
     h = loop.period / len(pts)
     m0, mutual, prefactor = _coefficients(cone, epsilon)
-    _, _, grad = _potential(pts, cone.group, cone.alpha, m0, mutual, with_gradient=True)
+    free, w = _orbit_table(loop, cone.group)
+    _, _, grad = _potential(pts[free], cone.group, cone.alpha, m0, mutual, with_gradient=True)
     stretch = 2.0 * pts - np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    grad = prefactor * (stretch / h + h * grad)
+    out = stretch / h
+    out[free] += h * w[:, None] * grad
+    out = prefactor * out
     if loop.reduction is None:
-        return grad
-    return loop.reduction.reduce_gradient(grad, len(pts))
+        return out
+    return loop.reduction.reduce_gradient(out, len(pts))
 
 
 def second_variation_vertical(m0, T):

@@ -48,6 +48,12 @@ def rotation_matrix(axis, angle):
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
+def _first_positive(v):
+    """The unit vector along v whose first nonzero coordinate is positive."""
+    v = v / np.linalg.norm(v)
+    return -v if v[np.flatnonzero(np.abs(v) > 1e-9)[0]] < 0.0 else v
+
+
 @dataclass(eq=False)
 class Pole:
     """A unit direction fixed by some non-identity proper rotation.
@@ -139,12 +145,15 @@ class RotationGroup:
 
     @cached_property
     def fixed_sets(self):
-        """Fixed sets of the non-identity elements, merged by subspace.
+        """Fixed sets of the non-identity elements, one entry per subspace.
 
         (lines, planes, has_origin_only): read-only unit direction vectors
         of fixed lines, unit normals of fixed (mirror) planes, and whether
-        some element fixes only the origin.  For every built-in group the
-        planes are empty and the fixed set is a union of lines through 0.
+        some element fixes only the origin.  Each vector is signed with its
+        first nonzero coordinate positive, as the wall normals are, so the
+        elements sharing an axis or a mirror give one entry.  For every
+        built-in group the planes are empty and the fixed set is a union of
+        lines through 0, one per rotation axis.
         """
         lines = {}
         planes = {}
@@ -157,15 +166,10 @@ class RotationGroup:
             if len(basis) == 0:
                 origin_only = True
             elif len(basis) == 1:
-                d = basis[0] / np.linalg.norm(basis[0])
-                if d[np.argmax(np.abs(d))] < 0:
-                    d = -d
+                d = _first_positive(basis[0])
                 lines[matrix_key(d)] = d
             elif len(basis) == 2:
-                nrm = np.cross(basis[0], basis[1])
-                nrm = nrm / np.linalg.norm(nrm)
-                if nrm[np.argmax(np.abs(nrm))] < 0:
-                    nrm = -nrm
+                nrm = _first_positive(np.cross(basis[0], basis[1]))
                 planes[matrix_key(nrm)] = nrm
             else:
                 raise ValueError("non-identity element fixes all of R^3")
@@ -323,15 +327,22 @@ def collision_distance(x, group):
     are read from group.fixed_sets, built once per group.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ValueError("points must have three coordinates")
     single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    pts = x.reshape(-1, 3)
     lines, planes, origin_only = group.fixed_sets
     if not lines and not planes and not origin_only:
         raise ValueError("trivial group has no collision set")
     dists = []
-    for d in lines:
-        proj = pts @ d
-        dists.append(np.linalg.norm(pts - np.outer(proj, d), axis=-1))
+    if lines:
+        # the residual x - (x.d)d itself, not sqrt(|x|^2 - (x.d)^2), which
+        # cancels to 0 within ~1e-8 |x| of a line; laid out (xyz, line,
+        # point) so that numpy's inner loops run over the points
+        D = np.array(lines)
+        coords = pts.T
+        residual = coords[:, None, :] - D.T[:, :, None] * (D @ coords)
+        dists.append(np.sqrt(np.einsum("cln,cln->ln", residual, residual)).min(axis=0))
     for nrm in planes:
         dists.append(np.abs(pts @ nrm))
     if origin_only:
@@ -543,9 +554,7 @@ def full_group_tessellation(group):
             norm = np.linalg.norm(nrm)
             if norm < 1e-12:
                 continue
-            nrm = nrm / norm
-            if nrm[np.flatnonzero(np.abs(nrm) > 1e-9)[0]] < 0.0:
-                nrm = -nrm
+            nrm = _first_positive(nrm)
             key = matrix_key(nrm)
             if key in tried:
                 continue

@@ -16,7 +16,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -520,11 +520,14 @@ class VertexSequence:
     """Cyclic edge path on an Archimedean graph, one period of vertex ids.
 
     A trailing repeat of the first vertex is stripped.  Consecutive entries
-    (including the wrap-around pair) must be joined by an edge.
+    (including the wrap-around pair) must be joined by an edge;
+    edge_types[k] is the side type of the edge from vertex_ids[k] to the
+    next entry.
     """
 
     polyhedron: ArchimedeanPolyhedron
     vertex_ids: tuple
+    edge_types: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = [int(i) for i in self.vertex_ids]
@@ -536,11 +539,14 @@ class VertexSequence:
         for i in ids:
             if not 0 <= i < nv:
                 raise ValueError(f"vertex id {i} out of range")
+        types = []
         for k in range(len(ids)):
             i, j = ids[k], ids[(k + 1) % len(ids)]
-            if self.polyhedron.edge_type(i, j) is None:
+            types.append(self.polyhedron.edge_type(i, j))
+            if types[-1] is None:
                 raise ValueError(f"vertices {i} and {j} are not joined by an edge")
         object.__setattr__(self, "vertex_ids", tuple(ids))
+        object.__setattr__(self, "edge_types", tuple(types))
 
     @classmethod
     def from_labels(cls, polyhedron, labels, numbering):
@@ -567,9 +573,10 @@ class VertexSequence:
     @cached_property
     def side_counts(self):
         """(k_nu, k1, k2): the minimal period and how many of its sides are of
-        type 1 and of type 2."""
-        edge_type, ids, k = self.polyhedron.edge_type, self.vertex_ids, self.k_nu
-        k1 = [edge_type(ids[i], ids[(i + 1) % k]) for i in range(k)].count(1)
+        type 1 and of type 2.  The listing repeats with period k_nu, so the
+        first k_nu edge types are the period's sides."""
+        k = self.k_nu
+        k1 = self.edge_types[:k].count(1)
         return k, k1, k - k1
 
     @property

@@ -1,5 +1,6 @@
 """Action evaluation, gradients, reductions, rescaling."""
 
+import math
 from types import SimpleNamespace
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from choreo import action as A
+from choreo import homotopy as H
 from choreo.action import (
     ActionBreakdown,
     CollisionError,
@@ -20,6 +22,7 @@ from choreo.action import (
     second_variation_vertical,
 )
 from choreo.groups import builtin_group, generate_group, poles
+from choreo.reference_tables import LOOP_CATALOG
 
 
 def cone_for(tag, alpha=1.0, m0=0.0):
@@ -372,6 +375,33 @@ def test_reduction_matches_node_loop(red, n):
     assert np.sum(lifted * g) == pytest.approx(np.sum(z * reduced), rel=1e-12)
 
 
+def reference_project(red, points):
+    """The group average with one index array per transform (the gather
+    that project's slices replaced)."""
+    n = len(points)
+    acc = np.zeros_like(points)
+    trs = red.transforms(n)
+    for shift, flip, A_ in trs:
+        acc += points[(flip * np.arange(n) + shift) % n] @ A_.T
+    return acc / len(trs)
+
+
+@pytest.mark.parametrize("n", [12, 60, 1200])
+@pytest.mark.parametrize(
+    "red",
+    [
+        SymmetryReduction("italian"),
+        SymmetryReduction("klein_reflections"),
+        SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4),
+        SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3),
+    ],
+    ids=["italian", "klein", "extra-O4", "extra-T3"],
+)
+def test_project_matches_the_index_formula(red, n):
+    pts = np.random.default_rng([n, 5]).normal(size=(n, 3))
+    assert np.array_equal(red.project(pts), reference_project(red, pts))
+
+
 def test_incompatible_sample_count():
     red = SymmetryReduction("klein_reflections")
     with pytest.raises(ValueError):
@@ -623,3 +653,108 @@ def test_pair_term_near_a_pole_axis_matches_mpmath(tag):
                 ref = float(total / 2)
             bound = np.finfo(float).eps * np.linalg.norm(u) / delta
             assert abs(pair - ref) <= bound * ref, (pole, delta)
+
+
+# ---------------------------------------------------------------------------
+# the orbit kernel against the full-node evaluation
+
+
+def catalog_loop(cone, n):
+    """A perturbed comparison loop of the cone, carrying its extra symmetry."""
+    R, M = cone.extra_symmetry
+    red = SymmetryReduction("extra", matrix=R, M=M)
+    base = red.restrict(apply_symmetry_reduction(H.test_loop(cone.nu, cone.period, n), red).points)
+    z = base + 0.01 * np.random.default_rng(n).normal(size=base.shape)
+    return LoopPath(red.lift(z, n), cone.period, red)
+
+
+def reduced_loops():
+    """(id, cone, loop) for every catalog row at three sample counts, plus
+    the italian and klein reductions on their own groups."""
+    for e in LOOP_CATALOG:
+        cone = H.catalog_cone(e.tag, e.name, central_mass=1.3)
+        step = math.lcm(cone.nu.steps, cone.extra_symmetry[1])
+        for n in (step, 9 * step, 4096 // step * step):
+            yield f"{e.tag}-{e.name}-{n}", cone, catalog_loop(cone, n)
+    for tag, kind in (("Z4", "italian"), ("KLEIN", "klein_reflections")):
+        for n in (12, 240):
+            red = SymmetryReduction(kind)
+            yield f"{tag}-{kind}-{n}", cone_for(tag, alpha=1.37, m0=1.3), random_symmetric_loop(tag, red, n, n)
+
+
+REDUCED = list(reduced_loops())
+
+
+@pytest.mark.parametrize("cone, loop", [case[1:] for case in REDUCED], ids=[case[0] for case in REDUCED])
+def test_orbit_kernel_matches_the_full_node_evaluation(cone, loop):
+    red = loop.reduction
+    assert red.orbit_weights(loop.n, cone.group) is not None
+    full = LoopPath(loop.points, loop.period)
+    for eps in (None, 0.3):
+        got, want = action(loop, cone, eps), action(full, cone, eps)
+        assert got.kinetic == want.kinetic
+        for part in ("central", "mutual"):
+            assert getattr(got, part) == pytest.approx(getattr(want, part), rel=1e-13, abs=0.0), part
+        g = gradient(loop, cone, eps)
+        g_full = red.reduce_gradient(gradient(full, cone, eps), loop.n)
+        assert np.max(np.abs(g - g_full)) <= 1e-13 * np.max(np.abs(g_full))
+
+
+@pytest.mark.parametrize(
+    "tag, red, weights",
+    [
+        ("O", SymmetryReduction("italian"), [2.0] * 6),
+        ("KLEIN", SymmetryReduction("klein_reflections"), [2.0, 4.0, 4.0, 2.0]),
+        ("O", SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4), [4.0] * 3),
+    ],
+    ids=["italian", "klein", "extra-O4"],
+)
+def test_orbit_weights_count_each_orbit(tag, red, weights):
+    free, w = red.orbit_weights(12, builtin_group(tag))
+    assert np.array_equal(free, red.free_nodes(12))
+    assert w.tolist() == weights
+    # the orbits partition the nodes
+    assert w.sum() == 12
+
+
+def test_orbit_weights_need_the_transforms_in_the_group():
+    # T's order-3 rotation is in neither Z4 nor KLEIN up to sign, and
+    # KLEIN's mirror X2 is not in Z4 up to sign
+    assert ORDER3.orbit_weights(12, builtin_group("T")) is not None
+    for tag in ("Z4", "KLEIN"):
+        assert ORDER3.orbit_weights(12, builtin_group(tag)) is None
+    assert SymmetryReduction("klein_reflections").orbit_weights(12, builtin_group("Z4")) is None
+    assert SymmetryReduction("italian").orbit_weights(12, builtin_group("Z4")) is not None
+
+
+@pytest.mark.parametrize(
+    "tag, red, rows",
+    [
+        ("T", ORDER3, lambda n: n // 3),
+        ("O", SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4), lambda n: n // 4),
+        ("Z4", SymmetryReduction("italian"), lambda n: n // 2),
+        ("KLEIN", SymmetryReduction("klein_reflections"), lambda n: n // 4 + 1),
+        ("Z4", ORDER3, lambda n: n),
+    ],
+    ids=["T-order3", "O-order4", "Z4-italian", "KLEIN-klein", "Z4-order3"],
+)
+def test_potential_sees_one_node_per_orbit(tag, red, rows, monkeypatch):
+    n = 24
+    cone = cone_for(tag, alpha=1.37, m0=1.3)
+    loop = random_symmetric_loop(tag, red, n, seed=4)
+    seen = []
+    kernel = A._potential
+
+    def counted(pts, *args, **kwargs):
+        seen.append(len(pts))
+        return kernel(pts, *args, **kwargs)
+
+    monkeypatch.setattr(A, "_potential", counted)
+    action(loop, cone)
+    gradient(loop, cone)
+    assert seen == [rows(n)] * 2
+    seen.clear()
+    full = LoopPath(loop.points, loop.period)
+    action(full, cone)
+    gradient(full, cone)
+    assert seen == [n] * 2

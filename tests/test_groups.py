@@ -262,9 +262,15 @@ def test_pair_forms_cover_every_element_once(tag, n, forms):
 # collision set distances
 
 
+def first_positive(v):
+    """v with its first nonzero coordinate positive."""
+    return -v if v[np.flatnonzero(np.abs(v) > 1e-9)[0]] < 0 else v
+
+
 def reference_fixed_point_sets(group):
     """The fixed sets as collision_distance derived them on every call, one
-    SVD per element, kept to check the per-group table against."""
+    SVD per element, kept to check the per-group table against.  Each
+    vector's first nonzero coordinate is positive."""
     lines = {}
     planes = {}
     origin_only = False
@@ -276,15 +282,11 @@ def reference_fixed_point_sets(group):
         if len(basis) == 0:
             origin_only = True
         elif len(basis) == 1:
-            d = basis[0] / np.linalg.norm(basis[0])
-            if d[np.argmax(np.abs(d))] < 0:
-                d = -d
+            d = first_positive(basis[0] / np.linalg.norm(basis[0]))
             lines[matrix_key(d)] = d
         elif len(basis) == 2:
             nrm = np.cross(basis[0], basis[1])
-            nrm = nrm / np.linalg.norm(nrm)
-            if nrm[np.argmax(np.abs(nrm))] < 0:
-                nrm = -nrm
+            nrm = first_positive(nrm / np.linalg.norm(nrm))
             planes[matrix_key(nrm)] = nrm
         else:
             raise ValueError("non-identity element fixes all of R^3")
@@ -304,6 +306,61 @@ def test_fixed_sets_match_the_per_call_body(tag):
         assert got.tolist() == want.tolist()
         assert not got.flags.writeable
     assert G.fixed_sets is G.fixed_sets
+
+
+@pytest.mark.parametrize("tag, axes", [("Z4", 1), ("KLEIN", 3), ("T", 7), ("O", 13), ("I", 31)])
+def test_fixed_sets_list_each_axis_once(tag, axes):
+    G = builtin_group(tag)
+    lines = np.array(G.fixed_sets[0])
+    assert len(lines) == axes
+    assert len(poles(G)) == 2 * axes
+    for p in poles(G):
+        # every pole lies on exactly one fixed line, up to sign
+        assert np.sum(np.abs(np.abs(lines @ p.point) - 1.0) < 1e-9) == 1, p
+
+
+def reference_collision_distance(x, group):
+    """collision_distance as one outer product and norm per fixed line: the
+    loop that the batched residual replaced."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    lines, planes, origin_only = group.fixed_sets
+    dists = [np.linalg.norm(pts - np.outer(pts @ d, d), axis=-1) for d in lines]
+    dists += [np.abs(pts @ nrm) for nrm in planes]
+    if origin_only:
+        dists.append(np.linalg.norm(pts, axis=-1))
+    return np.min(dists, axis=0)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_collision_distance_matches_the_per_line_loop(tag):
+    G = builtin_group(tag)
+    pts = 2.0 * np.random.default_rng([7, G.order]).normal(size=(480, 3))
+    got = collision_distance(pts, G)
+    assert got.shape == (480,)
+    assert np.max(np.abs(got - reference_collision_distance(pts, G))) <= 1e-14
+    assert np.array_equal(collision_distance(pts.reshape(4, 120, 3), G), got.reshape(4, 120))
+    with pytest.raises(ValueError):
+        collision_distance(pts.reshape(-1, 6), G)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_collision_distance_resolves_points_near_an_axis(tag):
+    # sqrt(|x|^2 - (x.d)^2) cancels to ~1e-8 here; the residual keeps the
+    # 1e-10 offset up to a relative rounding of about eps |x| / 1e-10
+    G = builtin_group(tag)
+    rng = np.random.default_rng([8, G.order])
+    for d in G.fixed_sets[0]:
+        e = np.cross(d, rng.normal(size=3))
+        x = d + 1e-10 * e / np.linalg.norm(e)
+        want = reference_collision_distance(x, G)[0]
+        assert want == pytest.approx(1e-10, rel=1e-5)
+        assert collision_distance(x, G) == pytest.approx(want, rel=1e-6)
+
+
+def test_collision_distance_beside_a_coordinate_axis_is_exact():
+    # (x.d)d is exactly (1, 0, 0); the squared form returns 0.0 here
+    G = builtin_group("KLEIN")
+    assert collision_distance(np.array([1.0, 1e-10, 0.0]), G) == 1e-10
 
 
 def test_collision_distance_z4_is_axis_distance():

@@ -444,6 +444,27 @@ def test_minimal_period_of_doubled_listing():
     assert H.sequence_counts(doubled) == H.sequence_counts(nu)
 
 
+def reference_side_counts(nu):
+    """side_counts as a second walk over the minimal period's edges (the
+    walk that now reads the edge types kept at construction)."""
+    ids, k = nu.vertex_ids, nu.k_nu
+    k1 = [nu.polyhedron.edge_type(ids[i], ids[(i + 1) % k]) for i in range(k)].count(1)
+    return k, k1, k - k1
+
+
+@pytest.mark.parametrize("tag,name", ALL_ROWS)
+def test_side_counts_read_the_edge_types_of_construction(tag, name):
+    nu = row_sequence(tag, name)
+    doubled = H.VertexSequence(nu.polyhedron, nu.vertex_ids + nu.vertex_ids)
+    for seq in (nu, doubled):
+        ids = seq.vertex_ids
+        assert seq.edge_types == tuple(
+            seq.polyhedron.edge_type(ids[k], ids[(k + 1) % len(ids)]) for k in range(len(ids))
+        )
+        assert seq.side_counts == reference_side_counts(seq)
+    assert doubled.side_counts == nu.side_counts
+
+
 @settings(max_examples=20, deadline=None)
 @given(element=st.integers(min_value=0, max_value=23), row=st.integers(min_value=0, max_value=8))
 def test_group_action_preserves_diagnostics(element, row):
