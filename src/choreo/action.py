@@ -144,7 +144,9 @@ class SymmetryReduction:
         its gradients are images of one another (symmetric criticality).
         Each orbit has M nodes for "extra" and 2 for "italian"; for
         "klein_reflections" it has 4, except 2 at nodes 0 and n/4, which a
-        reflection fixes.
+        reflection fixes.  The table reads each orbit off its free node, so
+        it describes the loop's symmetric projection, which a LoopPath
+        matches to within 1e-12.
         """
         # the transform matrices are products of these, and +-G is a group
         gens = {"italian": [-np.eye(3)], "klein_reflections": [REFLECT_X3, REFLECT_X2]}
@@ -303,8 +305,12 @@ def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
 
     action and gradient pass one node per orbit (the fundamental nodes, a
     prefix of the loop) when the loop's orbit table applies, else every
-    node; the lowest colliding node of a symmetric loop is always in that
-    prefix, since its orbit lies on the collision set with it.
+    node.  Collisions are then checked at the fundamental nodes only, that
+    is on the loop's symmetric projection: a node is taken to sit where its
+    fundamental node's image does, which LoopPath holds to within 1e-12,
+    ten times the collision floor.  A node within the floor whose
+    fundamental node lies outside it thus gives a large finite value, not
+    CollisionError.
     """
     r = np.linalg.norm(pts, axis=1)
     bad = np.flatnonzero(r < _COLLISION_FLOOR)

@@ -335,14 +335,9 @@ def collision_distance(x, group):
     if not lines and not planes and not origin_only:
         raise ValueError("trivial group has no collision set")
     dists = []
-    if lines:
-        # the residual x - (x.d)d itself, not sqrt(|x|^2 - (x.d)^2), which
-        # cancels to 0 within ~1e-8 |x| of a line; laid out (xyz, line,
-        # point) so that numpy's inner loops run over the points
-        D = np.array(lines)
-        coords = pts.T
-        residual = coords[:, None, :] - D.T[:, :, None] * (D @ coords)
-        dists.append(np.sqrt(np.einsum("cln,cln->ln", residual, residual)).min(axis=0))
+    for d in lines:
+        proj = pts @ d
+        dists.append(np.linalg.norm(pts - np.outer(proj, d), axis=-1))
     for nrm in planes:
         dists.append(np.abs(pts @ nrm))
     if origin_only:

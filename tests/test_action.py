@@ -758,3 +758,33 @@ def test_potential_sees_one_node_per_orbit(tag, red, rows, monkeypatch):
     action(full, cone)
     gradient(full, cone)
     assert seen == [n] * 2
+
+
+def test_orbit_kernel_checks_collisions_at_the_free_nodes():
+    # LoopPath admits a symmetry break of 1e-12, ten times the collision
+    # floor, so a node can lie within the floor of the origin while its free
+    # node lies outside it.  The orbit kernel reads each orbit off its free
+    # node: such a loop evaluates to a large finite value, which the
+    # full-node kernel refuses; a free node within the floor raises.
+    n = 16
+    t = np.arange(n) * (2 * np.pi / n)
+    circle = np.stack([np.cos(t), np.sin(t), 0.3 * np.sin(t)], axis=1)
+    x = np.array([0.6, 0.8, 0.0])
+    cone = cone_for("Z4", alpha=1.0, m0=1.0)
+    red = SymmetryReduction("italian")  # free nodes 0..7; node 11 is -node 3
+
+    pts = circle.copy()
+    pts[3], pts[11] = 3e-13 * x, -3e-14 * x
+    loop = LoopPath(pts, 2 * np.pi, red)
+    with pytest.raises(CollisionError, match="origin") as err:
+        action(LoopPath(pts, 2 * np.pi), cone)
+    assert err.value.node == 11
+    assert 1e12 < action(loop, cone).total < np.inf
+    assert np.all(np.isfinite(gradient(loop, cone)))
+
+    pts[3], pts[11] = 3e-14 * x, -3e-13 * x
+    loop = LoopPath(pts, 2 * np.pi, red)
+    for evaluate in (action, gradient):
+        with pytest.raises(CollisionError, match="origin") as err:
+            evaluate(loop, cone)
+        assert err.value.node == 3

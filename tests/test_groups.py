@@ -319,25 +319,21 @@ def test_fixed_sets_list_each_axis_once(tag, axes):
         assert np.sum(np.abs(np.abs(lines @ p.point) - 1.0) < 1e-9) == 1, p
 
 
-def reference_collision_distance(x, group):
-    """collision_distance as one outer product and norm per fixed line: the
-    loop that the batched residual replaced."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    lines, planes, origin_only = group.fixed_sets
-    dists = [np.linalg.norm(pts - np.outer(pts @ d, d), axis=-1) for d in lines]
-    dists += [np.abs(pts @ nrm) for nrm in planes]
-    if origin_only:
-        dists.append(np.linalg.norm(pts, axis=-1))
-    return np.min(dists, axis=0)
+def distance_to_pole_axes(x, group):
+    """Distance from each point to the nearest rotation axis, read off the
+    poles rather than the fixed-set table."""
+    axes = np.array([p.point for p in poles(group)])
+    residual = x[:, None, :] - (x @ axes.T)[:, :, None] * axes
+    return np.linalg.norm(residual, axis=-1).min(axis=1)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
-def test_collision_distance_matches_the_per_line_loop(tag):
+def test_collision_distance_takes_point_arrays(tag):
     G = builtin_group(tag)
     pts = 2.0 * np.random.default_rng([7, G.order]).normal(size=(480, 3))
     got = collision_distance(pts, G)
     assert got.shape == (480,)
-    assert np.max(np.abs(got - reference_collision_distance(pts, G))) <= 1e-14
+    assert np.max(np.abs(got - distance_to_pole_axes(pts, G))) <= 1e-14
     assert np.array_equal(collision_distance(pts.reshape(4, 120, 3), G), got.reshape(4, 120))
     with pytest.raises(ValueError):
         collision_distance(pts.reshape(-1, 6), G)
@@ -345,16 +341,14 @@ def test_collision_distance_matches_the_per_line_loop(tag):
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_collision_distance_resolves_points_near_an_axis(tag):
-    # sqrt(|x|^2 - (x.d)^2) cancels to ~1e-8 here; the residual keeps the
-    # 1e-10 offset up to a relative rounding of about eps |x| / 1e-10
+    # sqrt(|x|^2 - (x.d)^2) cancels to ~1e-8 here; the residual x - (x.d)d
+    # keeps the 1e-10 offset up to a relative rounding of about eps |x| / 1e-10
     G = builtin_group(tag)
     rng = np.random.default_rng([8, G.order])
     for d in G.fixed_sets[0]:
         e = np.cross(d, rng.normal(size=3))
         x = d + 1e-10 * e / np.linalg.norm(e)
-        want = reference_collision_distance(x, G)[0]
-        assert want == pytest.approx(1e-10, rel=1e-5)
-        assert collision_distance(x, G) == pytest.approx(want, rel=1e-6)
+        assert collision_distance(x, G) == pytest.approx(1e-10, rel=1e-5)
 
 
 def test_collision_distance_beside_a_coordinate_axis_is_exact():
