@@ -11,7 +11,10 @@ a quasi-Newton minimizer can use them directly.
 Symmetry reductions (time-shift and reflection constraints on the loop)
 are represented as finite groups of loop transformations; the reduction
 projects onto the invariant subspace and restricts the variables to a
-fundamental set of nodes.
+fundamental set of nodes.  A reduction keeps the tables that depend only on
+it and the sample count n (transforms, free nodes, node images, orbit
+weights) for the most recent n it served, as read-only arrays, so a
+minimizer iterating at one n builds them once.
 
 The potential kernel runs once per orbit of nodes.  When every matrix of
 the reduction lies in the group up to sign, the potential is the same at
@@ -22,9 +25,13 @@ fundamental nodes only, weighted by their orbit sizes
 reduction, the kernel sees every node.
 """
 
+import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 REFLECT_X2 = np.diag([1.0, -1.0, 1.0])
 REFLECT_X3 = np.diag([1.0, 1.0, -1.0])
@@ -42,6 +49,51 @@ def _signed_member(A, group):
         except KeyError:
             pass
     return False
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _node_images(trs, free, n):
+    """(rep, mats) of SymmetryReduction.node_images from the transforms."""
+    shifts, flips, As = zip(*trs)
+    # invariance u_j = A u_{sigma(j)} with sigma(j) = flip*j + shift reads
+    # backwards as u_{sigma(j)} = A^T u_j on invariant loops.  Row k holds
+    # the images sigma_k(free).  The free nodes meet each orbit once, so a
+    # node hit twice is hit from one free node, by its stabilizer.
+    images = (np.multiply.outer(flips, free) + np.array(shifts)[:, None]) % n
+    counts = np.bincount(images.ravel(), minlength=n)
+    if counts.min() == 0:
+        raise ValueError("fundamental nodes do not cover the loop")
+    rep = np.empty(n, dtype=int)
+    rep[images] = free
+    which = np.empty(n, dtype=int)
+    which[images] = np.arange(len(As))[:, None]
+    AT = np.array(As).transpose(0, 2, 1) + 0.0  # + 0.0 clears negative zeros
+    mats = np.take(AT, which, axis=0)
+    shared = np.flatnonzero(counts > 1)
+    if len(shared):
+        # the stabilizer average, summed in transform order
+        hit = images[:, rep[shared]] == shared
+        total = np.add.reduce(hit[:, :, None, None] * AT[:, None], axis=0)
+        mats[shared] = total / counts[shared, None, None]
+    return rep, mats
+
+
+@dataclass
+class _Tables:
+    """What a SymmetryReduction keeps for one sample count n, all read-only
+    arrays; orbit is (group, orbit_weights(n, group)) for the last group."""
+
+    n: int
+    transforms: tuple
+    free: np.ndarray
+    rep: np.ndarray
+    mats: np.ndarray
+    weights: np.ndarray
+    orbit: tuple = (None, None)
 
 
 class CollisionError(ValueError):
@@ -84,10 +136,13 @@ class SymmetryReduction:
     def __post_init__(self):
         if self.kind not in ("italian", "klein_reflections", "extra"):
             raise ValueError(f"unknown reduction kind {self.kind!r}")
+        if self.matrix is not None:
+            # the kept tables are read off this copy, which nobody can change
+            object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, float)))
         if self.kind == "extra":
             if self.matrix is None or self.M is None:
                 raise ValueError("extra reduction needs a matrix and its order M")
-            P = np.linalg.matrix_power(np.asarray(self.matrix, float), int(self.M))
+            P = np.linalg.matrix_power(self.matrix, int(self.M))
             if not np.allclose(P, np.eye(3), atol=1e-9):
                 raise ValueError("extra reduction matrix must have order M")
 
@@ -99,40 +154,64 @@ class SymmetryReduction:
             return 4
         return int(self.M)
 
-    def transforms(self, n):
-        """The group as a list of (shift, flip, matrix) acting by
-        (g u)_j = matrix @ u_{(flip*j + shift) mod n}."""
+    @cached_property
+    def _slot(self):
+        """One-element list holding the _Tables of the most recent n."""
+        return [None]
+
+    def _tables(self, n):
+        """The kept tables at n, built when n differs from the last n."""
+        kept = self._slot[0]
+        if kept is None or kept.n != n:
+            kept = self._slot[0] = self._build_tables(n)
+        return kept
+
+    def _build_tables(self, n):
         if n % self.divisor() != 0:
             raise ValueError(
                 f"sample count {n} not divisible by {self.divisor()} "
                 f"as required by the {self.kind} reduction"
             )
         if self.kind == "italian":
-            return [(0, 1, np.eye(3)), (n // 2, 1, -np.eye(3))]
-        if self.kind == "klein_reflections":
-            return [
+            trs = [(0, 1, np.eye(3)), (n // 2, 1, -np.eye(3))]
+            free = np.arange(n // 2)
+        elif self.kind == "klein_reflections":
+            trs = [
                 (0, 1, np.eye(3)),
                 (0, -1, REFLECT_X3),
                 (n // 2, -1, REFLECT_X2),
                 (n // 2, 1, REFLECT_X2 @ REFLECT_X3),
             ]
-        R = np.asarray(self.matrix, float)
-        out = []
-        step = n // int(self.M)
-        A = np.eye(3)
-        for k in range(int(self.M)):
-            # invariance u_{j+step} = R u_j gives u_j = R^k u_{j - k*step}
-            out.append(((n - k * step) % n, 1, A))
-            A = R @ A
-        return out
+            free = np.arange(n // 4 + 1)
+        else:
+            trs = []
+            step = n // int(self.M)
+            A = np.eye(3)
+            for k in range(int(self.M)):
+                # invariance u_{j+step} = R u_j gives u_j = R^k u_{j - k*step}
+                trs.append(((n - k * step) % n, 1, A))
+                A = self.matrix @ A
+            free = np.arange(step)
+        trs = tuple((shift, flip, _read_only(np.array(A))) for shift, flip, A in trs)
+        rep, mats = _node_images(trs, free, n)
+        w = np.full(len(free), float(self.divisor()))
+        if self.kind == "klein_reflections":
+            w[[0, -1]] = 2.0
+        _log.debug(
+            "%s reduction (M=%s): built the tables of n=%d, %d free nodes",
+            self.kind, self.M, n, len(free),
+        )
+        return _Tables(n, trs, _read_only(free), _read_only(rep), _read_only(mats), _read_only(w))
+
+    def transforms(self, n):
+        """The group as a tuple of (shift, flip, matrix) acting by
+        (g u)_j = matrix @ u_{(flip*j + shift) mod n}; the matrices are
+        read-only."""
+        return self._tables(n).transforms
 
     def free_nodes(self, n):
         """Indices of the fundamental nodes parametrizing the reduced loop."""
-        if self.kind == "italian":
-            return np.arange(n // 2)
-        if self.kind == "klein_reflections":
-            return np.arange(n // 4 + 1)
-        return np.arange(n // int(self.M))
+        return self._tables(n).free
 
     def orbit_weights(self, n, group):
         """(free_nodes(n), w) with w[j] the size of the orbit of free node j
@@ -146,47 +225,30 @@ class SymmetryReduction:
         "klein_reflections" it has 4, except 2 at nodes 0 and n/4, which a
         reflection fixes.  The table reads each orbit off its free node, so
         it describes the loop's symmetric projection, which a LoopPath
-        matches to within 1e-12.
+        matches to within 1e-12.  The answer for the last group asked is
+        kept with the tables of n.
         """
-        # the transform matrices are products of these, and +-G is a group
-        gens = {"italian": [-np.eye(3)], "klein_reflections": [REFLECT_X3, REFLECT_X2]}
-        gens = gens.get(self.kind) or [np.asarray(self.matrix, float)]
-        if not all(_signed_member(A, group) for A in gens):
-            return None
-        free = self.free_nodes(n)
-        w = np.full(len(free), float(self.divisor()))
-        if self.kind == "klein_reflections":
-            w[[0, -1]] = 2.0
-        return free, w
+        kept = self._tables(n)
+        if kept.orbit[0] is not group:
+            # the transform matrices are products of these, and +-G is a group
+            gens = {"italian": [-np.eye(3)], "klein_reflections": [REFLECT_X3, REFLECT_X2]}
+            gens = gens.get(self.kind) or [self.matrix]
+            applies = all(_signed_member(A, group) for A in gens)
+            kept.orbit = (group, (kept.free, kept.weights) if applies else None)
+            _log.debug(
+                "%s reduction (M=%s): orbit table of n=%d, %d free nodes, %s on %s",
+                self.kind, self.M, n, len(kept.free),
+                "applies" if applies else "does not apply", group,
+            )
+        return kept.orbit[1]
 
     def node_images(self, n):
         """For each node i, a representation u_i = A @ z_rep with rep a free
-        node.  Returns (rep, mats) with rep an int array of length n and
-        mats an (n, 3, 3) array.  Boundary nodes fixed by part of the group
-        get the average over their stabilizer, so the lift is total."""
-        free = self.free_nodes(n)
-        shifts, flips, As = zip(*self.transforms(n))
-        # invariance u_j = A u_{sigma(j)} with sigma(j) = flip*j + shift reads
-        # backwards as u_{sigma(j)} = A^T u_j on invariant loops.  Row k holds
-        # the images sigma_k(free).  The free nodes meet each orbit once, so a
-        # node hit twice is hit from one free node, by its stabilizer.
-        images = (np.multiply.outer(flips, free) + np.array(shifts)[:, None]) % n
-        counts = np.bincount(images.ravel(), minlength=n)
-        if counts.min() == 0:
-            raise ValueError("fundamental nodes do not cover the loop")
-        rep = np.empty(n, dtype=int)
-        rep[images] = free
-        which = np.empty(n, dtype=int)
-        which[images] = np.arange(len(As))[:, None]
-        AT = np.array(As).transpose(0, 2, 1) + 0.0  # + 0.0 clears negative zeros
-        mats = np.take(AT, which, axis=0)
-        shared = np.flatnonzero(counts > 1)
-        if len(shared):
-            # the stabilizer average, summed in transform order
-            hit = images[:, rep[shared]] == shared
-            total = np.add.reduce(hit[:, :, None, None] * AT[:, None], axis=0)
-            mats[shared] = total / counts[shared, None, None]
-        return rep, mats
+        node.  Returns read-only (rep, mats) with rep an int array of length
+        n and mats an (n, 3, 3) array.  Boundary nodes fixed by part of the
+        group get the average over their stabilizer, so the lift is total."""
+        kept = self._tables(n)
+        return kept.rep, kept.mats
 
     def lift(self, z, n):
         """Reconstruct the full loop from values at the free nodes."""
@@ -357,7 +419,9 @@ def _orbit_table(loop, group):
 def _kinetic(pts, period, factor):
     n = len(pts)
     h = period / n
-    diff = np.roll(pts, -1, axis=0) - pts
+    diff = np.empty_like(pts)  # u_{j+1} - u_j, node n wrapping to 0
+    np.subtract(pts[1:], pts[:-1], out=diff[:-1])
+    np.subtract(pts[:1], pts[-1:], out=diff[-1:])
     return factor * float(np.sum(diff * diff)) / (2.0 * h)
 
 
@@ -400,7 +464,11 @@ def gradient(loop, cone, epsilon=None):
     m0, mutual, prefactor = _coefficients(cone, epsilon)
     free, w = _orbit_table(loop, cone.group)
     _, _, grad = _potential(pts[free], cone.group, cone.alpha, m0, mutual, with_gradient=True)
-    stretch = 2.0 * pts - np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    stretch = 2.0 * pts  # (2 u_j - u_{j+1}) - u_{j-1}, cyclically
+    stretch[:-1] -= pts[1:]
+    stretch[-1] -= pts[0]
+    stretch[1:] -= pts[:-1]
+    stretch[0] -= pts[-1]
     out = stretch / h
     out[free] += h * w[:, None] * grad
     out = prefactor * out
@@ -434,7 +502,11 @@ def discrete_energy(loop, cone):
     pts = np.asarray(loop.points, float)
     n = len(pts)
     h = loop.period / n
-    vel = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2.0 * h)
+    vel = np.empty_like(pts)  # u_{j+1} - u_{j-1}, cyclically
+    np.subtract(pts[2:], pts[:-2], out=vel[1:-1])
+    vel[0] = pts[1 % n] - pts[-1]  # 1 % n and n - 2 wrap at n = 1 and 2
+    vel[-1] = pts[0] - pts[n - 2]
+    vel /= 2.0 * h
     kin = 0.5 * np.sum(vel * vel, axis=1)
     central, pair, _ = _potential(pts, cone.group, cone.alpha, cone.central_mass, 1.0)
     return kin - (central + pair)

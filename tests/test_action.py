@@ -409,6 +409,145 @@ def test_incompatible_sample_count():
 
 
 # ---------------------------------------------------------------------------
+# the tables a reduction keeps for its most recent n
+
+
+def per_call_transforms(red, n):
+    """SymmetryReduction.transforms as it was built on every call."""
+    if n % red.divisor() != 0:
+        raise ValueError(f"sample count {n} not divisible by {red.divisor()}")
+    if red.kind == "italian":
+        return [(0, 1, np.eye(3)), (n // 2, 1, -np.eye(3))]
+    if red.kind == "klein_reflections":
+        return [
+            (0, 1, np.eye(3)),
+            (0, -1, A.REFLECT_X3),
+            (n // 2, -1, A.REFLECT_X2),
+            (n // 2, 1, A.REFLECT_X2 @ A.REFLECT_X3),
+        ]
+    R = np.asarray(red.matrix, float)
+    out = []
+    step = n // int(red.M)
+    A_ = np.eye(3)
+    for k in range(int(red.M)):
+        out.append(((n - k * step) % n, 1, A_))
+        A_ = R @ A_
+    return out
+
+
+def per_call_free_nodes(red, n):
+    if red.kind == "italian":
+        return np.arange(n // 2)
+    if red.kind == "klein_reflections":
+        return np.arange(n // 4 + 1)
+    return np.arange(n // int(red.M))
+
+
+def per_call_node_images(red, n):
+    """SymmetryReduction.node_images as it was built on every call."""
+    free = per_call_free_nodes(red, n)
+    shifts, flips, As = zip(*per_call_transforms(red, n))
+    images = (np.multiply.outer(flips, free) + np.array(shifts)[:, None]) % n
+    counts = np.bincount(images.ravel(), minlength=n)
+    rep = np.empty(n, dtype=int)
+    rep[images] = free
+    which = np.empty(n, dtype=int)
+    which[images] = np.arange(len(As))[:, None]
+    AT = np.array(As).transpose(0, 2, 1) + 0.0
+    mats = np.take(AT, which, axis=0)
+    shared = np.flatnonzero(counts > 1)
+    if len(shared):
+        hit = images[:, rep[shared]] == shared
+        total = np.add.reduce(hit[:, :, None, None] * AT[:, None], axis=0)
+        mats[shared] = total / counts[shared, None, None]
+    return rep, mats
+
+
+def per_call_orbit_weights(red, n, group):
+    """SymmetryReduction.orbit_weights as it was built on every call."""
+    gens = {"italian": [-np.eye(3)], "klein_reflections": [A.REFLECT_X3, A.REFLECT_X2]}
+    gens = gens.get(red.kind) or [np.asarray(red.matrix, float)]
+    if not all(A._signed_member(g, group) for g in gens):
+        return None
+    free = per_call_free_nodes(red, n)
+    w = np.full(len(free), float(red.divisor()))
+    if red.kind == "klein_reflections":
+        w[[0, -1]] = 2.0
+    return free, w
+
+
+ORDER3 = SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3)
+KEPT_CASES = [
+    (SymmetryReduction("italian"), ["Z4", "O", "Z4"]),
+    (SymmetryReduction("klein_reflections"), ["KLEIN", "Z4", "KLEIN"]),
+    (SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4), ["O", "T", "O"]),
+    (ORDER3, ["T", "Z4", "T"]),
+]
+
+
+@pytest.mark.parametrize("red, tags", KEPT_CASES, ids=["italian", "klein", "extra-O4", "extra-T3"])
+def test_kept_tables_match_the_per_call_bodies(red, tags):
+    # a fresh reduction per case; n and the group change at every step, so
+    # a table kept past its n or its group shows up as a mismatch (the
+    # klein and extra tables do not apply on the middle group)
+    red = SymmetryReduction(red.kind, red.matrix, red.M)
+    for n, tag in zip((12, 1200, 12), tags):
+        trs = red.transforms(n)
+        want = per_call_transforms(red, n)
+        assert isinstance(trs, tuple) and len(trs) == len(want)
+        for (shift, flip, A_), (s, f, B) in zip(trs, want):
+            assert (shift, flip) == (s, f) and np.array_equal(A_, B)
+        assert np.array_equal(red.free_nodes(n), per_call_free_nodes(red, n))
+        for got, ref in zip(red.node_images(n), per_call_node_images(red, n)):
+            assert np.array_equal(got, ref)
+        group = builtin_group(tag)
+        got, ref = red.orbit_weights(n, group), per_call_orbit_weights(red, n, group)
+        assert (got is None) == (ref is None), (n, tag)
+        if ref is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("red", [case[0] for case in KEPT_CASES], ids=["italian", "klein", "extra-O4", "extra-T3"])
+def test_kept_tables_are_read_only(red):
+    n = 24
+    kept = [red.free_nodes(n), *red.node_images(n), *red.orbit_weights(n, builtin_group("O" if red.M == 4 else "T"))]
+    kept += [A_ for _, _, A_ in red.transforms(n)]
+    for a in kept:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_reduction_keeps_its_own_copy_of_the_matrix():
+    R = builtin_group("O").generators[0].copy()
+    red = SymmetryReduction("extra", matrix=R, M=4)
+    pristine = SymmetryReduction("extra", matrix=R.copy(), M=4)
+    red.node_images(12)
+    R[:] = np.eye(3)  # the caller reuses its array
+    assert not red.matrix.flags.writeable
+    assert np.array_equal(red.matrix, pristine.matrix)
+    for n in (12, 60):  # the kept table, then a rebuild at a new n
+        for got, ref in zip(red.node_images(n), per_call_node_images(pristine, n)):
+            assert np.array_equal(got, ref)
+
+
+def test_one_build_per_reduction_and_sample_count(caplog):
+    # three objective evaluations at one (reduction, n), as a minimizer makes
+    cone = cone_for("T", alpha=1.37, m0=1.3)
+    z0 = ORDER3.restrict(random_symmetric_loop("T", ORDER3, 48, seed=2).points)
+    red = SymmetryReduction("extra", matrix=ORDER3.matrix, M=3)
+    caplog.set_level("DEBUG", logger="choreo.action")
+    for k in range(3):
+        loop = LoopPath(red.lift(z0 + 0.01 * k, 48), 2.0 * np.pi, red)
+        action(loop, cone)
+        gradient(loop, cone)
+    lines = [r.getMessage() for r in caplog.records if r.name == "choreo.action"]
+    assert lines == [
+        "extra reduction (M=3): built the tables of n=48, 16 free nodes",
+        f"extra reduction (M=3): orbit table of n=48, 16 free nodes, applies on {cone.group}",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 
@@ -495,7 +634,8 @@ def test_gradient_small_at_square_solution():
     T = 2 * np.pi
     loop = square_solution(0.0, T, 512)
     cone = cone_for("Z4", m0=0.0)
-    g = gradient(loop.with_points(loop.points), cone)  # no reduction: full grad
+    g = gradient(LoopPath(loop.points, loop.period), cone)  # no reduction: full grad
+    assert g.shape == (512, 3)
     horiz = g[:, :2]
     scale = action(loop, cone).total
     assert np.linalg.norm(horiz, ord=np.inf) <= 1e-4 * scale
@@ -581,7 +721,6 @@ def reference_potential(pts, group, alpha, m0, mutual, with_gradient=False):
 
 
 KERNEL_GROUPS = {"T": None, "O": None, "I": None, "Z4": None, "KLEIN": None, "Z2N": 3}
-ORDER3 = SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3)
 
 
 def kernel_values(loop, cone):
@@ -593,7 +732,7 @@ def kernel_values(loop, cone):
         parts = action(loop, cone, epsilon=eps)
         for name in ("kinetic", "central", "mutual"):
             out[f"{name}@{eps}"] = getattr(parts, name)
-        out[f"gradient_full@{eps}"] = gradient(loop.with_points(loop.points), cone, epsilon=eps)
+        out[f"gradient_full@{eps}"] = gradient(LoopPath(loop.points, loop.period), cone, epsilon=eps)
         if loop.reduction is not None:
             out[f"gradient_reduced@{eps}"] = gradient(loop, cone, epsilon=eps)
     out["discrete_energy"] = discrete_energy(loop, cone)
@@ -625,6 +764,47 @@ def test_pair_form_kernel_matches_element_loop(tag, n, monkeypatch):
     for name in want:
         scale = np.max(np.abs(want[name]))
         assert np.max(np.abs(np.asarray(got[name]) - want[name])) <= 1e-13 * scale, name
+
+
+def roll_kinetic(pts, period, factor):
+    """_kinetic with its difference taken by np.roll."""
+    h = period / len(pts)
+    diff = np.roll(pts, -1, axis=0) - pts
+    return factor * float(np.sum(diff * diff)) / (2.0 * h)
+
+
+def roll_gradient(loop, cone, epsilon=None):
+    """gradient of a loop without a reduction, stretch taken by np.roll."""
+    pts, n = loop.points, loop.n
+    h = loop.period / n
+    m0, mutual, prefactor = A._coefficients(cone, epsilon)
+    _, _, grad = A._potential(pts, cone.group, cone.alpha, m0, mutual, with_gradient=True)
+    stretch = 2.0 * pts - np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    out = stretch / h
+    out[np.arange(n)] += h * np.ones(n)[:, None] * grad
+    return prefactor * out
+
+
+def roll_energy(loop, cone):
+    """discrete_energy with its centred difference taken by np.roll."""
+    pts = loop.points
+    h = loop.period / loop.n
+    vel = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2.0 * h)
+    kin = 0.5 * np.sum(vel * vel, axis=1)
+    central, pair, _ = A._potential(pts, cone.group, cone.alpha, cone.central_mass, 1.0)
+    return kin - (central + pair)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 513])
+def test_slice_differences_match_np_roll(n):
+    cone = cone_for("O", alpha=1.37, m0=1.7)
+    pts = np.random.default_rng([n, 11]).normal(size=(n, 3)) + [2.0, 0.3, 0.1]
+    loop = LoopPath(pts, 2.1)
+    assert A._kinetic(loop.points, loop.period, 3.0) == roll_kinetic(loop.points, loop.period, 3.0)
+    assert action(loop, cone).kinetic == roll_kinetic(loop.points, loop.period, cone.group.order)
+    for eps in (None, 0.3):
+        assert np.array_equal(gradient(loop, cone, eps), roll_gradient(loop, cone, eps))
+    assert np.array_equal(discrete_energy(loop, cone), roll_energy(loop, cone))
 
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
