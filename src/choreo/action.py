@@ -26,6 +26,7 @@ reduction, the kernel sees every node.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,7 +58,8 @@ def _read_only(a):
 
 
 def _node_images(trs, free, n):
-    """(rep, mats) of SymmetryReduction.node_images from the transforms."""
+    """(rep, mats) of SymmetryReduction.node_images from the transforms, and
+    the orbit size of each free node."""
     shifts, flips, As = zip(*trs)
     # invariance u_j = A u_{sigma(j)} with sigma(j) = flip*j + shift reads
     # backwards as u_{sigma(j)} = A^T u_j on invariant loops.  Row k holds
@@ -79,7 +81,8 @@ def _node_images(trs, free, n):
         hit = images[:, rep[shared]] == shared
         total = np.add.reduce(hit[:, :, None, None] * AT[:, None], axis=0)
         mats[shared] = total / counts[shared, None, None]
-    return rep, mats
+    # a free node is hit once per element of its stabilizer
+    return rep, mats, len(As) / counts[free]
 
 
 @dataclass
@@ -104,29 +107,42 @@ class CollisionError(ValueError):
         super().__init__(message or f"loop node {node} lies on the collision set")
 
 
+def check_alpha(alpha):
+    """Raise ValueError unless the exponent alpha lies in [1, 2) (NaN does not)."""
+    if not 1.0 <= alpha < 2.0:
+        raise ValueError("alpha must lie in [1, 2)")
+
+
+def check_period(period):
+    """Raise ValueError unless the period is positive and finite."""
+    if not 0.0 < period < math.inf:
+        raise ValueError("period must be positive and finite")
+
+
 def rescale_parameter(alpha):
     """Exponent beta with u = m0^beta * v balancing kinetic and central terms.
 
     beta = 1/(2 + alpha); valid for alpha in [1, 2).
     """
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError("alpha must lie in [1, 2)")
+    check_alpha(alpha)
     return 1.0 / (2.0 + alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryReduction:
     """A finite group of loop transformations (g u)(t) = A u(sigma(t)).
 
     kind selects the constraint family:
-      * "italian":           u(t + T/2) = -u(t)
+      * "extra":             u(t + T/M) = R u(t)  (matrix R of order M)
+      * "italian":           u(t + T/2) = -u(t), the extra reduction of
+                             R = -I and M = 2 (no other R or M is accepted)
       * "klein_reflections": u(t) = REFLECT_X3 u(-t) and
                              u(t) = REFLECT_X2 u(T/2 - t)
-      * "extra":             u(t + T/M) = R u(t)  (matrix R of order M)
 
     The klein kind additionally pins u(0) to the plane {x3 = 0} and
     u(T/4) to {x2 = 0}; membership of the open quadrants there is a
-    property of the homotopy class and is not enforced here.
+    property of the homotopy class and is not enforced here.  Reductions
+    compare by identity.
     """
 
     kind: str
@@ -136,10 +152,16 @@ class SymmetryReduction:
     def __post_init__(self):
         if self.kind not in ("italian", "klein_reflections", "extra"):
             raise ValueError(f"unknown reduction kind {self.kind!r}")
+        if self.kind == "italian":
+            given = -np.eye(3) if self.matrix is None else self.matrix
+            if self.M not in (None, 2) or not np.array_equal(given, -np.eye(3)):
+                raise ValueError("the italian reduction is the extra one of -I with M = 2")
+            object.__setattr__(self, "matrix", -np.eye(3))
+            object.__setattr__(self, "M", 2)
         if self.matrix is not None:
             # the kept tables are read off this copy, which nobody can change
             object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, float)))
-        if self.kind == "extra":
+        if self.kind != "klein_reflections":
             if self.matrix is None or self.M is None:
                 raise ValueError("extra reduction needs a matrix and its order M")
             P = np.linalg.matrix_power(self.matrix, int(self.M))
@@ -148,11 +170,7 @@ class SymmetryReduction:
 
     def divisor(self):
         """The sample count must be divisible by this."""
-        if self.kind == "italian":
-            return 2
-        if self.kind == "klein_reflections":
-            return 4
-        return int(self.M)
+        return 4 if self.kind == "klein_reflections" else int(self.M)
 
     @cached_property
     def _slot(self):
@@ -172,10 +190,7 @@ class SymmetryReduction:
                 f"sample count {n} not divisible by {self.divisor()} "
                 f"as required by the {self.kind} reduction"
             )
-        if self.kind == "italian":
-            trs = [(0, 1, np.eye(3)), (n // 2, 1, -np.eye(3))]
-            free = np.arange(n // 2)
-        elif self.kind == "klein_reflections":
+        if self.kind == "klein_reflections":
             trs = [
                 (0, 1, np.eye(3)),
                 (0, -1, REFLECT_X3),
@@ -193,10 +208,7 @@ class SymmetryReduction:
                 A = self.matrix @ A
             free = np.arange(step)
         trs = tuple((shift, flip, _read_only(np.array(A))) for shift, flip, A in trs)
-        rep, mats = _node_images(trs, free, n)
-        w = np.full(len(free), float(self.divisor()))
-        if self.kind == "klein_reflections":
-            w[[0, -1]] = 2.0
+        rep, mats, w = _node_images(trs, free, n)
         _log.debug(
             "%s reduction (M=%s): built the tables of n=%d, %d free nodes",
             self.kind, self.M, n, len(free),
@@ -221,18 +233,18 @@ class SymmetryReduction:
         Every potential of the group is invariant under +-G, so on an
         invariant loop the whole orbit of a node shares its potential, and
         its gradients are images of one another (symmetric criticality).
-        Each orbit has M nodes for "extra" and 2 for "italian"; for
-        "klein_reflections" it has 4, except 2 at nodes 0 and n/4, which a
-        reflection fixes.  The table reads each orbit off its free node, so
-        it describes the loop's symmetric projection, which a LoopPath
-        matches to within 1e-12.  The answer for the last group asked is
-        kept with the tables of n.
+        The orbit sizes are counted off the node images, as the number of
+        transforms over the size of the free node's stabilizer: M for
+        "extra" and "italian"; for "klein_reflections" 4, except 2 at nodes
+        0 and n/4, which a reflection fixes.  The table reads each orbit off
+        its free node, so it describes the loop's symmetric projection,
+        which a LoopPath matches to within 1e-12.  The answer for the last
+        group asked is kept with the tables of n.
         """
         kept = self._tables(n)
         if kept.orbit[0] is not group:
             # the transform matrices are products of these, and +-G is a group
-            gens = {"italian": [-np.eye(3)], "klein_reflections": [REFLECT_X3, REFLECT_X2]}
-            gens = gens.get(self.kind) or [self.matrix]
+            gens = [REFLECT_X3, REFLECT_X2] if self.kind == "klein_reflections" else [self.matrix]
             applies = all(_signed_member(A, group) for A in gens)
             kept.orbit = (group, (kept.free, kept.weights) if applies else None)
             _log.debug(
@@ -290,13 +302,14 @@ class SymmetryReduction:
         return np.stack([np.bincount(rep, weights=t, minlength=m) for t in terms], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopPath:
     """A closed path sampled at t_j = j*T/n, j = 0..n-1 (node n wraps to 0).
 
     points: (n, 3) array of positions of the generating particle.
-    period: T.
+    period: T, positive and finite.
     reduction: the symmetry constraints the samples satisfy, if any.
+    Loops compare by identity.
     """
 
     points: np.ndarray
@@ -309,8 +322,7 @@ class LoopPath:
             raise ValueError("points must be an (n, 3) array")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        check_period(self.period)
         if self.reduction is not None:
             v = self.reduction.violation(pts)
             if v > 1e-12 * max(1.0, float(np.max(np.abs(pts)))):

@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .action import check_alpha, check_period
 from .homotopy import build_archimedean, sequence_counts
 from .reference_tables import TWO_PI
 
@@ -69,8 +70,7 @@ def k_alpha_p(alpha, order):
     do not depend on alpha and are read from ``_turn_sines``, a bounded
     table computed once per order.
     """
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError("alpha must lie in [1, 2)")
+    check_alpha(alpha)
     order = int(order)
     if order < 2:
         raise ValueError("order must be an integer >= 2")
@@ -95,8 +95,7 @@ def zeta(group, alpha, which):
     """
     if which not in (0, 1, 2):
         raise ValueError("which must be 0, 1 or 2")
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError("alpha must lie in [1, 2)")
+    check_alpha(alpha)
     poly = build_archimedean(group)
     c0, c1, c2, mult = poly.edge_quadratics[which]
 
@@ -144,8 +143,7 @@ def tilde_U0(group, alpha, triangle=0):
     pole order.  Every triangle gives the same value; ``triangle`` selects
     which one to use.
     """
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError("alpha must lie in [1, 2)")
+    check_alpha(alpha)
     tess = build_archimedean(group).tessellation
     k = {order: k_alpha_p(alpha, order) for order in set(tess.pole_order)}
     total = 0.0
@@ -182,10 +180,8 @@ def general_lower_bound(total_mass, u0, alpha, period, collisions, formula="plat
         raise ValueError("u0 must be positive")
     if total_mass <= 0.0:
         raise ValueError("total_mass must be positive")
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError("alpha must lie in [1, 2)")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    check_alpha(alpha)
+    check_period(period)
     collisions = int(collisions)
     if collisions < 1:
         raise ValueError("collisions must be a positive integer")
@@ -254,8 +250,7 @@ def rotating_polygon_action(m0, period, satellites=4):
         raise ValueError("satellites must be an even integer >= 4")
     if m0 < 0.0:
         raise ValueError("m0 must be nonnegative")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    check_period(period)
     mu = m0 + 0.25 * k_alpha_p(1.0, satellites)
     radius = (mu * (period / TWO_PI) ** 2) ** (1.0 / 3.0)
     return 1.5 * satellites * period * mu / radius
@@ -272,8 +267,7 @@ def klein_test_loop_bound(m0, period, rho=None):
     """
     if m0 < 0.0:
         raise ValueError("m0 must be nonnegative")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    check_period(period)
     strength = 3.0 + 2.0 * math.sqrt(2.0) * m0
     if rho is None:
         rho = (strength * period ** 2 / (64.0 * math.pi ** 2)) ** (1.0 / 3.0)

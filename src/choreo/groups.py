@@ -24,6 +24,8 @@ import numpy as np
 
 KEY_DECIMALS = 9
 _IDENTITY_ATOL = 1e-9
+# Elements generate_group may collect before it gives up.
+_CLOSURE_CAP = 200
 
 
 def matrix_key(M):
@@ -46,6 +48,17 @@ def rotation_matrix(axis, angle):
     n = n / np.linalg.norm(n)
     K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def unit_frame(p):
+    """Unit vectors (e1, e2) with (e1, e2, p) a right-handed orthonormal frame
+    for the unit vector p; e1 is e_x (e_y if p is near e_x) made orthogonal to p."""
+    seed = np.array([1.0, 0.0, 0.0])
+    if abs(p @ seed) > 0.9:
+        seed = np.array([0.0, 1.0, 0.0])
+    e1 = seed - (seed @ p) * p
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(p, e1)
 
 
 def _first_positive(v):
@@ -151,33 +164,29 @@ class RotationGroup:
         of fixed lines, unit normals of fixed (mirror) planes, and whether
         some element fixes only the origin.  Each vector is signed with its
         first nonzero coordinate positive, as the wall normals are, so the
-        elements sharing an axis or a mirror give one entry.  For every
+        elements sharing an axis or a mirror give one entry.  The lines are
+        the poles of that sign (``poles``).  An improper element R of trace 1
+        is a reflection, in the plane normal to the axis of the half turn -R;
+        any other fixes only the origin.  For every
         built-in group the planes are empty and the fixed set is a union of
         lines through 0, one per rotation axis.
         """
-        lines = {}
+        # of each pair of antipodal poles, the one _first_positive keeps
+        lines = tuple(p.point for p in poles(self) if _first_positive(p.point) @ p.point > 0.0)
         planes = {}
         origin_only = False
         for R in self.elements:
-            if np.allclose(R, np.eye(3), atol=_IDENTITY_ATOL):
+            if np.linalg.det(R) > 0.0:
                 continue
-            _, sv, Vt = np.linalg.svd(R - np.eye(3))
-            basis = Vt[sv < 1e-9]  # orthonormal basis of the fixed space
-            if len(basis) == 0:
-                origin_only = True
-            elif len(basis) == 1:
-                d = _first_positive(basis[0])
-                lines[matrix_key(d)] = d
-            elif len(basis) == 2:
-                nrm = _first_positive(np.cross(basis[0], basis[1]))
+            if abs(np.trace(R) - 1.0) < _IDENTITY_ATOL:
+                nrm = _first_positive(_rotation_axis(-R))
                 planes[matrix_key(nrm)] = nrm
             else:
-                raise ValueError("non-identity element fixes all of R^3")
-        for v in (*lines.values(), *planes.values()):
-            v.flags.writeable = False
-        line_list = tuple(lines[k] for k in sorted(lines.keys()))
+                origin_only = True
         plane_list = tuple(planes[k] for k in sorted(planes.keys()))
-        return line_list, plane_list, origin_only
+        for v in (*lines, *plane_list):
+            v.flags.writeable = False
+        return lines, plane_list, origin_only
 
     def __iter__(self):
         return iter(self.elements)
@@ -189,11 +198,11 @@ class RotationGroup:
         return f"RotationGroup({self.tag!r}, order={self.order})"
 
 
-def generate_group(generators, cap=200):
+def generate_group(generators):
     """Close a set of orthogonal matrices under products.
 
     Breadth-first closure; matrices are identified by their entries rounded
-    to 9 decimals.  Raises if the closure exceeds `cap` elements (a
+    to 9 decimals.  Raises if the closure exceeds _CLOSURE_CAP elements (a
     non-finite or numerically drifting generating set).  The result is
     sorted lexicographically on rounded entries.
     """
@@ -210,9 +219,9 @@ def generate_group(generators, cap=200):
                 B = G @ A
                 k = matrix_key(B)
                 if k not in elements:
-                    if len(elements) >= cap:
+                    if len(elements) >= _CLOSURE_CAP:
                         raise ValueError(
-                            f"group closure exceeded cap of {cap} elements"
+                            f"group closure exceeded cap of {_CLOSURE_CAP} elements"
                         )
                     elements[k] = B
                     fresh.append(B)
@@ -442,12 +451,7 @@ class Tessellation:
         fans = []
         for pid, p in enumerate(self.points):
             incident = [ti for ti, t in enumerate(self.triangles) if pid in t]
-            seed = np.array([1.0, 0.0, 0.0])
-            if abs(p @ seed) > 0.9:
-                seed = np.array([0.0, 1.0, 0.0])
-            e1 = seed - (seed @ p) * p
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(p, e1)
+            e1, e2 = unit_frame(p)
 
             def around(ti):
                 cen = self.points[list(self.triangles[ti])].mean(axis=0)

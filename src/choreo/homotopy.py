@@ -22,14 +22,19 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .action import LoopPath
-from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key
+from .action import LoopPath, check_alpha, check_period
+from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key, unit_frame
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
 # How far the minimal-angle search lowers its A* bound on open entries.
 _BOUND_SLACK = 1e-9
 # Search nodes reconstruct_numbering may visit before it gives up.
 _NUMBERING_NODE_CAP = 5_000_000
+# The budgets of one min_total_angle call: heap pops, extra turns a junction
+# route may take around its pole either way, and junction resolutions covered.
+_MAX_POPS = 2_000_000
+_TURN_CAP = 2
+_COMBO_CAP = 10_000_000
 _log = logging.getLogger(__name__)
 
 
@@ -183,24 +188,24 @@ class ArchimedeanPolyhedron:
 
         successors[i] lists (angle, j), sorted, for every pole j that is
         neither i, nor antipodal to i, nor separated from i by a pole on the
-        short arc: ties in angle go to the lower pole index.
+        short arc: ties in angle go to the lower pole index.  A pole is inside
+        when it lies on the arc's circle (within 1e-9), 1e-7 < phi < theta -
+        1e-7 from i; the poles are tested against all arcs from i at once.
         """
         pts = self.tessellation.points
         angles = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
         angles.setflags(write=False)
         successors = []
-        for i in range(len(pts)):
-            row = []
-            for j in range(len(pts)):
-                if j == i:
-                    continue
-                th = angles[i, j]
-                if th < 1e-7 or th > math.pi - 1e-6:
-                    continue
-                if _pole_inside_arc(pts, pts[i], pts[j]):
-                    continue
-                row.append((float(th), j))
-            successors.append(sorted(row))
+        for i, za in enumerate(pts):
+            th = angles[i]
+            js = np.flatnonzero((th >= 1e-7) & (th <= math.pi - 1e-6) & (np.arange(len(pts)) != i))
+            # the unit tangent w at i of each arc, and the normal of its circle
+            w = pts[js] - np.clip(pts[js] @ za, -1.0, 1.0)[:, None] * za
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            coplanar = np.abs(pts @ np.cross(za, w).T) < 1e-9
+            phi = np.arctan2(pts @ w.T, (pts @ za)[:, None])
+            inside = coplanar & (phi > 1e-7) & (phi < th[js] - 1e-7)
+            successors.append(sorted((float(th[j]), int(j)) for j in js[~inside.any(axis=0)]))
         return angles, successors
 
     @cached_property
@@ -432,10 +437,10 @@ def reconstruct_numbering(polyhedron, rows):
         L = len(per)
         pairs = [(per[i], per[(i + shift) % L]) for i in range(L)]
 
-        def shift_holds(upto):
+        def shift_holds():
             # The first placed pair fixes the one candidate R; the others must agree.
             perm = None
-            for la, lb in pairs[: upto + 1]:
+            for la, lb in pairs:
                 if la in assign and lb in assign:
                     a, b = assign[la], assign[lb]
                     if perm is None:
@@ -466,7 +471,7 @@ def reconstruct_numbering(polyhedron, rows):
                 if typ is None:
                     return False
                 n1, n2 = c1 + (typ == 1), c2 + (typ == 2)
-                return n1 <= k1 and n2 <= k2 and shift_holds(pos) and place(pos + 1, n1, n2)
+                return n1 <= k1 and n2 <= k2 and shift_holds() and place(pos + 1, n1, n2)
 
             if label in assign:
                 return advance(assign[label])
@@ -739,8 +744,7 @@ def is_alpha_simple(t_seq, alpha):
     whole chamber or a shared side, which strictly contains {p}).  Windows
     wrap around the cyclic sequence, repeating it as needed.
     """
-    if not 1.0 <= alpha < 2.0:
-        raise ValueError("alpha must lie in [1, 2)")
+    check_alpha(alpha)
     tess = t_seq.tessellation
     tris = list(t_seq.triangles)
     L = len(tris)
@@ -838,8 +842,7 @@ def test_loop(nu, period, samples):
     S = nu.steps
     if samples % S:
         raise ValueError(f"samples ({samples}) must be divisible by the step count ({S})")
-    if period <= 0:
-        raise ValueError("period must be positive")
+    check_period(period)
     m = samples // S
     pts = nu.points
     nxt = np.roll(pts, -1, axis=0)
@@ -870,12 +873,10 @@ class ConeSpec:
     central_mass: float
 
     def __post_init__(self):
-        if not 1.0 <= self.alpha < 2.0:
-            raise ValueError("alpha must lie in [1, 2)")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
-        if self.central_mass < 0.0:
-            raise ValueError("central_mass must be nonnegative")
+        check_alpha(self.alpha)
+        check_period(self.period)
+        if not 0.0 <= self.central_mass < math.inf:
+            raise ValueError("central_mass must be nonnegative and finite")
         tag = self.group.tag
         if tag in ("Z4", "KLEIN"):
             if self.nu is not None:
@@ -1045,12 +1046,7 @@ def _fibonacci_directions(n):
 
 def _circle_word(tess, axis):
     """Cyclic chamber word of the full great circle with the given unit normal."""
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(axis @ seed) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    u = seed - (seed @ axis) * axis
-    u /= np.linalg.norm(u)
-    return merge_cyclic_duplicates(_arc_itinerary(tess, u, np.cross(axis, u), TWO_PI))
+    return merge_cyclic_duplicates(_arc_itinerary(tess, *unit_frame(axis), TWO_PI))
 
 
 def _central_circle_exists(poly, target_word):
@@ -1072,16 +1068,6 @@ def _arc_param(za, zb):
     w = zb - c * za
     w /= np.linalg.norm(w)
     return theta, w
-
-
-def _pole_inside_arc(points, za, zb):
-    """True if some pole lies strictly inside the open short arc."""
-    theta, w = _arc_param(za, zb)
-    normal = np.cross(za, w)
-    coplanar = np.abs(points @ normal) < 1e-9
-    phi = np.arctan2(points @ w, points @ za)
-    inside = (phi > 1e-7) & (phi < theta - 1e-7)
-    return bool(np.any(coplanar & inside))
 
 
 def _arc_wall(tess, za, zb):
@@ -1143,7 +1129,7 @@ class _SearchOptions(dict):
     (a, b) maps to the wall-side choices of the arc from pole a to pole b as
     (chambers, winding) pairs, the runs read from the polyhedron's arc_runs.
     (pole, c_in, c_out) maps to (routes, weights): the distinct routes
-    around the pole's fan from chamber c_in to c_out, with up to turn_cap
+    around the pole's fan from chamber c_in to c_out, with up to _TURN_CAP
     extra turns either way, and their windings, entry and exit steps
     included.  (pole,) maps to the windings of the walk once around its fan,
     from fan[0] up to each fan position (the last is the whole loop).  A
@@ -1151,10 +1137,10 @@ class _SearchOptions(dict):
     symmetry copies (perms); windings and routes are all the call builds.
     """
 
-    def __init__(self, poly, perms, turn_cap):
+    def __init__(self, poly, perms):
         super().__init__()
         self.tess, self.runs, self.steps = poly.tessellation, poly.arc_runs, poly.winding_steps
-        self.perms, self.turn_cap = perms, turn_cap
+        self.perms = perms
 
     def winding(self, path):
         return sum(self.steps[p[a], p[b]] for a, b in zip(path, path[1:]) for p in self.perms)
@@ -1179,14 +1165,14 @@ class _SearchOptions(dict):
             loop = prefix[-1]
             i_in, i_out = fan.index(c_in), fan.index(c_out)
             ahead = prefix[i_out] - prefix[i_in] + (loop if i_out < i_in else 0)
-            cycle = fan * (self.turn_cap + 2)
+            cycle = fan * (_TURN_CAP + 2)
             routes, weights = [], []
             for direction, ring, start, base in (
                 (1, cycle, i_in, ahead),
                 (-1, cycle[::-1], L - 1 - i_in, ahead - loop if i_out != i_in else 0),
             ):
                 steps = (direction * (i_out - i_in)) % L
-                for turns in range(self.turn_cap + 1):
+                for turns in range(_TURN_CAP + 1):
                     route = list(ring[start + 1 : start + steps + turns * L])
                     if route not in routes:
                         routes.append(route)
@@ -1238,7 +1224,7 @@ def _winding_solutions(weights, residual):
     return walk(0, residual)
 
 
-def _skeleton_realizes(options, target, goal, fund_axes, combo_cap):
+def _skeleton_realizes(options, target, goal, fund_axes, spent):
     """Try junction/side resolutions of the arc skeleton against the class word.
 
     fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
@@ -1249,9 +1235,9 @@ def _skeleton_realizes(options, target, goal, fund_axes, combo_cap):
     word is the target is the match a check of every resolution would find.
     Returns the full word (or None), the resolutions covered (reduced, or
     rejected by the filter) up to the match, and the reductions performed;
-    raises past combo_cap covered resolutions.
+    raises once the call has covered more than _COMBO_CAP, spent included.
     """
-    tried = checked = 0
+    tried, checked, budget = 0, 0, _COMBO_CAP - spent
     for arc_sel, option_lists, weights, arc_winding in _resolutions(options, fund_axes):
         sizes = [len(opts) for opts in option_lists]
         found = None
@@ -1259,7 +1245,7 @@ def _skeleton_realizes(options, target, goal, fund_axes, combo_cap):
             index = 0
             for o, n in zip(sel, sizes):
                 index = index * n + o
-            if tried + index + 1 > combo_cap:
+            if tried + index + 1 > budget:
                 break
             checked += 1
             block = [c for run, opts, o in zip(arc_sel, option_lists, sel) for c in run + opts[o]]
@@ -1269,7 +1255,7 @@ def _skeleton_realizes(options, target, goal, fund_axes, combo_cap):
                 found = tuple(word)
                 break
         tried += index + 1 if found else math.prod(sizes)
-        if tried > combo_cap:
+        if tried > budget:
             raise RuntimeError(
                 "minimal-angle realization search exhausted its resolution budget"
             )
@@ -1362,7 +1348,7 @@ def _logged(cone, result):
     return result
 
 
-def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_000):
+def min_total_angle(cone):
     """Minimal total angle of circular-arc loops through rotation semi-axes
     realizing the cone's loop class, with the realizing skeleton.
 
@@ -1381,8 +1367,9 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
     (successor_orders), is read from the polyhedron's tables, built on
     first use; a call builds only the windings over its M symmetry copies,
     its root bounds and its junction routes, each once.  Raises ValueError
-    for central cones and RuntimeError on search exhaustion: past max_pops
-    heap pops or combo_cap junction resolutions covered in the call.
+    for central cones and RuntimeError past the call's budgets, module
+    constants: _MAX_POPS heap pops or _COMBO_CAP junction resolutions
+    covered, with routes of up to _TURN_CAP extra turns about a pole.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1429,24 +1416,24 @@ def min_total_angle(cone, *, max_pops=2_000_000, turn_cap=2, combo_cap=10_000_00
     angles, _ = poly.arc_table
     steps = poly.winding_steps
     goal = sum(steps[target[i - 1], target[i]] for i in range(len(target)))
-    options = _SearchOptions(poly, tri_perm_pows, turn_cap)
+    options = _SearchOptions(poly, tri_perm_pows)
 
     fmax = max(2, math.ceil(4 * nu.steps / M))
     seen_skeletons = set()
     pops = combinations = checked = 0
     for cost, axes, closed in _skeleton_pops(poly, M, fmax, pole_perm):
         pops += 1
-        if pops > max_pops:
+        if pops > _MAX_POPS:
             raise RuntimeError("minimal-angle search exhausted its pop budget")
         if not closed:
             continue
         full = [perm[a] for perm in pole_perm_pows for a in axes[:-1]]
-        canon = min(tuple(full[i:] + full[:i]) for i in range(len(full)))
+        canon = canonical_cyclic_word(full)
         if canon in seen_skeletons:
             continue
         seen_skeletons.add(canon)
         word, tried, reductions = _skeleton_realizes(
-            options, target, goal, axes, combo_cap - combinations
+            options, target, goal, axes, combinations
         )
         combinations += tried
         checked += reductions

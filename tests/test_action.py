@@ -547,6 +547,46 @@ def test_one_build_per_reduction_and_sample_count(caplog):
     ]
 
 
+def test_italian_is_the_extra_reduction_of_minus_identity():
+    italian = SymmetryReduction("italian")
+    assert (italian.M, italian.matrix.tolist()) == (2, (-np.eye(3)).tolist())
+    assert italian.divisor() == 2
+    extra = SymmetryReduction("extra", matrix=-np.eye(3), M=2)
+    group = builtin_group("O")
+    for n in (12, 60, 1200):
+        for (s1, f1, A1), (s2, f2, A2) in zip(italian.transforms(n), extra.transforms(n), strict=True):
+            assert (s1, f1) == (s2, f2) and np.array_equal(A1, A2)
+        for got, want in zip(italian.node_images(n), extra.node_images(n)):
+            assert np.array_equal(got, want)
+        for got, want in zip(italian.orbit_weights(n, group), extra.orbit_weights(n, group)):
+            assert np.array_equal(got, want)
+    # the same matrix and M may be restated, no other
+    assert SymmetryReduction("italian", -np.eye(3), 2).M == 2
+    for matrix, M in ((None, 4), (A.REFLECT_X2, None), (-np.eye(3), 1), (np.eye(3), 2)):
+        with pytest.raises(ValueError, match="-I with M = 2"):
+            SymmetryReduction("italian", matrix, M)
+
+
+def test_reductions_and_loops_compare_by_identity():
+    # the generated == compared the matrix arrays and raised on them, and
+    # hash raised TypeError
+    R = builtin_group("O").generators[0]
+    a, b = SymmetryReduction("extra", R, 4), SymmetryReduction("extra", R, 4)
+    assert a != b and a == a
+    assert len({a, b, hash(a), hash(b)}) == 4
+    pts = np.random.default_rng(3).normal(size=(8, 3))
+    p, q = LoopPath(pts, 1.0), LoopPath(pts, 1.0)
+    assert p != q and p == p
+    assert len({p, q}) == 2
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+def test_loop_path_refuses_a_non_finite_or_nonpositive_period(period):
+    # a NaN period used to give a NaN action
+    with pytest.raises(ValueError, match="positive and finite"):
+        LoopPath(np.ones((4, 3)), period)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 

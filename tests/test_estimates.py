@@ -595,6 +595,13 @@ def test_general_lower_bound_rejects_bad_arguments():
         general_lower_bound(4.0, 1.0, 1.0, TWO_PI, 0)
 
 
+@pytest.mark.parametrize("period", [math.nan, math.inf], ids=["nan", "inf"])
+def test_general_lower_bound_refuses_a_non_finite_period(period):
+    # a NaN period used to give a NaN bound
+    with pytest.raises(ValueError, match="positive and finite"):
+        general_lower_bound(4.0, 1.0, 1.0, period, 2)
+
+
 @pytest.mark.parametrize("m0", [0.0, 1.0, 7.5, 120.0])
 def test_hiphop_bound_closed_form(m0):
     bound = hiphop_collision_bound(m0, TWO_PI)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choreo import groups
 from choreo.groups import (
     Pole,
     RotationGroup,
@@ -83,11 +84,12 @@ def test_generate_group_rejects_non_orthogonal():
         generate_group([np.diag([1.0, 2.0, 1.0])])
 
 
-def test_generate_group_cap():
+def test_generate_group_cap(monkeypatch):
     # an irrational rotation never closes; the cap must trip
+    monkeypatch.setattr(groups, "_CLOSURE_CAP", 50)
     R = rotation_matrix([0, 0, 1], 1.0)
-    with pytest.raises(ValueError):
-        generate_group([R], cap=50)
+    with pytest.raises(ValueError, match="cap of 50"):
+        generate_group([R])
 
 
 def test_polyhedral_groups_are_proper():
@@ -297,15 +299,46 @@ def reference_fixed_point_sets(group):
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_fixed_sets_match_the_per_call_body(tag):
+    # the lines are read off the poles now, which round differently from
+    # the SVD basis: at most 2.3e-16 apart on I, equal on Z4 and KLEIN
     G = builtin_group(tag)
     lines, planes, origin_only = G.fixed_sets
     want_lines, want_planes, want_origin_only = reference_fixed_point_sets(G)
     assert origin_only == want_origin_only
     assert len(lines) == len(want_lines) and len(planes) == len(want_planes)
     for got, want in zip((*lines, *planes), (*want_lines, *want_planes)):
-        assert got.tolist() == want.tolist()
+        assert np.max(np.abs(got - want)) <= 5e-16
         assert not got.flags.writeable
     assert G.fixed_sets is G.fixed_sets
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_fixed_lines_are_the_first_positive_poles(tag):
+    G = builtin_group(tag)
+    want = [p.point for p in poles(G) if np.array_equal(first_positive(p.point), p.point)]
+    assert len(want) == len(poles(G)) // 2
+    assert [d.tolist() for d in G.fixed_sets[0]] == [p.tolist() for p in want]
+
+
+# Groups with improper elements: a mirror and its rotoreflections (C4h), and
+# the full octahedral group, whose mirrors are normal to the coordinate axes
+# and to the face diagonals, and whose -I and rotoreflections fix only 0.
+IMPROPER = {
+    "C4h": [np.diag([1.0, 1.0, -1.0]), rotation_matrix([0, 0, 1], np.pi / 2)],
+    "Oh": [*builtin_group("O").generators, -np.eye(3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPROPER))
+def test_fixed_sets_of_improper_groups_match_the_per_call_body(name):
+    G = RotationGroup(name, generate_group(IMPROPER[name]))
+    lines, planes, origin_only = G.fixed_sets
+    want_lines, want_planes, want_origin_only = reference_fixed_point_sets(G)
+    assert origin_only and want_origin_only
+    assert len(planes) == len(want_planes) == {"C4h": 1, "Oh": 9}[name]
+    assert len(lines) == len(want_lines)
+    for got, want in zip((*lines, *planes), (*want_lines, *want_planes)):
+        assert np.max(np.abs(got - want)) <= 5e-16
 
 
 @pytest.mark.parametrize("tag, axes", [("Z4", 1), ("KLEIN", 3), ("T", 7), ("O", 13), ("I", 31)])

@@ -312,7 +312,7 @@ def test_row_sets_cover_every_self_consistent_row():
     assert len(ROW_SETS) == 24
 
 
-@pytest.mark.parametrize("tag,rows,nodes", [("T", 6, 79), ("O", 8, 174), ("I", 4, 4521)])
+@pytest.mark.parametrize("tag,rows,nodes", [("T", 6, 79), ("O", 8, 174), ("I", 4, 4228)])
 def test_reconstruct_numbering_logs_its_node_count(tag, rows, nodes, caplog):
     caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
     numbering = H.reconstruct_numbering(H.build_archimedean(tag), published_rows(tag))
@@ -828,6 +828,26 @@ def test_cone_spec_rejects_degenerate_classes():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("period", math.nan), ("period", math.inf), ("central_mass", math.nan), ("central_mass", math.inf)],
+    ids=["period-nan", "period-inf", "mass-nan", "mass-inf"],
+)
+def test_cone_spec_refuses_non_finite_inputs(field, value):
+    # a NaN period or mass used to pass through to a certificate with NaN
+    # members, and an infinite period to a ZeroDivisionError inside certify
+    base = H.catalog_cone("T", "nu1")
+    kwargs = dict(
+        group=base.group, nu=base.nu, alpha=base.alpha, extra_symmetry=base.extra_symmetry,
+        period=base.period, central_mass=base.central_mass,
+    )
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        H.ConeSpec(**kwargs)
+    kwargs[field] = 1.5
+    assert getattr(H.ConeSpec(**kwargs), field) == 1.5
+
+
 def test_cone_spec_extra_symmetry_validation():
     nu = row_sequence("O", "nu1")
     group = nu.polyhedron.group
@@ -958,10 +978,11 @@ def test_min_total_angle_platonic(tag, name, expected, arcs):
     assert H.cyclic_words_equal(res.word, cone.reduced_word)
 
 
-def test_min_total_angle_budget_exhaustion():
+def test_min_total_angle_budget_exhaustion(monkeypatch):
     cone = H.catalog_cone("T", "nu1")
+    monkeypatch.setattr(H, "_MAX_POPS", 5)
     with pytest.raises(RuntimeError, match="exhausted"):
-        H.min_total_angle(cone, max_pops=5)
+        H.min_total_angle(cone)
 
 
 def reference_circle_word(tess, axis):
@@ -1231,9 +1252,11 @@ def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
         assert f"checked={result.checked}" in message
     assert capsys.readouterr() == ("", "")
     # the search stops at its pop budget: res.pops is exactly enough
-    assert H.min_total_angle(cone, max_pops=res.pops).total_angle == res.total_angle
+    monkeypatch.setattr(H, "_MAX_POPS", res.pops)
+    assert H.min_total_angle(cone).total_angle == res.total_angle
+    monkeypatch.setattr(H, "_MAX_POPS", res.pops - 1)
     with pytest.raises(RuntimeError, match="pop budget"):
-        H.min_total_angle(cone, max_pops=res.pops - 1)
+        H.min_total_angle(cone)
 
 
 def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
@@ -1251,9 +1274,11 @@ def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
     # one less than the call's total is still more than any one skeleton
     # needs, so only a budget over the whole call can stop the search
     assert max(tries) < res.combinations - 1
-    assert H.min_total_angle(cone, combo_cap=res.combinations).total_angle == res.total_angle
+    monkeypatch.setattr(H, "_COMBO_CAP", res.combinations)
+    assert H.min_total_angle(cone).total_angle == res.total_angle
+    monkeypatch.setattr(H, "_COMBO_CAP", res.combinations - 1)
     with pytest.raises(RuntimeError, match="resolution budget"):
-        H.min_total_angle(cone, combo_cap=res.combinations - 1)
+        H.min_total_angle(cone)
 
 
 # ---------------------------------------------------------------------------
@@ -1423,7 +1448,7 @@ def test_winding_filter_matches_filtered_product(tag, name, element, monkeypatch
         assert target == cone.canonical_word
         tri_perm_pows = options.perms
         tri_perm = tri_perm_pows[1 % len(tri_perm_pows)]
-        old = reference_resolutions(options.tess, fund_axes, tri_perm, options.turn_cap)
+        old = reference_resolutions(options.tess, fund_axes, tri_perm, H._TURN_CAP)
         new = list(H._resolutions(options, fund_axes))
         assert [(arc_sel, option_lists) for arc_sel, option_lists, _, _ in new] == old
         for arc_sel, option_lists, weights, arc_winding in new:
@@ -1532,6 +1557,42 @@ def test_successor_orders_match_the_sorted_rows(tag):
                 (theta + d[j, k], theta, j) for theta, j in row if d[j, k] < math.inf
             )
             assert [row[r][1] for r in orders[i][k]] == [j for _, _, j in reference]
+
+
+def reference_pole_inside_arc(points, za, zb):
+    """True if some pole lies strictly inside the open short arc: the
+    per-pair test arc_table made before it tested one pole's arcs at once."""
+    theta, w = H._arc_param(za, zb)
+    normal = np.cross(za, w)
+    coplanar = np.abs(points @ normal) < 1e-9
+    phi = np.arctan2(points @ w, points @ za)
+    inside = (phi > 1e-7) & (phi < theta - 1e-7)
+    return bool(np.any(coplanar & inside))
+
+
+def reference_arc_table(poly):
+    pts = poly.tessellation.points
+    angles = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
+    successors = []
+    for i in range(len(pts)):
+        row = []
+        for j in range(len(pts)):
+            th = angles[i, j]
+            if j == i or th < 1e-7 or th > math.pi - 1e-6:
+                continue
+            if not reference_pole_inside_arc(pts, pts[i], pts[j]):
+                row.append((float(th), j))
+        successors.append(sorted(row))
+    return angles, successors
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_arc_table_matches_the_per_pair_body(tag):
+    angles, successors = H.build_archimedean(tag).arc_table
+    want_angles, want_successors = reference_arc_table(H.build_archimedean(tag))
+    assert np.array_equal(angles, want_angles)
+    assert successors == want_successors
+    assert all(type(j) is int for row in successors for _, j in row)
 
 
 @pytest.mark.parametrize("tag,arcs", [("T", 96), ("O", 288), ("I", 1440)])
