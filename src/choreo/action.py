@@ -119,6 +119,12 @@ def check_period(period):
         raise ValueError("period must be positive and finite")
 
 
+def check_mass(mass):
+    """Raise ValueError unless the central mass is nonnegative and finite."""
+    if not 0.0 <= mass < math.inf:
+        raise ValueError("central mass must be nonnegative and finite")
+
+
 def rescale_parameter(alpha):
     """Exponent beta with u = m0^beta * v balancing kinetic and central terms.
 
@@ -344,11 +350,7 @@ class LoopPath:
 
 def apply_symmetry_reduction(loop, reduction):
     """Replace the loop by its exact symmetrization under the reduction."""
-    pts = reduction.project(loop.points if isinstance(loop, LoopPath) else loop)
-    period = loop.period if isinstance(loop, LoopPath) else None
-    if period is None:
-        return pts
-    return LoopPath(points=pts, period=period, reduction=reduction)
+    return LoopPath(points=reduction.project(loop.points), period=loop.period, reduction=reduction)
 
 
 @dataclass(frozen=True)
@@ -415,8 +417,8 @@ def _coefficients(cone, epsilon):
     (epsilon None) or of the rescaled functional at epsilon."""
     if epsilon is None:
         return cone.central_mass, 1.0, cone.group.order
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     return 1.0, epsilon, 1.0
 
 
@@ -498,8 +500,8 @@ def second_variation_vertical(m0, T):
     Strictly negative for every m0 >= 0: the planar solution is never a
     local minimizer against vertical perturbations.
     """
-    if m0 < 0 or T <= 0:
-        raise ValueError("need m0 >= 0 and T > 0")
+    check_mass(m0)
+    check_period(T)
     omega = 2.0 * np.pi / T
     ratio = (np.sqrt(2.0) + m0) / (1.0 / np.sqrt(2.0) + 0.25 + m0)
     return 0.5 * omega**2 * T * (1.0 - ratio)

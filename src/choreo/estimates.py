@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .action import check_alpha, check_period
-from .homotopy import build_archimedean, sequence_counts
+from .action import check_alpha, check_mass, check_period
+from .homotopy import build_archimedean
 from .reference_tables import TWO_PI
 
 _log = logging.getLogger(__name__)
@@ -133,21 +133,20 @@ def delta_min(group, which):
     return build_archimedean(group).midpoint_chords[which - 1]
 
 
-def tilde_U0(group, alpha, triangle=0):
+def tilde_U0(group, alpha):
     """Potential floor over one closed tessellation triangle.
 
     Returns (1/2^(alpha+1)) * sum over poles p of k_alpha_p(alpha, order_p)
     divided by max_{u in triangle} |u x p|^alpha.  The maximum is resolved
     in closed form and read from the tessellation's ``widest_chords`` table,
     which does not depend on alpha; k_alpha_p is evaluated once per distinct
-    pole order.  Every triangle gives the same value; ``triangle`` selects
-    which one to use.
+    pole order.  Every triangle gives the same value; the first is used.
     """
     check_alpha(alpha)
     tess = build_archimedean(group).tessellation
     k = {order: k_alpha_p(alpha, order) for order in set(tess.pole_order)}
     total = 0.0
-    for order, largest in zip(tess.pole_order, tess.widest_chords[triangle].tolist()):
+    for order, largest in zip(tess.pole_order, tess.widest_chords[0].tolist()):
         total += k[order] / largest ** alpha
     return total / 2.0 ** (alpha + 1.0)
 
@@ -176,10 +175,10 @@ def general_lower_bound(total_mass, u0, alpha, period, collisions, formula="plat
     least (2+alpha)/(2-alpha) * (mass/2) * [u0 (pi/alpha)^alpha]^(2/(2+alpha))
     * duration^((2-alpha)/(2+alpha)).  The segments are summed.
     """
-    if u0 <= 0.0:
-        raise ValueError("u0 must be positive")
-    if total_mass <= 0.0:
-        raise ValueError("total_mass must be positive")
+    if not 0.0 < u0 < math.inf:
+        raise ValueError("u0 must be positive and finite")
+    if not 0.0 < total_mass < math.inf:
+        raise ValueError("total_mass must be positive and finite")
     check_alpha(alpha)
     check_period(period)
     collisions = int(collisions)
@@ -209,8 +208,7 @@ def hiphop_collision_bound(m0, period, satellites=4):
     satellites = int(satellites)
     if satellites < 4 or satellites % 2:
         raise ValueError("satellites must be an even integer >= 4")
-    if m0 < 0.0:
-        raise ValueError("m0 must be nonnegative")
+    check_mass(m0)
     total = satellites + m0
     u0 = (satellites / total) ** 1.5 * ((satellites - 1) / 2.0 + 2.0 * m0)
     return general_lower_bound(total, u0, 1.0, period, 2, formula="hiphop")
@@ -224,8 +222,7 @@ def klein_collision_bound(m0, period):
     equals sqrt(2/3); the time symmetry forces two total collisions per
     period.
     """
-    if m0 < 0.0:
-        raise ValueError("m0 must be nonnegative")
+    check_mass(m0)
     total = 4.0 + m0
     u0 = 4.0 * (3.0 * math.sqrt(1.5) + 4.0 * m0) / total ** 1.5
     return general_lower_bound(total, u0, 1.0, period, 2, formula="klein")
@@ -248,8 +245,7 @@ def rotating_polygon_action(m0, period, satellites=4):
     satellites = int(satellites)
     if satellites < 4 or satellites % 2:
         raise ValueError("satellites must be an even integer >= 4")
-    if m0 < 0.0:
-        raise ValueError("m0 must be nonnegative")
+    check_mass(m0)
     check_period(period)
     mu = m0 + 0.25 * k_alpha_p(1.0, satellites)
     radius = (mu * (period / TWO_PI) ** 2) ** (1.0 / 3.0)
@@ -265,14 +261,13 @@ def klein_test_loop_bound(m0, period, rho=None):
     rotated copies.  The resulting bound 32 pi^2 rho^2 / T + (3 +
     2 sqrt(2) m0) T / rho is minimized over rho unless one is given.
     """
-    if m0 < 0.0:
-        raise ValueError("m0 must be nonnegative")
+    check_mass(m0)
     check_period(period)
     strength = 3.0 + 2.0 * math.sqrt(2.0) * m0
     if rho is None:
         rho = (strength * period ** 2 / (64.0 * math.pi ** 2)) ** (1.0 / 3.0)
-    elif rho <= 0.0:
-        raise ValueError("rho must be positive")
+    elif not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     return 32.0 * math.pi ** 2 * rho ** 2 / period + strength * period / rho
 
 
@@ -292,13 +287,13 @@ class TestLoopAction:
 
     def at_scale(self, lam):
         """Action of the test loop rescaled by lam."""
-        if lam <= 0.0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError("lam must be positive and finite")
         return lam ** 2 * self.kinetic + lam ** (-self.alpha) * self.potential
 
 
 def _cone_counts(cone):
-    k_nu, k1, k2 = sequence_counts(cone.nu)
+    k_nu, k1, k2 = cone.nu.side_counts
     collisions = cone.extra_symmetry[1] if cone.extra_symmetry is not None else 1
     return k_nu, k1, k2, collisions
 

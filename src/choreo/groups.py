@@ -37,9 +37,9 @@ def matrix_key(M):
     return tuple(r.ravel())
 
 
-def is_orthogonal(M, tol=1e-9):
+def is_orthogonal(M):
     M = np.asarray(M, dtype=float)
-    return M.shape == (3, 3) and np.allclose(M.T @ M, np.eye(3), atol=tol)
+    return M.shape == (3, 3) and np.allclose(M.T @ M, np.eye(3), atol=1e-9)
 
 
 def rotation_matrix(axis, angle):

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .action import LoopPath, check_alpha, check_period
+from .action import LoopPath, check_alpha, check_mass, check_period
 from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key, unit_frame
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
@@ -54,6 +54,8 @@ class ArchimedeanPolyhedron:
     on first use: the group action on the vertices (vertex_permutations,
     element_between), the estimates' base-edge constants (edge_quadratics,
     midpoint_chords), edge_chambers and the minimal-angle search tables.
+    edge_chambers, arc_runs and circle_classes read their great arcs with
+    one reader, _arc_chambers.
     """
 
     def __init__(self, group, tessellation, vertices, edges, base_points):
@@ -146,21 +148,20 @@ class ArchimedeanPolyhedron:
     @cached_property
     def edge_chambers(self):
         """Read-only map from every ordered edge (i, j) to the chambers that
-        the great arc from vertex i to vertex j runs through, in order, as
-        _arc_itinerary reads them.  Raises ValueError unless every edge runs
-        through exactly two adjacent chambers (an edge through a pole meets
-        more, or two that only share the pole, or runs along a wall)."""
+        the great arc from vertex i to vertex j runs through, in order, as the
+        great-arc reader _arc_chambers reads them, one call per vertex over
+        its neighbours.  Raises ValueError unless every edge runs through
+        exactly two adjacent chambers (an edge through a pole meets more, or
+        two that only share the pole; an edge along a wall meets none)."""
         tess = self.tessellation
         table = {}
-        for i, j in itertools.chain(self.edges, ((j, i) for i, j in self.edges)):
-            theta, w = _arc_param(self.vertices[i], self.vertices[j])
-            try:
-                word = _arc_itinerary(tess, self.vertices[i], w, theta)
-            except ValueError:  # along a wall
-                word = ()
-            if len(word) != 2 or word[1] not in tess.neighbors[word[0]]:
-                raise ValueError(f"edge ({i}, {j}) does not cross one wall to an adjacent chamber")
-            table[i, j] = tuple(word)
+        for i, v in enumerate(self.vertices):
+            js = [j for j, _ in self.neighbors(i)]
+            theta, w = _arc_tangents(v, self.vertices[js])
+            for j, (word, _) in zip(js, _arc_chambers(tess, v, w, theta)):
+                if len(word) != 2 or word[1] not in tess.neighbors[word[0]]:
+                    raise ValueError(f"edge ({i}, {j}) does not cross one wall to an adjacent chamber")
+                table[i, j] = tuple(word)
         return MappingProxyType(table)
 
     @cached_property
@@ -200,8 +201,7 @@ class ArchimedeanPolyhedron:
             th = angles[i]
             js = np.flatnonzero((th >= 1e-7) & (th <= math.pi - 1e-6) & (np.arange(len(pts)) != i))
             # the unit tangent w at i of each arc, and the normal of its circle
-            w = pts[js] - np.clip(pts[js] @ za, -1.0, 1.0)[:, None] * za
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            _, w = _arc_tangents(za, pts[js])
             coplanar = np.abs(pts @ np.cross(za, w).T) < 1e-9
             phi = np.arctan2(pts @ w.T, (pts @ za)[:, None])
             inside = coplanar & (phi > 1e-7) & (phi < th[js] - 1e-7)
@@ -265,31 +265,32 @@ class ArchimedeanPolyhedron:
     @cached_property
     def arc_runs(self):
         """Read-only map from every successor arc (a, b) of arc_table to its
-        wall-side runs, each a tuple of chambers: one run, the chambers the
-        arc runs through (_arc_itinerary), for an arc off every wall, and
-        two, one either side (_on_wall_itinerary), for an arc along a wall.
+        wall-side runs, each a tuple of chambers, as the great-arc reader
+        _arc_chambers reads them, one call per starting pole over its
+        successors: one run, the chambers the arc runs through, for an arc
+        off every wall, and two, one either side, for an arc along a wall.
 
-        The arcs off a wall locate their samples in one batch per starting
-        pole: one batch for the whole table (4,560 samples for I) would make
-        a 13 MB temporary of chamber margins.
+        With no pole inside, an arc along a wall is the side {a, b} of
+        exactly two chambers.  The first run is the chamber on the side that
+        the wall's stored normal points to, told by its third corner.  One
+        call for the whole table (4,560 samples for I) would make a 13 MB
+        temporary of chamber margins.
         """
         tess = self.tessellation
         pts = tess.points
         table = {}
         for a, row in enumerate(self.arc_table[1]):
-            samples = {}
-            for _, b in row:
-                wall = _arc_wall(tess, pts[a], pts[b])
+            bs = [b for _, b in row]
+            theta, w = _arc_tangents(pts[a], pts[bs])
+            for b, (run, wall) in zip(bs, _arc_chambers(tess, pts[a], w, theta)):
                 if wall is None:
-                    theta, w = _arc_param(pts[a], pts[b])
-                    samples[b] = _arc_samples(tess, pts[a], w, theta)
-                else:
-                    table[a, b] = tuple(map(tuple, _on_wall_itinerary(tess, a, b, wall)))
-            if samples:
-                chambers = iter(tess.locate(np.concatenate(list(samples.values()))))
-                for b, points in samples.items():
-                    run = merge_consecutive(itertools.islice(chambers, len(points)))
                     table[a, b] = (tuple(run),)
+                    continue
+                first, second = sorted(set(tess.fan[a]) & set(tess.fan[b]))
+                (corner,) = set(tess.triangles[first]) - {a, b}
+                if tess.wall_normals[wall] @ pts[corner] < 0.0:
+                    first, second = second, first
+                table[a, b] = ((first,), (second,))
         return MappingProxyType(table)
 
     @cached_property
@@ -597,12 +598,6 @@ class VertexSequence:
         return f"VertexSequence({self.polyhedron.group.tag!r}, {list(self.vertex_ids)})"
 
 
-def sequence_counts(nu):
-    """(k_nu, k1, k2): minimal period and side-type counts per period, read
-    from the sequence's ``side_counts``."""
-    return nu.side_counts
-
-
 def _shift_element(nu, M):
     """Index of the group element R that moves nu on by steps/M positions,
     or None (M must divide the step count).  Only the element that maps the
@@ -718,8 +713,9 @@ def triangles_from_vertices(nu):
     """Chamber itinerary of the vertex path radially projected to the sphere.
 
     Each graph edge crosses exactly one wall, at its midpoint, between the
-    two chambers of the polyhedron's ``edge_chambers`` table; a vertex where
-    the path touches a wall without crossing contributes no chamber change.
+    two chambers of the polyhedron's ``edge_chambers`` table, which the
+    great-arc reader _arc_chambers fills; a vertex where the path touches a
+    wall without crossing contributes no chamber change.
     """
     poly = nu.polyhedron
     ids = nu.vertex_ids
@@ -875,8 +871,7 @@ class ConeSpec:
     def __post_init__(self):
         check_alpha(self.alpha)
         check_period(self.period)
-        if not 0.0 <= self.central_mass < math.inf:
-            raise ValueError("central_mass must be nonnegative and finite")
+        check_mass(self.central_mass)
         tag = self.group.tag
         if tag in ("Z4", "KLEIN"):
             if self.nu is not None:
@@ -1045,8 +1040,53 @@ def _fibonacci_directions(n):
 
 
 def _circle_word(tess, axis):
-    """Cyclic chamber word of the full great circle with the given unit normal."""
-    return merge_cyclic_duplicates(_arc_itinerary(tess, *unit_frame(axis), TWO_PI))
+    """Cyclic chamber word of the full great circle with the given unit
+    normal; raises ValueError for a circle along a wall."""
+    e1, e2 = unit_frame(axis)
+    ((word, wall),) = _arc_chambers(tess, e1, e2[None], [TWO_PI])
+    if wall is not None:
+        raise ValueError("the circle runs along a wall")
+    return merge_cyclic_duplicates(word)
+
+
+def _arc_tangents(za, zb):
+    """(theta, w): the angles of the short great arcs from the unit vector za
+    to the unit rows of zb, and the unit tangents of the arcs at za."""
+    c = np.clip(zb @ za, -1.0, 1.0)
+    w = zb - c[:, None] * za
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return np.arccos(c), w
+
+
+def _arc_chambers(tess, za, w, theta):
+    """Read the great arcs that leave the unit vector za, arc k towards the
+    unit tangent w[k] through the angle theta[k]: one (chambers, wall) pair
+    per arc.  An arc off every wall gives the chambers it runs through, in
+    order, repeats merged, and None; an arc along a wall (n.za and n.w both
+    within 1e-9 of 0) has no chamber of its own and gives [] and the index
+    of that wall.
+
+    cos(phi) za + sin(phi) w lies on the wall of normal n where
+    tan(phi) = -(n.za)/(n.w), so every wall is met at atan2(-n.za, n.w)
+    modulo pi.  Crossings within 1e-9 of either end do not count, so an arc
+    may start or end on a wall.  One point midway between each two
+    crossings is located, the points of all the arcs in one call.
+    """
+    along, across = tess.wall_normals @ za, w @ tess.wall_normals.T
+    flat = np.maximum(np.abs(along), np.abs(across)) < 1e-9
+    phis = np.arctan2(-along, across)[:, :, None] + math.pi * np.arange(-1, 3)
+    spans, samples = [], []
+    for k, on_wall in enumerate(flat):
+        if on_wall.any():
+            spans.append((0, int(np.argmax(on_wall))))
+            continue
+        cuts = phis[k][(phis[k] > 1e-9) & (phis[k] < theta[k] - 1e-9)]
+        bounds = np.concatenate(([0.0], np.sort(cuts), [theta[k]]))
+        mids = 0.5 * (bounds[:-1] + bounds[1:])
+        samples.append(np.cos(mids)[:, None] * za + np.sin(mids)[:, None] * w[k])
+        spans.append((len(mids), None))
+    chambers = iter(tess.locate(np.concatenate(samples)) if samples else ())
+    return [(merge_consecutive(itertools.islice(chambers, n)), wall) for n, wall in spans]
 
 
 def _central_circle_exists(poly, target_word):
@@ -1060,66 +1100,6 @@ def _central_circle_exists(poly, target_word):
     return n > 0 and any(
         n % len(c) == 0 and c * (n // len(c)) == target for c in poly.circle_classes
     )
-
-
-def _arc_param(za, zb):
-    c = float(np.clip(za @ zb, -1.0, 1.0))
-    theta = math.acos(c)
-    w = zb - c * za
-    w /= np.linalg.norm(w)
-    return theta, w
-
-
-def _arc_wall(tess, za, zb):
-    """Index of the wall whose great circle carries the whole arc, or None."""
-    normals = tess.wall_normals
-    hits = np.flatnonzero(np.maximum(np.abs(normals @ za), np.abs(normals @ zb)) < 1e-9)
-    if len(hits) > 1:
-        raise ValueError("arc endpoints lie on two common walls")
-    return int(hits[0]) if len(hits) else None
-
-
-def _arc_samples(tess, za, w, theta):
-    """One point of each stretch between wall crossings of the great arc of
-    angle theta that leaves the unit vector za towards the unit tangent w,
-    in order, as an (N, 3) array.
-
-    cos(phi) za + sin(phi) w lies on the wall of normal n where
-    tan(phi) = -(n.za)/(n.w), so every wall is met at atan2(-n.za, n.w)
-    modulo pi.  Crossings within 1e-9 of either end do not count, so the arc
-    may start or end on a wall; the point sits midway between crossings.
-    Raises ValueError for an arc that runs along a wall (n.za and n.w both
-    within 1e-9 of 0): it has no chamber of its own.
-    """
-    along, across = tess.wall_normals @ za, tess.wall_normals @ w
-    if np.any(np.maximum(np.abs(along), np.abs(across)) < 1e-9):
-        raise ValueError("the arc runs along a wall")
-    base = np.arctan2(-along, across)
-    phis = (base[:, None] + math.pi * np.arange(-1, 3)).ravel()
-    cuts = np.sort(phis[(phis > 1e-9) & (phis < theta - 1e-9)])
-    bounds = np.concatenate(([0.0], cuts, [theta]))
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    return np.cos(mids)[:, None] * za + np.sin(mids)[:, None] * w
-
-
-def _arc_itinerary(tess, za, w, theta):
-    """Chambers met in turn along the great arc of _arc_samples, repeats
-    merged; raises ValueError for an arc along a wall."""
-    return merge_consecutive(tess.locate(_arc_samples(tess, za, w, theta)))
-
-
-def _on_wall_itinerary(tess, a, b, wall):
-    """The one-chamber runs on either side of the arc from pole a to pole b
-    along a wall, the side its normal points to first.
-
-    With no pole inside, the arc is the side {a, b} of exactly two chambers;
-    the third corner of each tells its side of the wall.
-    """
-    first, second = sorted(set(tess.fan[a]) & set(tess.fan[b]))
-    (corner,) = set(tess.triangles[first]) - {a, b}
-    if tess.wall_normals[wall] @ tess.points[corner] < 0.0:
-        first, second = second, first
-    return [[first], [second]]
 
 
 class _SearchOptions(dict):

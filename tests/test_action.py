@@ -189,6 +189,17 @@ def test_rescaled_eps0_circle():
     assert exact == pytest.approx(3 * np.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("evaluate", [action, gradient], ids=["action", "gradient"])
+def test_rescaled_functional_refuses_a_non_finite_epsilon(evaluate, value):
+    # epsilon = nan used to give a NaN mutual part, and the gradient at
+    # epsilon = inf -inf and NaN entries
+    red = SymmetryReduction("klein_reflections")
+    loop = random_symmetric_loop("KLEIN", red, 32, seed=3)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        evaluate(loop, cone_for("KLEIN"), epsilon=value)
+
+
 @pytest.mark.parametrize(
     "tag,alpha,m0",
     [("T", 1.0, 0.7), ("O", 1.5, 2.0), ("I", 1.2, 0.3), ("Z4", 1.7, 1.1), ("KLEIN", 1.0, 0.9)],
@@ -703,6 +714,15 @@ def test_second_variation_value():
 def test_second_variation_negative_all_m0():
     for m0 in (0.0, 0.1, 1.0, 10.0, 1e4):
         assert second_variation_vertical(m0, 2 * np.pi) < 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_second_variation_refuses_a_non_finite_mass_or_period(value):
+    # a NaN period used to give a NaN second variation
+    with pytest.raises(ValueError, match="central mass must be nonnegative and finite"):
+        second_variation_vertical(value, 2 * np.pi)
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        second_variation_vertical(0.5, value)
 
 
 def test_second_variation_vanishes_at_large_m0():

@@ -375,14 +375,6 @@ def reference_delta_min(tag, which):
     return math.sqrt(np.min(np.einsum("rk,rk->k", y, y))) / 2.0
 
 
-def reference_sequence_counts(nu):
-    """(k_nu, k1, k2) by walking the side types on every call (reference)."""
-    k = nu.k_nu
-    per = nu.vertex_ids[:k]
-    types = [nu.polyhedron.edge_type(per[i], per[(i + 1) % k]) for i in range(k)]
-    return k, types.count(1), types.count(2)
-
-
 def reference_k_alpha_p(alpha, order):
     """k_alpha_p with its sines computed on every call (reference)."""
     j = np.arange(1, order)
@@ -419,7 +411,6 @@ def test_certificates_match_the_per_call_constants(entry, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(E, "zeta", reference_zeta)
             m.setattr(E, "delta_min", reference_delta_min)
-            m.setattr(E, "sequence_counts", reference_sequence_counts)
             m.setattr(E, "k_alpha_p", reference_k_alpha_p)
             want = [certify_no_total_collisions(cone) for cone in cones]
     finally:
@@ -507,7 +498,7 @@ def test_tilde_u0_matches_frozen_oracles(key):
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_tilde_u0_same_from_every_triangle(tag):
     tess = build_archimedean(tag).tessellation
-    values = [tilde_U0(tag, 1.3, triangle=i) for i in range(len(tess.triangles))]
+    values = [tilde_U0(tag, 1.3)] + [reference_tilde_u0(tag, 1.3, i) for i in range(len(tess.triangles))]
     assert max(values) - min(values) < 1e-9
 
 
@@ -559,8 +550,10 @@ def reference_tilde_u0(tag, alpha, triangle):
 def test_tilde_u0_matches_the_per_pole_loop(tag):
     tess = build_archimedean(tag).tessellation
     for alpha in (1.0, 1.37, 1.5, 1.9):
-        for t in range(len(tess.triangles)):
-            assert tilde_U0(tag, alpha, triangle=t) == reference_tilde_u0(tag, alpha, t)
+        value = tilde_U0(tag, alpha)
+        assert value == reference_tilde_u0(tag, alpha, 0)
+        values = [value] + [reference_tilde_u0(tag, alpha, t) for t in range(len(tess.triangles))]
+        assert max(values) - min(values) < 1e-9
 
 
 def test_tilde_u0_consistent_with_published_columns():
@@ -600,6 +593,30 @@ def test_general_lower_bound_refuses_a_non_finite_period(period):
     # a NaN period used to give a NaN bound
     with pytest.raises(ValueError, match="positive and finite"):
         general_lower_bound(4.0, 1.0, 1.0, period, 2)
+
+
+# Entry points that take a mass, a floor or a scale, each fed a non-finite
+# value through one argument.  Each used to return a NaN or an infinite
+# value, and hiphop_exclusion a passing comparison with a NaN bound.
+NON_FINITE_ENTRY_POINTS = {
+    "general_lower_bound-total_mass": lambda x: general_lower_bound(x, 1.0, 1.0, TWO_PI, 2),
+    "general_lower_bound-u0": lambda x: general_lower_bound(4.0, x, 1.0, TWO_PI, 2),
+    "hiphop_collision_bound": lambda x: hiphop_collision_bound(x, TWO_PI),
+    "klein_collision_bound": lambda x: klein_collision_bound(x, TWO_PI),
+    "hiphop_exclusion": lambda x: hiphop_exclusion(x, TWO_PI),
+    "klein_exclusion": lambda x: klein_exclusion(x, TWO_PI),
+    "rotating_polygon_action": lambda x: rotating_polygon_action(x, TWO_PI),
+    "klein_test_loop_bound-m0": lambda x: klein_test_loop_bound(x, TWO_PI),
+    "klein_test_loop_bound-rho": lambda x: klein_test_loop_bound(1.0, TWO_PI, rho=x),
+    "at_scale": lambda x: E.test_loop_action_exact(catalog_cone("T", "nu1")).at_scale(x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry_point", sorted(NON_FINITE_ENTRY_POINTS))
+def test_entry_points_refuse_a_non_finite_scalar(entry_point, value):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_ENTRY_POINTS[entry_point](value)
 
 
 @pytest.mark.parametrize("m0", [0.0, 1.0, 7.5, 120.0])

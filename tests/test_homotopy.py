@@ -149,7 +149,7 @@ def test_catalog_rows_realizable(tag, name):
     entry = catalog_entry(tag, name)
     nu = row_sequence(tag, name)
     assert nu.steps == entry.steps
-    k, k1, k2 = H.sequence_counts(nu)
+    k, k1, k2 = nu.side_counts
     assert k == entry.steps
     if (tag, name) == ("O", "nu6"):
         # The stated side counts (12, 2) sum to 14 over a 16-step cycle and
@@ -441,7 +441,7 @@ def test_minimal_period_of_doubled_listing():
     doubled = H.VertexSequence(nu.polyhedron, nu.vertex_ids + nu.vertex_ids)
     assert doubled.steps == 2 * nu.steps
     assert doubled.k_nu == nu.k_nu == nu.steps
-    assert H.sequence_counts(doubled) == H.sequence_counts(nu)
+    assert doubled.side_counts == nu.side_counts
 
 
 def reference_side_counts(nu):
@@ -472,7 +472,7 @@ def test_group_action_preserves_diagnostics(element, row):
     nu = row_sequence("O", entry.name)
     R = nu.polyhedron.group.elements[element]
     moved = nu.transformed(R)
-    assert H.sequence_counts(moved) == H.sequence_counts(nu)
+    assert moved.side_counts == nu.side_counts
     word = H.triangles_from_vertices(nu)
     word_moved = H.triangles_from_vertices(moved)
     assert len(H.reduce_cyclic_word(word.triangles)) == len(
@@ -1011,10 +1011,29 @@ def reference_circle_word(tess, axis):
     return H.merge_cyclic_duplicates(word)
 
 
+def reference_arc_param(za, zb):
+    """(theta, w) of the short arc from za to zb, one arc per call (reference)."""
+    c = float(np.clip(za @ zb, -1.0, 1.0))
+    theta = math.acos(c)
+    w = zb - c * za
+    w /= np.linalg.norm(w)
+    return theta, w
+
+
+def reference_arc_wall(tess, za, zb):
+    """Index of the wall whose great circle carries the whole arc, or None,
+    tested on the arc's endpoints (reference)."""
+    normals = tess.wall_normals
+    hits = np.flatnonzero(np.maximum(np.abs(normals @ za), np.abs(normals @ zb)) < 1e-9)
+    if len(hits) > 1:
+        raise ValueError("arc endpoints lie on two common walls")
+    return int(hits[0]) if len(hits) else None
+
+
 def reference_off_wall_itinerary(tess, za, zb):
     """The pole-to-pole arc's chambers as its own wall-crossing loop read
     them (reference)."""
-    theta, w = H._arc_param(za, zb)
+    theta, w = reference_arc_param(za, zb)
     events = []
     for n in tess.wall_normals:
         A, B = n @ za, n @ w
@@ -1048,47 +1067,85 @@ def test_circle_words_match_the_crossing_loop(tag):
         assert H.canonical_cyclic_word(word) == H.canonical_cyclic_word(reference)
 
 
+def read_successor_arcs(poly):
+    """{(a, b): (chambers, wall)} of every successor arc, as the great-arc
+    reader reads them, one call per starting pole."""
+    tess = poly.tessellation
+    read = {}
+    for a, row in enumerate(poly.arc_table[1]):
+        bs = [b for _, b in row]
+        theta, w = H._arc_tangents(tess.points[a], tess.points[bs])
+        read.update(zip(((a, b) for b in bs), H._arc_chambers(tess, tess.points[a], w, theta)))
+    return read
+
+
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_arc_itinerary_matches_the_crossing_loop_on_every_successor_arc(tag):
     """Every successor arc off a wall; an arc along a wall has no chamber of
-    its own, and the search reads it with _on_wall_itinerary instead."""
+    its own, and the reader gives its wall instead."""
     poly = H.build_archimedean(tag)
     tess = poly.tessellation
-    arcs = [(a, b) for a, row in enumerate(poly.arc_table[1]) for _, b in row]
-    off_wall = [(a, b) for a, b in arcs if H._arc_wall(tess, tess.points[a], tess.points[b]) is None]
-    assert 0 < len(off_wall) < len(arcs)
+    read = read_successor_arcs(poly)
+    off_wall = [(a, b) for a, b in read if reference_arc_wall(tess, tess.points[a], tess.points[b]) is None]
+    assert 0 < len(off_wall) < len(read)
     for a, b in off_wall:
         za, zb = tess.points[a], tess.points[b]
-        theta, w = H._arc_param(za, zb)
-        assert H._arc_itinerary(tess, za, w, theta) == reference_off_wall_itinerary(tess, za, zb)
+        assert read[a, b] == (reference_off_wall_itinerary(tess, za, zb), None)
 
 
 @pytest.mark.parametrize("tag,along_walls", [("T", 72), ("O", 144), ("I", 360)])
 def test_arc_itinerary_refuses_exactly_the_arcs_along_a_wall(tag, along_walls):
+    """The reader flags exactly the arcs whose endpoints share a wall, with
+    that wall, and reads no chamber off them."""
     poly = H.build_archimedean(tag)
     tess = poly.tessellation
-    flagged, refused = set(), set()
-    for a, row in enumerate(poly.arc_table[1]):
-        for _, b in row:
-            za, zb = tess.points[a], tess.points[b]
-            if H._arc_wall(tess, za, zb) is not None:
-                flagged.add((a, b))
-            theta, w = H._arc_param(za, zb)
-            try:
-                H._arc_itinerary(tess, za, w, theta)
-            except ValueError as exc:
-                assert "along a wall" in str(exc)
-                refused.add((a, b))
+    flagged, refused = {}, {}
+    for (a, b), (word, wall) in read_successor_arcs(poly).items():
+        reference = reference_arc_wall(tess, tess.points[a], tess.points[b])
+        if reference is not None:
+            flagged[a, b] = reference
+        if wall is not None:
+            assert word == []
+            refused[a, b] = wall
     assert refused == flagged
     assert len(refused) == along_walls
+
+
+@pytest.mark.parametrize("tag,sides", [("T", 36), ("O", 72), ("I", 180)])
+def test_arcs_along_a_wall_are_the_ordered_tessellation_sides(tag, sides):
+    poly = H.build_archimedean(tag)
+    tris = poly.tessellation.triangles
+    ordered_sides = {pair for tri in tris for pair in itertools.permutations(tri, 2)}
+    assert len(ordered_sides) == 2 * sides
+    read = read_successor_arcs(poly)
+    assert {arc for arc, (_, wall) in read.items() if wall is not None} == ordered_sides
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_circle_word_refuses_a_circle_along_a_wall(tag):
+    tess = H.build_archimedean(tag).tessellation
+    for normal in tess.wall_normals:
+        with pytest.raises(ValueError, match="along a wall"):
+            H._circle_word(tess, normal)
 
 
 def reference_on_wall_itinerary(tess, za, zb, wall, side):
     """The chamber beside an arc along a wall, located at the arc's midpoint
     nudged 1e-7 off the wall towards side * its normal (reference)."""
-    theta, w = H._arc_param(za, zb)
+    theta, w = reference_arc_param(za, zb)
     mid = math.cos(0.5 * theta) * za + math.sin(0.5 * theta) * w
     return [tess.locate(mid + side * 1e-7 * tess.wall_normals[wall])]
+
+
+def reference_on_wall_sides(tess, a, b, wall):
+    """The one-chamber runs on either side of the arc from pole a to pole b
+    along a wall, the side its normal points to first, told by the third
+    corner of the two chambers that have the side {a, b} (reference)."""
+    first, second = sorted(set(tess.fan[a]) & set(tess.fan[b]))
+    (corner,) = set(tess.triangles[first]) - {a, b}
+    if tess.wall_normals[wall] @ tess.points[corner] < 0.0:
+        first, second = second, first
+    return [[first], [second]]
 
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
@@ -1099,12 +1156,24 @@ def test_on_wall_runs_match_the_nudged_midpoint(tag):
     for a, row in enumerate(poly.arc_table[1]):
         for _, b in row:
             za, zb = tess.points[a], tess.points[b]
-            wall = H._arc_wall(tess, za, zb)
+            wall = reference_arc_wall(tess, za, zb)
             if wall is not None:
                 sides = [reference_on_wall_itinerary(tess, za, zb, wall, s) for s in (1.0, -1.0)]
-                assert H._on_wall_itinerary(tess, a, b, wall) == sides
+                assert reference_on_wall_sides(tess, a, b, wall) == sides
+                assert [list(run) for run in poly.arc_runs[a, b]] == sides
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_circle_classes_match_the_crossing_loop(tag):
+    """Both directions of every reduced sampled circle word, and nothing else."""
+    expected = {
+        H.canonical_cyclic_word(w)
+        for reduced in reference_circle_words(tag)
+        for w in (reduced, reduced[::-1])
+    }
+    assert H.build_archimedean(tag).circle_classes == tuple(sorted(expected))
 
 
 @lru_cache(maxsize=None)
@@ -1304,7 +1373,7 @@ def reference_resolutions(geom, fund_axes, tri_perm, turn_cap):
     arc_choices = []
     for i in range(f):
         za, zb = pts[fund_axes[i]], pts[fund_axes[i + 1]]
-        wall = H._arc_wall(geom, za, zb)
+        wall = reference_arc_wall(geom, za, zb)
         if wall is None:
             arc_choices.append([reference_off_wall_itinerary(geom, za, zb)])
         else:
@@ -1562,7 +1631,7 @@ def test_successor_orders_match_the_sorted_rows(tag):
 def reference_pole_inside_arc(points, za, zb):
     """True if some pole lies strictly inside the open short arc: the
     per-pair test arc_table made before it tested one pole's arcs at once."""
-    theta, w = H._arc_param(za, zb)
+    theta, w = reference_arc_param(za, zb)
     normal = np.cross(za, w)
     coplanar = np.abs(points @ normal) < 1e-9
     phi = np.arctan2(points @ w, points @ za)
@@ -1597,8 +1666,8 @@ def test_arc_table_matches_the_per_pair_body(tag):
 
 @pytest.mark.parametrize("tag,arcs", [("T", 96), ("O", 288), ("I", 1440)])
 def test_arc_runs_match_the_itinerary_readers(tag, arcs):
-    """The batched table holds, for every successor arc, the runs that
-    _arc_itinerary (off a wall) or _on_wall_itinerary (along one) reads."""
+    """The batched table holds, for every successor arc, the runs that the
+    crossing loop (off a wall) or the side's third corners (along one) read."""
     poly = H.build_archimedean(tag)
     tess = poly.tessellation
     runs = poly.arc_runs
@@ -1606,13 +1675,23 @@ def test_arc_runs_match_the_itinerary_readers(tag, arcs):
     assert len(runs) == arcs
     for (a, b), sides in runs.items():
         za, zb = tess.points[a], tess.points[b]
-        wall = H._arc_wall(tess, za, zb)
+        wall = reference_arc_wall(tess, za, zb)
         if wall is None:
-            theta, w = H._arc_param(za, zb)
-            expected = [H._arc_itinerary(tess, za, w, theta)]
+            expected = [reference_off_wall_itinerary(tess, za, zb)]
         else:
-            expected = H._on_wall_itinerary(tess, a, b, wall)
+            expected = reference_on_wall_sides(tess, a, b, wall)
         assert [list(run) for run in sides] == expected
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_edge_chambers_match_the_crossing_loop_on_every_edge(tag):
+    poly = H.build_archimedean(tag)
+    expected = {
+        (i, j): tuple(reference_off_wall_itinerary(poly.tessellation, poly.vertices[i], poly.vertices[j]))
+        for edge in poly.edges
+        for i, j in (edge, edge[::-1])
+    }
+    assert poly.edge_chambers == expected
 
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
