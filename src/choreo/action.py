@@ -29,6 +29,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -125,6 +126,14 @@ def check_mass(mass):
         raise ValueError("central mass must be nonnegative and finite")
 
 
+def check_count(count, name, least):
+    """count as an int.  Raise ValueError unless it is a whole number (4,
+    4.0 and np.int64(4) are; 4.9, NaN and inf are not) of at least least."""
+    if not (isinstance(count, Real) and math.isfinite(count) and count == int(count) >= least):
+        raise ValueError(f"{name} must be a positive integer >= {least}")
+    return int(count)
+
+
 def rescale_parameter(alpha):
     """Exponent beta with u = m0^beta * v balancing kinetic and central terms.
 
@@ -170,13 +179,14 @@ class SymmetryReduction:
         if self.kind != "klein_reflections":
             if self.matrix is None or self.M is None:
                 raise ValueError("extra reduction needs a matrix and its order M")
-            P = np.linalg.matrix_power(self.matrix, int(self.M))
+            object.__setattr__(self, "M", check_count(self.M, "reduction order M", 1))
+            P = np.linalg.matrix_power(self.matrix, self.M)
             if not np.allclose(P, np.eye(3), atol=1e-9):
                 raise ValueError("extra reduction matrix must have order M")
 
     def divisor(self):
         """The sample count must be divisible by this."""
-        return 4 if self.kind == "klein_reflections" else int(self.M)
+        return 4 if self.kind == "klein_reflections" else self.M
 
     @cached_property
     def _slot(self):
@@ -206,9 +216,9 @@ class SymmetryReduction:
             free = np.arange(n // 4 + 1)
         else:
             trs = []
-            step = n // int(self.M)
+            step = n // self.M
             A = np.eye(3)
-            for k in range(int(self.M)):
+            for k in range(self.M):
                 # invariance u_{j+step} = R u_j gives u_j = R^k u_{j - k*step}
                 trs.append(((n - k * step) % n, 1, A))
                 A = self.matrix @ A
@@ -324,8 +334,10 @@ class LoopPath:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("points must be an (n, 3) array")
+        if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
+            raise ValueError("points must be a nonempty (n, 3) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         check_period(self.period)

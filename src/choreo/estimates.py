@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .action import check_alpha, check_mass, check_period
+from .action import check_alpha, check_count, check_mass, check_period
 from .homotopy import build_archimedean
 from .reference_tables import TWO_PI
 
@@ -71,9 +71,7 @@ def k_alpha_p(alpha, order):
     table computed once per order.
     """
     check_alpha(alpha)
-    order = int(order)
-    if order < 2:
-        raise ValueError("order must be an integer >= 2")
+    order = check_count(order, "order", 2)
     return float(np.sum(_turn_sines(order) ** (-alpha)))
 
 
@@ -181,9 +179,7 @@ def general_lower_bound(total_mass, u0, alpha, period, collisions, formula="plat
         raise ValueError("total_mass must be positive and finite")
     check_alpha(alpha)
     check_period(period)
-    collisions = int(collisions)
-    if collisions < 1:
-        raise ValueError("collisions must be a positive integer")
+    collisions = check_count(collisions, "collisions", 1)
     segment = period / collisions
     per_segment = (
         (2.0 + alpha)
@@ -205,8 +201,8 @@ def hiphop_collision_bound(m0, period, satellites=4):
     (s/(s+m0))^(3/2) * ((s-1)/2 + 2 m0) with s the satellite count; the
     antisymmetry forces two total collisions per period.
     """
-    satellites = int(satellites)
-    if satellites < 4 or satellites % 2:
+    satellites = check_count(satellites, "satellites", 4)
+    if satellites % 2:
         raise ValueError("satellites must be an even integer >= 4")
     check_mass(m0)
     total = satellites + m0
@@ -242,8 +238,8 @@ def rotating_polygon_action(m0, period, satellites=4):
     circles, where the kinetic term is mu/(2r).  The integrand is constant
     in time, so the action is (3/2) s T mu / r.
     """
-    satellites = int(satellites)
-    if satellites < 4 or satellites % 2:
+    satellites = check_count(satellites, "satellites", 4)
+    if satellites % 2:
         raise ValueError("satellites must be an even integer >= 4")
     check_mass(m0)
     check_period(period)
@@ -597,6 +593,7 @@ def hiphop_exclusion(m0, period, satellites=4):
     collision bound loses to the polygon potential once the satellite count
     grows, so the mass-free verdict can honestly fail for large polygons.
     """
+    satellites = check_count(satellites, "satellites", 4)
     return _exclusion(
         f"rotating {satellites}-gon vs collision bound",
         "hiphop",

@@ -22,6 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .action import check_count
+
 KEY_DECIMALS = 9
 _IDENTITY_ATOL = 1e-9
 # Elements generate_group may collect before it gives up.
@@ -258,9 +260,7 @@ def builtin_group(tag, n=None):
     if t == "Z4":
         gens = [_Z4_GEN]
     elif t == "Z2N":
-        if n is None or int(n) < 2:
-            raise ValueError("Z2N requires an integer n >= 2")
-        gens = [_z2n_generator(int(n))]
+        gens = [_z2n_generator(check_count(n, "Z2N's n", 2))]
     elif t == "KLEIN":
         gens = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])]
     elif t == "T":
@@ -361,14 +361,20 @@ class Tessellation:
 
     triangles[i] = (a, b, c) indexes into poles; vertex orders are
     non-increasing along the tuple and the right angle sits at c (the
-    order-2 pole).  neighbors[i] lists the three triangles sharing an edge
-    with triangle i.  wall_normals is the read-only (W, 3) array of the unit
+    order-2 pole).  wall_normals is the read-only (W, 3) array of the unit
     normals of the walls, the great circles whose mirror maps preserve the
-    pole set, each with its first nonzero coordinate positive.  The
-    tessellation owns the tables derived from it (pole points, chamber
-    normals, pole fans, the permutations by the group elements, the widest
-    chamber-to-axis chords behind the potential floor), each built on first
-    use.
+    pole set, each with its first nonzero coordinate positive.
+
+    sides is the read-only int array (chamber, k, field) of the chamber
+    sides, side k of chamber t being the side opposite its corner k.  The
+    fields are (wall, sign, across): the row of wall_normals whose wall
+    holds the side, +1 when that stored normal points into t (-1 when it
+    points away), and the chamber across the side, which has the same wall
+    with the opposite sign.  neighbors[t] is the sorted tuple of the three
+    chambers across the sides of t.  The tessellation owns the tables
+    derived from it (pole points, pole fans, the permutations by the group
+    elements, the widest chamber-to-axis chords behind the potential
+    floor), each built on first use.
     """
 
     group: RotationGroup
@@ -376,6 +382,7 @@ class Tessellation:
     triangles: list
     neighbors: list
     wall_normals: np.ndarray
+    sides: np.ndarray
 
     @cached_property
     def points(self):
@@ -414,30 +421,17 @@ class Tessellation:
         chords.flags.writeable = False
         return chords
 
-    @cached_property
-    def _chamber_normals(self):
-        """Unit normals (chamber, side, xyz) of the side planes, pointing inward."""
-        normals = np.empty((len(self.triangles), 3, 3))
-        for ti, (a, b, c) in enumerate(self.triangles):
-            pa, pb, pc = self.points[a], self.points[b], self.points[c]
-            for k, (u, v, w) in enumerate(((pa, pb, pc), (pb, pc, pa), (pc, pa, pb))):
-                n = np.cross(u, v)
-                n /= np.linalg.norm(n)
-                if n @ w < 0.0:
-                    n = -n
-                normals[ti, k] = n
-        return normals
-
     def locate(self, x):
-        """Index of the chamber containing the vector x (best margin); for an
-        (N, 3) array of vectors, the list of their N indices.  Raises
+        """Index of the chamber containing the vector x, the one whose least
+        side margin sign * (x . wall normal), read off sides, is largest; for
+        an (N, 3) array of vectors, the list of their N indices.  Raises
         ValueError for a zero or non-finite vector, which has no direction."""
         v = np.asarray(x, dtype=float)
         norm = np.linalg.norm(v, axis=-1, keepdims=True)
         if not (np.isfinite(norm) & (norm > 0.0)).all():
             raise ValueError("point must be a finite nonzero vector")
         v = v / norm
-        sides = np.einsum("tks,...s->...tk", self._chamber_normals, v)
+        sides = self.sides[..., 1] * (v @ self.wall_normals.T)[..., self.sides[..., 0]]
         # the least of the three sides pairwise: numpy reduces an axis of
         # length 3 about ten times slower
         margins = np.minimum(np.minimum(sides[..., 0], sides[..., 1]), sides[..., 2])
@@ -529,46 +523,44 @@ def full_group_tessellation(group):
             f"built {len(triangles)} triangles, expected {2 * group.order}"
         )
 
-    # Edge-sharing neighbors: every edge must be shared by exactly two.
-    by_edge = {}
-    for t, (ia, ib, ic) in enumerate(triangles):
-        for e in ((ia, ib), (ib, ic), (ia, ic)):
-            by_edge.setdefault(frozenset(e), []).append(t)
-    neighbors = [[] for _ in triangles]
-    for e, ts in by_edge.items():
-        if len(ts) != 2:
-            raise ValueError("tessellation edge not shared by exactly two triangles")
-        neighbors[ts[0]].append(ts[1])
-        neighbors[ts[1]].append(ts[0])
-    neighbors = [tuple(sorted(ns)) for ns in neighbors]
-
-    # Walls: the great-circle planes spanned by triangle edges whose
-    # reflection p - 2 (p.n) n preserves the pole set.  Many edges lie on one
-    # wall; each distinct wall is checked once.
+    # One pass over the sides; side k of a chamber is the one opposite its
+    # corner k, and its corners are neither equal nor antipodal (both lie
+    # within a right angle of c).  A wall is a great-circle plane whose
+    # reflection p - 2 (p.n) n preserves the pole set.  Many sides lie on one
+    # wall, which is checked once and keeps the normal of the first side
+    # found on it, the sides of each chamber taken in the order ab, bc, ac.
     pole_keys = {matrix_key(p) for p in pts}
-    tried, walls = set(), {}
-    for ia, ib, ic in triangles:
-        for i, j in ((ia, ib), (ib, ic), (ia, ic)):
-            nrm = np.cross(pts[i], pts[j])
-            norm = np.linalg.norm(nrm)
-            if norm < 1e-12:
-                continue
-            nrm = _first_positive(nrm)
+    walls, rows, by_edge = {}, [[None] * 3 for _ in triangles], {}
+    for t, tri in enumerate(triangles):
+        for k in (2, 0, 1):
+            i, j = (v for m, v in enumerate(tri) if m != k)
+            nrm = _first_positive(np.cross(pts[i], pts[j]))
             key = matrix_key(nrm)
-            if key in tried:
-                continue
-            tried.add(key)
-            if all(matrix_key(p - 2.0 * (p @ nrm) * nrm) in pole_keys for p in pts):
+            if key not in walls:
+                if not all(matrix_key(p - 2.0 * (p @ nrm) * nrm) in pole_keys for p in pts):
+                    raise ValueError(f"side {k} of chamber {t} is not on a mirror wall")
                 walls[key] = nrm
-    wall_normals = np.array([walls[k] for k in sorted(walls)])
+            # [wall, sign, across], the wall keyed until the walls are sorted
+            rows[t][k] = [key, 1 if walls[key] @ pts[tri[k]] > 0.0 else -1, None]
+            by_edge.setdefault(frozenset((i, j)), []).append((t, k))
+    for pair in by_edge.values():
+        if len(pair) != 2:
+            raise ValueError("tessellation edge not shared by exactly two triangles")
+        (t, k), (u, m) = pair
+        rows[t][k][2], rows[u][m][2] = u, t
+    keys = sorted(walls)
+    wall_normals = np.array([walls[key] for key in keys])
     wall_normals.flags.writeable = False
+    sides = np.array([[(keys.index(key), sign, u) for key, sign, u in row] for row in rows])
+    sides.flags.writeable = False
 
     tess = Tessellation(
         group=group,
         poles=pole_list,
         triangles=triangles,
-        neighbors=neighbors,
+        neighbors=[tuple(sorted(row)) for row in sides[..., 2].tolist()],
         wall_normals=wall_normals,
+        sides=sides,
     )
     total = sum(
         spherical_triangle_area(*tess.triangle_points(i)) for i in range(len(triangles))

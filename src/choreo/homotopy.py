@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .action import LoopPath, check_alpha, check_mass, check_period
+from .action import LoopPath, check_alpha, check_count, check_mass, check_period
 from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key, unit_frame
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
@@ -271,13 +271,13 @@ class ArchimedeanPolyhedron:
         off every wall, and two, one either side, for an arc along a wall.
 
         With no pole inside, an arc along a wall is the side {a, b} of
-        exactly two chambers.  The first run is the chamber on the side that
-        the wall's stored normal points to, told by its third corner.  One
-        call for the whole table (4,560 samples for I) would make a 13 MB
-        temporary of chamber margins.
+        exactly two chambers, across that side from each other.  The first
+        run is the one of sign +1 on the wall in tess.sides, the chamber its
+        stored normal points into.  One call for the whole table (4,560
+        samples for I) would make a 13 MB temporary of chamber margins.
         """
         tess = self.tessellation
-        pts = tess.points
+        pts, sides = tess.points, tess.sides.tolist()
         table = {}
         for a, row in enumerate(self.arc_table[1]):
             bs = [b for _, b in row]
@@ -286,11 +286,9 @@ class ArchimedeanPolyhedron:
                 if wall is None:
                     table[a, b] = (tuple(run),)
                     continue
-                first, second = sorted(set(tess.fan[a]) & set(tess.fan[b]))
-                (corner,) = set(tess.triangles[first]) - {a, b}
-                if tess.wall_normals[wall] @ pts[corner] < 0.0:
-                    first, second = second, first
-                table[a, b] = ((first,), (second,))
+                t = min(set(tess.fan[a]) & set(tess.fan[b]))
+                ((sign, u),) = [(sign, u) for on, sign, u in sides[t] if on == wall]
+                table[a, b] = ((t,), (u,)) if sign > 0 else ((u,), (t,))
         return MappingProxyType(table)
 
     @cached_property
@@ -299,25 +297,25 @@ class ArchimedeanPolyhedron:
 
         H_1 of the sphere minus the P poles is Z^(P-1), counted by the signed
         crossings of the P-1 edges of a BFS spanning tree of the pole graph.
-        Coordinate e sits at bit 32e of a signed integer, so vectors add as
-        integers.  Maps (a, b) to the step a -> b between adjacent chambers
-        and (a, a) to 0.
+        A step across a side on tree edge e adds +1 to coordinate e when it
+        leaves the chamber that the side's stored wall normal points into
+        (sign +1 in tess.sides), and -1 when it enters it.  Coordinate e sits
+        at bit 32e of a signed integer, so vectors add as integers.  Maps
+        (a, b) to the step a -> b between adjacent chambers and (a, a) to 0.
         """
         tess = self.tessellation
-        pts, tris = tess.points, tess.triangles
+        tris = tess.triangles
         tree, order = {}, [0]
         for p in order:
             for q in sorted({v for ti in tess.fan[p] for v in tris[ti]} - set(order)):
                 tree[frozenset((p, q))] = len(tree)
                 order.append(q)
         steps = {(t, t): 0 for t in range(len(tris))}
-        for s in range(len(tris)):
-            for t in tess.neighbors[s]:
-                edge = frozenset(tris[s]) & frozenset(tris[t])
-                a, b = sorted(edge)
-                unit = 1 << 32 * tree[edge] if edge in tree else 0
-                left = np.cross(pts[a], pts[b]) @ pts[list(tris[s])].sum(axis=0) > 0.0
-                steps[s, t] = unit if left else -unit
+        # Python ints: an int64 shifted past bit 63 would wrap
+        for s, row in enumerate(tess.sides.tolist()):
+            for k, (_, sign, t) in enumerate(row):
+                edge = frozenset(tris[s]) - {tris[s][k]}
+                steps[s, t] = sign << 32 * tree[edge] if edge in tree else 0
         return steps
 
     def __repr__(self):
@@ -836,6 +834,7 @@ def test_loop(nu, period, samples):
     ell * steps / period at every node.
     """
     S = nu.steps
+    samples = check_count(samples, "samples", S)
     if samples % S:
         raise ValueError(f"samples ({samples}) must be divisible by the step count ({S})")
     check_period(period)
@@ -888,9 +887,7 @@ class ConeSpec:
         if self.extra_symmetry is not None:
             R, M = self.extra_symmetry
             R = np.array(R, dtype=float)
-            M = int(M)
-            if M < 1:
-                raise ValueError("extra symmetry order M must be a positive integer")
+            M = check_count(M, "extra symmetry order M", 1)
             try:
                 g = self.group.index(R)
             except KeyError:

@@ -598,6 +598,58 @@ def test_loop_path_refuses_a_non_finite_or_nonpositive_period(period):
         LoopPath(np.ones((4, 3)), period)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "empty"])
+def test_loop_path_refuses_non_finite_or_empty_points(bad):
+    # a NaN node used to give a NaN action, and an empty loop a
+    # ZeroDivisionError inside action
+    pts = np.random.default_rng(5).normal(size=(8, 3))
+    if bad == "empty":
+        pts, match = pts[:0], "nonempty"
+    else:
+        pts[3, 1], match = float(bad), "finite"
+    with pytest.raises(ValueError, match=match):
+        LoopPath(pts, 1.0)
+
+
+def test_loop_path_refuses_a_nan_node_of_a_symmetric_loop():
+    # the violation test v > tol is False for NaN, so the reduction let it in
+    red = SymmetryReduction("italian")
+    pts = red.project(np.random.default_rng(6).normal(size=(8, 3)))
+    pts[[1, 5]] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        LoopPath(pts, 1.0, red)
+
+
+def test_check_count_takes_whole_numbers_only():
+    for value in (4, 4.0, np.int64(4), np.float64(4.0)):
+        assert type(A.check_count(value, "k", 4)) is int
+        assert A.check_count(value, "k", 4) == 4
+    for value in (4.9, 3.9999, math.nan, math.inf, -math.inf, 3, -4, None, "4"):
+        with pytest.raises(ValueError, match="k must be a positive integer >= 4"):
+            A.check_count(value, "k", 4)
+
+
+QUARTER_TURN = builtin_group("O").generators[0]
+
+
+@pytest.mark.parametrize(
+    "matrix, M",
+    [(QUARTER_TURN, 4.5), (QUARTER_TURN, 0), (-np.eye(3), -2), (QUARTER_TURN, math.inf)],
+    ids=["4.5", "0", "minus-2", "inf"],
+)
+def test_symmetry_reduction_refuses_a_non_integer_or_non_positive_order(matrix, M):
+    # 4.5 was read as 4, and M = 0 or -2 passed the order check R^M = I
+    with pytest.raises(ValueError, match="order M must be a positive integer"):
+        SymmetryReduction("extra", matrix, M)
+
+
+def test_symmetry_reduction_reads_an_integral_order_as_an_int():
+    for M in (4.0, np.int64(4)):
+        red = SymmetryReduction("extra", QUARTER_TURN, M)
+        assert type(red.M) is int and red.divisor() == 4
+        assert len(red.transforms(8)) == 4
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -824,6 +876,28 @@ def test_pair_form_kernel_matches_element_loop(tag, n, monkeypatch):
     for name in want:
         scale = np.max(np.abs(want[name]))
         assert np.max(np.abs(np.asarray(got[name]) - want[name])) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("tag", ["Z4", "KLEIN", "T", "O", "I"])
+def test_kernel_gradient_is_the_newton_force(tag, alpha):
+    """The kernel's potential gradient at u is the force on the body at u,
+    summed body by body with every other body held fixed: the central mass
+    m0 at the origin and the |G| - 1 copies R u, each of weight mutual, where
+    grad_u m |u - x|^-alpha = -alpha m (u - x) |u - x|^-(alpha + 2).  The
+    pair potential moves every copy with u; pairing R with R^-1 makes the
+    two agree (symmetric criticality)."""
+    group = builtin_group(tag)
+    m0, mutual = 0.7, 0.6
+    pts = np.random.default_rng([17, group.order]).normal(size=(64, 3))
+    _, _, grad = A._potential(pts, group, alpha, m0, mutual, with_gradient=True)
+    others = [R for g, R in enumerate(group.elements) if g != group.identity_index]
+    force = np.empty_like(pts)
+    for j, u in enumerate(pts):
+        bodies = [(m0, np.zeros(3))] + [(mutual, R @ u) for R in others]
+        force[j] = sum(-alpha * m * (u - x) / np.linalg.norm(u - x) ** (alpha + 2) for m, x in bodies)
+    error = np.linalg.norm(grad - force, axis=1) / np.linalg.norm(force, axis=1)
+    assert error.max() <= 1e-13
 
 
 def roll_kinetic(pts, period, factor):

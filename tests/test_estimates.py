@@ -619,6 +619,32 @@ def test_entry_points_refuse_a_non_finite_scalar(entry_point, value):
         NON_FINITE_ENTRY_POINTS[entry_point](value)
 
 
+# Entry points that take a count, each fed a count the first call used to
+# truncate silently (4.9 satellites read as 4) and one int() overflowed on.
+NON_INTEGER_COUNTS = {
+    "rotating_polygon_action": lambda x: rotating_polygon_action(0.0, TWO_PI, satellites=x),
+    "hiphop_collision_bound": lambda x: hiphop_collision_bound(0.0, TWO_PI, satellites=x),
+    "hiphop_exclusion": lambda x: hiphop_exclusion(0.5, TWO_PI, satellites=x),
+    "general_lower_bound": lambda x: general_lower_bound(4.0, 1.0, 1.0, TWO_PI, x),
+    "k_alpha_p": lambda x: k_alpha_p(1.0, x),
+}
+
+
+@pytest.mark.parametrize("value", [4.9, 6.5, math.inf], ids=["4.9", "6.5", "inf"])
+@pytest.mark.parametrize("entry_point", sorted(NON_INTEGER_COUNTS))
+def test_entry_points_refuse_a_non_integer_count(entry_point, value):
+    with pytest.raises(ValueError, match="integer"):
+        NON_INTEGER_COUNTS[entry_point](value)
+
+
+@pytest.mark.parametrize("entry_point", sorted(NON_INTEGER_COUNTS))
+def test_entry_points_read_an_integral_count_as_an_int(entry_point):
+    results = [NON_INTEGER_COUNTS[entry_point](x) for x in (6, 6.0, np.int64(6))]
+    assert results[1] == results[0] and results[2] == results[0]
+    if entry_point == "hiphop_exclusion":
+        assert [r.label for r in results] == ["rotating 6-gon vs collision bound"] * 3
+
+
 @pytest.mark.parametrize("m0", [0.0, 1.0, 7.5, 120.0])
 def test_hiphop_bound_closed_form(m0):
     bound = hiphop_collision_bound(m0, TWO_PI)

@@ -1,6 +1,8 @@
 """Group construction, poles, collision distances, tessellations."""
 
+import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choreo import groups
+from choreo import homotopy as H
 from choreo.groups import (
     Pole,
     RotationGroup,
@@ -443,6 +446,17 @@ def test_collision_distance_zero_on_poles():
 # tessellation
 
 
+@pytest.mark.parametrize("n", [2.5, 3.7, math.inf], ids=["2.5", "3.7", "inf"])
+def test_z2n_refuses_a_non_integer_n(n):
+    # 2.5 was read as 2, giving Z4
+    with pytest.raises(ValueError, match="n must be a positive integer >= 2"):
+        builtin_group("Z2N", n)
+
+
+def test_z2n_reads_an_integral_n_as_an_int():
+    assert [builtin_group("Z2N", n).order for n in (3.0, np.int64(3))] == [6, 6]
+
+
 def test_tessellation_counts():
     for tag, n_tris, n_refl in (("T", 24, 6), ("O", 48, 9), ("I", 120, 15)):
         tess = full_group_tessellation(builtin_group(tag))
@@ -561,11 +575,27 @@ def test_wall_normals_are_stored_read_only():
         tess.wall_normals[0, 0] = 1.0
 
 
+@lru_cache(maxsize=None)
+def reference_chamber_normals(tess):
+    """Unit normals (chamber, side, xyz) of the side planes, pointing inward,
+    from cross products of the corners (reference)."""
+    normals = np.empty((len(tess.triangles), 3, 3))
+    for ti, (a, b, c) in enumerate(tess.triangles):
+        pa, pb, pc = tess.points[a], tess.points[b], tess.points[c]
+        for k, (u, v, w) in enumerate(((pa, pb, pc), (pb, pc, pa), (pc, pa, pb))):
+            n = np.cross(u, v)
+            n /= np.linalg.norm(n)
+            if n @ w < 0.0:
+                n = -n
+            normals[ti, k] = n
+    return normals
+
+
 def reference_locate(tess, x):
     """The chamber whose least side margin is largest, one chamber at a time
     (reference)."""
     unit = np.asarray(x, dtype=float) / np.linalg.norm(x)
-    margins = [min(n @ unit for n in normals) for normals in tess._chamber_normals]
+    margins = [min(n @ unit for n in normals) for normals in reference_chamber_normals(tess)]
     return margins.index(max(margins))
 
 
@@ -582,6 +612,101 @@ def test_locate_takes_one_point_or_a_batch(tag):
     assert tess.locate(pts) == singles
     assert tess.locate(pts[:1]) == singles[:1]
     assert singles[200:] == list(range(len(tess.triangles)))
+
+
+def reference_batch_locate(tess, x):
+    """locate as it read the cross-product side normals, batched (reference)."""
+    v = np.asarray(x, dtype=float)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    sides = np.einsum("tks,...s->...tk", reference_chamber_normals(tess), v)
+    margins = np.minimum(np.minimum(sides[..., 0], sides[..., 1]), sides[..., 2])
+    if (margins.max(axis=-1) < -1e-9).any():
+        raise ValueError("point does not lie in any chamber")
+    return margins.argmax(axis=-1).tolist()
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_locate_matches_the_cross_product_normals(tag):
+    """Reading the stored wall normals through the side record, locate picks
+    the chamber the cross-product side normals pick, on random points and on
+    the chamber centroids."""
+    tess = full_group_tessellation(builtin_group(tag))
+    centroids = [tess.triangle_points(t).mean(axis=0) for t in range(len(tess.triangles))]
+    pts = np.concatenate([np.random.default_rng(11).normal(size=(20_000, 3)), centroids])
+    assert tess.locate(pts) == reference_batch_locate(tess, pts)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_chamber_tables_match_the_cross_product_locate(tag, monkeypatch):
+    """A polyhedron built afresh with locate reading the cross-product side
+    normals has the same vertex-edge, successor-arc and circle tables."""
+    kept = H.build_archimedean(tag)
+    tables = ("edge_chambers", "arc_runs", "circle_classes")
+    expected = [getattr(kept, name) for name in tables]
+    monkeypatch.setattr(groups.Tessellation, "locate", reference_batch_locate)
+    fresh = H._build_archimedean_cached.__wrapped__(tag)
+    assert fresh is not kept
+    assert [getattr(fresh, name) for name in tables] == expected
+
+
+def reference_walls_and_neighbors(pts, triangles):
+    """The wall normals and the neighbours, built in two passes over the
+    triangle edges (reference)."""
+    by_edge = {}
+    for t, (ia, ib, ic) in enumerate(triangles):
+        for e in ((ia, ib), (ib, ic), (ia, ic)):
+            by_edge.setdefault(frozenset(e), []).append(t)
+    neighbors = [[] for _ in triangles]
+    for e, ts in by_edge.items():
+        assert len(ts) == 2
+        neighbors[ts[0]].append(ts[1])
+        neighbors[ts[1]].append(ts[0])
+    neighbors = [tuple(sorted(ns)) for ns in neighbors]
+
+    pole_keys = {matrix_key(p) for p in pts}
+    tried, walls = set(), {}
+    for ia, ib, ic in triangles:
+        for i, j in ((ia, ib), (ib, ic), (ia, ic)):
+            nrm = np.cross(pts[i], pts[j])
+            norm = np.linalg.norm(nrm)
+            if norm < 1e-12:
+                continue
+            nrm = groups._first_positive(nrm)
+            key = matrix_key(nrm)
+            if key in tried:
+                continue
+            tried.add(key)
+            if all(matrix_key(p - 2.0 * (p @ nrm) * nrm) in pole_keys for p in pts):
+                walls[key] = nrm
+    return np.array([walls[k] for k in sorted(walls)]), neighbors
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_one_side_pass_builds_the_walls_and_neighbors_of_two(tag):
+    tess = full_group_tessellation(builtin_group(tag))
+    walls, neighbors = reference_walls_and_neighbors(tess.points, tess.triangles)
+    assert tess.wall_normals.tobytes() == walls.tobytes()
+    assert tess.neighbors == neighbors
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_side_record_reads_each_side_once(tag):
+    """Side k of chamber t lies opposite corner k.  The chamber across holds
+    its two other corners and records the same wall with the opposite sign,
+    and the signed stored normal is the inward cross-product normal."""
+    tess = full_group_tessellation(builtin_group(tag))
+    sides = tess.sides
+    assert sides.shape == (len(tess.triangles), 3, 3)
+    assert not sides.flags.writeable
+    # reference side r joins corners r and r + 1, so it is opposite r + 2
+    inward = reference_chamber_normals(tess)[:, [1, 2, 0]]
+    for t, tri in enumerate(tess.triangles):
+        for k, (wall, sign, u) in enumerate(sides[t].tolist()):
+            assert sign in (1, -1)
+            assert u != t and set(tri) - {tri[k]} < set(tess.triangles[u])
+            assert [row for row in sides[u].tolist() if row[2] == t] == [[wall, -sign, t]]
+            assert np.abs(sign * tess.wall_normals[wall] - inward[t, k]).max() <= 1e-15
+        assert len(set(sides[t, :, 0].tolist())) == 3
 
 
 NO_DIRECTION = [[0.0, 0.0, 0.0], [np.nan, 0.2, 0.3], [np.inf, 0.0, 0.0], [0.1, -np.inf, np.inf]]

@@ -790,6 +790,18 @@ def test_test_loop_rejects_bad_sample_counts():
         H.test_loop(nu, -1.0, 96)
 
 
+@pytest.mark.parametrize("samples", [0, -8, -16], ids=["0", "-8", "-16"])
+def test_test_loop_refuses_a_non_positive_sample_count(samples):
+    # each used to pass the divisibility check and return an empty loop
+    with pytest.raises(ValueError, match="samples must be a positive integer >= 8"):
+        H.test_loop(row_sequence("T", "nu1"), TWO_PI, samples)
+
+
+def test_test_loop_reads_an_integral_sample_count_as_an_int():
+    nu = row_sequence("T", "nu1")
+    assert np.array_equal(H.test_loop(nu, TWO_PI, 96.0).points, H.test_loop(nu, TWO_PI, 96).points)
+
+
 # ---------------------------------------------------------------------------
 # Cone specifications
 
@@ -826,6 +838,24 @@ def test_cone_spec_rejects_degenerate_classes():
             group=polyO.group, nu=ring, alpha=1.0,
             extra_symmetry=None, period=1.0, central_mass=0.0,
         )
+
+
+@pytest.mark.parametrize("M", [4.7, 4.2, math.inf], ids=["4.7", "4.2", "inf"])
+def test_cone_spec_refuses_a_non_integer_extra_symmetry_order(M):
+    # 4.7 used to be stored as M = 4
+    base = H.catalog_cone("O", "nu4")
+    R, stored = base.extra_symmetry
+    assert stored == 4
+    with pytest.raises(ValueError, match="order M must be a positive integer"):
+        H.ConeSpec(
+            group=base.group, nu=base.nu, alpha=base.alpha, extra_symmetry=(R, M),
+            period=base.period, central_mass=base.central_mass,
+        )
+    whole = H.ConeSpec(
+        group=base.group, nu=base.nu, alpha=base.alpha, extra_symmetry=(R, 4.0),
+        period=base.period, central_mass=base.central_mass,
+    )
+    assert type(whole.extra_symmetry[1]) is int and whole.extra_symmetry[1] == 4
 
 
 @pytest.mark.parametrize(
@@ -1472,6 +1502,45 @@ def unpack_winding(packed, P):
         packed = (packed - digit) >> 32
     assert packed == 0
     return coords
+
+
+def reference_winding_steps(poly):
+    """The packed winding steps with the tree edge read off the corners two
+    chambers share, and the crossing counted +1 leaving the chamber on the
+    side of cross(p_a, p_b), a < b (reference)."""
+    tess = poly.tessellation
+    pts, tris = tess.points, tess.triangles
+    tree, order = {}, [0]
+    for p in order:
+        for q in sorted({v for ti in tess.fan[p] for v in tris[ti]} - set(order)):
+            tree[frozenset((p, q))] = len(tree)
+            order.append(q)
+    steps = {(t, t): 0 for t in range(len(tris))}
+    for s in range(len(tris)):
+        for t in tess.neighbors[s]:
+            edge = frozenset(tris[s]) & frozenset(tris[t])
+            a, b = sorted(edge)
+            unit = 1 << 32 * tree[edge] if edge in tree else 0
+            left = np.cross(pts[a], pts[b]) @ pts[list(tris[s])].sum(axis=0) > 0.0
+            steps[s, t] = unit if left else -unit
+    return steps
+
+
+@pytest.mark.parametrize("tag,flipped", [("T", 7), ("O", 13), ("I", 29)])
+def test_winding_steps_match_the_cross_product_body_up_to_coordinate_signs(tag, flipped):
+    """Orienting each tree edge by its stored wall normal instead of
+    cross(p_a, p_b) negates whole coordinates, `flipped` of the P - 1."""
+    poly = H.build_archimedean(tag)
+    P = len(poly.tessellation.points)
+    steps, reference = poly.winding_steps, reference_winding_steps(poly)
+    assert all(type(v) is int for v in steps.values())
+    assert set(steps) == set(reference)
+    new = np.array([unpack_winding(steps[k], P) for k in reference])
+    old = np.array([unpack_winding(v, P) for v in reference.values()])
+    signs = np.sign((new * old).sum(axis=0))
+    assert np.all(signs != 0)
+    assert np.array_equal(new, old * signs)
+    assert (signs < 0).sum() == flipped
 
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
