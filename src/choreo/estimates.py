@@ -11,10 +11,15 @@ the collision chord distances ``delta_min``, the reciprocal-sine sums
 collision lower bounds, the comparison loop actions (in closed form), and
 the certificates bundling the resulting inequalities.
 
+The polyhedral test loop has one owner.  ``_coefficient`` reads a cone's
+counts once and returns the loop's potential coefficient, exact or bounded;
+``_rescaled_action`` turns it into the optimally rescaled action.  Both
+test loop actions and a certificate's left-hand sides read it.
+
 Whatever does not depend on the exponent is read from tables built once,
 on first use: the polyhedron's ``edge_quadratics`` (zeta) and
 ``midpoint_chords`` (delta_min), the tessellation's ``widest_chords``
-(tilde_U0), the sequence's ``side_counts`` (certificates) and the turn
+(tilde_U0), the sequence's ``side_counts`` (test loops) and the turn
 sines of each order (k_alpha_p).  A call evaluates only the powers of
 alpha.  Each computed ``zeta`` sends its rule difference to the
 ``choreo.estimates`` logger at DEBUG.
@@ -27,6 +32,7 @@ mass range at once.
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -193,6 +199,14 @@ def general_lower_bound(total_mass, u0, alpha, period, collisions, formula="plat
     )
 
 
+def _check_satellites(satellites):
+    """The satellite count as an int; refuses odd counts and counts below 4."""
+    satellites = check_count(satellites, "satellites", 4)
+    if satellites % 2:
+        raise ValueError("satellites must be an even integer >= 4")
+    return satellites
+
+
 def hiphop_collision_bound(m0, period, satellites=4):
     """Total-collision bound for the antisymmetric vertical classes.
 
@@ -201,9 +215,7 @@ def hiphop_collision_bound(m0, period, satellites=4):
     (s/(s+m0))^(3/2) * ((s-1)/2 + 2 m0) with s the satellite count; the
     antisymmetry forces two total collisions per period.
     """
-    satellites = check_count(satellites, "satellites", 4)
-    if satellites % 2:
-        raise ValueError("satellites must be an even integer >= 4")
+    satellites = _check_satellites(satellites)
     check_mass(m0)
     total = satellites + m0
     u0 = (satellites / total) ** 1.5 * ((satellites - 1) / 2.0 + 2.0 * m0)
@@ -238,9 +250,7 @@ def rotating_polygon_action(m0, period, satellites=4):
     circles, where the kinetic term is mu/(2r).  The integrand is constant
     in time, so the action is (3/2) s T mu / r.
     """
-    satellites = check_count(satellites, "satellites", 4)
-    if satellites % 2:
-        raise ValueError("satellites must be an even integer >= 4")
+    satellites = _check_satellites(satellites)
     check_mass(m0)
     check_period(period)
     mu = m0 + 0.25 * k_alpha_p(1.0, satellites)
@@ -288,36 +298,54 @@ class TestLoopAction:
         return lam ** 2 * self.kinetic + lam ** (-self.alpha) * self.potential
 
 
-def _cone_counts(cone):
-    k_nu, k1, k2 = cone.nu.side_counts
-    collisions = cone.extra_symmetry[1] if cone.extra_symmetry is not None else 1
-    return k_nu, k1, k2, collisions
+# A test loop's potential coefficient free + m0 * central, with the counts
+# of the cone it is built from.
+_Coefficient = namedtuple("_Coefficient", "free central k_nu k1 k2 collisions ell order")
 
 
-def test_loop_action_exact(cone):
-    """Action of the optimally rescaled test loop of a polyhedral class.
+def _coefficient(cone, bounded=False):
+    """The potential coefficient of a polyhedral class's test loop.
 
-    The loop follows the vertex sequence along straight edges at constant
-    speed; rescaling by lam changes the action to lam^2 * kinetic +
-    lam^(-alpha) * potential, minimized at the returned scale.  The edge
-    potential integrals are evaluated by quadrature at the class exponent.
+    Exact, at the class exponent: free = k1 zeta1 + k2 zeta2 and central =
+    (k1 + k2) zeta0.  Bounded, for alpha strictly between 1 and 2: each edge
+    integral is bounded by the exponent-1 one over the collision chord
+    distance, free = k1 zeta1(1)/delta1 + k2 zeta2(1)/delta2, and the central
+    term by the chord bound, central = 8 (k1 + k2)/(4 - ell^2).  The counts,
+    the edge length ell and the group order |G| are read here once.
     """
     if cone.nu is None:
         raise ValueError("test loops are defined for the polyhedral classes only")
-    tag = cone.group.tag
     alpha = cone.alpha
-    n = cone.group.order
-    ell = build_archimedean(tag).edge_length
-    k_nu, k1, k2, _ = _cone_counts(cone)
-    period = cone.period
+    if bounded and not 1.0 < alpha < 2.0:
+        raise ValueError("the closed-form bound needs alpha strictly between 1 and 2")
+    tag = cone.group.tag
+    ell = cone.nu.polyhedron.edge_length
+    k_nu, k1, k2 = cone.nu.side_counts
+    if bounded:
+        free = (
+            k1 * _zeta_cached(tag, 1.0, 1) / delta_min(tag, 1)
+            + k2 * _zeta_cached(tag, 1.0, 2) / delta_min(tag, 2)
+        )
+        central = 8.0 * (k1 + k2) / (4.0 - ell ** 2)
+    else:
+        free = k1 * _zeta_cached(tag, alpha, 1) + k2 * _zeta_cached(tag, alpha, 2)
+        central = (k1 + k2) * _zeta_cached(tag, alpha, 0)
+    collisions = cone.extra_symmetry[1] if cone.extra_symmetry is not None else 1
+    return _Coefficient(free, central, k_nu, k1, k2, collisions, ell, cone.group.order)
 
-    a_kinetic = n * ell ** 2 * k_nu ** 2 / (2.0 * period)
-    mix = (
-        k1 * _zeta_cached(tag, alpha, 1)
-        + k2 * _zeta_cached(tag, alpha, 2)
-        + cone.central_mass * (k1 + k2) * _zeta_cached(tag, alpha, 0)
-    )
-    a_potential = (n / 2.0) * (period / k_nu) * mix
+
+def _rescaled_action(cone, c):
+    """The optimally rescaled action of the test loop with coefficient c.
+
+    The loop follows the vertex sequence along straight edges at constant
+    speed.  At scale 1 its kinetic part is |G| ell^2 k_nu^2 / (2T) and its
+    potential part (|G|/2) (T/k_nu) (free + m0 * central); rescaling by lam
+    changes the action to lam^2 * kinetic + lam^(-alpha) * potential,
+    minimized at the returned scale.
+    """
+    alpha, period = cone.alpha, cone.period
+    a_kinetic = c.order * c.ell ** 2 * c.k_nu ** 2 / (2.0 * period)
+    a_potential = (c.order / 2.0) * (period / c.k_nu) * (c.free + cone.central_mass * c.central)
     scale = (alpha * a_potential / (2.0 * a_kinetic)) ** (1.0 / (2.0 + alpha))
     value = (2.0 + alpha) * (
         (a_potential / 2.0) ** 2 * (a_kinetic / alpha) ** alpha
@@ -331,6 +359,13 @@ def test_loop_action_exact(cone):
     )
 
 
+def test_loop_action_exact(cone):
+    """Action of the optimally rescaled test loop of a polyhedral class, its
+    edge potential integrals evaluated by quadrature at the class exponent:
+    ``_rescaled_action`` on the exact ``_coefficient``."""
+    return _rescaled_action(cone, _coefficient(cone))
+
+
 def _c_const(alpha, ell, k_nu, collisions):
     """Coefficient comparing the test loop estimate with the collision bound."""
     return (
@@ -342,43 +377,11 @@ def _c_const(alpha, ell, k_nu, collisions):
 
 
 def test_loop_action_bound(cone):
-    """Closed-form upper bound for the rescaled test loop action.
-
-    Valid for exponents strictly between 1 and 2: each edge integral at
-    exponent alpha is bounded through the exponent-1 integral divided by
-    the collision chord distance, and the central term through the chord
-    bound 8/(4 - ell^2).
-    """
-    if cone.nu is None:
-        raise ValueError("test loops are defined for the polyhedral classes only")
-    alpha = cone.alpha
-    if not 1.0 < alpha < 2.0:
-        raise ValueError("the closed-form bound needs alpha strictly between 1 and 2")
-    tag = cone.group.tag
-    n = cone.group.order
-    ell = build_archimedean(tag).edge_length
-    k_nu, k1, k2, _ = _cone_counts(cone)
-    period = cone.period
-
-    weighted = (
-        k1 * _zeta_cached(tag, 1.0, 1) / delta_min(tag, 1)
-        + k2 * _zeta_cached(tag, 1.0, 2) / delta_min(tag, 2)
-        + 8.0 * cone.central_mass * (k1 + k2) / (4.0 - ell ** 2)
-    )
-    value = (
-        (2.0 + alpha)
-        / 2.0
-        * n
-        * (
-            ell ** (2.0 * alpha)
-            * weighted ** 2
-            * k_nu ** (2.0 * (alpha - 1.0))
-            / (4.0 * alpha ** alpha)
-        )
-        ** (1.0 / (2.0 + alpha))
-        * period ** ((2.0 - alpha) / (2.0 + alpha))
-    )
-    return float(value)
+    """Closed-form upper bound for the rescaled test loop action, for
+    exponents strictly between 1 and 2: ``_rescaled_action`` on the bounded
+    ``_coefficient``, whose edge integrals are bounded through the exponent-1
+    ones and the chord distances."""
+    return _rescaled_action(cone, _coefficient(cone, bounded=True)).value
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,9 @@ def certify_no_total_collisions(cone, label=None):
     the class exponent and, at the concrete central mass of the cone, the
     direct comparison of the rescaled test loop action with the collision
     lower bound.  The overall verdict is the mass-free pair: both strict
-    means the class is certified for every central mass.
+    means the class is certified for every central mass.  The potential and
+    central left-hand sides are the mass-free part and the central-mass
+    coefficient of ``_coefficient``: exact at alpha = 1, bounded above it.
     """
     tag = cone.group.tag
     if cone.nu is None:
@@ -470,46 +475,36 @@ def certify_no_total_collisions(cone, label=None):
             "klein_exclusion for the vertical-axis classes"
         )
     alpha = cone.alpha
-    n = cone.group.order
-    ell = build_archimedean(tag).edge_length
-    k_nu, k1, k2, collisions = _cone_counts(cone)
-
     z0 = _zeta_cached(tag, 1.0, 0)
     z1 = _zeta_cached(tag, 1.0, 1)
     z2 = _zeta_cached(tag, 1.0, 2)
     d1 = delta_min(tag, 1)
     d2 = delta_min(tag, 2)
+    c = _coefficient(cone, bounded=alpha != 1.0)
+    n = c.order
     floor = tilde_U0(tag, alpha)
-    c_const = _c_const(alpha, ell, k_nu, collisions)
-
-    if alpha == 1.0:
-        potential_lhs = k1 * z1 + k2 * z2
-        central_lhs = (k1 + k2) * z0
-        central_rhs = 2.0 * c_const  # equals 4*pi*collisions/ell
-    else:
-        potential_lhs = k1 * z1 / d1 + k2 * z2 / d2
-        central_lhs = 8.0 * (k1 + k2) / (4.0 - ell ** 2)
-        central_rhs = c_const
+    c_const = _c_const(alpha, c.ell, c.k_nu, c.collisions)
+    central_rhs = 2.0 * c_const if alpha == 1.0 else c_const  # 4*pi*collisions/ell at alpha = 1
     potential_rhs = c_const * floor
 
     m0 = cone.central_mass
     direct_lhs = test_loop_action_exact(cone).value
     u0 = (n / (n + m0)) ** ((2.0 + alpha) / 2.0) * (floor + 2.0 * m0)
     direct_rhs = general_lower_bound(
-        n + m0, u0, alpha, cone.period, collisions
+        n + m0, u0, alpha, cone.period, c.collisions
     ).value
 
     if label is None:
-        label = f"{tag} {k_nu}-gon alpha={alpha:g} M={collisions}"
+        label = f"{tag} {c.k_nu}-gon alpha={alpha:g} M={c.collisions}"
     return EstimateCertificate(
         cone_id=label,
         group=tag,
         alpha=alpha,
-        collisions=collisions,
-        k1=k1,
-        k2=k2,
-        k_nu=k_nu,
-        ell=float(ell),
+        collisions=c.collisions,
+        k1=c.k1,
+        k2=c.k2,
+        k_nu=c.k_nu,
+        ell=float(c.ell),
         zeta0=z0,
         zeta1=z1,
         zeta2=z2,
@@ -517,9 +512,9 @@ def certify_no_total_collisions(cone, label=None):
         delta2=d2,
         tilde_u0=floor,
         c_const=c_const,
-        potential_lhs=float(potential_lhs),
+        potential_lhs=float(c.free),
         potential_rhs=float(potential_rhs),
-        central_lhs=float(central_lhs),
+        central_lhs=float(c.central),
         central_rhs=float(central_rhs),
         direct_lhs=float(direct_lhs),
         direct_rhs=float(direct_rhs),
@@ -537,7 +532,6 @@ class ExclusionComparison:
     """
 
     label: str
-    kind: str  # "hiphop" | "klein"
     central_mass: float
     bound: CollisionBound
     comparison_action: float
@@ -545,6 +539,11 @@ class ExclusionComparison:
     intercept_rhs: float
     slope_lhs: float
     slope_rhs: float
+
+    @property
+    def kind(self):
+        """The collision bound's formula: "hiphop" or "klein"."""
+        return self.bound.formula
 
     @property
     def intercept_pass(self):
@@ -563,18 +562,17 @@ class ExclusionComparison:
         return self.intercept_pass and self.slope_pass
 
     def as_dict(self):
-        flags = ("intercept_pass", "slope_pass", "direct_pass", "passed")
-        return {**_record_dict(self, flags), "bound": self.bound.value}
+        out = _record_dict(self, ("intercept_pass", "slope_pass", "direct_pass", "passed"))
+        return {"label": out.pop("label"), "kind": self.kind, **out, "bound": self.bound.value}
 
 
-def _exclusion(label, kind, m0, compare, bound):
+def _exclusion(label, m0, compare, bound):
     """Compare ``compare(m)`` with the CollisionBound ``bound(m)`` at m0, and
     the intercepts and 3/2-power slopes at masses 0 and 1."""
     lhs = [float(compare(m)) for m in (0.0, 1.0)]
     rhs = [bound(m).value for m in (0.0, 1.0)]
     return ExclusionComparison(
         label=label,
-        kind=kind,
         central_mass=float(m0),
         bound=bound(m0),
         comparison_action=float(compare(m0)),
@@ -593,10 +591,9 @@ def hiphop_exclusion(m0, period, satellites=4):
     collision bound loses to the polygon potential once the satellite count
     grows, so the mass-free verdict can honestly fail for large polygons.
     """
-    satellites = check_count(satellites, "satellites", 4)
+    satellites = _check_satellites(satellites)
     return _exclusion(
         f"rotating {satellites}-gon vs collision bound",
-        "hiphop",
         m0,
         lambda m: rotating_polygon_action(m, period, satellites),
         lambda m: hiphop_collision_bound(m, period, satellites),
@@ -607,7 +604,6 @@ def klein_exclusion(m0, period):
     """Exclusion comparison for the coordinate-axes symmetry class."""
     return _exclusion(
         "four half circles vs collision bound",
-        "klein",
         m0,
         lambda m: klein_test_loop_bound(m, period),
         lambda m: klein_collision_bound(m, period),

@@ -254,7 +254,7 @@ def builtin_group(tag, n=None):
     """Construct one of the named symmetry groups.
 
     Tags (case-insensitive): Z4, Z2N (requires n >= 2), KLEIN, T, O, I.
-    Z2N with n = 2 coincides with Z4.
+    Z2N with n = 2 coincides with Z4; any other tag refuses an n.
     """
     t = str(tag).upper()
     if t == "Z4":
@@ -271,6 +271,8 @@ def builtin_group(tag, n=None):
         gens = [_R5, _C3]
     else:
         raise ValueError(f"unknown group tag {tag!r}")
+    if n is not None and t != "Z2N":
+        raise ValueError(f"n is read for Z2N only, not for {tag!r}")
     return RotationGroup(tag=t, elements=generate_group(gens), generators=gens)
 
 

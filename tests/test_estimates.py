@@ -912,6 +912,159 @@ def test_test_loop_functions_reject_vertical_cones():
 
 
 # ---------------------------------------------------------------------------
+# the one test-loop closed form against the three bodies it replaced
+
+
+def reference_cone_counts(cone):
+    k_nu, k1, k2 = cone.nu.side_counts
+    collisions = cone.extra_symmetry[1] if cone.extra_symmetry is not None else 1
+    return k_nu, k1, k2, collisions
+
+
+def reference_test_loop_action_exact(cone):
+    """test_loop_action_exact deriving its own counts and coefficient, as
+    before the shared coefficient (reference)."""
+    tag = cone.group.tag
+    alpha = cone.alpha
+    n = cone.group.order
+    ell = build_archimedean(tag).edge_length
+    k_nu, k1, k2, _ = reference_cone_counts(cone)
+    period = cone.period
+
+    a_kinetic = n * ell ** 2 * k_nu ** 2 / (2.0 * period)
+    mix = (
+        k1 * E._zeta_cached(tag, alpha, 1)
+        + k2 * E._zeta_cached(tag, alpha, 2)
+        + cone.central_mass * (k1 + k2) * E._zeta_cached(tag, alpha, 0)
+    )
+    a_potential = (n / 2.0) * (period / k_nu) * mix
+    scale = (alpha * a_potential / (2.0 * a_kinetic)) ** (1.0 / (2.0 + alpha))
+    value = (2.0 + alpha) * (
+        (a_potential / 2.0) ** 2 * (a_kinetic / alpha) ** alpha
+    ) ** (1.0 / (2.0 + alpha))
+    return E.TestLoopAction(
+        value=float(value), scale=float(scale), kinetic=float(a_kinetic),
+        potential=float(a_potential), alpha=alpha,
+    )
+
+
+def reference_test_loop_action_bound(cone):
+    """test_loop_action_bound in its own algebraic arrangement, as before the
+    shared closed form (reference)."""
+    alpha = cone.alpha
+    tag = cone.group.tag
+    n = cone.group.order
+    ell = build_archimedean(tag).edge_length
+    k_nu, k1, k2, _ = reference_cone_counts(cone)
+    period = cone.period
+
+    weighted = (
+        k1 * E._zeta_cached(tag, 1.0, 1) / delta_min(tag, 1)
+        + k2 * E._zeta_cached(tag, 1.0, 2) / delta_min(tag, 2)
+        + 8.0 * cone.central_mass * (k1 + k2) / (4.0 - ell ** 2)
+    )
+    value = (
+        (2.0 + alpha)
+        / 2.0
+        * n
+        * (
+            ell ** (2.0 * alpha)
+            * weighted ** 2
+            * k_nu ** (2.0 * (alpha - 1.0))
+            / (4.0 * alpha ** alpha)
+        )
+        ** (1.0 / (2.0 + alpha))
+        * period ** ((2.0 - alpha) / (2.0 + alpha))
+    )
+    return float(value)
+
+
+def reference_certify_no_total_collisions(cone):
+    """certify_no_total_collisions building its left-hand sides term by term,
+    as before the shared coefficient (reference)."""
+    tag = cone.group.tag
+    alpha = cone.alpha
+    n = cone.group.order
+    ell = build_archimedean(tag).edge_length
+    k_nu, k1, k2, collisions = reference_cone_counts(cone)
+
+    z0 = E._zeta_cached(tag, 1.0, 0)
+    z1 = E._zeta_cached(tag, 1.0, 1)
+    z2 = E._zeta_cached(tag, 1.0, 2)
+    d1 = delta_min(tag, 1)
+    d2 = delta_min(tag, 2)
+    floor = tilde_U0(tag, alpha)
+    c_const = E._c_const(alpha, ell, k_nu, collisions)
+
+    if alpha == 1.0:
+        potential_lhs = k1 * z1 + k2 * z2
+        central_lhs = (k1 + k2) * z0
+        central_rhs = 2.0 * c_const
+    else:
+        potential_lhs = k1 * z1 / d1 + k2 * z2 / d2
+        central_lhs = 8.0 * (k1 + k2) / (4.0 - ell ** 2)
+        central_rhs = c_const
+    potential_rhs = c_const * floor
+
+    m0 = cone.central_mass
+    direct_lhs = reference_test_loop_action_exact(cone).value
+    u0 = (n / (n + m0)) ** ((2.0 + alpha) / 2.0) * (floor + 2.0 * m0)
+    direct_rhs = general_lower_bound(n + m0, u0, alpha, cone.period, collisions).value
+    return E.EstimateCertificate(
+        cone_id=f"{tag} {k_nu}-gon alpha={alpha:g} M={collisions}", group=tag,
+        alpha=alpha, collisions=collisions, k1=k1, k2=k2, k_nu=k_nu, ell=float(ell),
+        zeta0=z0, zeta1=z1, zeta2=z2, delta1=d1, delta2=d2, tilde_u0=floor,
+        c_const=c_const, potential_lhs=float(potential_lhs),
+        potential_rhs=float(potential_rhs), central_lhs=float(central_lhs),
+        central_rhs=float(central_rhs), direct_lhs=float(direct_lhs),
+        direct_rhs=float(direct_rhs),
+    )
+
+
+# Stated before the comparison first ran.  The shared coefficient adds the
+# central term as m0 * ((k1 + k2) zeta0) where the exact body rounded
+# (m0 (k1 + k2)) zeta0, and the bound's body arranged the closed form in
+# its own order, so the rescaled actions may differ in the last bits.  The
+# kinetic part and every certificate field but direct_lhs are bitwise equal.
+CLOSED_FORM_RTOL = 1e-15
+
+
+def differential_cones(entry):
+    """The catalog row at its published point, then at 20 seeded (alpha, m0,
+    period) points with alpha in (1, 1.95), m0 in [0, 5] and period in
+    [pi, 4 pi]."""
+    base = catalog_cone(entry.tag, entry.name)
+    yield base
+    rng = np.random.default_rng([4580, LOOP_CATALOG.index(entry)])
+    for _ in range(20):
+        yield ConeSpec(
+            group=base.group, nu=base.nu, alpha=float(rng.uniform(1.0, 1.95)),
+            extra_symmetry=base.extra_symmetry, period=float(rng.uniform(math.pi, 4.0 * math.pi)),
+            central_mass=float(rng.uniform(0.0, 5.0)),
+        )
+
+
+@pytest.mark.parametrize("entry", LOOP_CATALOG, ids=lambda e: f"{e.tag}-{e.name}")
+def test_one_closed_form_matches_the_three_test_loop_bodies(entry):
+    close = dict(rel=CLOSED_FORM_RTOL, abs=0.0)
+    for cone in differential_cones(entry):
+        point = (cone.alpha, cone.central_mass, cone.period)
+        got, want = E.test_loop_action_exact(cone), reference_test_loop_action_exact(cone)
+        assert (got.kinetic, got.alpha) == (want.kinetic, want.alpha), point
+        for name in ("value", "scale", "potential"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), **close), (name, point)
+        if cone.alpha > 1.0:
+            bound = E.test_loop_action_bound(cone)
+            assert bound == pytest.approx(reference_test_loop_action_bound(cone), **close), point
+        cert = certify_no_total_collisions(cone)
+        ref = reference_certify_no_total_collisions(cone)
+        assert cert.row() == ref.row(), point
+        got, want = cert.as_dict(), ref.as_dict()
+        assert got.pop("direct_lhs") == pytest.approx(want.pop("direct_lhs"), **close), point
+        assert got == want, point
+
+
+# ---------------------------------------------------------------------------
 # certificates
 
 

@@ -453,8 +453,35 @@ def test_z2n_refuses_a_non_integer_n(n):
         builtin_group("Z2N", n)
 
 
+@pytest.mark.parametrize(
+    "tag,n", [("T", 7), ("Z4", 4.9), ("KLEIN", -3), ("o", 2), ("I", 0)],
+    ids=["T-7", "Z4-4.9", "KLEIN-minus-3", "o-2", "I-0"],
+)
+def test_builtin_group_refuses_n_for_a_tag_other_than_z2n(tag, n):
+    # each returned the tag's own group and ignored n
+    with pytest.raises(ValueError, match="n is read for Z2N only"):
+        builtin_group(tag, n)
+
+
 def test_z2n_reads_an_integral_n_as_an_int():
     assert [builtin_group("Z2N", n).order for n in (3.0, np.int64(3))] == [6, 6]
+
+
+def test_tessellation_refuses_a_side_off_every_mirror_wall(monkeypatch):
+    # One pole orbit of T turned by 0.02 rad about a generic axis keeps the
+    # orbits and the chamber count, but a side reaching a turned pole no
+    # longer lies on a plane whose reflection keeps the pole set.
+    group = builtin_group("T")
+    pole_list = poles(group)
+    orbits = pole_orbits(group, pole_list)
+    turn = rotation_matrix([0.3, -0.5, 0.8], 0.02)
+    turned = list(pole_list)
+    for i in orbits[0]:
+        turned[i] = Pole(point=turn @ pole_list[i].point, order=pole_list[i].order)
+    monkeypatch.setattr(groups, "poles", lambda g: turned)
+    monkeypatch.setattr(groups, "pole_orbits", lambda g, pole_list=None: orbits)
+    with pytest.raises(ValueError, match="not on a mirror wall"):
+        full_group_tessellation(builtin_group("T"))
 
 
 def test_tessellation_counts():
