@@ -104,7 +104,7 @@ class CollisionError(ValueError):
     """A loop node sits on the collision set (or at the origin)."""
 
     def __init__(self, node, message=None):
-        self.node = int(node)
+        self.node = check_count(node, "node", 0)
         super().__init__(message or f"loop node {node} lies on the collision set")
 
 
@@ -129,6 +129,8 @@ def check_mass(mass):
 def check_count(count, name, least):
     """count as an int.  Raise ValueError unless it is a whole number (4,
     4.0 and np.int64(4) are; 4.9, NaN and inf are not) of at least least."""
+    if type(count) is int and count >= least:
+        return count
     if not (isinstance(count, Real) and math.isfinite(count) and count == int(count) >= least):
         raise ValueError(f"{name} must be a positive integer >= {least}")
     return int(count)

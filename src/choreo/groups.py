@@ -309,7 +309,7 @@ def poles(group):
     pts = np.array([seen[k] for k in sorted(seen.keys())]).reshape(-1, 3)
     moved = np.linalg.norm(np.einsum("gij,pj->pgi", E, pts) - pts[:, None, :], axis=-1)
     orders = ((moved < 1e-9) & (dets > 0)).sum(axis=1)
-    return [Pole(point=p, order=int(o)) for p, o in zip(pts, orders)]
+    return [Pole(point=p, order=o) for p, o in zip(pts, orders.tolist())]
 
 
 def pole_orbits(group, pole_list=None):

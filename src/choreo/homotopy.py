@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .action import LoopPath, check_alpha, check_count, check_mass, check_period
-from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key, unit_frame
+from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
 # How far the minimal-angle search lowers its A* bound on open entries.
@@ -53,9 +53,9 @@ class ArchimedeanPolyhedron:
     same chord distance ell.  Cached per tag, it owns its tables, each built
     on first use: the group action on the vertices (vertex_permutations,
     element_between), the estimates' base-edge constants (edge_quadratics,
-    midpoint_chords), edge_chambers and the minimal-angle search tables.
-    edge_chambers, arc_runs and circle_classes read their great arcs with
-    one reader, _arc_chambers.
+    midpoint_chords), edge_chambers and the minimal-angle search tables
+    (arc_table, closing_angles, successor_orders, arc_runs, winding_steps).
+    edge_chambers and arc_runs read their great arcs with _arc_chambers.
     """
 
     def __init__(self, group, tessellation, vertices, edges, base_points):
@@ -165,25 +165,6 @@ class ArchimedeanPolyhedron:
         return MappingProxyType(table)
 
     @cached_property
-    def circle_classes(self):
-        """Canonical reduced words of the sampled great circles, both directions.
-
-        Samples the normals of 300 Fibonacci directions, skipping circles
-        that pass within 5e-3 of a pole.  Depends only on the tessellation.
-        """
-        tess = self.tessellation
-        classes = set()
-        for axis in _fibonacci_directions(300):
-            axis = axis / np.linalg.norm(axis)
-            if np.min(np.abs(tess.points @ axis)) < 5e-3:
-                continue
-            reduced = reduce_cyclic_word(_circle_word(tess, axis))
-            if reduced:
-                classes.add(canonical_cyclic_word(reduced))
-                classes.add(canonical_cyclic_word(reduced[::-1]))
-        return tuple(sorted(classes))
-
-    @cached_property
     def arc_table(self):
         """(angles, successors): pole-to-pole angles and the admissible short arcs.
 
@@ -205,7 +186,7 @@ class ArchimedeanPolyhedron:
             coplanar = np.abs(pts @ np.cross(za, w).T) < 1e-9
             phi = np.arctan2(pts @ w.T, (pts @ za)[:, None])
             inside = coplanar & (phi > 1e-7) & (phi < th[js] - 1e-7)
-            successors.append(sorted((float(th[j]), int(j)) for j in js[~inside.any(axis=0)]))
+            successors.append(sorted((float(th[j]), j) for j in js[~inside.any(axis=0)].tolist()))
         return angles, successors
 
     @cached_property
@@ -398,16 +379,16 @@ def reconstruct_numbering(polyhedron, rows):
     """Assign vertex indices to published labels from sequence data alone.
 
     rows is an iterable of (labels, M, k1, k2) where labels, each in
-    1..vertex_count, repeats the starting label at the end, and M is a
-    positive divisor of the step count (ValueError otherwise).  The search
-    places each row as a closed edge path, prunes on side-type counts, and
-    requires for each row a group element R with R^M = identity that shifts
-    the cycle by steps/M positions: the first placed pair of labels steps/M
-    apart fixes R (element_between), and every other placed pair must agree.
-    Labels not used by any row are assigned to the remaining vertices in
-    sorted order, so the result is a bijection.  Raises ValueError if the
-    rows cannot be realized, RuntimeError past _NUMBERING_NODE_CAP search
-    nodes; logs the node count at DEBUG.
+    1..vertex_count, repeats the starting label at the end, M is a positive
+    divisor of the step count and k1, k2 are whole numbers (ValueError
+    otherwise).  The search places each row as a closed edge path, prunes
+    on side-type counts, and requires for each row a group element R with
+    R^M = identity that shifts the cycle by steps/M positions: the first
+    placed pair of labels steps/M apart fixes R (element_between), and every
+    other placed pair must agree.  Labels not used by any row are assigned
+    to the remaining vertices in sorted order, so the result is a bijection.
+    Raises ValueError if the rows cannot be realized, RuntimeError past
+    _NUMBERING_NODE_CAP search nodes; logs the node count at DEBUG.
     """
     nv, tag = polyhedron.vertex_count, polyhedron.group.tag
     perms, between = polyhedron.vertex_permutations, polyhedron.element_between
@@ -423,7 +404,8 @@ def reconstruct_numbering(polyhedron, rows):
             raise ValueError(f"row labels must lie in 1..{nv}")
         if M < 1 or len(per) % M:
             raise ValueError("the symmetry order M must be a positive divisor of the row length")
-        prepared.append((per, M, len(per) // M, int(k1), int(k2)))
+        M, k1, k2 = check_count(M, "M", 1), check_count(k1, "k1", 0), check_count(k2, "k2", 0)
+        prepared.append((per, M, len(per) // M, k1, k2))
 
     assign = {}
     used = [False] * nv
@@ -534,7 +516,7 @@ class VertexSequence:
     edge_types: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = [int(i) for i in self.vertex_ids]
+        ids = [check_count(i, "vertex id", 0) for i in self.vertex_ids]
         if len(ids) > 1 and ids[0] == ids[-1]:
             ids = ids[:-1]
         if len(ids) < 2:
@@ -555,7 +537,7 @@ class VertexSequence:
     @classmethod
     def from_labels(cls, polyhedron, labels, numbering):
         try:
-            ids = [numbering[int(l)] for l in labels]
+            ids = [numbering[check_count(l, "label", 1)] for l in labels]
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]} missing from the numbering") from exc
         return cls(polyhedron, tuple(ids))
@@ -612,8 +594,10 @@ def find_extra_symmetry(nu, M):
     """Group elements R with R^M = identity realizing the cyclic shift by steps/M.
 
     The list holds at most one matrix, since the vertices are a free orbit
-    (empty unless M is a positive divisor of the step count).
+    (empty unless M is a positive divisor of the step count; ValueError unless
+    it is a whole number of at least 0).
     """
+    M = check_count(M, "symmetry order M", 0)
     if M < 1 or nu.steps % M:
         return []
     g = _shift_element(nu, M)
@@ -632,7 +616,7 @@ class TriangleSequence:
     triangles: tuple
 
     def __post_init__(self):
-        tris = tuple(int(t) for t in self.triangles)
+        tris = tuple(check_count(t, "chamber", 0) for t in self.triangles)
         if len(tris) < 2:
             raise ValueError("a triangle sequence needs at least two chambers")
         for k in range(len(tris)):
@@ -954,7 +938,7 @@ def cone_from_config(config):
     extra = None
     if config.get("extra_symmetry") is not None:
         spec = config["extra_symmetry"]
-        extra = (group.elements[int(spec["element_index"])], int(spec["M"]))
+        extra = (group.elements[check_count(spec["element_index"], "element_index", 0)], spec["M"])
     return ConeSpec(
         group=group,
         nu=nu,
@@ -1005,6 +989,10 @@ def catalog_cone(tag, name, *, period=TWO_PI, central_mass=0.0, alpha=None):
 class MinimalAngleResult:
     """Minimal total angle and the circular-arc skeleton realizing it.
 
+    total_angle is the least over the skeletons whose junction routes take
+    at most _TURN_CAP extra turns about a pole, not over every route; a
+    larger cap could only lower it.  centrality is always "non-central":
+    min_total_angle decides it exactly and refuses a central class.
     semi_axes lists the junction directions in traversal order; arc i joins
     semi_axes[i] to semi_axes[i+1] (cyclically) sweeping arc_angles[i];
     times[i] is the junction passage time under the constant angular speed
@@ -1025,25 +1013,6 @@ class MinimalAngleResult:
     skeletons: int
     combinations: int
     checked: int
-
-
-def _fibonacci_directions(n):
-    k = np.arange(n)
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    z = 1.0 - (2.0 * k + 1.0) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    ang = TWO_PI * k / phi
-    return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
-
-
-def _circle_word(tess, axis):
-    """Cyclic chamber word of the full great circle with the given unit
-    normal; raises ValueError for a circle along a wall."""
-    e1, e2 = unit_frame(axis)
-    ((word, wall),) = _arc_chambers(tess, e1, e2[None], [TWO_PI])
-    if wall is not None:
-        raise ValueError("the circle runs along a wall")
-    return merge_cyclic_duplicates(word)
 
 
 def _arc_tangents(za, zb):
@@ -1087,16 +1056,42 @@ def _arc_chambers(tess, za, w, theta):
 
 
 def _central_circle_exists(poly, target_word):
-    """True if a sampled great circle, run once or repeated, carries the class.
+    """True if a great circle, run once or repeated, carries the class of the
+    cyclically reduced chamber word (any rotation of it), exactly.
 
-    A cyclically reduced word stays reduced when repeated, and the canonical
-    form of its r-th power is the r-th power of its canonical form.
+    A great circle off the poles crosses each of the W walls twice and meets
+    each chamber, a convex triangle, at most once: its word is 2W distinct
+    chambers, and the target must be r copies of such a root.  The circle
+    crosses the side between each two consecutive root chambers, so the two
+    poles of that side lie on either side of it: a normal n must have
+    s_p (n . p) > 0 for signs s_p opposite across every crossed side.  The
+    root is a closed path through distinct chambers, so such signs exist
+    (the poles inside it take one sign) and propagate along it; a pole and
+    its antipode of one sign refuse the word.  Any such n crosses those 2W
+    sides, hence no other side, so the root is the word of n or of -n
+    exactly when that open cone is nonempty: when the sum of its closure's
+    corners, the cross products of two signed poles that meet every sign,
+    lies strictly inside it.  These tests allow 1e-9 for rounding.
     """
-    target = canonical_cyclic_word(target_word)
-    n = len(target)
-    return n > 0 and any(
-        n % len(c) == 0 and c * (n // len(c)) == target for c in poly.circle_classes
-    )
+    tess = poly.tessellation
+    width, n = 2 * len(tess.wall_normals), len(target_word)
+    root = tuple(target_word[:width])
+    if n == 0 or n % width or len(set(root)) < width or tuple(target_word) != root * (n // width):
+        return False
+    tris, signs = tess.triangles, {}
+    for a, b in zip(root, root[1:] + root[:1]):
+        p, q = set(tris[a]) & set(tris[b])
+        signs[p] = signs.get(p, -signs.get(q, 1))
+        signs[q] = -signs[p]
+    P = tess.points[list(signs)] * np.array(list(signs.values()), dtype=float)[:, None]
+    if (P @ P.T).min() < -1.0 + 1e-9:
+        return False
+    # the cross products of every ordered pair of signed poles, so both signs;
+    # numpy reduces the short axis of the (pair, pole) margins far slower
+    Q, R = P[:, [1, 2, 0]], P[:, [2, 0, 1]]
+    cross = (Q[:, None] * R - R[:, None] * Q).reshape(-1, 3)
+    corners = cross[(P @ cross.T).min(axis=0) >= -1e-9]
+    return bool((P @ corners.sum(axis=0)).min() > 1e-9)
 
 
 class _SearchOptions(dict):
@@ -1343,10 +1338,12 @@ def min_total_angle(cone):
     runs (arc_runs) and the successor rows in bound order
     (successor_orders), is read from the polyhedron's tables, built on
     first use; a call builds only the windings over its M symmetry copies,
-    its root bounds and its junction routes, each once.  Raises ValueError
-    for central cones and RuntimeError past the call's budgets, module
-    constants: _MAX_POPS heap pops or _COMBO_CAP junction resolutions
-    covered, with routes of up to _TURN_CAP extra turns about a pole.
+    its root bounds and its junction routes, each once.  The minimum is over
+    routes of up to _TURN_CAP extra turns about a pole.  Raises ValueError
+    for a central cone, one whose class a great circle run once or repeated
+    carries, decided exactly by _central_circle_exists before the search;
+    RuntimeError past the call's budgets, module constants: _MAX_POPS heap
+    pops or _COMBO_CAP junction resolutions covered.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1378,7 +1375,6 @@ def min_total_angle(cone):
     target = cone.canonical_word
     if _central_circle_exists(poly, target):
         raise ValueError("central cone: a planar loop through the origin represents this class")
-    centrality = "centrality unknown (no planar representative found among sampled circles)"
 
     R, M = cone.extra_symmetry if cone.extra_symmetry is not None else (np.eye(3), 1)
     g = tess.group.index(R)
@@ -1426,7 +1422,7 @@ def min_total_angle(cone):
             semi_axes=semi_axes,
             arc_angles=arc_angles,
             times=times,
-            centrality=centrality,
+            centrality="non-central",
             word=word,
             pops=pops,
             skeletons=len(seen_skeletons),

@@ -1,8 +1,10 @@
 """Count policy of the library: a count taken from a caller (a satellite
-number, a symmetry order, a sample count) goes through ``action.check_count``,
-which refuses 4.9, NaN and inf instead of truncating them.  A public function
-or method that applies ``int()`` directly to one of its own parameters is
-refused; ``check_count`` itself is the one function allowed to."""
+number, a symmetry order, a sample count, a vertex id or label) goes through
+``action.check_count``, which refuses 4.9, NaN and inf instead of truncating
+them.  A public function or method (dunder methods included) that applies
+``int()`` to a bare name or a subscript, the shapes a caller's count arrives
+in, is refused; ``check_count`` itself is the one function allowed to.  A
+numpy scalar is converted with ``.tolist()`` instead."""
 
 import ast
 from pathlib import Path
@@ -15,26 +17,28 @@ SOURCES = sorted(Path(choreo.__file__).parent.glob("*.py"))
 HELPER = "check_count"
 
 
-def truncated_parameters(tree):
-    """(line, function, parameter) of every int(p) call, p a parameter of the
-    public function or method whose body holds the call."""
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def truncated_counts(tree):
+    """(line, function, argument) of every one-argument int(x) call, x a bare
+    name or a subscript, in a public function or method, nested bodies
+    included."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if node.name.startswith("_") or node.name == HELPER:
+        if is_private(node.name) or node.name == HELPER:
             continue
-        a = node.args
-        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
         found += [
-            (call.lineno, node.name, call.args[0].id)
+            (call.lineno, node.name, ast.unparse(call.args[0]))
             for call in ast.walk(node)
             if isinstance(call, ast.Call)
             and isinstance(call.func, ast.Name)
             and call.func.id == "int"
             and len(call.args) == 1
-            and isinstance(call.args[0], ast.Name)
-            and call.args[0].id in params
+            and isinstance(call.args[0], (ast.Name, ast.Subscript))
         ]
     return sorted(found)
 
@@ -56,14 +60,19 @@ def test_count_guard_on_a_synthetic_source():
         "    return int(steps)\n"
         "def check_count(count, name, least):\n"
         "    return int(count)\n"
+        "def load(spec):\n"
+        "    return int(spec['M']), int(spec.get('M'))\n"
     )
-    assert truncated_parameters(ast.parse(source)) == [
+    assert truncated_counts(ast.parse(source)) == [
         (2, "polygon", "satellites"),
         (5, "order", "M"),
+        (7, "__init__", "node"),
+        (11, "fine", "label"),
         (13, "walk", "steps"),
+        (17, "load", "spec['M']"),
     ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_public_function_truncates_its_parameter(path):
-    assert truncated_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert truncated_counts(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -666,9 +666,9 @@ def test_locate_matches_the_cross_product_normals(tag):
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_chamber_tables_match_the_cross_product_locate(tag, monkeypatch):
     """A polyhedron built afresh with locate reading the cross-product side
-    normals has the same vertex-edge, successor-arc and circle tables."""
+    normals has the same vertex-edge and successor-arc tables."""
     kept = H.build_archimedean(tag)
-    tables = ("edge_chambers", "arc_runs", "circle_classes")
+    tables = ("edge_chambers", "arc_runs")
     expected = [getattr(kept, name) for name in tables]
     monkeypatch.setattr(groups.Tessellation, "locate", reference_batch_locate)
     fresh = H._build_archimedean_cached.__wrapped__(tag)

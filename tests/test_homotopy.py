@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from choreo import homotopy as H
-from choreo.groups import builtin_group, full_group_tessellation, matrix_key
+from choreo.groups import builtin_group, full_group_tessellation, matrix_key, unit_frame
 from choreo.reference_tables import (
     GROUP_CONSTANT_DEVIATIONS,
     GROUP_CONSTANTS,
@@ -352,6 +352,23 @@ def test_reconstruct_numbering_refuses_bad_rows(tag, rows, message):
         H.reconstruct_numbering(H.build_archimedean(tag), rows)
 
 
+@pytest.mark.parametrize(
+    "tag,name,count,value",
+    [("T", "nu1", "k1", 0.9), ("O", "nu4", "k2", 0.4), ("O", "nu1", "M", 2.5)],
+    ids=["k1-plus-0.9", "k2-plus-0.4", "M-2.5"],
+)
+def test_reconstruct_numbering_refuses_a_non_integer_count(tag, name, count, value):
+    """k1 + 0.9 and k2 + 0.4 were truncated to the row's counts, and M = 2.5,
+    which divides the 10 steps of O nu1, failed as a list index."""
+    entry = catalog_entry(tag, name)
+    row = {"M": entry.M, "k1": entry.k1, "k2": entry.k2 or 0}
+    row[count] = value if count == "M" else row[count] + value
+    with pytest.raises(ValueError, match=f"{count} must be"):
+        H.reconstruct_numbering(
+            H.build_archimedean(tag), [(entry.labels, row["M"], row["k1"], row["k2"])]
+        )
+
+
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_element_between_is_one_element_per_vertex_pair(tag):
     poly = H.build_archimedean(tag)
@@ -411,6 +428,20 @@ def test_find_extra_symmetry_matches_the_element_scan():
     assert cases == 9300
 
 
+@pytest.mark.parametrize("M", [2.5, 4.9, math.inf, math.nan], ids=["2.5", "4.9", "inf", "nan"])
+def test_find_extra_symmetry_refuses_a_non_integer_order(M):
+    """2.5 divides the 10 steps of O nu1 and failed as a slice index; 4.9,
+    inf and NaN were read as orders that divide nothing."""
+    with pytest.raises(ValueError, match="symmetry order M must be"):
+        H.find_extra_symmetry(row_sequence("O", "nu1"), M)
+
+
+def test_find_extra_symmetry_reads_a_whole_float_order():
+    nu, M = row_sequence("O", "nu1"), catalog_entry("O", "nu1").M
+    found = [matrix_key(R) for R in H.find_extra_symmetry(nu, float(M))]
+    assert found == [matrix_key(R) for R in H.find_extra_symmetry(nu, M)] != []
+
+
 # ---------------------------------------------------------------------------
 # Vertex sequences
 
@@ -434,6 +465,27 @@ def test_vertex_sequence_validation():
         H.VertexSequence(poly, (0, 99))
     with pytest.raises(ValueError):
         H.VertexSequence.from_labels(poly, (1, 999, 1), {1: 0, 2: 1})
+
+
+@pytest.mark.parametrize(
+    "entry_point,name",
+    [("VertexSequence", "vertex id"), ("from_labels", "label"), ("TriangleSequence", "chamber")],
+    ids=["VertexSequence", "from_labels", "TriangleSequence"],
+)
+def test_sequences_refuse_ids_off_the_integers(entry_point, name):
+    """Vertex ids, labels and chambers offset by 0.4 were truncated to a valid
+    sequence."""
+    nu = row_sequence("T", "nu3")
+    poly = nu.polyhedron
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        if entry_point == "VertexSequence":
+            H.VertexSequence(poly, tuple(i + 0.4 for i in nu.vertex_ids))
+        elif entry_point == "from_labels":
+            labels = [label + 0.4 for label in catalog_entry("T", "nu3").labels]
+            H.VertexSequence.from_labels(poly, labels, H.published_numbering("T"))
+        else:
+            chambers = H.triangles_from_vertices(nu).triangles
+            H.TriangleSequence(poly.tessellation, tuple(c + 0.4 for c in chambers))
 
 
 def test_minimal_period_of_doubled_listing():
@@ -932,6 +984,20 @@ def test_cone_spec_rejects_an_order_not_dividing_M():
         )
 
 
+@pytest.mark.parametrize(
+    "key,shift",
+    [("M", 0.7), ("element_index", 0.9), ("M", math.inf)],
+    ids=["M-plus-0.7", "element_index-plus-0.9", "M-inf"],
+)
+def test_cone_from_config_refuses_a_non_integer_count(key, shift):
+    """M + 0.7 and element_index + 0.9 were truncated to the saved cone; an
+    infinite M raised OverflowError."""
+    config = H.catalog_cone("O", "nu6").to_config()
+    config["extra_symmetry"][key] += shift
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        H.cone_from_config(config)
+
+
 @pytest.mark.parametrize("tag,name", [("T", "nu1"), ("O", "nu6"), ("I", "nu3")])
 def test_cone_config_roundtrip(tag, name, tmp_path):
     cone = H.catalog_cone(tag, name, period=3.5, central_mass=2.0)
@@ -1081,20 +1147,16 @@ def reference_off_wall_itinerary(tess, za, zb):
 
 
 def sampled_circle_axes(tess):
-    """The 300 Fibonacci normals whose circles keep 5e-3 away from every pole."""
-    axes = [axis / np.linalg.norm(axis) for axis in H._fibonacci_directions(300)]
+    """The normals of 300 Fibonacci directions whose circles keep 5e-3 away
+    from every pole: the sample the table of circle classes that the exact
+    central-class test replaced was read from (reference)."""
+    k = np.arange(300)
+    z = 1.0 - (2.0 * k + 1.0) / 300
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    ang = TWO_PI * k / ((1.0 + math.sqrt(5.0)) / 2.0)
+    directions = np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
+    axes = [axis / np.linalg.norm(axis) for axis in directions]
     return [axis for axis in axes if np.min(np.abs(tess.points @ axis)) >= 5e-3]
-
-
-@pytest.mark.parametrize("tag", ["T", "O", "I"])
-def test_circle_words_match_the_crossing_loop(tag):
-    tess = H.build_archimedean(tag).tessellation
-    axes = sampled_circle_axes(tess)
-    assert len(axes) > 200
-    for axis in axes:
-        # the same cyclic word, before reduction, up to where it starts
-        word, reference = H._circle_word(tess, axis), reference_circle_word(tess, axis)
-        assert H.canonical_cyclic_word(word) == H.canonical_cyclic_word(reference)
 
 
 def read_successor_arcs(poly):
@@ -1151,14 +1213,6 @@ def test_arcs_along_a_wall_are_the_ordered_tessellation_sides(tag, sides):
     assert {arc for arc, (_, wall) in read.items() if wall is not None} == ordered_sides
 
 
-@pytest.mark.parametrize("tag", ["T", "O", "I"])
-def test_circle_word_refuses_a_circle_along_a_wall(tag):
-    tess = H.build_archimedean(tag).tessellation
-    for normal in tess.wall_normals:
-        with pytest.raises(ValueError, match="along a wall"):
-            H._circle_word(tess, normal)
-
-
 def reference_on_wall_itinerary(tess, za, zb, wall, side):
     """The chamber beside an arc along a wall, located at the arc's midpoint
     nudged 1e-7 off the wall towards side * its normal (reference)."""
@@ -1193,17 +1247,6 @@ def test_on_wall_runs_match_the_nudged_midpoint(tag):
                 assert [list(run) for run in poly.arc_runs[a, b]] == sides
                 checked += 1
     assert checked > 0
-
-
-@pytest.mark.parametrize("tag", ["T", "O", "I"])
-def test_circle_classes_match_the_crossing_loop(tag):
-    """Both directions of every reduced sampled circle word, and nothing else."""
-    expected = {
-        H.canonical_cyclic_word(w)
-        for reduced in reference_circle_words(tag)
-        for w in (reduced, reduced[::-1])
-    }
-    assert H.build_archimedean(tag).circle_classes == tuple(sorted(expected))
 
 
 @lru_cache(maxsize=None)
@@ -1250,13 +1293,7 @@ def reference_central_circle_exists(tag, target_word):
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_central_circle_exists_matches_sampled_loop(tag):
     poly = H.build_archimedean(tag)
-    assert poly.circle_classes
-    sampled = {
-        H.canonical_cyclic_word(w)
-        for reduced in reference_circle_words(tag)
-        for w in (reduced, reduced[::-1])
-    }
-    for c in sampled | set(poly.circle_classes):
+    for c in sampled_circle_classes(tag):
         for word in (c, c + c):
             assert H._central_circle_exists(poly, word)
             assert reference_central_circle_exists(tag, word)
@@ -1269,6 +1306,210 @@ def test_central_circle_exists_matches_sampled_loop(tag):
             assert not H._central_circle_exists(poly, moved)
             assert not reference_central_circle_exists(tag, moved)
     assert not H._central_circle_exists(poly, ())
+
+
+def sampled_circle_classes(tag):
+    """Canonical words of the reduced sampled circle words, both directions."""
+    return {
+        H.canonical_cyclic_word(w)
+        for reduced in reference_circle_words(tag)
+        for w in (reduced, reduced[::-1])
+    }
+
+
+@lru_cache(maxsize=None)
+def reference_arrangement_classes(tag):
+    """Canonical reduced words, both directions, of one great circle per cell
+    of the arrangement of the circles p^perp over the pole axes p (reference).
+
+    A circle's word changes only where its normal crosses some p^perp, so one
+    normal per cell reads every class.  Each cell has on its boundary a
+    vertex +-(a x b)/|a x b| of the arrangement, and the cells at a vertex are
+    the sectors between the circles through it: the normal steps 1e-3 from
+    the vertex into each sector, and reference_circle_word reads its circle.
+    The vertices are taken one per group orbit, and each word is moved by
+    every element's chamber permutation.
+    """
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    axes = np.array([p for p in tess.points if matrix_key(p) > matrix_key(-p)])
+    vertices = {}
+    for a, b in itertools.combinations(axes, 2):
+        v = np.cross(a, b)
+        v /= np.linalg.norm(v)
+        for s in (1.0, -1.0):
+            vertices.setdefault(matrix_key(s * v), s * v)
+    words, covered = [], set()
+    for key, v in vertices.items():
+        if key in covered:
+            continue
+        covered.update(matrix_key(R @ v) for R in poly.group.elements)
+        tangents = np.cross(axes[np.abs(axes @ v) < 1e-9], v)
+        tangents = np.concatenate([tangents, -tangents])
+        e1, e2 = unit_frame(v)
+        angles = np.sort(np.arctan2(tangents @ e2, tangents @ e1))
+        for t in 0.5 * (angles + np.append(angles[1:], angles[0] + TWO_PI)):
+            n = v + 1e-3 * (math.cos(t) * e1 + math.sin(t) * e2)
+            words.append(reference_reduce_cyclic_word(reference_circle_word(tess, n / np.linalg.norm(n))))
+    return frozenset(
+        H.canonical_cyclic_word(perm[c] for c in w)
+        for perm in tess.triangle_permutations
+        for word in words
+        for w in (word, word[::-1])
+    )
+
+
+@pytest.mark.parametrize("tag,count", [("T", 32), ("O", 96), ("I", 480)])
+def test_central_circle_exists_accepts_every_arrangement_class(tag, count):
+    """The arrangement gives 32 / 96 / 480 classes, the sampled ones among
+    them, each a word of 2W distinct chambers, and each class and its square
+    is central."""
+    poly = H.build_archimedean(tag)
+    classes = reference_arrangement_classes(tag)
+    assert len(classes) == count
+    assert sampled_circle_classes(tag) <= classes
+    width = 2 * len(poly.tessellation.wall_normals)
+    for c in classes:
+        assert len(set(c)) == len(c) == width
+        assert H._central_circle_exists(poly, c)
+        assert H._central_circle_exists(poly, c + c)
+
+
+def reference_side_signs(tess, word):
+    """Signs of the poles of the sides between consecutive chambers of the
+    cyclic word, opposite across each side, by a breadth-first two-colouring
+    of the graph of those sides; None if no such signs exist (reference)."""
+    graph = defaultdict(set)
+    for a, b in zip(word, word[1:] + word[:1]):
+        p, q = set(tess.triangles[a]) & set(tess.triangles[b])
+        graph[p].add(q)
+        graph[q].add(p)
+    colour = {}
+    for start in graph:
+        if start in colour:
+            continue
+        colour[start] = 1
+        queue = [start]
+        for p in queue:
+            for q in graph[p]:
+                if q not in colour:
+                    colour[q] = -colour[p]
+                    queue.append(q)
+                elif colour[q] == colour[p]:
+                    return None
+    return colour
+
+
+@lru_cache(maxsize=None)
+def antipodes(tag):
+    points = H.build_archimedean(tag).tessellation.points
+    keys = {matrix_key(p): i for i, p in enumerate(points)}
+    return tuple(keys[matrix_key(-p)] for p in points)
+
+
+def antipode_shares_its_sign(tag, signs):
+    return any(signs.get(antipodes(tag)[p]) == s for p, s in signs.items())
+
+
+def rerouted_words(tess, classes, swaps):
+    """The class words with `swaps` chambers, no two adjacent, each swapped
+    for the other chamber beside both of its neighbours, kept when the word
+    still has 2W distinct chambers."""
+    words = set()
+    for c in classes:
+        options = [
+            (i, alt)
+            for i in range(len(c))
+            for alt in set(tess.neighbors[c[i - 1]]) & set(tess.neighbors[c[(i + 1) % len(c)]])
+            if alt not in c
+        ]
+        for chosen in itertools.combinations(options, swaps):
+            spots = [i for i, _ in chosen]
+            if all((b - a) % len(c) > 1 and (a - b) % len(c) > 1 for a, b in itertools.combinations(spots, 2)):
+                word = list(c)
+                for i, alt in chosen:
+                    word[i] = alt
+                if len(set(word)) == len(c):
+                    words.add(H.canonical_cyclic_word(word))
+    return words
+
+
+@pytest.mark.parametrize("tag,count", [("T", 48), ("O", 240), ("I", 2160)])
+def test_central_circle_exists_refuses_the_rerouted_circle_words(tag, count):
+    """A circle class with one chamber swapped for the other chamber beside
+    both of its neighbours is no circle's word.  Every such reroute passes
+    the length check and the side signs; it moves one pole to the side of
+    the circle its antipode is on."""
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    rerouted = rerouted_words(tess, reference_arrangement_classes(tag), 1)
+    assert len(rerouted) == count
+    for word in rerouted:
+        signs = reference_side_signs(tess, word)
+        assert signs is not None and antipode_shares_its_sign(tag, signs)
+        assert not H._central_circle_exists(poly, word)
+
+
+@pytest.mark.parametrize(
+    "tag,circles,others", [("T", 24, 0), ("O", 96, 16), ("I", 480, 520)]
+)
+def test_central_circle_exists_reads_the_twice_rerouted_circle_words(tag, circles, others):
+    """Two swaps that keep every pole opposite its antipode: the test
+    accepts exactly the words the arrangement lists, and only the corner
+    test can refuse the others.  Every reroute has side signs, as a closed
+    path through distinct chambers does."""
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    classes = reference_arrangement_classes(tag)
+    verdicts = Counter()
+    for word in rerouted_words(tess, classes, 2):
+        signs = reference_side_signs(tess, word)
+        assert signs is not None
+        if antipode_shares_its_sign(tag, signs):
+            continue
+        assert H._central_circle_exists(poly, word) == (word in classes)
+        verdicts[word in classes] += 1
+    assert (verdicts[True], verdicts[False]) == (circles, others)
+
+
+def test_central_circle_exists_refuses_every_t_word_that_repeats_a_chamber():
+    """Every cyclically reduced T word of 2W = 12 chambers that visits a
+    chamber twice, enumerated as closed non-backtracking walks, is refused.
+    Some wind twice about an order-2 pole and pass every later step, so only
+    the distinct-chamber check refuses them."""
+    poly = H.build_archimedean("T")
+    neighbors = poly.tessellation.neighbors
+    width = 2 * len(poly.tessellation.wall_normals)
+    words = set()
+
+    def extend(walk):
+        if len(walk) == width:
+            if walk[0] in neighbors[walk[-1]] and walk[-1] != walk[1] and walk[-2] != walk[0]:
+                if len(set(walk)) < width:
+                    words.add(H.canonical_cyclic_word(walk))
+            return
+        for c in neighbors[walk[-1]]:
+            if len(walk) < 2 or c != walk[-2]:
+                extend(walk + [c])
+
+    for start in range(len(neighbors)):
+        extend([start])
+    assert len(words) == 196
+    assert not any(H._central_circle_exists(poly, w) for w in words)
+
+
+def test_min_total_angle_refuses_a_class_the_sample_missed():
+    """The 128 I classes that no sampled circle carries are central: with one
+    as its class, a catalog cone is refused instead of searched."""
+    missed = sorted(reference_arrangement_classes("I") - sampled_circle_classes("I"))
+    assert len(missed) == 128
+    assert not reference_central_circle_exists("I", missed[0])
+    for word in missed:
+        cone = H.catalog_cone("I", "nu3")
+        # where the cached property keeps the cone's class
+        cone.__dict__["canonical_word"] = word
+        with pytest.raises(ValueError, match="central cone"):
+            H.min_total_angle(cone)
 
 
 def conjugated_cone(base, element):
