@@ -16,13 +16,14 @@ it and the sample count n (transforms, free nodes, node images, orbit
 weights) for the most recent n it served, as read-only arrays, so a
 minimizer iterating at one n builds them once.
 
-The potential kernel runs once per orbit of nodes.  When every matrix of
-the reduction lies in the group up to sign, the potential is the same at
-every node of an orbit and its gradients are images of one another
-(symmetric criticality), so action and gradient evaluate the kernel on the
-fundamental nodes only, weighted by their orbit sizes
-(SymmetryReduction.orbit_weights).  Otherwise, and on loops without a
-reduction, the kernel sees every node.
+The potential kernel runs once per orbit of nodes, and once per loop and
+cone: a LoopPath keeps its last kernel evaluation, values and gradient
+together, and action and gradient share it.  When every matrix of the
+reduction lies in the group up to sign, the potential is the same at every
+node of an orbit and its gradients are images of one another (symmetric
+criticality), so the kernel runs on the fundamental nodes only, weighted
+by their orbit sizes (SymmetryReduction.orbit_weights).  Otherwise, and on
+loops without a reduction, the kernel sees every node.
 """
 
 import logging
@@ -361,6 +362,10 @@ class LoopPath:
     def with_points(self, points):
         return LoopPath(points=points, period=self.period, reduction=self.reduction)
 
+    @cached_property
+    def _slot(self):
+        return [None]  # (group, key, result) of the last _evaluate
+
 
 def apply_symmetry_reduction(loop, reduction):
     """Replace the loop by its exact symmetrization under the reduction."""
@@ -436,12 +441,19 @@ def _coefficients(cone, epsilon):
     return 1.0, epsilon, 1.0
 
 
-def _orbit_table(loop, group):
-    """The loop's orbit table (SymmetryReduction.orbit_weights), or every
-    node with weight 1 when it has none."""
-    n = loop.n
-    table = None if loop.reduction is None else loop.reduction.orbit_weights(n, group)
-    return table if table is not None else (np.arange(n), np.ones(n))
+def _evaluate(loop, cone, m0, mutual):
+    """(free, w, central, pair, grad): the orbit table (every node with
+    weight 1 when the loop has none) and the kernel with its gradient there.
+    The loop keeps the last one, keyed by the group (by identity), alpha,
+    m0 and mutual; a call that raises keeps nothing."""
+    group, key, kept = cone.group, (cone.alpha, m0, mutual), loop._slot[0]
+    if kept is None or kept[0] is not group or kept[1] != key:
+        n = loop.n
+        table = None if loop.reduction is None else loop.reduction.orbit_weights(n, group)
+        free, w = table if table is not None else (np.arange(n), np.ones(n))
+        kernel = _potential(loop.points[free], group, cone.alpha, m0, mutual, with_gradient=True)
+        kept = loop._slot[0] = (group, key, (free, w) + kernel)
+    return kept[2]
 
 
 def _kinetic(pts, period, factor):
@@ -459,7 +471,8 @@ def action(loop, cone, epsilon=None):
     N * integral of |u'|^2/2 + m0/|u|^alpha + (1/2) sum_{R != I}
     |(R - I)u|^(-alpha), with N the group order.  Forward-difference
     velocities, uniform quadrature of the potential.  Raises
-    CollisionError when a node sits on the collision set.
+    CollisionError when a node sits on the collision set.  A lone call on
+    a fresh loop also pays the kernel's gradient pass, which gradient reuses.
 
     With epsilon given this is instead the rescaled functional
     |v'|^2/2 + |v|^(-alpha) + (eps/2) sum, with no N factor and unit
@@ -470,8 +483,7 @@ def action(loop, cone, epsilon=None):
     pts = np.asarray(loop.points, float)
     h = loop.period / len(pts)
     m0, mutual, prefactor = _coefficients(cone, epsilon)
-    free, w = _orbit_table(loop, cone.group)
-    central, pair, _ = _potential(pts[free], cone.group, cone.alpha, m0, mutual)
+    free, w, central, pair, _ = _evaluate(loop, cone, m0, mutual)
     return ActionBreakdown(
         kinetic=_kinetic(pts, loop.period, prefactor),
         central=prefactor * h * float(np.sum(w * central)),
@@ -485,13 +497,13 @@ def gradient(loop, cone, epsilon=None):
     With epsilon None this is the physical action; otherwise the rescaled
     functional at that epsilon.  If the loop carries a reduction the
     result is the chain-rule gradient with respect to the free nodes
-    (shape (n_free, 3)); otherwise shape (n, 3).
+    (shape (n_free, 3)); otherwise shape (n, 3).  After action on the same
+    loop and cone it reuses that call's kernel pass.
     """
     pts = np.asarray(loop.points, float)
     h = loop.period / len(pts)
     m0, mutual, prefactor = _coefficients(cone, epsilon)
-    free, w = _orbit_table(loop, cone.group)
-    _, _, grad = _potential(pts[free], cone.group, cone.alpha, m0, mutual, with_gradient=True)
+    free, w, _, _, grad = _evaluate(loop, cone, m0, mutual)
     stretch = 2.0 * pts  # (2 u_j - u_{j+1}) - u_{j-1}, cyclically
     stretch[:-1] -= pts[1:]
     stretch[-1] -= pts[0]

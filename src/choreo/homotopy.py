@@ -378,8 +378,8 @@ def build_archimedean(group):
 def reconstruct_numbering(polyhedron, rows):
     """Assign vertex indices to published labels from sequence data alone.
 
-    rows is an iterable of (labels, M, k1, k2) where labels, each in
-    1..vertex_count, repeats the starting label at the end, M is a positive
+    rows is an iterable of (labels, M, k1, k2) where labels, whole numbers
+    in 1..vertex_count, repeats the starting label at the end, M is a positive
     divisor of the step count and k1, k2 are whole numbers (ValueError
     otherwise).  The search places each row as a closed edge path, prunes
     on side-type counts, and requires for each row a group element R with
@@ -396,7 +396,7 @@ def reconstruct_numbering(polyhedron, rows):
 
     prepared = []
     for labels, M, k1, k2 in rows:
-        labels = list(labels)
+        labels = [check_count(label, "label", 0) for label in labels]
         if labels[0] != labels[-1]:
             raise ValueError("each row must repeat its starting label at the end")
         per = labels[:-1]
@@ -938,7 +938,10 @@ def cone_from_config(config):
     extra = None
     if config.get("extra_symmetry") is not None:
         spec = config["extra_symmetry"]
-        extra = (group.elements[check_count(spec["element_index"], "element_index", 0)], spec["M"])
+        index = check_count(spec["element_index"], "element_index", 0)
+        if index >= group.order:
+            raise ValueError(f"element_index must be below the group order {group.order}")
+        extra = (group.elements[index], spec["M"])
     return ConeSpec(
         group=group,
         nu=nu,

@@ -866,11 +866,12 @@ def test_pair_form_kernel_matches_element_loop(tag, n, monkeypatch):
     reduction = ORDER3 if n % 3 == 0 else None
     if reduction is not None:
         pts = reduction.project(pts)
-    loop = LoopPath(points=pts, period=2.1, reduction=reduction)
     cone = SimpleNamespace(group=group, alpha=1.37, central_mass=1.7)
-    got = kernel_values(loop, cone)
+    # each side gets its own loop, so neither reads the kernel pass the
+    # other one's loop keeps
+    got = kernel_values(LoopPath(points=pts, period=2.1, reduction=reduction), cone)
     monkeypatch.setattr(A, "_potential", reference_potential)
-    want = kernel_values(loop, cone)
+    want = kernel_values(LoopPath(points=pts, period=2.1, reduction=reduction), cone)
     assert got.keys() == want.keys()
     assert ("gradient_reduced@None" in got) == (reduction is not None)
     for name in want:
@@ -1066,12 +1067,12 @@ def test_potential_sees_one_node_per_orbit(tag, red, rows, monkeypatch):
     monkeypatch.setattr(A, "_potential", counted)
     action(loop, cone)
     gradient(loop, cone)
-    assert seen == [rows(n)] * 2
+    assert seen == [rows(n)]
     seen.clear()
     full = LoopPath(loop.points, loop.period)
     action(full, cone)
     gradient(full, cone)
-    assert seen == [n] * 2
+    assert seen == [n]
 
 
 def test_orbit_kernel_checks_collisions_at_the_free_nodes():
@@ -1102,3 +1103,127 @@ def test_orbit_kernel_checks_collisions_at_the_free_nodes():
         with pytest.raises(CollisionError, match="origin") as err:
             evaluate(loop, cone)
         assert err.value.node == 3
+
+
+# ---------------------------------------------------------------------------
+# one kernel pass per loop and cone
+
+
+def reference_orbit_table(loop, group):
+    """The loop's orbit table, or every node with weight 1 when it has none."""
+    n = loop.n
+    table = None if loop.reduction is None else loop.reduction.orbit_weights(n, group)
+    return table if table is not None else (np.arange(n), np.ones(n))
+
+
+def reference_action(loop, cone, epsilon=None):
+    """action with a value-only kernel pass of its own (reference)."""
+    pts = np.asarray(loop.points, float)
+    h = loop.period / len(pts)
+    m0, mutual, prefactor = A._coefficients(cone, epsilon)
+    free, w = reference_orbit_table(loop, cone.group)
+    central, pair, _ = A._potential(pts[free], cone.group, cone.alpha, m0, mutual)
+    return ActionBreakdown(
+        kinetic=A._kinetic(pts, loop.period, prefactor),
+        central=prefactor * h * float(np.sum(w * central)),
+        mutual=prefactor * h * float(np.sum(w * pair)),
+    )
+
+
+def reference_gradient(loop, cone, epsilon=None):
+    """gradient with a kernel pass of its own (reference)."""
+    pts = np.asarray(loop.points, float)
+    h = loop.period / len(pts)
+    m0, mutual, prefactor = A._coefficients(cone, epsilon)
+    free, w = reference_orbit_table(loop, cone.group)
+    _, _, grad = A._potential(pts[free], cone.group, cone.alpha, m0, mutual, with_gradient=True)
+    stretch = 2.0 * pts
+    stretch[:-1] -= pts[1:]
+    stretch[-1] -= pts[0]
+    stretch[1:] -= pts[:-1]
+    stretch[0] -= pts[-1]
+    out = stretch / h
+    out[free] += h * w[:, None] * grad
+    out = prefactor * out
+    if loop.reduction is None:
+        return out
+    return loop.reduction.reduce_gradient(out, len(pts))
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("tag, name", [(e.tag, e.name) for e in LOOP_CATALOG], ids=lambda v: v)
+def test_shared_kernel_pass_matches_the_separate_passes(tag, name):
+    """action and gradient read one kernel pass in either order and agree
+    bit for bit with the bodies that ran a pass each: 19 rows x m0 in
+    {0, 2.5} x two sample counts x epsilon in {None, 0, 0.3}."""
+    for m0 in (0.0, 2.5):
+        cone = H.catalog_cone(tag, name, central_mass=m0)
+        step = math.lcm(cone.nu.steps, cone.extra_symmetry[1])
+        for n in (step, 4096 // step * step):
+            base = catalog_loop(cone, n)
+            for eps in (None, 0.0, 0.3):
+                want_a = reference_action(base.with_points(base.points), cone, eps)
+                want_g = reference_gradient(base.with_points(base.points), cone, eps)
+                first = base.with_points(base.points)
+                got_a, got_g = action(first, cone, eps), gradient(first, cone, eps)
+                second = base.with_points(base.points)
+                got_g2, got_a2 = gradient(second, cone, eps), action(second, cone, eps)
+                case = (m0, n, eps)
+                assert got_a == want_a and got_a2 == want_a, case
+                assert same_bytes(got_g, want_g) and same_bytes(got_g2, want_g), case
+
+
+def test_a_loop_keeps_one_kernel_pass_per_cone(monkeypatch):
+    """The kept pass is keyed by the group's identity, alpha, m0 and the
+    mutual weight, holds the last key only, belongs to one LoopPath, and is
+    not kept when the kernel raises."""
+    n = 24
+    cone = cone_for("T", alpha=1.37, m0=1.3)
+    loop = random_symmetric_loop("T", ORDER3, n, seed=4)
+    calls = []
+    kernel = A._potential
+
+    def counted(pts, *args, **kwargs):
+        calls.append(len(pts))
+        return kernel(pts, *args, **kwargs)
+
+    monkeypatch.setattr(A, "_potential", counted)
+
+    def passes(evaluations):
+        calls.clear()
+        for evaluate, lp, c, eps in evaluations:
+            evaluate(lp, c, eps)
+        return len(calls)
+
+    assert passes([(action, loop, cone, None), (gradient, loop, cone, None)]) == 1
+    assert passes([(gradient, loop, cone, None), (action, loop, cone, None)]) == 0
+    others = [
+        SimpleNamespace(group=cone.group, alpha=1.5, central_mass=1.3),
+        SimpleNamespace(group=cone.group, alpha=1.37, central_mass=2.0),
+        SimpleNamespace(group=builtin_group("T"), alpha=1.37, central_mass=1.3),
+    ]
+    for other in others:
+        assert passes([(action, loop, other, None), (gradient, loop, other, None)]) == 1
+    for eps in (0.0, 0.3, None):
+        assert passes([(gradient, loop, cone, eps), (action, loop, cone, eps)]) == 1
+    # the rescaled functional at epsilon 1 runs the kernel of the physical
+    # action of unit central mass; only the prefactor tells them apart
+    unit = SimpleNamespace(group=cone.group, alpha=1.37, central_mass=1.0)
+    assert passes([(action, loop, unit, 1.0), (gradient, loop, unit, None)]) == 1
+    assert same_bytes(gradient(loop, unit), reference_gradient(loop, unit))
+    assert action(loop, unit, 1.0) == reference_action(loop, unit, 1.0)
+    twin = LoopPath(loop.points, loop.period, loop.reduction)
+    assert passes([(action, twin, cone, None), (gradient, twin, cone, None)]) == 1
+    assert passes([(action, loop.with_points(loop.points), cone, None)]) == 1
+
+    pts = np.array(loop.points)
+    pts[[0, 8, 16]] = 0.0  # free node 0 and its images at the origin
+    hit = LoopPath(pts, loop.period, ORDER3)
+    calls.clear()
+    for evaluate in (action, gradient, action):
+        with pytest.raises(CollisionError, match="origin"):
+            evaluate(hit, cone)
+    assert len(calls) == 3

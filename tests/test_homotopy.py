@@ -369,6 +369,14 @@ def test_reconstruct_numbering_refuses_a_non_integer_count(tag, name, count, val
         )
 
 
+@pytest.mark.parametrize("value", [5.5, math.nan, math.inf], ids=["5.5", "nan", "inf"])
+def test_reconstruct_numbering_refuses_a_fractional_label(value):
+    """T nu1 with its label 5 read as 5.5 was placed, and the numbering came
+    back keyed by 5.5 with no label 10."""
+    with pytest.raises(ValueError, match="label must be"):
+        H.reconstruct_numbering(H.build_archimedean("T"), altered_row("T", "nu1", relabel=(5, value)))
+
+
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_element_between_is_one_element_per_vertex_pair(tag):
     poly = H.build_archimedean(tag)
@@ -995,6 +1003,15 @@ def test_cone_from_config_refuses_a_non_integer_count(key, shift):
     config = H.catalog_cone("O", "nu6").to_config()
     config["extra_symmetry"][key] += shift
     with pytest.raises(ValueError, match=f"{key} must be"):
+        H.cone_from_config(config)
+
+
+@pytest.mark.parametrize("tag,name,index", [("O", "nu6", 48), ("T", "nu1", 12)], ids=["O-48", "T-12"])
+def test_cone_from_config_refuses_an_element_index_past_the_group(tag, name, index):
+    """An index at the group order raised IndexError."""
+    config = H.catalog_cone(tag, name).to_config()
+    config["extra_symmetry"]["element_index"] = index
+    with pytest.raises(ValueError, match="element_index must be below the group order"):
         H.cone_from_config(config)
 
 
