@@ -17,12 +17,12 @@ counts once and returns the loop's potential coefficient, exact or bounded;
 test loop actions and a certificate's left-hand sides read it.
 
 Whatever does not depend on the exponent is read from tables built once,
-on first use: the polyhedron's ``edge_quadratics`` (zeta) and
-``midpoint_chords`` (delta_min), the tessellation's ``widest_chords``
-(tilde_U0), the sequence's ``side_counts`` (test loops) and the turn
-sines of each order (k_alpha_p).  A call evaluates only the powers of
-alpha.  Each computed ``zeta`` sends its rule difference to the
-``choreo.estimates`` logger at DEBUG.
+on first use: ``_edge_nodes``, the edge quadratics at both rules' nodes
+(zeta), the polyhedron's ``midpoint_chords`` (delta_min), the
+tessellation's ``widest_chords`` (tilde_U0), the sequence's
+``side_counts`` (test loops) and the turn sines of each order
+(k_alpha_p).  A call evaluates only the powers of alpha.  Each computed
+``zeta`` logs its rule difference to ``choreo.estimates`` at DEBUG.
 
 All inequalities are evaluated in the form that holds for every value of
 the central mass: the mass-independent part and the coefficient of the
@@ -54,10 +54,22 @@ def _gauss_legendre(n):
 # The edge integrands are analytic on the closed segment, so Gauss-Legendre
 # converges geometrically: zeta keeps the finer rule and refuses a value on
 # which the two rules differ by more than _QUAD_TOL, three orders past the
-# five tabulated decimals.
-_COARSE_RULE = _gauss_legendre(24)
-_FINE_RULE = _gauss_legendre(48)
+# five tabulated decimals.  Node counts name the rules and key the node table.
+_COARSE_NODES = 24
+_FINE_NODES = 48
 _QUAD_TOL = 1e-8
+
+
+@lru_cache(maxsize=32)
+def _edge_nodes(tag, which, fine, coarse):
+    """Read-only (mult, squares, fine weights, coarse weights): squares holds
+    the polyhedron's ``edge_quadratics`` at the fine nodes, then the coarse."""
+    c0, c1, c2, mult = build_archimedean(tag).edge_quadratics[which]
+    (x, w), (y, v) = _gauss_legendre(fine), _gauss_legendre(coarse)
+    nodes = np.concatenate((x, y))
+    squares = c0 + nodes * (c1 + nodes * c2)
+    squares.flags.writeable = w.flags.writeable = v.flags.writeable = False
+    return mult, squares, w, v
 
 
 @lru_cache(maxsize=32)
@@ -93,21 +105,19 @@ def zeta(group, alpha, which):
     Gauss-Legendre sum, and a RuntimeError is raised when the 24-node sum
     differs from it by more than 1e-8.  The squared distances along the
     edge are quadratics in s whose coefficients do not depend on alpha;
-    they are read from the polyhedron's ``edge_quadratics`` table, and
-    only the two rules are evaluated per call.  Their difference is logged
-    at DEBUG.
+    their values at both rules' nodes are read from ``_edge_nodes``, and a
+    call takes only their power, its sum over the forms and each rule's
+    weighted sum.  The rule difference is logged at DEBUG.
     """
-    if which not in (0, 1, 2):
+    which = check_count(which, "which", 0)
+    if which > 2:
         raise ValueError("which must be 0, 1 or 2")
     check_alpha(alpha)
     poly = build_archimedean(group)
-    c0, c1, c2, mult = poly.edge_quadratics[which]
-
-    def rule(nodes, weights):
-        return float(mult @ (c0 + nodes * (c1 + nodes * c2)) ** (-0.5 * alpha) @ weights)
-
-    value, coarse = rule(*_FINE_RULE), rule(*_COARSE_RULE)
-    difference = abs(value - coarse)
+    mult, squares, fine, coarse = _edge_nodes(poly.group.tag, which, _FINE_NODES, _COARSE_NODES)
+    sums = mult @ squares ** (-0.5 * alpha)
+    value = float(sums[:len(fine)] @ fine)
+    difference = abs(value - float(sums[len(fine):] @ coarse))
     _log.debug(
         "zeta %s which=%d alpha=%r: value=%r rule difference=%.3e",
         poly.group.tag, which, alpha, value, difference,
@@ -132,6 +142,7 @@ def delta_min(group, which):
     computed exactly by enumerating the pair forms.  It does not depend on
     alpha and is read from the polyhedron's ``midpoint_chords`` table.
     """
+    which = check_count(which, "which", 0)
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     return build_archimedean(group).midpoint_chords[which - 1]
@@ -303,29 +314,33 @@ class TestLoopAction:
 _Coefficient = namedtuple("_Coefficient", "free central k_nu k1 k2 collisions ell order")
 
 
-def _coefficient(cone, bounded=False):
+def _bound_edges(tag):
+    """(zeta1(1), zeta2(1), delta1, delta2) of the bounded ``_coefficient``."""
+    return (_zeta_cached(tag, 1.0, 1), _zeta_cached(tag, 1.0, 2), delta_min(tag, 1),
+            delta_min(tag, 2))
+
+
+def _coefficient(cone, bound=None):
     """The potential coefficient of a polyhedral class's test loop.
 
-    Exact, at the class exponent: free = k1 zeta1 + k2 zeta2 and central =
-    (k1 + k2) zeta0.  Bounded, for alpha strictly between 1 and 2: each edge
-    integral is bounded by the exponent-1 one over the collision chord
-    distance, free = k1 zeta1(1)/delta1 + k2 zeta2(1)/delta2, and the central
-    term by the chord bound, central = 8 (k1 + k2)/(4 - ell^2).  The counts,
-    the edge length ell and the group order |G| are read here once.
+    Exact, at the class exponent, if bound is None: free = k1 zeta1 + k2 zeta2
+    and central = (k1 + k2) zeta0.  Bounded, for alpha strictly between 1 and
+    2, from bound = ``_bound_edges``: each edge integral by the exponent-1 one
+    over the collision chord distance, free = k1 zeta1(1)/delta1 + k2
+    zeta2(1)/delta2, and the central term by the chord bound, central = 8
+    (k1 + k2)/(4 - ell^2).  The counts, ell and |G| are read here once.
     """
     if cone.nu is None:
         raise ValueError("test loops are defined for the polyhedral classes only")
     alpha = cone.alpha
-    if bounded and not 1.0 < alpha < 2.0:
+    if bound is not None and not 1.0 < alpha < 2.0:
         raise ValueError("the closed-form bound needs alpha strictly between 1 and 2")
     tag = cone.group.tag
     ell = cone.nu.polyhedron.edge_length
     k_nu, k1, k2 = cone.nu.side_counts
-    if bounded:
-        free = (
-            k1 * _zeta_cached(tag, 1.0, 1) / delta_min(tag, 1)
-            + k2 * _zeta_cached(tag, 1.0, 2) / delta_min(tag, 2)
-        )
+    if bound is not None:
+        z1, z2, d1, d2 = bound
+        free = k1 * z1 / d1 + k2 * z2 / d2
         central = 8.0 * (k1 + k2) / (4.0 - ell ** 2)
     else:
         free = k1 * _zeta_cached(tag, alpha, 1) + k2 * _zeta_cached(tag, alpha, 2)
@@ -381,7 +396,7 @@ def test_loop_action_bound(cone):
     exponents strictly between 1 and 2: ``_rescaled_action`` on the bounded
     ``_coefficient``, whose edge integrals are bounded through the exponent-1
     ones and the chord distances."""
-    return _rescaled_action(cone, _coefficient(cone, bounded=True)).value
+    return _rescaled_action(cone, _coefficient(cone, _bound_edges(cone.group.tag))).value
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +491,8 @@ def certify_no_total_collisions(cone, label=None):
         )
     alpha = cone.alpha
     z0 = _zeta_cached(tag, 1.0, 0)
-    z1 = _zeta_cached(tag, 1.0, 1)
-    z2 = _zeta_cached(tag, 1.0, 2)
-    d1 = delta_min(tag, 1)
-    d2 = delta_min(tag, 2)
-    c = _coefficient(cone, bounded=alpha != 1.0)
+    z1, z2, d1, d2 = bound = _bound_edges(tag)
+    c = _coefficient(cone, bound if alpha != 1.0 else None)
     n = c.order
     floor = tilde_U0(tag, alpha)
     c_const = _c_const(alpha, c.ell, c.k_nu, c.collisions)

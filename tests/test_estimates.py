@@ -207,6 +207,21 @@ def test_zeta_rejects_bad_arguments():
         zeta("T", 2.0, 1)
 
 
+@pytest.mark.parametrize("which", [1.5, math.nan, math.inf, -1, 3])
+def test_zeta_and_delta_min_refuse_a_which_that_names_no_edge(which):
+    with pytest.raises(ValueError, match="which must be"):
+        zeta("O", 1.0, which)
+    with pytest.raises(ValueError, match="which must be"):
+        delta_min("O", which)
+
+
+def test_zeta_and_delta_min_read_a_whole_float_which_as_its_edge():
+    # a whole float used to reach the table lookup and raise TypeError
+    assert zeta("O", 1.3, 1.0) == zeta("O", 1.3, 1) != zeta("O", 1.3, 2)
+    assert delta_min("O", 1.0) == delta_min("O", 1) != delta_min("O", 2)
+    assert zeta("I", 1.0, 0.0) == zeta("I", 1.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # delta_min
 
@@ -324,12 +339,17 @@ def test_zeta_matches_30_digit_quadrature(tag, alpha):
 
 
 def test_zeta_refuses_rules_that_disagree(monkeypatch):
-    # a 4-node coarse rule is far from the 48-node value on every edge
-    monkeypatch.setattr(E, "_COARSE_RULE", E._gauss_legendre(4))
-    for tag in ("T", "O", "I"):
-        for which in (0, 1, 2):
+    # The node table follows a rule swapped at run time: a 4-node coarse
+    # rule is far from the 48-node value on every edge, and restoring the
+    # 24-node rule gives back, bitwise, the values from before the swap.
+    edges = [(tag, which) for tag in ("T", "O", "I") for which in (0, 1, 2)]
+    before = [zeta(tag, 1.0, which) for tag, which in edges]
+    with monkeypatch.context() as m:
+        m.setattr(E, "_COARSE_NODES", 4)
+        for tag, which in edges:
             with pytest.raises(RuntimeError):
                 zeta(tag, 1.0, which)
+    assert [zeta(tag, 1.0, which) for tag, which in edges] == before
 
 
 def test_zeta_cache_is_bounded():
@@ -339,6 +359,19 @@ def test_zeta_cache_is_bounded():
         E._zeta_cached("T", float(alpha), 0)
     info = E._zeta_cached.cache_info()
     assert info.currsize <= info.maxsize
+
+
+def test_node_table_is_bounded_and_read_only():
+    info = E._edge_nodes.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 32
+    for coarse in range(2, 2 + 2 * info.maxsize):
+        E._edge_nodes("T", 0, E._FINE_NODES, coarse)
+    info = E._edge_nodes.cache_info()
+    assert info.currsize <= info.maxsize
+    mult, squares, fine, coarse = E._edge_nodes("I", 1, E._FINE_NODES, E._COARSE_NODES)
+    assert squares.shape == (len(mult), E._FINE_NODES + E._COARSE_NODES)
+    assert (len(fine), len(coarse)) == (E._FINE_NODES, E._COARSE_NODES)
+    assert not any(a.flags.writeable for a in (mult, squares, fine, coarse))
 
 
 def reference_zeta(tag, alpha, which):
@@ -359,7 +392,8 @@ def reference_zeta(tag, alpha, which):
     def rule(nodes, weights):
         return float(mult @ (c0 + nodes * (c1 + nodes * c2)) ** (-0.5 * alpha) @ weights)
 
-    value, coarse = rule(*E._FINE_RULE), rule(*E._COARSE_RULE)
+    value = rule(*E._gauss_legendre(E._FINE_NODES))
+    coarse = rule(*E._gauss_legendre(E._COARSE_NODES))
     if abs(value - coarse) > E._QUAD_TOL:
         raise RuntimeError("edge integral did not converge")
     return value
@@ -381,10 +415,15 @@ def reference_k_alpha_p(alpha, order):
     return float(np.sum(np.sin(j * np.pi / order) ** (-alpha)))
 
 
+# The dense exponent grid of the bitwise node-table test: 1, 400 seeded
+# draws from [1, 2) and a point next to 2.
+DENSE_ALPHAS = (1.0, *np.random.default_rng(24).uniform(1.0, 2.0, 400).tolist(), 1.999999)
+
+
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_edge_tables_match_the_per_call_constants(tag):
     for which in (0, 1, 2):
-        for alpha in (1.0, 1.37, 1.5, 1.9, 1.999):
+        for alpha in DENSE_ALPHAS:
             assert zeta(tag, alpha, which) == reference_zeta(tag, alpha, which), (which, alpha)
     for which in (1, 2):
         assert delta_min(tag, which) == reference_delta_min(tag, which)
@@ -442,6 +481,7 @@ def test_certificates_build_each_exponent_free_table_once(monkeypatch):
         for poly in polys:
             monkeypatch.delitem(vars(poly), name, raising=False)
     count_builds(monkeypatch, H.VertexSequence, "side_counts", builds)
+    E._edge_nodes.cache_clear()  # a kept node table would skip the quadratics' rebuild
     E._turn_sines.cache_clear()
     bases = [catalog_cone(e.tag, e.name) for e in LOOP_CATALOG]
     rng = np.random.default_rng(14)
@@ -463,6 +503,8 @@ def test_certificates_build_each_exponent_free_table_once(monkeypatch):
     orders = {order for poly in polys for order in poly.tessellation.pole_order}
     info = E._turn_sines.cache_info()
     assert info.misses == info.currsize == len(orders)
+    info = E._edge_nodes.cache_info()  # one node table per (tag, which)
+    assert info.misses == info.currsize == len(polys) * 3
 
 
 def test_zeta_logs_its_rule_difference_once_per_computed_value(caplog):
