@@ -40,7 +40,9 @@ REFLECT_X2 = np.diag([1.0, -1.0, 1.0])
 REFLECT_X3 = np.diag([1.0, 1.0, -1.0])
 
 _COLLISION_FLOOR = 1e-13
-_BLOCK = 512  # nodes per pass of the pair kernel: bounds its (nodes, 3k) temporaries
+# nodes per pass of the pair kernel, and the rows of its per-call buffers; the
+# BLAS products' last bits depend on the row count, so changing it moves values
+_BLOCK = 512
 
 
 def _signed_member(A, group):
@@ -302,10 +304,11 @@ class SymmetryReduction:
             # (g u)_j = A u_{(flip*j + shift) mod n}, read off as two slices;
             # averaging over the group projects.
             if flip == 1:
-                moved = np.concatenate((pts[shift:], pts[:shift]))
+                acc[:len(pts) - shift] += pts[shift:] @ A.T
+                acc[len(pts) - shift:] += pts[:shift] @ A.T
             else:
-                moved = np.concatenate((pts[shift::-1], pts[:shift:-1]))
-            acc += moved @ A.T
+                acc[:shift + 1] += pts[shift::-1] @ A.T
+                acc[shift + 1:] += pts[:shift:-1] @ A.T
         return acc / len(trs)
 
     def violation(self, points):
@@ -395,8 +398,10 @@ def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
     (mutual/2) sum_{R != I} |(R - I)u|^(-alpha) at each node, and with
     with_gradient the gradient of their sum at each node (else None).  The
     pair sum runs over the group's distinct pair forms, _BLOCK nodes at a
-    time, and is skipped when mutual is 0.  Raises CollisionError at the
-    lowest node on the collision set, checking the origin first.
+    time, and is skipped when mutual is 0.  Every block writes into three
+    buffers allocated once per call: (_BLOCK, 3k) and twice (_BLOCK, k), for
+    k pair forms.  Raises CollisionError at the lowest node on the collision
+    set, checking the origin first.
 
     action and gradient pass one node per orbit (the fundamental nodes, a
     prefix of the loop) when the loop's orbit table applies, else every
@@ -415,16 +420,25 @@ def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
     pair = np.zeros(len(pts))
     pair_grad = np.zeros_like(pts) if with_gradient else None
     F, mult = group.pair_forms
+    if mutual:
+        b, k = min(_BLOCK, len(pts)), len(mult)
+        y_buf, d2_buf, p_buf = np.empty((b, 3 * k)), np.empty((b, k)), np.empty((b, k))
     for s in range(0, len(pts) if mutual else 0, _BLOCK):
-        y = (pts[s:s + _BLOCK] @ F).reshape(-1, 3, len(mult))
-        d2 = np.einsum("brk,brk->bk", y, y)
+        block = pts[s:s + _BLOCK]
+        b = len(block)
+        y, d2, p = y_buf[:b], d2_buf[:b], p_buf[:b]
+        y3 = y.reshape(b, 3, k)  # a view of the same buffer
+        np.matmul(block, F, out=y)
+        np.einsum("brk,brk->bk", y3, y3, out=d2)
         if d2.min() < _COLLISION_FLOOR**2:
             raise CollisionError(s + np.flatnonzero(d2.min(axis=1) < _COLLISION_FLOOR**2)[0])
-        p = d2 ** (-0.5 * alpha)
-        pair[s:s + len(y)] = p @ mult
+        np.power(d2, -0.5 * alpha, out=p)
+        pair[s:s + b] = p @ mult
         if with_gradient:
-            w = (y * (mult * p / d2)[:, None, :]).reshape(len(y), -1)
-            pair_grad[s:s + len(y)] = w @ F.T
+            p *= mult  # the weight mult * p / d2, in place once pair has read p
+            p /= d2
+            y3 *= p[:, None, :]
+            np.matmul(y, F.T, out=pair_grad[s:s + b])
     grad = None
     if with_gradient:
         grad = -alpha * ((central / (r * r))[:, None] * pts + 0.5 * mutual * pair_grad)
@@ -509,12 +523,12 @@ def gradient(loop, cone, epsilon=None):
     stretch[-1] -= pts[0]
     stretch[1:] -= pts[:-1]
     stretch[0] -= pts[-1]
-    out = stretch / h
-    out[free] += h * w[:, None] * grad
-    out = prefactor * out
+    stretch /= h
+    stretch[free] += h * w[:, None] * grad
+    stretch *= prefactor
     if loop.reduction is None:
-        return out
-    return loop.reduction.reduce_gradient(out, len(pts))
+        return stretch
+    return loop.reduction.reduce_gradient(stretch, len(pts))
 
 
 def second_variation_vertical(m0, T):

@@ -129,8 +129,11 @@ def zeta(group, alpha, which):
 
 @lru_cache(maxsize=64)
 def _zeta_cached(tag, alpha, which):
-    # Bounded: certificates at a fresh exponent add three entries each, while
-    # the exponent-1 entries every certificate reads stay recent.
+    # Bounded, least recently used out: a certificate at a fresh exponent adds
+    # three entries and refreshes its tag's three exponent-1 entries.  A tag
+    # whose certificates do not come up for about 20 certificates of the
+    # other tags loses those entries too, and its next certificate computes
+    # them again.
     return zeta(tag, alpha, which)
 
 

@@ -397,16 +397,24 @@ def reference_project(red, points):
     return acc / len(trs)
 
 
-@pytest.mark.parametrize("n", [12, 60, 1200])
+PROJECT_REDUCTIONS = {
+    "italian": SymmetryReduction("italian"),
+    "klein": SymmetryReduction("klein_reflections"),
+    "extra-O4": SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4),
+    "extra-T3": SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3),
+}
+
+
+# 1,500 and 4,096 nodes are sizes the descent benchmark runs; each
+# reduction is checked at every count its divisor divides
 @pytest.mark.parametrize(
-    "red",
+    "red, n",
     [
-        SymmetryReduction("italian"),
-        SymmetryReduction("klein_reflections"),
-        SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4),
-        SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3),
+        pytest.param(red, n, id=f"{name}-{n}")
+        for n in (12, 60, 1200, 1500, 4096)
+        for name, red in PROJECT_REDUCTIONS.items()
+        if n % red.divisor() == 0
     ],
-    ids=["italian", "klein", "extra-O4", "extra-T3"],
 )
 def test_project_matches_the_index_formula(red, n):
     pts = np.random.default_rng([n, 5]).normal(size=(n, 3))
@@ -835,6 +843,17 @@ def reference_potential(pts, group, alpha, m0, mutual, with_gradient=False):
 KERNEL_GROUPS = {"T": None, "O": None, "I": None, "Z4": None, "KLEIN": None, "Z2N": 3}
 
 
+def wavy_points(n, seed):
+    """A smooth closed curve with seeded low harmonics, away from the axes."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * (2 * np.pi / n)
+    pts = np.stack([1.3 * np.cos(t), 1.1 * np.sin(t), 0.5 * np.cos(t + 0.4)], axis=1)
+    for k in range(1, 4):
+        pts += (0.08 / k) * np.cos(k * t)[:, None] * rng.normal(size=3)
+        pts += (0.08 / k) * np.sin(k * t)[:, None] * rng.normal(size=3)
+    return pts
+
+
 def kernel_values(loop, cone):
     """Everything the kernel feeds, keyed by name."""
     group, alpha, m0 = cone.group, cone.alpha, cone.central_mass
@@ -857,12 +876,7 @@ def test_pair_form_kernel_matches_element_loop(tag, n, monkeypatch):
     # n = 513 and 1537 leave a partial last block of nodes; 1537 = 29 * 53
     # admits no reduction, so the reduced gradient is checked at 12 and 513
     group = builtin_group(tag, n=KERNEL_GROUPS[tag])
-    rng = np.random.default_rng([n, group.order])
-    t = np.arange(n) * (2 * np.pi / n)
-    pts = np.stack([1.3 * np.cos(t), 1.1 * np.sin(t), 0.5 * np.cos(t + 0.4)], axis=1)
-    for k in range(1, 4):
-        pts += (0.08 / k) * np.cos(k * t)[:, None] * rng.normal(size=3)
-        pts += (0.08 / k) * np.sin(k * t)[:, None] * rng.normal(size=3)
+    pts = wavy_points(n, [n, group.order])
     reduction = ORDER3 if n % 3 == 0 else None
     if reduction is not None:
         pts = reduction.project(pts)
@@ -968,6 +982,101 @@ def test_pair_term_near_a_pole_axis_matches_mpmath(tag):
                 ref = float(total / 2)
             bound = np.finfo(float).eps * np.linalg.norm(u) / delta
             assert abs(pair - ref) <= bound * ref, (pole, delta)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's per-call block buffers against the per-block temporaries
+
+
+def parent_potential(pts, group, alpha, m0, mutual, with_gradient=False):
+    """_potential with fresh temporaries for every block of 512 nodes, the
+    body that the per-call buffers replaced (reference)."""
+    r = np.linalg.norm(pts, axis=1)
+    bad = np.flatnonzero(r < A._COLLISION_FLOOR)
+    if len(bad):
+        raise CollisionError(bad[0], f"loop node {bad[0]} is at the origin")
+    central = m0 * r ** (-alpha)
+    pair = np.zeros(len(pts))
+    pair_grad = np.zeros_like(pts) if with_gradient else None
+    F, mult = group.pair_forms
+    for s in range(0, len(pts) if mutual else 0, 512):
+        y = (pts[s:s + 512] @ F).reshape(-1, 3, len(mult))
+        d2 = np.einsum("brk,brk->bk", y, y)
+        if d2.min() < A._COLLISION_FLOOR**2:
+            raise CollisionError(s + np.flatnonzero(d2.min(axis=1) < A._COLLISION_FLOOR**2)[0])
+        p = d2 ** (-0.5 * alpha)
+        pair[s:s + len(y)] = p @ mult
+        if with_gradient:
+            w = (y * (mult * p / d2)[:, None, :]).reshape(len(y), -1)
+            pair_grad[s:s + len(y)] = w @ F.T
+    grad = None
+    if with_gradient:
+        grad = -alpha * ((central / (r * r))[:, None] * pts + 0.5 * mutual * pair_grad)
+    return central, 0.5 * mutual * pair, grad
+
+
+# 511 to 513 straddle one block; 1,100 ends in a partial third block, 1,537
+# and 2,049 in a one-node block
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1100, 1537, 2049])
+@pytest.mark.parametrize("tag", list(KERNEL_GROUPS))
+def test_block_buffers_match_the_parent_kernel(tag, n):
+    group = builtin_group(tag, n=KERNEL_GROUPS[tag])
+    pts = wavy_points(n, [n, group.order, 3])
+    for mutual in (0.0, 0.6):
+        for with_gradient in (False, True):
+            got = A._potential(pts, group, 1.37, 1.7, mutual, with_gradient)
+            want = parent_potential(pts, group, 1.37, 1.7, mutual, with_gradient)
+            case = (mutual, with_gradient)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), case
+            if with_gradient:
+                assert np.array_equal(got[2], want[2]), case
+            else:
+                assert got[2] is None and want[2] is None, case
+
+
+# the reduced loop's kernel sees its n // 3 = 513 or 1,100 free nodes, the
+# full-node gradient and discrete_energy all n, so both paths cross a block
+@pytest.mark.parametrize("n", [1539, 3300])
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_objective_is_bitwise_the_parent_kernels(tag, n, monkeypatch):
+    cone = SimpleNamespace(group=builtin_group(tag), alpha=1.37, central_mass=1.7)
+    pts = ORDER3.project(wavy_points(n, [n, 7]))
+
+    def evaluate():
+        out = {}
+        for eps in (None, 0.3):
+            loop = LoopPath(pts, 2.1, ORDER3)
+            out[f"action@{eps}"] = action(loop, cone, eps)
+            out[f"gradient_reduced@{eps}"] = gradient(loop, cone, eps)
+            out[f"gradient_full@{eps}"] = gradient(LoopPath(pts, 2.1), cone, eps)
+        out["discrete_energy"] = discrete_energy(LoopPath(pts, 2.1, ORDER3), cone)
+        return out
+
+    got = evaluate()
+    monkeypatch.setattr(A, "_potential", parent_potential)
+    want = evaluate()
+    assert got.keys() == want.keys()
+    for name in want:
+        if name.startswith("action"):
+            assert got[name] == want[name], name
+        else:
+            assert same_bytes(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("node", [1100, 1536], ids=["third-block", "last-block"])
+def test_collision_past_the_first_block_names_its_node(node):
+    # 1,537 nodes make blocks 0-511, 512-1023, 1024-1535 and the lone 1536
+    group = builtin_group("I")
+    axis = next(p.point for p in poles(group) if p.order == 5)
+    pts = wavy_points(1537, 23)
+    pts[node] = 1.2 * axis
+    cone = SimpleNamespace(group=group, alpha=1.5, central_mass=0.8)
+    loop = LoopPath(pts, 2 * np.pi)
+    for evaluate in (action, gradient, discrete_energy):
+        with pytest.raises(CollisionError, match="collision set") as err:
+            evaluate(loop, cone)
+        assert err.value.node == node
+        assert loop._slot == [None]
 
 
 # ---------------------------------------------------------------------------
