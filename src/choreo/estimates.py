@@ -20,9 +20,10 @@ Whatever does not depend on the exponent is read from tables built once,
 on first use: ``_edge_nodes``, the edge quadratics at both rules' nodes
 (zeta), the polyhedron's ``midpoint_chords`` (delta_min), the
 tessellation's ``widest_chords`` (tilde_U0), the sequence's
-``side_counts`` (test loops) and the turn sines of each order
-(k_alpha_p).  A call evaluates only the powers of alpha.  Each computed
-``zeta`` logs its rule difference to ``choreo.estimates`` at DEBUG.
+``side_counts`` (test loops), the turn sines of each order (k_alpha_p)
+and the exponent-1 integrals of ``_unit_zetas``.  A call evaluates only
+the powers of alpha.  Each computed ``zeta`` logs its rule difference to
+``choreo.estimates`` at DEBUG.
 
 All inequalities are evaluated in the form that holds for every value of
 the central mass: the mass-independent part and the coefficient of the
@@ -125,16 +126,6 @@ def zeta(group, alpha, which):
     if difference > _QUAD_TOL:
         raise RuntimeError(f"edge integral did not converge: rule difference {difference:.3e}")
     return value
-
-
-@lru_cache(maxsize=64)
-def _zeta_cached(tag, alpha, which):
-    # Bounded, least recently used out: a certificate at a fresh exponent adds
-    # three entries and refreshes its tag's three exponent-1 entries.  A tag
-    # whose certificates do not come up for about 20 certificates of the
-    # other tags loses those entries too, and its next certificate computes
-    # them again.
-    return zeta(tag, alpha, which)
 
 
 def delta_min(group, which):
@@ -317,10 +308,17 @@ class TestLoopAction:
 _Coefficient = namedtuple("_Coefficient", "free central k_nu k1 k2 collisions ell order")
 
 
+@lru_cache(maxsize=3)
+def _unit_zetas(tag):
+    """(zeta0(1), zeta1(1), zeta2(1)), one entry per T, O, I: the exponent-1
+    integrals every certificate reads.  Other exponents are rarely met twice,
+    so zeta is called afresh at them."""
+    return tuple(zeta(tag, 1.0, which) for which in range(3))
+
+
 def _bound_edges(tag):
     """(zeta1(1), zeta2(1), delta1, delta2) of the bounded ``_coefficient``."""
-    return (_zeta_cached(tag, 1.0, 1), _zeta_cached(tag, 1.0, 2), delta_min(tag, 1),
-            delta_min(tag, 2))
+    return (*_unit_zetas(tag)[1:], delta_min(tag, 1), delta_min(tag, 2))
 
 
 def _coefficient(cone, bound=None):
@@ -346,8 +344,10 @@ def _coefficient(cone, bound=None):
         free = k1 * z1 / d1 + k2 * z2 / d2
         central = 8.0 * (k1 + k2) / (4.0 - ell ** 2)
     else:
-        free = k1 * _zeta_cached(tag, alpha, 1) + k2 * _zeta_cached(tag, alpha, 2)
-        central = (k1 + k2) * _zeta_cached(tag, alpha, 0)
+        z0, z1, z2 = (_unit_zetas(tag) if alpha == 1.0
+                      else [zeta(tag, alpha, which) for which in range(3)])
+        free = k1 * z1 + k2 * z2
+        central = (k1 + k2) * z0
     collisions = cone.extra_symmetry[1] if cone.extra_symmetry is not None else 1
     return _Coefficient(free, central, k_nu, k1, k2, collisions, ell, cone.group.order)
 
@@ -493,7 +493,7 @@ def certify_no_total_collisions(cone, label=None):
             "klein_exclusion for the vertical-axis classes"
         )
     alpha = cone.alpha
-    z0 = _zeta_cached(tag, 1.0, 0)
+    z0 = _unit_zetas(tag)[0]
     z1, z2, d1, d2 = bound = _bound_edges(tag)
     c = _coefficient(cone, bound if alpha != 1.0 else None)
     n = c.order

@@ -994,8 +994,8 @@ class MinimalAngleResult:
 
     total_angle is the least over the skeletons whose junction routes take
     at most _TURN_CAP extra turns about a pole, not over every route; a
-    larger cap could only lower it.  centrality is always "non-central":
-    min_total_angle decides it exactly and refuses a central class.
+    larger cap could only lower it; turns is the most extra turns a route
+    of the realizing skeleton takes (0 for the closed-form KLEIN loop).
     semi_axes lists the junction directions in traversal order; arc i joins
     semi_axes[i] to semi_axes[i+1] (cyclically) sweeping arc_angles[i];
     times[i] is the junction passage time under the constant angular speed
@@ -1010,8 +1010,8 @@ class MinimalAngleResult:
     semi_axes: np.ndarray
     arc_angles: np.ndarray
     times: np.ndarray
-    centrality: str
     word: tuple
+    turns: int
     pops: int
     skeletons: int
     combinations: int
@@ -1103,13 +1103,16 @@ class _SearchOptions(dict):
 
     (a, b) maps to the wall-side choices of the arc from pole a to pole b as
     (chambers, winding) pairs, the runs read from the polyhedron's arc_runs.
-    (pole, c_in, c_out) maps to (routes, weights): the distinct routes
-    around the pole's fan from chamber c_in to c_out, with up to _TURN_CAP
-    extra turns either way, and their windings, entry and exit steps
-    included.  (pole,) maps to the windings of the walk once around its fan,
-    from fan[0] up to each fan position (the last is the whole loop).  A
-    winding is the packed winding vector of the steps, summed over the M
-    symmetry copies (perms); windings and routes are all the call builds.
+    (pole, c_in, c_out) maps to (routes, weights), one per signed turn count
+    k: 0 .. _TURN_CAP, then -1 .. -_TURN_CAP - 1 (to -_TURN_CAP if c_in is
+    c_out, whose k = 0 walk is empty both ways).  Route k is the descriptor
+    (fan, i_in, s) of the walk of s = fwd + k L steps around the pole's fan
+    of L chambers from c_in = fan[i_in], backwards if s < 0, where fwd steps
+    forwards reach c_out; weight k, its winding with the entry and exit
+    steps, is ahead + k loop.  (pole,) maps to the windings of the walk once
+    around its fan, from fan[0] up to each fan position (the last is the
+    whole loop).  A winding is the packed winding vector of the steps,
+    summed over the M symmetry copies (perms).
     """
 
     def __init__(self, poly, perms):
@@ -1121,46 +1124,37 @@ class _SearchOptions(dict):
         return sum(self.steps[p[a], p[b]] for a, b in zip(path, path[1:]) for p in self.perms)
 
     def __missing__(self, key):
-        tess = self.tess
         if len(key) == 1:
-            fan = tess.fan[key[0]]
+            fan = self.tess.fan[key[0]]
             steps = zip(fan, fan[1:] + fan[:1])
             value = list(itertools.accumulate(map(self.winding, steps), initial=0))
         elif len(key) == 2:
             value = [(list(run), self.winding(run)) for run in self.runs[key]]
         else:
-            # The routes run through `cycle`, the fan repeated, one way or the
-            # other; the route with t turns has steps + t * L - 1 chambers.
-            # The walk from c_in to c_out winds by `ahead` one way and by
-            # ahead - loop the other (0 both ways if c_in is c_out), and
-            # each turn adds one loop's winding.
             pid, c_in, c_out = key
-            fan = tess.fan[pid]
-            L, prefix = len(fan), self[pid,]
-            loop = prefix[-1]
+            fan, prefix = self.tess.fan[pid], self[pid,]
+            L, loop = len(fan), prefix[-1]
             i_in, i_out = fan.index(c_in), fan.index(c_out)
             ahead = prefix[i_out] - prefix[i_in] + (loop if i_out < i_in else 0)
-            cycle = fan * (_TURN_CAP + 2)
-            routes, weights = [], []
-            for direction, ring, start, base in (
-                (1, cycle, i_in, ahead),
-                (-1, cycle[::-1], L - 1 - i_in, ahead - loop if i_out != i_in else 0),
-            ):
-                steps = (direction * (i_out - i_in)) % L
-                for turns in range(_TURN_CAP + 1):
-                    route = list(ring[start + 1 : start + steps + turns * L])
-                    if route not in routes:
-                        routes.append(route)
-                        weights.append(base + direction * turns * loop)
-            value = routes, weights
+            fwd = (i_out - i_in) % L
+            turns = [*range(_TURN_CAP + 1), *range(-1, -_TURN_CAP - 1 - (c_in != c_out), -1)]
+            value = [(fan, i_in, fwd + k * L) for k in turns], [ahead + k * loop for k in turns]
         self[key] = value
         return value
+
+
+def _route(fan, i_in, s):
+    """The chambers strictly inside the walk of s steps around fan from
+    fan[i_in], backwards if s < 0."""
+    d = 1 if s >= 0 else -1
+    return [fan[i % len(fan)] for i in range(i_in + d, i_in + s, d)]
 
 
 def _resolutions(options, fund_axes):
     """Wall-side selections of the fundamental block, in product order: yields
     (arc_sel, option_lists, weights, arc_winding), read from the call's
-    options; arc_winding is the winding of the selected arcs' own steps.
+    options; option_lists holds each junction's route descriptors and
+    arc_winding is the winding of the selected arcs' own steps.
     """
     exit_perm = options.perms[1 % len(options.perms)]
     arc_choices = [options[a, b] for a, b in zip(fund_axes, fund_axes[1:])]
@@ -1208,9 +1202,12 @@ def _skeleton_realizes(options, target, goal, fund_axes, spent):
     of the class, so only resolutions whose vector is the target's (goal)
     can match; they come in product order, and the first one whose reduced
     word is the target is the match a check of every resolution would find.
-    Returns the full word (or None), the resolutions covered (reduced, or
-    rejected by the filter) up to the match, and the reductions performed;
-    raises once the call has covered more than _COMBO_CAP, spent included.
+    Only the resolutions handed over get their junction routes built, by
+    _route.  Returns (word, turns) of the match, with turns the most whole
+    turns one of its routes takes about a pole, or None; the resolutions
+    covered (reduced, or rejected by the filter) up to the match; and the
+    reductions performed.  Raises once the call has covered more than
+    _COMBO_CAP, spent included.
     """
     tried, checked, budget = 0, 0, _COMBO_CAP - spent
     for arc_sel, option_lists, weights, arc_winding in _resolutions(options, fund_axes):
@@ -1223,11 +1220,12 @@ def _skeleton_realizes(options, target, goal, fund_axes, spent):
             if tried + index + 1 > budget:
                 break
             checked += 1
-            block = [c for run, opts, o in zip(arc_sel, option_lists, sel) for c in run + opts[o]]
+            routes = [opts[o] for opts, o in zip(option_lists, sel)]
+            block = [c for run, route in zip(arc_sel, routes) for c in run + _route(*route)]
             word = [perm[c] for perm in options.perms for c in block]
             reduced = reduce_cyclic_word(word)
             if len(reduced) == len(target) and canonical_cyclic_word(reduced) == target:
-                found = tuple(word)
+                found = tuple(word), max(abs(s) // len(fan) for fan, _, s in routes)
                 break
         tried += index + 1 if found else math.prod(sizes)
         if tried > budget:
@@ -1316,8 +1314,9 @@ def _skeleton_pops(poly, M, fmax, pole_perm):
 def _logged(cone, result):
     """Send the search counters of one min_total_angle call to the module logger."""
     _log.debug(
-        "min_total_angle %s: total_angle=%r arcs=%d pops=%d skeletons=%d combinations=%d checked=%d",
-        cone.group.tag, result.total_angle, len(result.arc_angles),
+        "min_total_angle %s: total_angle=%r arcs=%d turns=%d pops=%d skeletons=%d combinations=%d "
+        "checked=%d",
+        cone.group.tag, result.total_angle, len(result.arc_angles), result.turns,
         result.pops, result.skeletons, result.combinations, result.checked,
     )
     return result
@@ -1340,13 +1339,14 @@ def min_total_angle(cone):
     reductions made.  What depends only on the geometry, the arcs' wall-side
     runs (arc_runs) and the successor rows in bound order
     (successor_orders), is read from the polyhedron's tables, built on
-    first use; a call builds only the windings over its M symmetry copies,
-    its root bounds and its junction routes, each once.  The minimum is over
-    routes of up to _TURN_CAP extra turns about a pole.  Raises ValueError
-    for a central cone, one whose class a great circle run once or repeated
-    carries, decided exactly by _central_circle_exists before the search;
-    RuntimeError past the call's budgets, module constants: _MAX_POPS heap
-    pops or _COMBO_CAP junction resolutions covered.
+    first use; a call builds only the windings over its M symmetry copies
+    and its root bounds, each once, and the junction routes of the
+    resolutions it reduces.  The minimum is over routes of up to _TURN_CAP
+    extra turns about a pole.  Raises ValueError for a central cone, one
+    whose class a great circle run once or repeated carries, decided
+    exactly by _central_circle_exists before the search; RuntimeError past
+    the call's budgets, module constants: _MAX_POPS heap pops or _COMBO_CAP
+    junction resolutions covered.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1363,8 +1363,8 @@ def min_total_angle(cone):
             semi_axes=axes,
             arc_angles=np.full(4, 0.5 * math.pi),
             times=np.array([0.0, 0.25 * T, 0.5 * T, 0.75 * T]),
-            centrality="non-central",
             word=(),
+            turns=0,
             pops=0,
             skeletons=0,
             combinations=0,
@@ -1408,13 +1408,12 @@ def min_total_angle(cone):
         if canon in seen_skeletons:
             continue
         seen_skeletons.add(canon)
-        word, tried, reductions = _skeleton_realizes(
-            options, target, goal, axes, combinations
-        )
+        found, tried, reductions = _skeleton_realizes(options, target, goal, axes, combinations)
         combinations += tried
         checked += reductions
-        if word is None:
+        if found is None:
             continue
+        word, turns = found
         m = len(full)
         semi_axes = pts[full]
         arc_angles = np.array([angles[full[i], full[(i + 1) % m]] for i in range(m)])
@@ -1425,8 +1424,8 @@ def min_total_angle(cone):
             semi_axes=semi_axes,
             arc_angles=arc_angles,
             times=times,
-            centrality="non-central",
             word=word,
+            turns=turns,
             pops=pops,
             skeletons=len(seen_skeletons),
             combinations=combinations,

@@ -352,15 +352,6 @@ def test_zeta_refuses_rules_that_disagree(monkeypatch):
     assert [zeta(tag, 1.0, which) for tag, which in edges] == before
 
 
-def test_zeta_cache_is_bounded():
-    info = E._zeta_cached.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 64
-    for alpha in np.linspace(1.0, 1.999, 1000):
-        E._zeta_cached("T", float(alpha), 0)
-    info = E._zeta_cached.cache_info()
-    assert info.currsize <= info.maxsize
-
-
 def test_node_table_is_bounded_and_read_only():
     info = E._edge_nodes.cache_info()
     assert info.maxsize is not None and info.maxsize <= 32
@@ -445,7 +436,7 @@ def test_certificates_match_the_per_call_constants(entry, monkeypatch):
         for alpha, m0 in CERTIFICATE_POINTS
     ]
     got = [certify_no_total_collisions(cone) for cone in cones]
-    E._zeta_cached.cache_clear()
+    E._unit_zetas.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setattr(E, "zeta", reference_zeta)
@@ -453,7 +444,7 @@ def test_certificates_match_the_per_call_constants(entry, monkeypatch):
             m.setattr(E, "k_alpha_p", reference_k_alpha_p)
             want = [certify_no_total_collisions(cone) for cone in cones]
     finally:
-        E._zeta_cached.cache_clear()
+        E._unit_zetas.cache_clear()
     for cert, ref in zip(got, want):
         assert cert.row() == ref.row()
         assert (cert.direct_lhs, cert.direct_rhs) == (ref.direct_lhs, ref.direct_rhs)
@@ -509,14 +500,18 @@ def test_certificates_build_each_exponent_free_table_once(monkeypatch):
 
 def test_zeta_logs_its_rule_difference_once_per_computed_value(caplog):
     alpha = 1.2345678912345
+    E._unit_zetas.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="choreo.estimates"):
-        first = E._zeta_cached("O", alpha, 1)
-        assert E._zeta_cached("O", alpha, 1) == first  # a cache hit logs nothing
+        first = E._unit_zetas("O")
+        assert E._unit_zetas("O") == first  # a table hit logs nothing
         zeta("I", alpha, 0)
     records = [r for r in caplog.records if r.name == "choreo.estimates"]
-    assert len(records) == 2
+    assert len(records) == 4
     assert all(r.levelno == logging.DEBUG for r in records)
-    assert records[0].getMessage().startswith(f"zeta O which=1 alpha={alpha!r}: value={first!r}")
+    for which in range(3):
+        message = records[which].getMessage()
+        assert message.startswith(f"zeta O which={which} alpha=1.0: value={first[which]!r}")
+    assert records[3].getMessage().startswith(f"zeta I which=0 alpha={alpha!r}: value=")
     for record in records:
         difference = float(record.getMessage().rsplit("rule difference=", 1)[1])
         assert 0.0 <= difference <= E._QUAD_TOL
@@ -975,9 +970,9 @@ def reference_test_loop_action_exact(cone):
 
     a_kinetic = n * ell ** 2 * k_nu ** 2 / (2.0 * period)
     mix = (
-        k1 * E._zeta_cached(tag, alpha, 1)
-        + k2 * E._zeta_cached(tag, alpha, 2)
-        + cone.central_mass * (k1 + k2) * E._zeta_cached(tag, alpha, 0)
+        k1 * E.zeta(tag, alpha, 1)
+        + k2 * E.zeta(tag, alpha, 2)
+        + cone.central_mass * (k1 + k2) * E.zeta(tag, alpha, 0)
     )
     a_potential = (n / 2.0) * (period / k_nu) * mix
     scale = (alpha * a_potential / (2.0 * a_kinetic)) ** (1.0 / (2.0 + alpha))
@@ -1001,8 +996,8 @@ def reference_test_loop_action_bound(cone):
     period = cone.period
 
     weighted = (
-        k1 * E._zeta_cached(tag, 1.0, 1) / delta_min(tag, 1)
-        + k2 * E._zeta_cached(tag, 1.0, 2) / delta_min(tag, 2)
+        k1 * E._unit_zetas(tag)[1] / delta_min(tag, 1)
+        + k2 * E._unit_zetas(tag)[2] / delta_min(tag, 2)
         + 8.0 * cone.central_mass * (k1 + k2) / (4.0 - ell ** 2)
     )
     value = (
@@ -1030,9 +1025,7 @@ def reference_certify_no_total_collisions(cone):
     ell = build_archimedean(tag).edge_length
     k_nu, k1, k2, collisions = reference_cone_counts(cone)
 
-    z0 = E._zeta_cached(tag, 1.0, 0)
-    z1 = E._zeta_cached(tag, 1.0, 1)
-    z2 = E._zeta_cached(tag, 1.0, 2)
+    z0, z1, z2 = E._unit_zetas(tag)
     d1 = delta_min(tag, 1)
     d2 = delta_min(tag, 2)
     floor = tilde_U0(tag, alpha)

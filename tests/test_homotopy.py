@@ -1050,7 +1050,7 @@ def test_min_total_angle_klein_closed_form():
     )
     res = H.min_total_angle(cone)
     assert abs(res.total_angle - TWO_PI) < 1e-12
-    assert res.centrality == "non-central"
+    assert res.turns == 0
     expected_axes = np.array(
         [[0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]], dtype=float
     )
@@ -1638,6 +1638,59 @@ def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
         H.min_total_angle(cone)
 
 
+# (tag, name, turns at _TURN_CAP = 2, total angle with one turn fewer): the
+# rows that ROADMAP item 17's table finds larger at a lower cap, with the
+# angles it measured there.
+TURN_ROWS = [
+    ("T", "nu6", 2, 8.7451),
+    ("T", "nu4", 1, 7.3858),
+    ("T", "nu5", 1, 7.6425),
+    ("O", "nu6", 1, 7.6425),
+    ("O", "nu8", 1, 6.2832),
+]
+
+
+@pytest.mark.parametrize("tag,name,turns,fewer", TURN_ROWS, ids=lambda v: str(v))
+def test_min_total_angle_reports_the_turns_it_needs(tag, name, turns, fewer, monkeypatch, caplog):
+    """turns is the most extra turns a route of the answer takes, and it is
+    needed: with _TURN_CAP one below it the minimum rises."""
+    caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
+    cone = H.catalog_cone(tag, name)
+    res = H.min_total_angle(cone)
+    assert res.turns == turns if turns > 1 else res.turns >= turns
+    assert f"turns={res.turns} " in caplog.records[-1].getMessage()
+    monkeypatch.setattr(H, "_TURN_CAP", res.turns - 1)
+    capped = H.min_total_angle(cone)
+    assert capped.total_angle > res.total_angle
+    assert capped.total_angle == pytest.approx(fewer, abs=1e-4)
+    assert capped.turns < res.turns
+
+
+def test_min_total_angle_builds_routes_only_for_the_resolutions_it_reduces(monkeypatch):
+    """_route builds one route per junction of each resolution the search
+    reduces, on every pin, and no other: checked x junctions per block."""
+    built, wanted = [], []
+    route, realize = H._route, H._skeleton_realizes
+
+    def counted_route(*descriptor):
+        built.append(descriptor)
+        return route(*descriptor)
+
+    def recorded(options, target, goal, fund_axes, spent):
+        found, tried, checked = realize(options, target, goal, fund_axes, spent)
+        wanted.append(checked * (len(fund_axes) - 1))
+        return found, tried, checked
+
+    monkeypatch.setattr(H, "_route", counted_route)
+    monkeypatch.setattr(H, "_skeleton_realizes", recorded)
+    for pin in PINS:
+        built.clear()
+        wanted.clear()
+        res = H.min_total_angle(pinned_cone(pin))
+        assert 0 <= res.turns <= H._TURN_CAP
+        assert len(built) == sum(wanted) >= res.checked, pin_id(pin)
+
+
 # ---------------------------------------------------------------------------
 # The winding filter and the lazy heap against the loops they replaced
 
@@ -1686,6 +1739,45 @@ def reference_resolutions(geom, fund_axes, tri_perm, turn_cap):
             option_lists.append(opts)
         out.append((arc_sel, option_lists))
     return out
+
+
+def search_perms(tess, R, M):
+    """The chamber permutations of the M powers of R, as min_total_angle
+    builds them."""
+    tri_perm = tess.triangle_permutations[tess.group.index(R)]
+    perms = [tuple(range(len(tess.triangles)))]
+    for _ in range(1, M):
+        perms.append(tuple(tri_perm[c] for c in perms[-1]))
+    return perms
+
+
+@pytest.mark.parametrize(
+    "tag,name", [("T", None), ("T", "nu3"), ("O", None), ("O", "nu4"), ("I", None), ("I", "nu3")]
+)
+def test_junction_routes_are_the_signed_turn_walks(tag, name):
+    """For every pole and every (c_in, c_out) in its fan, the routes built
+    from an entry's descriptors are the reference walks in the product's
+    option order (forwards with 0 .. _TURN_CAP extra turns, then backwards),
+    pairwise distinct, and each weight is the winding of its walk with the
+    entry and exit steps, under the identity and under a row's (R, M)."""
+    poly = H.build_archimedean(tag)
+    tess = poly.tessellation
+    R, M = (np.eye(3), 1) if name is None else H.catalog_cone(tag, name).extra_symmetry
+    options = H._SearchOptions(poly, search_perms(tess, R, M))
+    for pid, fan in enumerate(tess.fan):
+        for c_in, c_out in itertools.product(fan, repeat=2):
+            descriptors, weights = options[pid, c_in, c_out]
+            routes = [H._route(*d) for d in descriptors]
+            want = [
+                list(reference_junction_route(tess, pid, c_in, c_out, direction, turns))
+                for direction in (1, -1)
+                for turns in range(H._TURN_CAP + 1)
+            ]
+            if c_in == c_out:
+                del want[H._TURN_CAP + 1]  # the empty walk backwards is the one forwards
+            assert routes == want
+            assert len(set(map(tuple, routes))) == len(routes)
+            assert weights == [options.winding([c_in, *route, c_out]) for route in routes]
 
 
 def reference_full_word(arc_sel, option_lists, sel, tri_perm_pows):
@@ -1845,7 +1937,10 @@ def test_winding_filter_matches_filtered_product(tag, name, element, monkeypatch
         tri_perm_pows = options.perms
         tri_perm = tri_perm_pows[1 % len(tri_perm_pows)]
         old = reference_resolutions(options.tess, fund_axes, tri_perm, H._TURN_CAP)
-        new = list(H._resolutions(options, fund_axes))
+        new = [
+            (arc_sel, [[H._route(*o) for o in opts] for opts in descriptors], weights, arc_winding)
+            for arc_sel, descriptors, weights, arc_winding in H._resolutions(options, fund_axes)
+        ]
         assert [(arc_sel, option_lists) for arc_sel, option_lists, _, _ in new] == old
         for arc_sel, option_lists, weights, arc_winding in new:
             passing, matching = [], []
