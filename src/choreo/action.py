@@ -153,11 +153,12 @@ class SymmetryReduction:
     """A finite group of loop transformations (g u)(t) = A u(sigma(t)).
 
     kind selects the constraint family:
-      * "extra":             u(t + T/M) = R u(t)  (matrix R of order M)
+      * "extra":             u(t + T/M) = R u(t)  (orthogonal 3x3 matrix R
+                             of order M)
       * "italian":           u(t + T/2) = -u(t), the extra reduction of
                              R = -I and M = 2 (no other R or M is accepted)
       * "klein_reflections": u(t) = REFLECT_X3 u(-t) and
-                             u(t) = REFLECT_X2 u(T/2 - t)
+                             u(t) = REFLECT_X2 u(T/2 - t) (no matrix or M)
 
     The klein kind additionally pins u(0) to the plane {x3 = 0} and
     u(T/4) to {x2 = 0}; membership of the open quadrants there is a
@@ -172,22 +173,27 @@ class SymmetryReduction:
     def __post_init__(self):
         if self.kind not in ("italian", "klein_reflections", "extra"):
             raise ValueError(f"unknown reduction kind {self.kind!r}")
+        if self.kind == "klein_reflections":
+            if self.matrix is not None or self.M is not None:
+                raise ValueError("the klein reduction takes no matrix or M")
+            return
         if self.kind == "italian":
             given = -np.eye(3) if self.matrix is None else self.matrix
             if self.M not in (None, 2) or not np.array_equal(given, -np.eye(3)):
                 raise ValueError("the italian reduction is the extra one of -I with M = 2")
             object.__setattr__(self, "matrix", -np.eye(3))
             object.__setattr__(self, "M", 2)
-        if self.matrix is not None:
-            # the kept tables are read off this copy, which nobody can change
-            object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, float)))
-        if self.kind != "klein_reflections":
-            if self.matrix is None or self.M is None:
-                raise ValueError("extra reduction needs a matrix and its order M")
-            object.__setattr__(self, "M", check_count(self.M, "reduction order M", 1))
-            P = np.linalg.matrix_power(self.matrix, self.M)
-            if not np.allclose(P, np.eye(3), atol=1e-9):
-                raise ValueError("extra reduction matrix must have order M")
+        if self.matrix is None or self.M is None:
+            raise ValueError("extra reduction needs a matrix and its order M")
+        # the kept tables are read off this copy, which nobody can change
+        R = _read_only(np.array(self.matrix, float))
+        object.__setattr__(self, "matrix", R)
+        # the group average is the closest invariant loop only for orthogonal R
+        if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-9):
+            raise ValueError("extra reduction matrix must be a 3x3 orthogonal matrix")
+        object.__setattr__(self, "M", check_count(self.M, "reduction order M", 1))
+        if not np.allclose(np.linalg.matrix_power(R, self.M), np.eye(3), atol=1e-9):
+            raise ValueError("extra reduction matrix must have order M")
 
     def divisor(self):
         """The sample count must be divisible by this."""

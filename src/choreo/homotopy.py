@@ -16,6 +16,7 @@ import itertools
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -378,17 +379,18 @@ def build_archimedean(group):
 def reconstruct_numbering(polyhedron, rows):
     """Assign vertex indices to published labels from sequence data alone.
 
-    rows is an iterable of (labels, M, k1, k2) where labels, whole numbers
-    in 1..vertex_count, repeats the starting label at the end, M is a positive
-    divisor of the step count and k1, k2 are whole numbers (ValueError
-    otherwise).  The search places each row as a closed edge path, prunes
-    on side-type counts, and requires for each row a group element R with
-    R^M = identity that shifts the cycle by steps/M positions: the first
-    placed pair of labels steps/M apart fixes R (element_between), and every
-    other placed pair must agree.  Labels not used by any row are assigned
-    to the remaining vertices in sorted order, so the result is a bijection.
-    Raises ValueError if the rows cannot be realized, RuntimeError past
-    _NUMBERING_NODE_CAP search nodes; logs the node count at DEBUG.
+    rows is an iterable of (labels, M, k1, k2) where labels, two or more
+    stops (whole numbers in 1..vertex_count), repeats the starting label at
+    the end, M is a positive divisor of the step count and k1, k2 are whole
+    numbers (ValueError otherwise).  The search places each row as a closed
+    edge path, prunes on side-type counts, and requires for each row a group
+    element R with R^M = identity that shifts the cycle by steps/M positions:
+    the first placed pair of labels steps/M apart fixes R (element_between),
+    and every other placed pair must agree.  Labels not used by any row are
+    assigned to the remaining vertices in sorted order, so the result is a
+    bijection.  Raises ValueError if the rows cannot be realized,
+    RuntimeError past _NUMBERING_NODE_CAP search nodes; logs the node count
+    at DEBUG.
     """
     nv, tag = polyhedron.vertex_count, polyhedron.group.tag
     perms, between = polyhedron.vertex_permutations, polyhedron.element_between
@@ -397,8 +399,8 @@ def reconstruct_numbering(polyhedron, rows):
     prepared = []
     for labels, M, k1, k2 in rows:
         labels = [check_count(label, "label", 0) for label in labels]
-        if labels[0] != labels[-1]:
-            raise ValueError("each row must repeat its starting label at the end")
+        if len(labels) < 3 or labels[0] != labels[-1]:
+            raise ValueError("each row must list two stops or more and repeat the first at the end")
         per = labels[:-1]
         if not all(1 <= label <= nv for label in per):
             raise ValueError(f"row labels must lie in 1..{nv}")
@@ -710,99 +712,76 @@ def triangles_from_vertices(nu):
 
 # ---------------------------------------------------------------------------
 # Winding diagnostics
+#
+# Both class tests look for winding strings about a pole p: windows of the
+# cyclic word whose chambers all contain p, at least three of them distinct
+# (with one or two the closed intersection is a chamber or a shared side,
+# which strictly contains {p}).  One reader decides it, _winding_spans, from
+# two cyclic run tables built per call and kept nowhere: adjacent chambers
+# of a TriangleSequence differ, so a window of n chambers holds only two
+# distinct ones exactly when each of its first n - 2 recurs two steps ahead.
+
+
+def _winding_spans(t_seq, poles):
+    """spans[p][i] = (lo, hi) for each of poles: the n chambers from position
+    i wind about p exactly when lo <= n <= hi.  hi counts the chambers in a
+    row from i that hold p and lo - 3 the ones that recur two steps ahead,
+    each run read around the cycle (math.inf when it never ends)."""
+    tess, tris, L = t_seq.tessellation, t_seq.triangles, len(t_seq)
+
+    def runs(flags):
+        out, run = [math.inf] * L, 0
+        if not all(flags):
+            for i in range(L - 1, -L - 1, -1):
+                out[i] = run = (run + 1) * flags[i]
+        return out
+
+    lo = [run + 3 for run in runs([tris[i] == tris[(i + 2) % L] for i in range(L)])]
+    return {p: list(zip(lo, runs([p in tess.triangles[t] for t in tris]))) for p in poles}
 
 
 def is_alpha_simple(t_seq, alpha):
     """True iff no winding string exceeds the deflection budget of alpha.
 
-    The forbidden pattern around a pole p of order o is a string of
-    2*floor(1/(2-alpha))*o + 1 consecutive chambers whose closed intersection
-    is exactly {p}: all of them contain p and at least three distinct
-    chambers occur (with one or two distinct chambers the intersection is a
-    whole chamber or a shared side, which strictly contains {p}).  Windows
-    wrap around the cyclic sequence, repeating it as needed.
+    The forbidden pattern about a pole p of order o is a winding string of W =
+    2*floor(1/(2-alpha))*o + 1 chambers, wrapping around the word as often as
+    needed; only a pole held at min(W, L) or more of the L positions can.
     """
     check_alpha(alpha)
-    tess = t_seq.tessellation
-    tris = list(t_seq.triangles)
-    L = len(tris)
+    tess, L = t_seq.tessellation, len(t_seq)
     kappa = math.floor(1.0 / (2.0 - alpha))
-    touched = sorted({v for t in tris for v in tess.triangles[t]})
-    for pid in touched:
-        o = tess.pole_order[pid]
-        W = 2 * kappa * o + 1
-        member = [pid in tess.triangles[t] for t in tris]
-        reps = 1 + (W + L - 1) // L
-        ext_m = member * reps
-        ext_t = tris * reps
-        for start in range(L):
-            if not ext_m[start]:
-                continue
-            window = ext_m[start : start + W]
-            if all(window) and len(set(ext_t[start : start + W])) >= 3:
-                return False
-    return True
+    held = Counter(p for t in t_seq.triangles for p in tess.triangles[t])
+    width = {p: 2 * kappa * tess.pole_order[p] + 1 for p in held}
+    spans = _winding_spans(t_seq, [p for p in held if held[p] >= min(width[p], L)])
+    return not any(lo <= width[p] <= hi for p in spans for lo, hi in spans[p])
 
 
 def is_tied_to_two_coboundary_axes(t_seq):
     """True iff the word splits into full turns around two poles of one chamber.
 
-    Condition (i): the cyclic sequence partitions into consecutive blocks,
-    each of length 2*n*o_p for some n >= 1, whose chambers all contain the
-    block's pole p (with at least three distinct chambers, so the closed
-    intersection is exactly {p}), where p ranges over a fixed pair {p1, p2}
-    and both poles are used.  Condition (ii): some tessellation chamber has
-    both p1 and p2 as vertices.
-    """
-    tess = t_seq.tessellation
-    tris = list(t_seq.triangles)
-    L = len(tris)
-
-    pairs = sorted(
-        {
-            tuple(sorted(pair))
-            for t in tess.triangles
-            for pair in itertools.combinations(t, 2)
-        }
-    )
-
-    member = {}
-
-    def member_row(pid):
-        row = member.get(pid)
-        if row is None:
-            row = [pid in tess.triangles[t] for t in tris]
-            member[pid] = row
-        return row
-
+    The cyclic word must partition into winding strings of 2*n*o_p chambers
+    (n >= 1) about poles p, ranging over both of two corners p1, p2 of one
+    chamber; each chamber holds p1 or p2, the first one too, so the pairs
+    come from its corners' fans.  The search relies on merging: adjacent
+    blocks about one pole are one block (p held throughout, three distinct
+    chambers, length divisible by 2*o_p), so from some cut blocks alternate
+    p1, p2, ..., p2 and the last ends one period on."""
+    tess, L = t_seq.tessellation, len(t_seq)
+    held, turn = [tess.triangles[t] for t in t_seq.triangles], [2 * o for o in tess.pole_order]
+    near = {(a, b) for a in held[0] for t in tess.fan[a] for b in tess.triangles[t] if b != a}
+    pairs = [(a, b) for a, b in near if all(a in c or b in c for c in held)]
+    spans = _winding_spans(t_seq, {p for pair in pairs for p in pair})
     for p1, p2 in pairs:
-        m1, m2 = member_row(p1), member_row(p2)
-        if not all(a or b for a, b in zip(m1, m2)):
-            continue
-        o1, o2 = tess.pole_order[p1], tess.pole_order[p2]
-        for offset in range(L):
-            rot = [tris[(offset + i) % L] for i in range(L)]
-            r1 = [m1[(offset + i) % L] for i in range(L)]
-            r2 = [m2[(offset + i) % L] for i in range(L)]
-            # states: position -> set of (used p1, used p2)
-            states = {0: {(False, False)}}
-            for pos in range(L):
-                flags = states.get(pos)
-                if not flags:
-                    continue
-                for mrow, o, which in ((r1, o1, 0), (r2, o2, 1)):
-                    block = 2 * o
-                    n = 1
-                    while pos + n * block <= L:
-                        end = pos + n * block
-                        if not all(mrow[pos:end]):
-                            break
-                        if len(set(rot[pos:end])) >= 3:
-                            bucket = states.setdefault(end, set())
-                            for u1, u2 in flags:
-                                bucket.add((u1 or which == 0, u2 or which == 1))
-                        n += 1
-            if (True, True) in states.get(L, ()):
+        for cut in range(L):
+            todo, seen = [(cut, p1, p2)], set()
+            while todo:
+                pos, p, q = todo.pop()
+                lo, hi = spans[p][pos % L]
+                for end in range(pos + turn[p], min(pos + hi, cut + L) + 1, turn[p]):
+                    if end - pos >= lo and (end, q, p) not in seen:
+                        seen.add((end, q, p))
+                        todo.append((end, q, p))
+            if (cut + L, p1, p2) in seen:
                 return True
     return False
 

@@ -651,6 +651,31 @@ def test_symmetry_reduction_refuses_a_non_integer_or_non_positive_order(matrix, 
         SymmetryReduction("extra", matrix, M)
 
 
+def test_klein_reduction_refuses_a_matrix_or_an_order():
+    # a matrix and M = 3 were kept, and the table log read "M=3"
+    for matrix, M in ((np.eye(3), 3), (None, 3), (np.eye(3), None)):
+        with pytest.raises(ValueError, match="takes no matrix or M"):
+            SymmetryReduction("klein_reflections", matrix=matrix, M=M)
+
+
+def test_extra_reduction_refuses_a_matrix_that_is_not_3x3():
+    # a 2x2 matrix failed in numpy with "operands could not be broadcast"
+    for matrix in (np.eye(2), np.eye(4), np.ones(3), 1.0):
+        with pytest.raises(ValueError, match="3x3 orthogonal"):
+            SymmetryReduction("extra", matrix=matrix, M=1)
+
+
+def test_extra_reduction_refuses_a_non_orthogonal_matrix_of_order_m():
+    # R has order 3 but is not orthogonal: it was accepted, and its group
+    # average left a residual not orthogonal to the invariant loops
+    R = np.array([[0.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(np.linalg.matrix_power(R, 3), np.eye(3))
+    with pytest.raises(ValueError, match="3x3 orthogonal"):
+        SymmetryReduction("extra", matrix=R, M=3)
+    # an orthogonal matrix of the same order passes, as before
+    assert SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3).M == 3
+
+
 def test_symmetry_reduction_reads_an_integral_order_as_an_int():
     for M in (4.0, np.int64(4)):
         red = SymmetryReduction("extra", QUARTER_TURN, M)

@@ -17,6 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from choreo import homotopy as H
+from choreo.action import check_alpha
 from choreo.groups import builtin_group, full_group_tessellation, matrix_key, unit_frame
 from choreo.reference_tables import (
     GROUP_CONSTANT_DEVIATIONS,
@@ -352,6 +353,14 @@ def test_reconstruct_numbering_refuses_bad_rows(tag, rows, message):
         H.reconstruct_numbering(H.build_archimedean(tag), rows)
 
 
+@pytest.mark.parametrize("labels", [(), (1,), (1, 1)], ids=["empty", "one", "one-stop"])
+def test_reconstruct_numbering_refuses_a_row_of_fewer_than_two_stops(labels):
+    """() and (1,) failed with IndexError; a row needs two stops and the
+    closing repeat of its first label."""
+    with pytest.raises(ValueError, match="two stops or more"):
+        H.reconstruct_numbering(H.build_archimedean("T"), [(labels, 1, 0, 0)])
+
+
 @pytest.mark.parametrize(
     "tag,name,count,value",
     [("T", "nu1", "k1", 0.9), ("O", "nu4", "k2", 0.4), ("O", "nu1", "M", 2.5)],
@@ -681,6 +690,34 @@ def random_closed_walk(rng, neighbors):
             return word
 
 
+def random_chamber_words(rng, tess, count):
+    """count seeded random closed walks (random_closed_walk) as triangle
+    sequences, repeats merged; walks that merge to one chamber are skipped."""
+    words = []
+    while len(words) < count:
+        word = H.merge_cyclic_duplicates(random_closed_walk(rng, tess.neighbors))
+        if len(word) >= 2:
+            words.append(H.TriangleSequence(tess, tuple(word)))
+    return words
+
+
+FAN_TURNS = ((1, 1), (2, 1), (1, 3))
+
+
+def fan_concatenations(rng, tess):
+    """Every two-pole fan concatenation of the tessellation, each at one
+    seeded rotation: for each chamber x and pair p1, p2 of its corners, n1
+    full turns of p1's fan and then n2 of p2's, both fans read from x, for
+    (n1, n2) in FAN_TURNS.  Each word is tied to {p1, p2}."""
+    for x, corners in enumerate(tess.triangles):
+        for p1, p2 in itertools.combinations(corners, 2):
+            r1, r2 = full_fan_word(tess, p1, start=x), full_fan_word(tess, p2, start=x)
+            for n1, n2 in FAN_TURNS:
+                word = r1 * n1 + r2 * n2
+                k = int(rng.integers(len(word)))
+                yield H.TriangleSequence(tess, tuple(word[k:] + word[:k]))
+
+
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_reduce_cyclic_word_matches_restart_loop(tag):
     neighbors = H.build_archimedean(tag).tessellation.neighbors
@@ -764,6 +801,105 @@ def test_catalog_words_are_reduced_simple_untied(tag, name):
 # Winding diagnostics
 
 
+def reference_is_alpha_simple(t_seq, alpha):
+    """True iff no winding string exceeds the deflection budget of alpha
+    (reference: the body before the shared run tables, one membership row
+    and one window slice per pole and start).
+
+    The forbidden pattern around a pole p of order o is a string of
+    2*floor(1/(2-alpha))*o + 1 consecutive chambers whose closed intersection
+    is exactly {p}: all of them contain p and at least three distinct
+    chambers occur (with one or two distinct chambers the intersection is a
+    whole chamber or a shared side, which strictly contains {p}).  Windows
+    wrap around the cyclic sequence, repeating it as needed.
+    """
+    check_alpha(alpha)
+    tess = t_seq.tessellation
+    tris = list(t_seq.triangles)
+    L = len(tris)
+    kappa = math.floor(1.0 / (2.0 - alpha))
+    touched = sorted({v for t in tris for v in tess.triangles[t]})
+    for pid in touched:
+        o = tess.pole_order[pid]
+        W = 2 * kappa * o + 1
+        member = [pid in tess.triangles[t] for t in tris]
+        reps = 1 + (W + L - 1) // L
+        ext_m = member * reps
+        ext_t = tris * reps
+        for start in range(L):
+            if not ext_m[start]:
+                continue
+            window = ext_m[start : start + W]
+            if all(window) and len(set(ext_t[start : start + W])) >= 3:
+                return False
+    return True
+
+
+def reference_is_tied_to_two_coboundary_axes(t_seq):
+    """True iff the word splits into full turns around two poles of one chamber
+    (reference: the body before the alternating-block search, a DP over
+    flag sets on every rotation for every pole pair of every chamber).
+
+    Condition (i): the cyclic sequence partitions into consecutive blocks,
+    each of length 2*n*o_p for some n >= 1, whose chambers all contain the
+    block's pole p (with at least three distinct chambers, so the closed
+    intersection is exactly {p}), where p ranges over a fixed pair {p1, p2}
+    and both poles are used.  Condition (ii): some tessellation chamber has
+    both p1 and p2 as vertices.
+    """
+    tess = t_seq.tessellation
+    tris = list(t_seq.triangles)
+    L = len(tris)
+
+    pairs = sorted(
+        {
+            tuple(sorted(pair))
+            for t in tess.triangles
+            for pair in itertools.combinations(t, 2)
+        }
+    )
+
+    member = {}
+
+    def member_row(pid):
+        row = member.get(pid)
+        if row is None:
+            row = [pid in tess.triangles[t] for t in tris]
+            member[pid] = row
+        return row
+
+    for p1, p2 in pairs:
+        m1, m2 = member_row(p1), member_row(p2)
+        if not all(a or b for a, b in zip(m1, m2)):
+            continue
+        o1, o2 = tess.pole_order[p1], tess.pole_order[p2]
+        for offset in range(L):
+            rot = [tris[(offset + i) % L] for i in range(L)]
+            r1 = [m1[(offset + i) % L] for i in range(L)]
+            r2 = [m2[(offset + i) % L] for i in range(L)]
+            # states: position -> set of (used p1, used p2)
+            states = {0: {(False, False)}}
+            for pos in range(L):
+                flags = states.get(pos)
+                if not flags:
+                    continue
+                for mrow, o, which in ((r1, o1, 0), (r2, o2, 1)):
+                    block = 2 * o
+                    n = 1
+                    while pos + n * block <= L:
+                        end = pos + n * block
+                        if not all(mrow[pos:end]):
+                            break
+                        if len(set(rot[pos:end])) >= 3:
+                            bucket = states.setdefault(end, set())
+                            for u1, u2 in flags:
+                                bucket.add((u1 or which == 0, u2 or which == 1))
+                        n += 1
+            if (True, True) in states.get(L, ()):
+                return True
+    return False
+
+
 def full_fan_word(tess, pid, start=None):
     fan = list(tess.fan[pid])
     if start is not None:
@@ -822,6 +958,90 @@ def test_tied_to_two_axes_examples():
     assert not H.is_tied_to_two_coboundary_axes(one)
     three = H.TriangleSequence(tess, tuple(r1 + r2 + r3))
     assert not H.is_tied_to_two_coboundary_axes(three)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_tied_to_two_axes_examples_on_every_group(tag):
+    # from every chamber x: full turns around two of its corners tie, turns
+    # around one corner do not, and one turn around each of the three not
+    tess = H.build_archimedean(tag).tessellation
+    tied = H.is_tied_to_two_coboundary_axes
+    for x, corners in enumerate(tess.triangles):
+        fans = {p: full_fan_word(tess, p, start=x) for p in corners}
+        for p1, p2 in itertools.combinations(corners, 2):
+            assert tied(H.TriangleSequence(tess, tuple(fans[p1] + fans[p2])))
+        for p in corners:
+            assert not tied(H.TriangleSequence(tess, tuple(fans[p])))
+            assert not tied(H.TriangleSequence(tess, tuple(fans[p] * 2)))
+        assert not tied(H.TriangleSequence(tess, tuple(sum(fans.values(), []))))
+
+
+DIFFERENTIAL_ALPHAS = (1.0, 1.3, 1.5, 1.7, 1.9, 1.95)
+
+
+def test_winding_diagnostics_match_the_reference_bodies():
+    # the 19 catalog words at six exponents and their own, every two-pole
+    # fan concatenation of T, O and I, and 300 seeded random walks per tag
+    cases = [
+        (H.triangles_from_vertices(row_sequence(tag, name)), catalog_entry(tag, name).alpha)
+        for tag, name in ALL_ROWS
+    ]
+    cases = [(word, DIFFERENTIAL_ALPHAS + (alpha,)) for word, alpha in cases]
+    for tag in ("T", "O", "I"):
+        tess = H.build_archimedean(tag).tessellation
+        rng = np.random.default_rng([27, "TOI".index(tag)])
+        words = [*fan_concatenations(rng, tess), *random_chamber_words(rng, tess, 300)]
+        cases += [(word, DIFFERENTIAL_ALPHAS) for word in words]
+    tied, simple = Counter(), Counter()
+    for word, alphas in cases:
+        verdict = H.is_tied_to_two_coboundary_axes(word)
+        assert verdict == reference_is_tied_to_two_coboundary_axes(word), word
+        tied[verdict] += 1
+        for alpha in alphas:
+            verdict = H.is_alpha_simple(word, alpha)
+            assert verdict == reference_is_alpha_simple(word, alpha), (word, alpha)
+            simple[verdict] += 1
+    assert len(cases) == 19 + 9 * (24 + 48 + 120) + 3 * 300
+    assert tied[True] >= 1000 and tied[False] >= 800
+    assert min(simple.values()) >= 1000
+
+
+def winding_verdicts(word, alphas=(1.0, 1.5, 1.9)):
+    return H.is_tied_to_two_coboundary_axes(word), [H.is_alpha_simple(word, a) for a in alphas]
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_winding_verdicts_survive_rotation_reversal_and_the_group(tag):
+    tess = H.build_archimedean(tag).tessellation
+    rng = np.random.default_rng([28, "TOI".index(tag)])
+    fans = list(fan_concatenations(rng, tess))
+    words = [fans[k] for k in rng.choice(len(fans), 6, replace=False)]
+    words += random_chamber_words(rng, tess, 12)
+    words += [H.triangles_from_vertices(row_sequence(tag, e.name)) for e in catalog_rows(tag)]
+    seen = set()
+    for word in words:
+        w, want = word.triangles, winding_verdicts(word)
+        seen.add((want[0], tuple(want[1])))
+        moved = [w[k:] + w[:k] for k in range(1, len(w))] + [w[::-1]]
+        moved += [tuple(perm[t] for t in w) for perm in tess.triangle_permutations]
+        for other in moved:
+            assert winding_verdicts(H.TriangleSequence(tess, other)) == want, (w, other)
+    # tied and untied words, simple at alpha = 1 and not, were all moved
+    assert {tied for tied, _ in seen} == {True, False}
+    assert {simple[0] for _, simple in seen} == {True, False}
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_alpha_simple_is_monotone_on_random_walks(tag):
+    # once simple, simple at every larger exponent
+    tess = H.build_archimedean(tag).tessellation
+    alphas = (1.0, 1.2, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 1.95, 1.99)
+    flips = 0
+    for word in random_chamber_words(np.random.default_rng([29, "TOI".index(tag)]), tess, 300):
+        verdicts = [H.is_alpha_simple(word, a) for a in alphas]
+        assert verdicts == sorted(verdicts), word
+        flips += verdicts[0] != verdicts[-1]
+    assert flips >= 10
 
 
 # ---------------------------------------------------------------------------
