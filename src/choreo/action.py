@@ -117,16 +117,16 @@ def check_alpha(alpha):
         raise ValueError("alpha must lie in [1, 2)")
 
 
-def check_period(period):
-    """Raise ValueError unless the period is positive and finite."""
-    if not 0.0 < period < math.inf:
-        raise ValueError("period must be positive and finite")
+def check_positive(value, name):
+    """Raise ValueError unless value is positive and finite (NaN is not)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
-def check_mass(mass):
-    """Raise ValueError unless the central mass is nonnegative and finite."""
-    if not 0.0 <= mass < math.inf:
-        raise ValueError("central mass must be nonnegative and finite")
+def check_nonnegative(value, name):
+    """Raise ValueError unless value is nonnegative and finite (NaN is not)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def check_count(count, name, least):
@@ -352,7 +352,7 @@ class LoopPath:
             raise ValueError("points must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        check_period(self.period)
+        check_positive(self.period, "period")
         if self.reduction is not None:
             v = self.reduction.violation(pts)
             if v > 1e-12 * max(1.0, float(np.max(np.abs(pts)))):
@@ -456,8 +456,7 @@ def _coefficients(cone, epsilon):
     (epsilon None) or of the rescaled functional at epsilon."""
     if epsilon is None:
         return cone.central_mass, 1.0, cone.group.order
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be nonnegative and finite")
+    check_nonnegative(epsilon, "epsilon")
     return 1.0, epsilon, 1.0
 
 
@@ -546,8 +545,8 @@ def second_variation_vertical(m0, T):
     Strictly negative for every m0 >= 0: the planar solution is never a
     local minimizer against vertical perturbations.
     """
-    check_mass(m0)
-    check_period(T)
+    check_nonnegative(m0, "central mass")
+    check_positive(T, "period")
     omega = 2.0 * np.pi / T
     ratio = (np.sqrt(2.0) + m0) / (1.0 / np.sqrt(2.0) + 0.25 + m0)
     return 0.5 * omega**2 * T * (1.0 - ratio)

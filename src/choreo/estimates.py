@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .action import check_alpha, check_count, check_mass, check_period
+from .action import check_alpha, check_count, check_nonnegative, check_positive
 from .homotopy import build_archimedean
 from .reference_tables import TWO_PI
 
@@ -184,12 +184,10 @@ def general_lower_bound(total_mass, u0, alpha, period, collisions, formula="plat
     least (2+alpha)/(2-alpha) * (mass/2) * [u0 (pi/alpha)^alpha]^(2/(2+alpha))
     * duration^((2-alpha)/(2+alpha)).  The segments are summed.
     """
-    if not 0.0 < u0 < math.inf:
-        raise ValueError("u0 must be positive and finite")
-    if not 0.0 < total_mass < math.inf:
-        raise ValueError("total_mass must be positive and finite")
+    check_positive(u0, "u0")
+    check_positive(total_mass, "total_mass")
     check_alpha(alpha)
-    check_period(period)
+    check_positive(period, "period")
     collisions = check_count(collisions, "collisions", 1)
     segment = period / collisions
     per_segment = (
@@ -221,7 +219,7 @@ def hiphop_collision_bound(m0, period, satellites=4):
     antisymmetry forces two total collisions per period.
     """
     satellites = _check_satellites(satellites)
-    check_mass(m0)
+    check_nonnegative(m0, "central mass")
     total = satellites + m0
     u0 = (satellites / total) ** 1.5 * ((satellites - 1) / 2.0 + 2.0 * m0)
     return general_lower_bound(total, u0, 1.0, period, 2, formula="hiphop")
@@ -235,7 +233,7 @@ def klein_collision_bound(m0, period):
     equals sqrt(2/3); the time symmetry forces two total collisions per
     period.
     """
-    check_mass(m0)
+    check_nonnegative(m0, "central mass")
     total = 4.0 + m0
     u0 = 4.0 * (3.0 * math.sqrt(1.5) + 4.0 * m0) / total ** 1.5
     return general_lower_bound(total, u0, 1.0, period, 2, formula="klein")
@@ -256,8 +254,8 @@ def rotating_polygon_action(m0, period, satellites=4):
     in time, so the action is (3/2) s T mu / r.
     """
     satellites = _check_satellites(satellites)
-    check_mass(m0)
-    check_period(period)
+    check_nonnegative(m0, "central mass")
+    check_positive(period, "period")
     mu = m0 + 0.25 * k_alpha_p(1.0, satellites)
     radius = (mu * (period / TWO_PI) ** 2) ** (1.0 / 3.0)
     return 1.5 * satellites * period * mu / radius
@@ -272,13 +270,13 @@ def klein_test_loop_bound(m0, period, rho=None):
     rotated copies.  The resulting bound 32 pi^2 rho^2 / T + (3 +
     2 sqrt(2) m0) T / rho is minimized over rho unless one is given.
     """
-    check_mass(m0)
-    check_period(period)
+    check_nonnegative(m0, "central mass")
+    check_positive(period, "period")
     strength = 3.0 + 2.0 * math.sqrt(2.0) * m0
     if rho is None:
         rho = (strength * period ** 2 / (64.0 * math.pi ** 2)) ** (1.0 / 3.0)
-    elif not 0.0 < rho < math.inf:
-        raise ValueError("rho must be positive and finite")
+    else:
+        check_positive(rho, "rho")
     return 32.0 * math.pi ** 2 * rho ** 2 / period + strength * period / rho
 
 
@@ -298,8 +296,7 @@ class TestLoopAction:
 
     def at_scale(self, lam):
         """Action of the test loop rescaled by lam."""
-        if not 0.0 < lam < math.inf:
-            raise ValueError("lam must be positive and finite")
+        check_positive(lam, "lam")
         return lam ** 2 * self.kinetic + lam ** (-self.alpha) * self.potential
 
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .action import LoopPath, check_alpha, check_count, check_mass, check_period
+from .action import LoopPath, check_alpha, check_count, check_nonnegative, check_positive
 from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
@@ -222,15 +222,16 @@ class ArchimedeanPolyhedron:
 
     @cached_property
     def successor_orders(self):
-        """successor_orders[i][k]: the successors j of pole i that can still
-        reach pole k (closing_angles[j, k] < inf), in the order of
-        (theta_ij + d_jk, theta_ij, j), as a bytes object of their positions
-        in arc_table's successors[i].  Read-only, 250 kB for I.
+        """successor_orders[i][k]: every successor j of pole i, in the order
+        of (theta_ij + d_jk, theta_ij, j), as a bytes object of their
+        positions in arc_table's successors[i].  Read-only, 250 kB for I.
 
         The minimal-angle search pushes the children of an open sequence in
         this order: M (theta + d) rounds monotonically in theta + d, so the
         order holds for every symmetry order M.  successors[i] is sorted by
         (theta, j), so a stable sort on theta + d breaks its ties that way.
+        closing_angles is finite on T, O and I, so each row is a full
+        permutation of successors[i] and every open sequence can grow.
         """
         _, successors = self.arc_table
         d = self.closing_angles
@@ -239,9 +240,8 @@ class ArchimedeanPolyhedron:
             thetas = np.array([theta for theta, _ in row])
             # [k, r]: theta + d to pole k through the r-th successor
             via = thetas + d[[j for _, j in row]].T
-            counts = np.isfinite(via).sum(axis=1)
             ranks = np.argsort(via, axis=1, kind="stable")
-            orders.append(tuple(bytes(r[:n].tolist()) for r, n in zip(ranks, counts)))
+            orders.append(tuple(bytes(r.tolist()) for r in ranks))
         return tuple(orders)
 
     @cached_property
@@ -404,9 +404,9 @@ def reconstruct_numbering(polyhedron, rows):
         per = labels[:-1]
         if not all(1 <= label <= nv for label in per):
             raise ValueError(f"row labels must lie in 1..{nv}")
-        if M < 1 or len(per) % M:
-            raise ValueError("the symmetry order M must be a positive divisor of the row length")
         M, k1, k2 = check_count(M, "M", 1), check_count(k1, "k1", 0), check_count(k2, "k2", 0)
+        if len(per) % M:
+            raise ValueError("the symmetry order M must be a positive divisor of the row length")
         prepared.append((per, M, len(per) // M, k1, k2))
 
     assign = {}
@@ -800,7 +800,7 @@ def test_loop(nu, period, samples):
     samples = check_count(samples, "samples", S)
     if samples % S:
         raise ValueError(f"samples ({samples}) must be divisible by the step count ({S})")
-    check_period(period)
+    check_positive(period, "period")
     m = samples // S
     pts = nu.points
     nxt = np.roll(pts, -1, axis=0)
@@ -832,8 +832,8 @@ class ConeSpec:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        check_period(self.period)
-        check_mass(self.central_mass)
+        check_positive(self.period, "period")
+        check_nonnegative(self.central_mass, "central mass")
         tag = self.group.tag
         if tag in ("Z4", "KLEIN"):
             if self.nu is not None:
@@ -971,10 +971,11 @@ def catalog_cone(tag, name, *, period=TWO_PI, central_mass=0.0, alpha=None):
 class MinimalAngleResult:
     """Minimal total angle and the circular-arc skeleton realizing it.
 
-    total_angle is the least over the skeletons whose junction routes take
-    at most _TURN_CAP extra turns about a pole, not over every route; a
-    larger cap could only lower it; turns is the most extra turns a route
-    of the realizing skeleton takes (0 for the closed-form KLEIN loop).
+    total_angle is the least over the skeletons of every length whose
+    junction routes take at most _TURN_CAP extra turns about a pole, not
+    over every route; a larger cap could only lower it; turns is the most
+    extra turns a route of the realizing skeleton takes (0 for the
+    closed-form KLEIN loop).
     semi_axes lists the junction directions in traversal order; arc i joins
     semi_axes[i] to semi_axes[i+1] (cyclically) sweeping arc_angles[i];
     times[i] is the junction passage time under the constant angular speed
@@ -1216,28 +1217,28 @@ def _skeleton_realizes(options, target, goal, fund_axes, spent):
     return None, tried, checked
 
 
-def _skeleton_pops(poly, M, fmax, pole_perm):
+def _skeleton_pops(poly, M, pole_perm):
     """A* search over symmetry-periodic junction sequences on the successor
     arcs of the polyhedron's arc_table.
 
-    Yields (cost, axes, closed) from every pole at cost 0.  An open sequence
-    of fewer than fmax arcs is extended by each successor j of its last pole,
-    and closed when j is the symmetry image of its first pole.  Entries pop
-    in the order of (f, k, closed): k = (cost, parent's k, j), where the arc
-    of angle theta to j adds M * theta to the parent's cost, and f = parent's
-    cost + M * (theta + closing_angles[j, close]), lowered by _BOUND_SLACK on
-    open entries, so that a rounding never lifts an ancestor's f to its
-    closed descendant's cost.  theta + d rounds before the product, so f
-    grows along each successor_orders row for every M.  The bound ignores
-    fmax, so it is admissible; the closing table makes it consistent and it
+    Yields (cost, axes, closed) from every pole at cost 0, without end: every
+    open sequence, of any length, is extended by each successor j of its
+    last pole, and closed when j is the symmetry image of its first pole.
+    Entries pop in the order of (f, k, closed): k = (cost, parent's k, j),
+    where the arc of angle theta to j adds M * theta to the parent's cost,
+    and f = parent's cost + M * (theta + closing_angles[j, close]), lowered
+    by _BOUND_SLACK on open entries, so that a rounding never lifts an
+    ancestor's f to its closed descendant's cost.  theta + d rounds before
+    the product, so f grows along each successor_orders row for every M.
+    The bound is admissible; the closing table makes it consistent and it
     is 0 on closed entries, so closed entries pop in the order of (cost, k):
     the order in which a uniform-cost search that breaks ties by push order
-    pops them.  Open entries that cannot close (inf bound) or grow (fmax
-    arcs) are not pushed.  The open children of a pop enter the heap lazily,
-    in the order of their successor_orders row: each entry carries its
-    siblings' row and its rank in it, and pushes the next sibling when it
-    pops.  Of the P x P closing table the call reads the P root bounds and
-    the rows of the closing poles it meets.
+    pops them.  The open children of a pop enter the heap lazily, in the
+    order of their successor_orders row, a full permutation of the
+    successors: each entry carries its siblings' row and its rank in it, and
+    pushes the next sibling when it pops.  Of the P x P closing table the
+    call reads the P root bounds and the rows of the closing poles it meets.
+    The caller ends the stream, at a match or at a budget.
     """
     _, successors = poly.arc_table
     closing, orders = poly.closing_angles, poly.successor_orders
@@ -1267,11 +1268,7 @@ def _skeleton_pops(poly, M, fmax, pole_perm):
         heapq.heappush(heap, (f, key, False, axes + (j,), row, rank))
 
     roots = (M * closing[list(pole_perm), range(P)] - _BOUND_SLACK).tolist()
-    heap = [
-        (roots[s0], (0.0, (), s0), False, (s0,), no_row, -1)
-        for s0 in range(P)
-        if roots[s0] < math.inf
-    ]
+    heap = [(roots[s0], (0.0, (), s0), False, (s0,), no_row, -1) for s0 in range(P)]
     heapq.heapify(heap)
     while heap:
         _, key, closed, axes, siblings, rank = heapq.heappop(heap)
@@ -1283,8 +1280,7 @@ def _skeleton_pops(poly, M, fmax, pole_perm):
             push_open(key[1], axes[:-1], siblings, rank + 1)
         close = pole_perm[axes[0]]
         row, twin = children(axes[-1], close)
-        if row[0] and len(axes) < fmax:
-            push_open(key, axes, row, 0)
+        push_open(key, axes, row, 0)
         if twin is not None:
             closed_key = (cost + twin, key, close)
             heapq.heappush(heap, (cost + twin, closed_key, True, axes + (close,), no_row, -1))
@@ -1320,9 +1316,10 @@ def min_total_angle(cone):
     (successor_orders), is read from the polyhedron's tables, built on
     first use; a call builds only the windings over its M symmetry copies
     and its root bounds, each once, and the junction routes of the
-    resolutions it reduces.  The minimum is over routes of up to _TURN_CAP
-    extra turns about a pole.  Raises ValueError for a central cone, one
-    whose class a great circle run once or repeated carries, decided
+    resolutions it reduces.  The minimum is over skeletons of every length
+    and routes of up to _TURN_CAP extra turns about a pole: the search ends
+    only at a match or at a budget.  Raises ValueError for a central cone,
+    one whose class a great circle run once or repeated carries, decided
     exactly by _central_circle_exists before the search; RuntimeError past
     the call's budgets, module constants: _MAX_POPS heap pops or _COMBO_CAP
     junction resolutions covered.
@@ -1373,10 +1370,9 @@ def min_total_angle(cone):
     goal = sum(steps[target[i - 1], target[i]] for i in range(len(target)))
     options = _SearchOptions(poly, tri_perm_pows)
 
-    fmax = max(2, math.ceil(4 * nu.steps / M))
     seen_skeletons = set()
     pops = combinations = checked = 0
-    for cost, axes, closed in _skeleton_pops(poly, M, fmax, pole_perm):
+    for cost, axes, closed in _skeleton_pops(poly, M, pole_perm):
         pops += 1
         if pops > _MAX_POPS:
             raise RuntimeError("minimal-angle search exhausted its pop budget")
@@ -1411,4 +1407,5 @@ def min_total_angle(cone):
             checked=checked,
         )
         return _logged(cone, result)
+    # every open pop pushes a child, so the stream ends only if that breaks
     raise RuntimeError("minimal-angle search exhausted all candidates without a realization")

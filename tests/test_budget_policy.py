@@ -1,7 +1,8 @@
 """Budget policy of the library: a search budget is a module constant, as
 ``_NUMBERING_NODE_CAP`` and ``_MAX_POPS`` are, never a keyword of the
-function that searches.  A parameter named ``max_*``, ``*_cap`` or ``cap``
-is refused; tests that need a smaller budget patch the constant."""
+function that searches.  A parameter named ``max_*``, ``*max``, ``*_cap``
+or ``cap`` is refused; tests that need a smaller budget patch the
+constant."""
 
 import ast
 from pathlib import Path
@@ -14,7 +15,7 @@ SOURCES = sorted(Path(choreo.__file__).parent.glob("*.py"))
 
 
 def is_budget_name(name):
-    return name == "cap" or name.startswith("max_") or name.endswith("_cap")
+    return name == "cap" or name.startswith("max_") or name.endswith(("max", "_cap"))
 
 
 def budget_parameters(tree):
@@ -42,6 +43,8 @@ def test_budget_guard_on_a_synthetic_source():
         "f = lambda combo_cap: combo_cap\n"
         "def fine(capacity, maximum, caps, budget, spent):\n"
         "    return _MAX_POPS\n"
+        "def pops(poly, M, fmax, pole_perm):\n"
+        "    pass\n"
     )
     assert budget_parameters(ast.parse(source)) == [
         (2, "search", "max_pops"),
@@ -49,6 +52,7 @@ def test_budget_guard_on_a_synthetic_source():
         (7, "walk", "max_extra"),
         (7, "walk", "turn_cap"),
         (9, "<lambda>", "combo_cap"),
+        (12, "pops", "fmax"),
     ]
 
 

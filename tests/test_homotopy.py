@@ -340,13 +340,15 @@ def altered_row(tag, name, M=None, relabel=(None, None)):
     "tag,rows,message",
     [
         # M = 0 divided by zero, and M = -2 was taken for a symmetry order.
-        ("T", altered_row("T", "nu1", M=0), "positive divisor"),
-        ("T", altered_row("T", "nu1", M=-2), "positive divisor"),
+        ("T", altered_row("T", "nu1", M=0), "M must be a positive integer"),
+        ("T", altered_row("T", "nu1", M=-2), "M must be a positive integer"),
+        # M = 3 does not divide the 8 stops of T nu1.
+        ("T", altered_row("T", "nu1", M=3), "positive divisor"),
         # Both were placed, and then labels 24 and 10 were left without a vertex.
         ("O", altered_row("O", "nu4", relabel=(15, 99)), "must lie in"),
         ("T", altered_row("T", "nu1", relabel=(9, 0)), "must lie in"),
     ],
-    ids=["M=0", "M=-2", "label-99", "label-0"],
+    ids=["M=0", "M=-2", "M=3", "label-99", "label-0"],
 )
 def test_reconstruct_numbering_refuses_bad_rows(tag, rows, message):
     with pytest.raises(ValueError, match=message):
@@ -363,12 +365,19 @@ def test_reconstruct_numbering_refuses_a_row_of_fewer_than_two_stops(labels):
 
 @pytest.mark.parametrize(
     "tag,name,count,value",
-    [("T", "nu1", "k1", 0.9), ("O", "nu4", "k2", 0.4), ("O", "nu1", "M", 2.5)],
-    ids=["k1-plus-0.9", "k2-plus-0.4", "M-2.5"],
+    [
+        ("T", "nu1", "k1", 0.9),
+        ("O", "nu4", "k2", 0.4),
+        ("O", "nu1", "M", 2.5),
+        ("T", "nu1", "M", None),
+        ("T", "nu1", "M", "2"),
+    ],
+    ids=["k1-plus-0.9", "k2-plus-0.4", "M-2.5", "M-None", "M-str-2"],
 )
 def test_reconstruct_numbering_refuses_a_non_integer_count(tag, name, count, value):
-    """k1 + 0.9 and k2 + 0.4 were truncated to the row's counts, and M = 2.5,
-    which divides the 10 steps of O nu1, failed as a list index."""
+    """k1 + 0.9 and k2 + 0.4 were truncated to the row's counts, M = 2.5,
+    which divides the 10 steps of O nu1, failed as a list index, and M =
+    None and M = "2" failed with TypeError at the divisor test."""
     entry = catalog_entry(tag, name)
     row = {"M": entry.M, "k1": entry.k1, "k2": entry.k2 or 0}
     row[count] = value if count == "M" else row[count] + value
@@ -1886,6 +1895,17 @@ def test_min_total_angle_reports_the_turns_it_needs(tag, name, turns, fewer, mon
     assert capped.turns < res.turns
 
 
+def test_min_total_angle_is_unchanged_by_a_third_turn(monkeypatch):
+    """ROADMAP item 17's cap, measured: with _TURN_CAP at 3 every catalog
+    row returns the total angle it returns at 2, to the last bit.  I nu1
+    and I nu2 are left out: at cap 3 they exhaust _COMBO_CAP."""
+    rows = [row for row in ALL_ROWS if row not in {("I", "nu1"), ("I", "nu2")}]
+    assert len(rows) == 17 and H._TURN_CAP == 2
+    at_two = [repr(H.min_total_angle(H.catalog_cone(*row)).total_angle) for row in rows]
+    monkeypatch.setattr(H, "_TURN_CAP", 3)
+    assert [repr(H.min_total_angle(H.catalog_cone(*row)).total_angle) for row in rows] == at_two
+
+
 def test_min_total_angle_builds_routes_only_for_the_resolutions_it_reduces(monkeypatch):
     """_route builds one route per junction of each resolution the search
     reduces, on every pin, and no other: checked x junctions per block."""
@@ -2208,7 +2228,7 @@ def test_lazy_heap_pops_like_the_eager_heap(tag, name, element):
     poly = cone.nu.polyhedron
     pole_perm = poly.tessellation.pole_permutations[poly.group.index(R)]
     successors, fmax = poly.arc_table[1], max(2, math.ceil(4 * cone.nu.steps / M))
-    search = H._skeleton_pops(poly, M, fmax, pole_perm)
+    search = H._skeleton_pops(poly, M, pole_perm)
     astar = list(itertools.islice(search, pops))
     assert len(astar) == pops
     closed = [(cost, axes) for cost, axes, is_closed in astar if is_closed]
@@ -2268,6 +2288,21 @@ def test_successor_orders_match_the_sorted_rows(tag):
                 (theta + d[j, k], theta, j) for theta, j in row if d[j, k] < math.inf
             )
             assert [row[r][1] for r in orders[i][k]] == [j for _, _, j in reference]
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_every_open_sequence_can_grow_and_close(tag):
+    """The premise of a search with no length cap and no infinite bounds:
+    every pole has successors, every closing angle is finite, and every
+    successor_orders row is a full permutation of its successor row, so
+    every open pop pushes a child and every root can close."""
+    poly = H.build_archimedean(tag)
+    successors = poly.arc_table[1]
+    assert np.isfinite(poly.closing_angles).all()
+    for i, row in enumerate(successors):
+        assert row
+        for k in range(len(successors)):
+            assert sorted(poly.successor_orders[i][k]) == list(range(len(row)))
 
 
 def reference_pole_inside_arc(points, za, zb):
