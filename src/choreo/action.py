@@ -14,7 +14,9 @@ projects onto the invariant subspace and restricts the variables to a
 fundamental set of nodes.  A reduction keeps the tables that depend only on
 it and the sample count n (transforms, free nodes, node images, orbit
 weights) for the most recent n it served, as read-only arrays, so a
-minimizer iterating at one n builds them once.
+minimizer iterating at one n builds them once.  The free nodes are a prefix
+of the loop; for the cyclic kinds ("extra", "italian") lift and
+reduce_gradient read the loop's M block matrices off the node images.
 
 The potential kernel runs once per orbit of nodes, and once per loop and
 cone: a LoopPath keeps its last kernel evaluation, values and gradient
@@ -112,20 +114,20 @@ class CollisionError(ValueError):
 
 
 def check_alpha(alpha):
-    """Raise ValueError unless the exponent alpha lies in [1, 2) (NaN does not)."""
-    if not 1.0 <= alpha < 2.0:
+    """Raise ValueError unless the exponent alpha is a real number in [1, 2) (NaN is not)."""
+    if not (type(alpha) is float or isinstance(alpha, Real)) or not 1.0 <= alpha < 2.0:
         raise ValueError("alpha must lie in [1, 2)")
 
 
 def check_positive(value, name):
-    """Raise ValueError unless value is positive and finite (NaN is not)."""
-    if not 0.0 < value < math.inf:
+    """Raise ValueError unless value is a positive, finite real number (NaN is not)."""
+    if not (type(value) is float or isinstance(value, Real)) or not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
 
 
 def check_nonnegative(value, name):
-    """Raise ValueError unless value is nonnegative and finite (NaN is not)."""
-    if not 0.0 <= value < math.inf:
+    """Raise ValueError unless value is a nonnegative, finite real number (NaN is not)."""
+    if not (type(value) is float or isinstance(value, Real)) or not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite")
 
 
@@ -285,21 +287,26 @@ class SymmetryReduction:
         """For each node i, a representation u_i = A @ z_rep with rep a free
         node.  Returns read-only (rep, mats) with rep an int array of length
         n and mats an (n, 3, 3) array.  Boundary nodes fixed by part of the
-        group get the average over their stabilizer, so the lift is total."""
+        group get the average over their stabilizer, so the lift is total.
+        For the cyclic kinds node j + k*n/M is mats[k*n/M] @ z_j, so
+        mats[::n//M] are the M block matrices."""
         kept = self._tables(n)
         return kept.rep, kept.mats
 
     def lift(self, z, n):
-        """Reconstruct the full loop from values at the free nodes."""
+        """Reconstruct the full loop from values at the free nodes; the cyclic
+        kinds apply node_images' M block matrices in one stacked product."""
         rep, mats = self.node_images(n)
         # free_nodes(n) is arange, so a free node is its own row of z
         z = np.asarray(z, float).reshape(len(self.free_nodes(n)), 3)
-        return np.einsum("nij,nj->ni", mats, np.take(z, rep, axis=0))
+        if self.kind == "klein_reflections":
+            return np.einsum("nij,nj->ni", mats, np.take(z, rep, axis=0))
+        return np.matmul(z, mats[::len(z)].transpose(0, 2, 1)).reshape(n, 3)
 
     def restrict(self, points):
-        """Values of a (symmetric) loop at the free nodes."""
+        """Values of a (symmetric) loop at the free nodes, a prefix."""
         n = len(points)
-        return np.asarray(points, float)[self.free_nodes(n)]
+        return np.asarray(points, float)[:len(self.free_nodes(n))].copy()
 
     def project(self, points):
         """Group-average: the closest invariant loop; idempotent."""
@@ -323,10 +330,13 @@ class SymmetryReduction:
         return float(np.max(np.abs(pts - self.project(pts))))
 
     def reduce_gradient(self, grad, n):
-        """Chain rule: gradient with respect to the free-node values."""
+        """Chain rule: gradient with respect to the free-node values; the
+        cyclic kinds pull the blocks back by node_images' block matrices."""
         rep, mats = self.node_images(n)
-        terms = np.einsum("nji,nj->in", mats, grad)
         m = len(self.free_nodes(n))
+        if self.kind != "klein_reflections":
+            return np.matmul(np.reshape(grad, (self.M, m, 3)), mats[::m]).sum(axis=0)
+        terms = np.einsum("nji,nj->in", mats, grad)
         return np.stack([np.bincount(rep, weights=t, minlength=m) for t in terms], axis=1)
 
 
@@ -470,7 +480,7 @@ def _evaluate(loop, cone, m0, mutual):
         n = loop.n
         table = None if loop.reduction is None else loop.reduction.orbit_weights(n, group)
         free, w = table if table is not None else (np.arange(n), np.ones(n))
-        kernel = _potential(loop.points[free], group, cone.alpha, m0, mutual, with_gradient=True)
+        kernel = _potential(loop.points[:len(free)], group, cone.alpha, m0, mutual, with_gradient=True)
         kept = loop._slot[0] = (group, key, (free, w) + kernel)
     return kept[2]
 
@@ -529,7 +539,7 @@ def gradient(loop, cone, epsilon=None):
     stretch[1:] -= pts[:-1]
     stretch[0] -= pts[-1]
     stretch /= h
-    stretch[free] += h * w[:, None] * grad
+    stretch[:len(free)] += h * w[:, None] * grad  # the free nodes are a prefix
     stretch *= prefactor
     if loop.reduction is None:
         return stretch

@@ -1,6 +1,7 @@
 """Action evaluation, gradients, reductions, rescaling."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -21,6 +22,7 @@ from choreo.action import (
     rescale_parameter,
     second_variation_vertical,
 )
+from choreo.estimates import general_lower_bound, klein_test_loop_bound
 from choreo.groups import builtin_group, generate_group, poles
 from choreo.reference_tables import LOOP_CATALOG
 
@@ -356,16 +358,44 @@ def reference_reduce_gradient(red, grad, n):
     return out
 
 
-@pytest.mark.parametrize("n", [12, 60, 240, 1200])
+def parent_lift(red, z, n):
+    """SymmetryReduction.lift as one einsum over all n node matrices (the
+    body the cyclic kinds' block product replaced; klein still runs it)."""
+    rep, mats = red.node_images(n)
+    z = np.asarray(z, float).reshape(len(red.free_nodes(n)), 3)
+    return np.einsum("nij,nj->ni", mats, np.take(z, rep, axis=0))
+
+
+def parent_reduce_gradient(red, grad, n):
+    """SymmetryReduction.reduce_gradient as a per-node einsum and three
+    bincount sums (the body the cyclic kinds' block product replaced)."""
+    rep, mats = red.node_images(n)
+    terms = np.einsum("nji,nj->in", mats, grad)
+    m = len(red.free_nodes(n))
+    return np.stack([np.bincount(rep, weights=t, minlength=m) for t in terms], axis=1)
+
+
+NODE_LOOP_REDUCTIONS = {
+    "italian": SymmetryReduction("italian"),
+    "klein": SymmetryReduction("klein_reflections"),
+    "extra-O4": SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4),
+    "extra-T3": SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3),
+    # the order-5 element of I nu3 and the half-turn of T nu1, not -I
+    "extra-I5": SymmetryReduction("extra", *H.catalog_cone("I", "nu3").extra_symmetry),
+    "extra-T2": SymmetryReduction("extra", *H.catalog_cone("T", "nu1").extra_symmetry),
+}
+
+
+# 1,500 and 4,096 nodes are sizes the descent benchmark runs; each
+# reduction is checked at every count its divisor divides
 @pytest.mark.parametrize(
-    "red",
+    "red, n",
     [
-        SymmetryReduction("italian"),
-        SymmetryReduction("klein_reflections"),
-        SymmetryReduction("extra", matrix=builtin_group("O").generators[0], M=4),
-        SymmetryReduction("extra", matrix=builtin_group("T").generators[1], M=3),
+        pytest.param(red, n, id=f"{name}-{n}")
+        for name, red in NODE_LOOP_REDUCTIONS.items()
+        for n in (12, 60, 240, 1200, 1500, 4096)
+        if n % red.divisor() == 0
     ],
-    ids=["italian", "klein", "extra-O4", "extra-T3"],
 )
 def test_reduction_matches_node_loop(red, n):
     rep, mats = red.node_images(n)
@@ -384,6 +414,80 @@ def test_reduction_matches_node_loop(red, n):
     assert np.max(np.abs(lifted - reference_lift(red, z, n))) <= 1e-14
     assert np.max(np.abs(reduced - reference_reduce_gradient(red, g, n))) <= 1e-14
     assert np.sum(lifted * g) == pytest.approx(np.sum(z * reduced), rel=1e-12)
+    if red.kind == "klein_reflections":
+        # klein keeps its per-node bodies: bit for bit the parent's
+        assert same_bytes(lifted, parent_lift(red, z, n))
+        assert same_bytes(reduced, parent_reduce_gradient(red, g, n))
+
+
+@pytest.mark.parametrize("name", ["italian", "extra-O4", "extra-I5"])
+def test_cyclic_lift_and_pull_back_read_the_node_images_once(name, monkeypatch):
+    """The block matrices have one owner: lift and reduce_gradient each ask
+    node_images once, kept tables or not (a traced descent run nests their
+    node_images span inside theirs)."""
+    base = NODE_LOOP_REDUCTIONS[name]
+    red = SymmetryReduction(base.kind, base.matrix, base.M)
+    calls, images = [], SymmetryReduction.node_images
+
+    def counted(self, n):
+        calls.append(n)
+        return images(self, n)
+
+    monkeypatch.setattr(SymmetryReduction, "node_images", counted)
+    z = np.random.default_rng(3).normal(size=(1500 // red.M, 3))
+    for _ in range(2):
+        calls.clear()
+        red.lift(z, 1500)
+        assert calls == [1500]
+        red.reduce_gradient(np.ones((1500, 3)), 1500)
+        assert calls == [1500, 1500]
+
+
+@pytest.mark.parametrize("name", list(NODE_LOOP_REDUCTIONS))
+def test_free_nodes_are_a_prefix(name):
+    """lift, restrict, the orbit kernel and gradient read the free nodes as
+    the first len(free_nodes(n)) rows of the loop."""
+    red = NODE_LOOP_REDUCTIONS[name]
+    for n in (12, 60, 1500, 4096):
+        if n % red.divisor() == 0:
+            free = red.free_nodes(n)
+            assert np.array_equal(free, np.arange(len(free))), n
+            pts = red.project(np.random.default_rng(n).normal(size=(n, 3)))
+            z = red.restrict(pts)
+            assert same_bytes(z, pts[free]) and not np.shares_memory(z, pts), n
+
+
+# Stated before the first run: lifted points, action and reduced gradient of
+# the block products within 1e-13 of the per-node bodies, relative to the
+# largest entry.  They differ only in the summation order of 3M products.
+CATALOG_BLOCK_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("tag, name", [(e.tag, e.name) for e in LOOP_CATALOG], ids=lambda v: v)
+def test_block_objective_matches_the_per_node_bodies(tag, name, monkeypatch):
+    """One descent op, lift -> LoopPath -> action -> gradient, on each
+    catalog row at about 1,500 nodes, against the parent's lift and
+    reduce_gradient."""
+    cone = H.catalog_cone(tag, name, central_mass=1.3)
+    step = math.lcm(cone.nu.steps, cone.extra_symmetry[1])
+    n = 1500 // step * step
+    base = catalog_loop(cone, n)
+    red, z = base.reduction, base.reduction.restrict(base.points)
+
+    def objective():
+        loop = LoopPath(red.lift(z, n), cone.period, red)
+        return loop.points, action(loop, cone), gradient(loop, cone)
+
+    got = objective()
+    monkeypatch.setattr(SymmetryReduction, "lift", parent_lift)
+    monkeypatch.setattr(SymmetryReduction, "reduce_gradient", parent_reduce_gradient)
+    want = objective()
+    for a, b in ((got[0], want[0]), (got[2], want[2])):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= CATALOG_BLOCK_RTOL * np.max(np.abs(b))
+    for part in ("kinetic", "central", "mutual"):
+        a, b = getattr(got[1], part), getattr(want[1], part)
+        assert abs(a - b) <= CATALOG_BLOCK_RTOL * abs(b), part
 
 
 def reference_project(red, points):
@@ -635,6 +739,28 @@ def test_check_count_takes_whole_numbers_only():
     for value in (4.9, 3.9999, math.nan, math.inf, -math.inf, 3, -4, None, "4"):
         with pytest.raises(ValueError, match="k must be a positive integer >= 4"):
             A.check_count(value, "k", 4)
+
+
+def test_range_checks_refuse_a_non_number():
+    """A non-number gets the range check's ValueError, not a TypeError from
+    inside its comparison; a real number of any type is still compared."""
+    with pytest.raises(ValueError, match="u0 must be positive and finite"):
+        general_lower_bound(4.0, "1", 1.0, 6.0, 2)
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        klein_test_loop_bound(0.0, 6.0, "1")
+    with pytest.raises(ValueError, match="central mass must be nonnegative and finite"):
+        second_variation_vertical(None, 6.0)
+    for value in ("1", None, b"1", [1.5], 1.5j):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            A.check_alpha(value)
+        with pytest.raises(ValueError, match="x must be positive"):
+            A.check_positive(value, "x")
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            A.check_nonnegative(value, "x")
+    for value in (1.5, 1, np.float64(1.5), np.int64(1), Fraction(3, 2)):
+        A.check_alpha(value)
+        A.check_positive(value, "x")
+        A.check_nonnegative(value, "x")
 
 
 QUARTER_TURN = builtin_group("O").generators[0]
