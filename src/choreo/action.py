@@ -267,8 +267,9 @@ class SymmetryReduction:
         "extra" and "italian"; for "klein_reflections" 4, except 2 at nodes
         0 and n/4, which a reflection fixes.  The table reads each orbit off
         its free node, so it describes the loop's symmetric projection,
-        which a LoopPath matches to within 1e-12.  The answer for the last
-        group asked is kept with the tables of n.
+        which a LoopPath matches to within 1e-12 * max(1, max|points|) in
+        every component.  The answer for the last group asked is kept with
+        the tables of n.
         """
         kept = self._tables(n)
         if kept.orbit[0] is not group:
@@ -325,9 +326,28 @@ class SymmetryReduction:
         return acc / len(trs)
 
     def violation(self, points):
-        """Max node-wise constraint violation of the loop."""
+        """Largest component of x - g x over the nodes and the generators g:
+        the shift by n/M (none at M = 1) or klein's reflections; see violation_factor."""
         pts = np.asarray(points, float)
-        return float(np.max(np.abs(pts - self.project(pts))))
+        trs = self.transforms(len(pts))
+        worst = 0.0
+        for shift, flip, A in trs[1:3] if self.kind == "klein_reflections" else trs[1:2]:
+            img = pts @ A.T  # (g x)_j = img_{(flip*j + shift) mod n}, read off as in project
+            d = np.concatenate((img[shift:], img[:shift]) if flip == 1 else (img[shift::-1], img[:shift:-1]))
+            d -= pts
+            worst = max(worst, float(np.max(np.abs(d, out=d))))
+        return worst
+
+    def violation_factor(self):
+        """c with max|x - project(x)| <= c * violation(x) up to rounding: (M -
+        1)/M * (1 + sqrt(3) (M - 2)/2), exact at M = 2, or 1 for klein.  x -
+        project(x) is the mean of x - h x over the group.  Cyclic: x - g^k x =
+        sum_{i<k} g^i (x - g x), and g^i raises a node's largest component by
+        at most |R^i|_inf, 1 at i = 0, else <= sqrt(3).  Klein: x - ab x = (x -
+        a x) + a (x - b x), and a only moves nodes and flips signs."""
+        if self.kind == "klein_reflections":
+            return 1.0
+        return (self.M - 1) / self.M * (1.0 + math.sqrt(3.0) * (self.M - 2) / 2)
 
     def reduce_gradient(self, grad, n):
         """Chain rule: gradient with respect to the free-node values; the
@@ -346,7 +366,9 @@ class LoopPath:
 
     points: (n, 3) array of positions of the generating particle.
     period: T, positive and finite.
-    reduction: the symmetry constraints the samples satisfy, if any.
+    reduction: the symmetry constraints the samples satisfy, if any; the
+    loop must lie within 1e-12 * max(1, max|points|) of its group average in
+    every component, by the bound reduction.violation_factor() * violation.
     Loops compare by identity.
     """
 
@@ -358,14 +380,15 @@ class LoopPath:
         pts = np.array(self.points, dtype=float, copy=True)
         if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
             raise ValueError("points must be a nonempty (n, 3) array")
-        if not np.isfinite(pts).all():
+        scale = float(np.max(np.abs(pts)))
+        if not scale < math.inf:  # NaN compares False
             raise ValueError("points must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         check_positive(self.period, "period")
         if self.reduction is not None:
-            v = self.reduction.violation(pts)
-            if v > 1e-12 * max(1.0, float(np.max(np.abs(pts)))):
+            v = self.reduction.violation_factor() * self.reduction.violation(pts)
+            if v > 1e-12 * max(1.0, scale):
                 raise ValueError(
                     f"loop violates its symmetry reduction by {v:.3e}"
                 )
@@ -423,8 +446,9 @@ def _potential(pts, group, alpha, m0, mutual, with_gradient=False):
     prefix of the loop) when the loop's orbit table applies, else every
     node.  Collisions are then checked at the fundamental nodes only, that
     is on the loop's symmetric projection: a node is taken to sit where its
-    fundamental node's image does, which LoopPath holds to within 1e-12,
-    ten times the collision floor.  A node within the floor whose
+    fundamental node's image does, which LoopPath holds to within 1e-12 *
+    max(1, max|points|) in every component, at unit scale ten times the
+    collision floor.  A node within the floor whose
     fundamental node lies outside it thus gives a large finite value, not
     CollisionError.
     """

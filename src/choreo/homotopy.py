@@ -386,14 +386,15 @@ def reconstruct_numbering(polyhedron, rows):
     edge path, prunes on side-type counts, and requires for each row a group
     element R with R^M = identity that shifts the cycle by steps/M positions:
     the first placed pair of labels steps/M apart fixes R (element_between),
-    and every other placed pair must agree.  Labels not used by any row are
+    and every other placed pair must agree, checked as each label is placed
+    against the R its row's placed pairs share.  Labels not used by any row are
     assigned to the remaining vertices in sorted order, so the result is a
     bijection.  Raises ValueError if the rows cannot be realized,
     RuntimeError past _NUMBERING_NODE_CAP search nodes; logs the node count
     at DEBUG.
     """
     nv, tag = polyhedron.vertex_count, polyhedron.group.tag
-    perms, between = polyhedron.vertex_permutations, polyhedron.element_between
+    between = polyhedron.element_between
     orders = polyhedron.group.element_orders
 
     prepared = []
@@ -407,7 +408,8 @@ def reconstruct_numbering(polyhedron, rows):
         M, k1, k2 = check_count(M, "M", 1), check_count(k1, "k1", 0), check_count(k2, "k2", 0)
         if len(per) % M:
             raise ValueError("the symmetry order M must be a positive divisor of the row length")
-        prepared.append((per, M, len(per) // M, k1, k2))
+        pairs = [(la, per[(i + len(per) // M) % len(per)]) for i, la in enumerate(per)]
+        prepared.append((per, M, pairs, {label: [p for p in pairs if label in p] for label in per}, k1, k2))
 
     assign = {}
     used = [False] * nv
@@ -416,26 +418,23 @@ def reconstruct_numbering(polyhedron, rows):
     def place_rows(ri):
         if ri == len(prepared):
             return True
-        per, M, shift, k1, k2 = prepared[ri]
+        per, M, pairs, holding, k1, k2 = prepared[ri]
         L = len(per)
-        pairs = [(per[i], per[(i + shift) % L]) for i in range(L)]
 
-        def shift_holds():
-            # The first placed pair fixes the one candidate R; the others must agree.
-            perm = None
-            for la, lb in pairs:
+        def shared_element(g, held):
+            # g, the element every placed pair shares (None before the first,
+            # -1 once two differ), extended by the placed pairs among held:
+            # only pairs holding the label just placed can newly be placed
+            for la, lb in held:
                 if la in assign and lb in assign:
-                    a, b = assign[la], assign[lb]
-                    if perm is None:
-                        g = between[a][b]
-                        if M % orders[g]:
-                            return False
-                        perm = perms[g]
-                    elif perm[a] != b:
-                        return False
-            return True
+                    h = between[assign[la]][assign[lb]]
+                    if g is None and M % orders[h] == 0:
+                        g = h
+                    elif h != g:
+                        return -1
+            return g
 
-        def place(pos, c1, c2):
+        def place(pos, c1, c2, g):
             nonlocal nodes
             nodes += 1
             if nodes > _NUMBERING_NODE_CAP:
@@ -454,7 +453,8 @@ def reconstruct_numbering(polyhedron, rows):
                 if typ is None:
                     return False
                 n1, n2 = c1 + (typ == 1), c2 + (typ == 2)
-                return n1 <= k1 and n2 <= k2 and shift_holds() and place(pos + 1, n1, n2)
+                h = shared_element(g, holding[label]) if n1 <= k1 and n2 <= k2 else -1
+                return h != -1 and place(pos + 1, n1, n2, h)
 
             if label in assign:
                 return advance(assign[label])
@@ -471,7 +471,7 @@ def reconstruct_numbering(polyhedron, rows):
                 used[vid] = False
             return False
 
-        return place(0, 0, 0)
+        return place(0, 0, 0, shared_element(None, pairs))
 
     found = place_rows(0)
     _log.debug("reconstruct_numbering %s: %d rows, %d nodes", tag, len(prepared), nodes)

@@ -732,6 +732,195 @@ def test_loop_path_refuses_a_nan_node_of_a_symmetric_loop():
         LoopPath(pts, 1.0, red)
 
 
+# ---------------------------------------------------------------------------
+# the symmetry check of a LoopPath against the group-average check it replaced
+
+
+def reference_violation(red, pts):
+    """The check LoopPath made before it compared generators: the largest
+    component of the loop's distance to its group average."""
+    return float(np.max(np.abs(pts - red.project(pts))))
+
+
+def parent_admits(red, pts):
+    return reference_violation(red, pts) <= 1e-12 * max(1.0, float(np.max(np.abs(pts))))
+
+
+def admits(red, pts):
+    try:
+        LoopPath(pts, 1.0, red)
+    except ValueError as err:
+        assert "violates its symmetry reduction" in str(err)
+        return False
+    return True
+
+
+# every kind and M = 1..5: extra-T2 is T nu1's half-turn, extra-I5 I nu3's
+# order-5 element (not a signed permutation), extra-1 the identity of order 1
+CHECK_REDUCTIONS = {**NODE_LOOP_REDUCTIONS, "extra-1": SymmetryReduction("extra", matrix=np.eye(3), M=1)}
+
+
+def symmetric_points(red, n, seed=1):
+    tag = "KLEIN" if red.kind == "klein_reflections" else "O"
+    return random_symmetric_loop(tag, red, n, seed).points.copy()
+
+
+@pytest.mark.parametrize(
+    "name, n, nodes, axis",
+    [
+        (name, 60, (node,), 1)
+        for name in ("italian", "extra-T3", "extra-I5")
+        for node in (7, 59, 0)  # an interior node, and two of the blocks the shift wraps between
+    ]
+    + [
+        ("klein", n, tuple(k * n // 4 for k in ks), axis)
+        for n in (4, 60)
+        for ks, axis in (((0,), 2), ((2,), 2), ((1,), 1), ((3,), 1), ((0, 2), 2), ((1, 3), 1))
+    ],
+    ids=lambda v: str(v),
+)
+def test_loop_path_refuses_a_planted_symmetry_break(name, n, nodes, axis):
+    """A break of 1e-9 in one component is refused.  The klein cases put it
+    at the nodes a reflection fixes, in the component that reflection pins:
+    x3 at nodes 0 and n/2, x2 at n/4 and 3n/4.  Planted at both nodes of a
+    pair, only the fixing reflection's comparisons at those nodes see it."""
+    red = CHECK_REDUCTIONS[name]
+    pts = symmetric_points(red, n)
+    assert admits(red, pts)
+    pts[list(nodes), axis] += 1e-9
+    assert not parent_admits(red, pts)
+    with pytest.raises(ValueError, match="violates its symmetry reduction"):
+        LoopPath(pts, 1.0, red)
+
+
+def reference_residual(red, pts):
+    """violation by the index formula: node (j + n/M) mod n against R @ node
+    j, or node j against X3 @ node -j and X2 @ node n/2 - j, over all j."""
+    n, j = len(pts), np.arange(len(pts))
+    if red.kind == "klein_reflections":
+        pairs = [(j, -j % n, A.REFLECT_X3), (j, (n // 2 - j) % n, A.REFLECT_X2)]
+    else:
+        pairs = [((j + n // red.M) % n, j, red.matrix)] if red.M > 1 else []
+    return max([float(np.max(np.abs(pts[a] - pts[b] @ R_.T))) for a, b, R_ in pairs], default=0.0)
+
+
+@pytest.mark.parametrize("name", list(CHECK_REDUCTIONS))
+def test_violation_compares_every_node_with_its_generator_images(name):
+    """A break at each node and axis in turn, wrap-around blocks and fixed
+    nodes included, moves violation as the index formula says."""
+    red = CHECK_REDUCTIONS[name]
+    for n in (4, 12) if red.kind == "klein_reflections" else (red.M * 3,):
+        base = symmetric_points(red, n)
+        for node, axis in np.ndindex(n, 3):
+            pts = base.copy()
+            pts[node, axis] += 1e-3
+            ulps = 8 * np.spacing(np.max(np.abs(pts)))
+            assert abs(red.violation(pts) - reference_residual(red, pts)) <= ulps, (n, node, axis)
+
+
+def test_order_one_reduction_constrains_nothing():
+    # u(t + T) = u(t) holds for every loop: both checks admit any break
+    red = CHECK_REDUCTIONS["extra-1"]
+    pts = np.random.default_rng(4).normal(size=(60, 3))
+    assert red.violation(pts) == 0.0 and red.violation_factor() == 0.0
+    assert admits(red, pts) and parent_admits(red, pts)
+
+
+@pytest.mark.parametrize("name, n", [("klein", 66), ("extra-T3", 10), ("extra-I5", 12), ("italian", 9)])
+def test_loop_path_refuses_a_sample_count_the_divisor_does_not_divide(name, n):
+    red = CHECK_REDUCTIONS[name]
+    message = f"sample count {n} not divisible by {red.divisor()} as required by the {red.kind} reduction"
+    with pytest.raises(ValueError, match=message):
+        LoopPath(np.ones((n, 3)), 1.0, red)
+
+
+@pytest.mark.parametrize("name", list(CHECK_REDUCTIONS))
+def test_generator_residual_bounds_the_distance_to_the_group_average(name):
+    """max|x - project(x)| <= violation_factor() * violation(x) on loops far
+    from symmetric, with equality at M = 2; both sides round the points, so
+    they may differ by a few units in the last place of the loop's scale."""
+    red = CHECK_REDUCTIONS[name]
+    c = red.violation_factor()
+    rng = np.random.default_rng(len(name))
+    for n in (4, 12, 60, 1500):
+        if n % red.divisor() == 0:
+            for size in (1e-6, 1.0):
+                pts = symmetric_points(red, n) + size * rng.normal(size=(n, 3))
+                ulps = 8 * np.spacing(np.max(np.abs(pts)))
+                ref, bound = reference_violation(red, pts), c * red.violation(pts)
+                assert ref <= bound + ulps, (n, size)
+                if red.M == 2:
+                    assert abs(ref - bound) <= ulps, (n, size)
+
+
+@pytest.mark.parametrize("name", list(CHECK_REDUCTIONS))
+def test_symmetry_check_admits_no_loop_the_group_average_check_refuses(name):
+    """Breaks from 1e-15 to 1e-9 of the loop's scale, at one node or spread
+    over all, on loops of 60 and 1,500 nodes.  Every loop the check admits
+    is within 1e-12 of its group average; for italian the two checks admit
+    the same loops."""
+    red = CHECK_REDUCTIONS[name]
+    rng = np.random.default_rng(len(name) + 7)
+    outcomes = set()
+    for n in (60, 1500):
+        base = symmetric_points(red, n, seed=n)
+        scale = max(1.0, float(np.max(np.abs(base))))
+        for eps in np.logspace(-15, -9, 13):
+            for spread in (False, True):
+                pts = base.copy()
+                if spread:
+                    pts += eps * scale * rng.uniform(-1.0, 1.0, size=pts.shape)
+                else:
+                    pts[rng.integers(n), rng.integers(3)] += eps * scale * rng.choice([-1.0, 1.0])
+                got, want = admits(red, pts), parent_admits(red, pts)
+                assert want or not got, (n, eps, spread)
+                if red.kind == "italian":
+                    assert got == want, (n, eps, spread)
+                outcomes.add(got)
+    # the breaks reach past the bound except at M = 1, which constrains nothing
+    assert outcomes == ({True} if red.M == 1 else {True, False})
+
+
+@pytest.mark.parametrize("tag, name", [(e.tag, e.name) for e in LOOP_CATALOG], ids=lambda v: v)
+def test_symmetry_check_admits_the_loops_the_library_builds(tag, name):
+    """The descent workload's loops: lifted perturbations of the projected
+    comparison loop, at one step and at the largest count up to 4,096."""
+    cone = H.catalog_cone(tag, name, central_mass=1.3)
+    R, M = cone.extra_symmetry
+    red = SymmetryReduction("extra", matrix=R, M=M)
+    step = math.lcm(cone.nu.steps, M)
+    for n in (step, 4096 // step * step):
+        projected = apply_symmetry_reduction(H.test_loop(cone.nu, cone.period, n), red)
+        lifted = catalog_loop(cone, n)
+        for pts in (projected.points, lifted.points):
+            assert admits(red, pts) and parent_admits(red, pts)
+
+
+def test_symmetry_check_admits_the_random_symmetric_loops():
+    for tag, kind in (("Z4", "italian"), ("KLEIN", "klein_reflections")):
+        for n in (4, 12, 240, 4096):
+            red = SymmetryReduction(kind)
+            loop = random_symmetric_loop(tag, red, n, n)  # LoopPath admits it
+            assert parent_admits(red, loop.points)
+
+
+def test_symmetric_loops_are_checked_without_the_group_average(monkeypatch):
+    loops = {name: symmetric_points(red, 60) for name, red in CHECK_REDUCTIONS.items()}
+    calls, project = [], SymmetryReduction.project
+
+    def counted(self, points):
+        calls.append(len(points))
+        return project(self, points)
+
+    monkeypatch.setattr(SymmetryReduction, "project", counted)
+    for name, red in CHECK_REDUCTIONS.items():
+        calls.clear()
+        loop = LoopPath(loops[name], 1.0, red)
+        assert calls == [], name
+        apply_symmetry_reduction(loop, red)
+        assert calls == [60], name
+
+
 def test_check_count_takes_whole_numbers_only():
     for value in (4, 4.0, np.int64(4), np.float64(4.0)):
         assert type(A.check_count(value, "k", 4)) is int
@@ -1336,9 +1525,11 @@ def test_potential_sees_one_node_per_orbit(tag, red, rows, monkeypatch):
 
 
 def test_orbit_kernel_checks_collisions_at_the_free_nodes():
-    # LoopPath admits a symmetry break of 1e-12, ten times the collision
-    # floor, so a node can lie within the floor of the origin while its free
-    # node lies outside it.  The orbit kernel reads each orbit off its free
+    # LoopPath admits a loop within 1e-12 * max(1, max|points|) of its group
+    # average (violation_factor() * violation, c = 1/2 for italian, bounds
+    # the distance), ten times the collision floor at unit scale, so a node
+    # can lie within the floor of the origin while its free node lies
+    # outside it.  The orbit kernel reads each orbit off its free
     # node: such a loop evaluates to a large finite value, which the
     # full-node kernel refuses; a free node within the floor raises.
     n = 16

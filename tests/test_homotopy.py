@@ -322,6 +322,19 @@ def test_reconstruct_numbering_logs_its_node_count(tag, rows, nodes, caplog):
     assert numbering == H.published_numbering(tag)
 
 
+@pytest.mark.parametrize("tag,nodes", [("T", 115), ("O", 158), ("I", 80)])
+def test_reconstruct_numbering_checks_a_row_against_earlier_rows_first(tag, nodes, caplog):
+    """In reverse order a row's pairs between labels placed by earlier rows
+    are checked before its first stop is placed, as the full scan of every
+    pair at every node did; the counts are that scan's."""
+    caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
+    rows = published_rows(tag)[::-1]
+    numbering = H.reconstruct_numbering(H.build_archimedean(tag), rows)
+    messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
+    assert messages == [f"reconstruct_numbering {tag}: {len(rows)} rows, {nodes} nodes"]
+    assert numbering == reference_reconstruct_numbering(H.build_archimedean(tag), rows)
+
+
 def test_reconstruct_numbering_fails_loudly_past_its_node_cap(monkeypatch):
     monkeypatch.setattr(H, "_NUMBERING_NODE_CAP", 10)
     with pytest.raises(RuntimeError, match="search budget"):
