@@ -42,6 +42,9 @@ REFLECT_X2 = np.diag([1.0, -1.0, 1.0])
 REFLECT_X3 = np.diag([1.0, 1.0, -1.0])
 
 _COLLISION_FLOOR = 1e-13
+# how far a LoopPath may stray from its symmetry reduction, relative to
+# max(1, max|points|): the bound violation_factor() * violation must meet
+_SYMMETRY_TOL = 1e-12
 # nodes per pass of the pair kernel, and the rows of its per-call buffers; the
 # BLAS products' last bits depend on the row count, so changing it moves values
 _BLOCK = 512
@@ -156,7 +159,8 @@ class SymmetryReduction:
 
     kind selects the constraint family:
       * "extra":             u(t + T/M) = R u(t)  (orthogonal 3x3 matrix R
-                             of order M)
+                             of order M, closely enough that LoopPath
+                             admits every lift: see __post_init__)
       * "italian":           u(t + T/2) = -u(t), the extra reduction of
                              R = -I and M = 2 (no other R or M is accepted)
       * "klein_reflections": u(t) = REFLECT_X3 u(-t) and
@@ -194,7 +198,13 @@ class SymmetryReduction:
         if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-9):
             raise ValueError("extra reduction matrix must be a 3x3 orthogonal matrix")
         object.__setattr__(self, "M", check_count(self.M, "reduction order M", 1))
-        if not np.allclose(np.linalg.matrix_power(R, self.M), np.eye(3), atol=1e-9):
+        # a lift's wrap-around block differs from its generator image by
+        # (R^M - I) z: LoopPath admits every lift while c |R^M - I|_inf stays
+        # within its tolerance (c = violation_factor(), 0 at M = 1), and past
+        # it refuses some lifts of a unit loop
+        power = np.linalg.matrix_power(R, self.M)
+        miss = self.violation_factor() * np.abs(power - np.eye(3)).sum(axis=1).max()
+        if not np.allclose(power, np.eye(3), atol=1e-9) or miss > _SYMMETRY_TOL:
             raise ValueError("extra reduction matrix must have order M")
 
     def divisor(self):
@@ -388,7 +398,7 @@ class LoopPath:
         check_positive(self.period, "period")
         if self.reduction is not None:
             v = self.reduction.violation_factor() * self.reduction.violation(pts)
-            if v > 1e-12 * max(1.0, scale):
+            if v > _SYMMETRY_TOL * max(1.0, scale):
                 raise ValueError(
                     f"loop violates its symmetry reduction by {v:.3e}"
                 )

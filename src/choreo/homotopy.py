@@ -27,15 +27,13 @@ from .action import LoopPath, check_alpha, check_count, check_nonnegative, check
 from .groups import RotationGroup, builtin_group, full_group_tessellation, matrix_key
 from .reference_tables import TWO_PI, catalog_entry, catalog_rows
 
-# How far the minimal-angle search lowers its A* bound on open entries.
-_BOUND_SLACK = 1e-9
 # Search nodes reconstruct_numbering may visit before it gives up.
 _NUMBERING_NODE_CAP = 5_000_000
-# The budgets of one min_total_angle call: heap pops, extra turns a junction
-# route may take around its pole either way, and junction resolutions covered.
+# One min_total_angle call: the states it may expand before it gives up, and
+# the most chambers by which the lift of a route may leave the class's axis
+# in the cover (the minimum is over the routes that stay within it).
 _MAX_POPS = 2_000_000
-_TURN_CAP = 2
-_COMBO_CAP = 10_000_000
+_TAIL_DEPTH = 4
 _log = logging.getLogger(__name__)
 
 
@@ -55,7 +53,8 @@ class ArchimedeanPolyhedron:
     on first use: the group action on the vertices (vertex_permutations,
     element_between), the estimates' base-edge constants (edge_quadratics,
     midpoint_chords), edge_chambers and the minimal-angle search tables
-    (arc_table, closing_angles, successor_orders, arc_runs, winding_steps).
+    (arc_table, closing_angles, arc_runs and search_moves, which indexes
+    the fan steps and arc runs).
     edge_chambers and arc_runs read their great arcs with _arc_chambers.
     """
 
@@ -221,30 +220,6 @@ class ArchimedeanPolyhedron:
         return d
 
     @cached_property
-    def successor_orders(self):
-        """successor_orders[i][k]: every successor j of pole i, in the order
-        of (theta_ij + d_jk, theta_ij, j), as a bytes object of their
-        positions in arc_table's successors[i].  Read-only, 250 kB for I.
-
-        The minimal-angle search pushes the children of an open sequence in
-        this order: M (theta + d) rounds monotonically in theta + d, so the
-        order holds for every symmetry order M.  successors[i] is sorted by
-        (theta, j), so a stable sort on theta + d breaks its ties that way.
-        closing_angles is finite on T, O and I, so each row is a full
-        permutation of successors[i] and every open sequence can grow.
-        """
-        _, successors = self.arc_table
-        d = self.closing_angles
-        orders = []
-        for row in successors:
-            thetas = np.array([theta for theta, _ in row])
-            # [k, r]: theta + d to pole k through the r-th successor
-            via = thetas + d[[j for _, j in row]].T
-            ranks = np.argsort(via, axis=1, kind="stable")
-            orders.append(tuple(bytes(r.tolist()) for r in ranks))
-        return tuple(orders)
-
-    @cached_property
     def arc_runs(self):
         """Read-only map from every successor arc (a, b) of arc_table to its
         wall-side runs, each a tuple of chambers, as the great-arc reader
@@ -274,31 +249,35 @@ class ArchimedeanPolyhedron:
         return MappingProxyType(table)
 
     @cached_property
-    def winding_steps(self):
-        """Winding vector of every chamber step, packed into one integer.
-
-        H_1 of the sphere minus the P poles is Z^(P-1), counted by the signed
-        crossings of the P-1 edges of a BFS spanning tree of the pole graph.
-        A step across a side on tree edge e adds +1 to coordinate e when it
-        leaves the chamber that the side's stored wall normal points into
-        (sign +1 in tess.sides), and -1 when it enters it.  Coordinate e sits
-        at bit 32e of a signed integer, so vectors add as integers.  Maps
-        (a, b) to the step a -> b between adjacent chambers and (a, a) to 0.
-        """
-        tess = self.tessellation
-        tris = tess.triangles
-        tree, order = {}, [0]
-        for p in order:
-            for q in sorted({v for ti in tess.fan[p] for v in tris[ti]} - set(order)):
-                tree[frozenset((p, q))] = len(tree)
-                order.append(q)
-        steps = {(t, t): 0 for t in range(len(tris))}
-        # Python ints: an int64 shifted past bit 63 would wrap
-        for s, row in enumerate(tess.sides.tolist()):
-            for k, (_, sign, t) in enumerate(row):
-                edge = frozenset(tris[s]) - {tris[s][k]}
-                steps[s, t] = sign << 32 * tree[edge] if edge in tree else 0
-        return steps
+    def search_moves(self):
+        """(by_start, by_pair): the moves of the minimal-angle search, two
+        read-only maps of tuples, indexed in one pass over the pole fans and
+        one over arc_runs.  A move (q, run, theta) leaves a pole and walks
+        the chambers of run to the pole q: a step to the next or the previous
+        chamber around the pole's fan (q the pole, theta 0), or a run of a
+        successor arc to q (theta its angle).  by_start[p, c] lists the
+        moves from pole p in chamber c = run[0], fan steps first, then arcs
+        in arc_runs order; by_pair[c, d] lists (p, k, move) for each move
+        from pole p whose run steps from c = run[k] to d = run[k + 1]."""
+        angles, fans = self.arc_table[0], self.tessellation.fan
+        steps = [
+            (p, (p, (c, d), 0.0))
+            for p, fan in enumerate(fans)
+            for k, c in enumerate(fan)
+            for d in (fan[k - 1], fan[(k + 1) % len(fan)])
+        ]
+        arcs = [
+            (a, (b, run, float(angles[a, b]))) for (a, b), runs in self.arc_runs.items() for run in runs
+        ]
+        by_start, by_pair = {}, {}
+        for p, move in steps + arcs:
+            run = move[1]
+            by_start.setdefault((p, run[0]), []).append(move)
+            for k in range(len(run) - 1):
+                by_pair.setdefault(run[k:k + 2], []).append((p, k, move))
+        return tuple(
+            MappingProxyType({key: tuple(moves) for key, moves in d.items()}) for d in (by_start, by_pair)
+        )
 
     def __repr__(self):
         return (
@@ -971,19 +950,19 @@ def catalog_cone(tag, name, *, period=TWO_PI, central_mass=0.0, alpha=None):
 class MinimalAngleResult:
     """Minimal total angle and the circular-arc skeleton realizing it.
 
-    total_angle is the least over the skeletons of every length whose
-    junction routes take at most _TURN_CAP extra turns about a pole, not
-    over every route; a larger cap could only lower it; turns is the most
-    extra turns a route of the realizing skeleton takes (0 for the
-    closed-form KLEIN loop).
-    semi_axes lists the junction directions in traversal order; arc i joins
-    semi_axes[i] to semi_axes[i+1] (cyclically) sweeping arc_angles[i];
-    times[i] is the junction passage time under the constant angular speed
-    total_angle / period.  The search counters give the pops of the A*
-    search (open sequences and closed skeletons, up to the realizing one),
-    the distinct closed skeletons tried, the junction resolutions covered
-    (reduced or rejected by the winding filter) and the word reductions
-    performed (checked); they are 0 for the closed-form KLEIN loop.
+    total_angle is the least over every route whose lift stays within
+    _TAIL_DEPTH chambers of the class's axis in the cover (see
+    min_total_angle), not over every route; a larger depth could only lower
+    it.  semi_axes lists the junction directions, rotated so that their
+    pole indices read as canonical_cyclic_word; arc i joins semi_axes[i] to
+    semi_axes[i+1] (cyclically) sweeping arc_angles[i], total_angle is their
+    sum in that order, and times[i] is the junction passage time under the
+    constant angular speed total_angle / period.  word is the chamber
+    itinerary of the realizing route and turns the most whole turns it
+    takes about one junction pole.  The search counters give the starts,
+    the states expanded (pops) and reached, and the deepest tail of the
+    realizing lift.  The closed-form KLEIN loop has an empty word, and its
+    turns and counters are 0.
     """
 
     total_angle: float
@@ -992,10 +971,10 @@ class MinimalAngleResult:
     times: np.ndarray
     word: tuple
     turns: int
+    starts: int
     pops: int
-    skeletons: int
-    combinations: int
-    checked: int
+    states: int
+    depth: int
 
 
 def _arc_tangents(za, zb):
@@ -1077,222 +1056,94 @@ def _central_circle_exists(poly, target_word):
     return bool((P @ corners.sum(axis=0)).min() > 1e-9)
 
 
-class _SearchOptions(dict):
-    """The arc and junction options of one min_total_angle call, each built
-    on first use and kept for the rest of the call.
-
-    (a, b) maps to the wall-side choices of the arc from pole a to pole b as
-    (chambers, winding) pairs, the runs read from the polyhedron's arc_runs.
-    (pole, c_in, c_out) maps to (routes, weights), one per signed turn count
-    k: 0 .. _TURN_CAP, then -1 .. -_TURN_CAP - 1 (to -_TURN_CAP if c_in is
-    c_out, whose k = 0 walk is empty both ways).  Route k is the descriptor
-    (fan, i_in, s) of the walk of s = fwd + k L steps around the pole's fan
-    of L chambers from c_in = fan[i_in], backwards if s < 0, where fwd steps
-    forwards reach c_out; weight k, its winding with the entry and exit
-    steps, is ahead + k loop.  (pole,) maps to the windings of the walk once
-    around its fan, from fan[0] up to each fan position (the last is the
-    whole loop).  A winding is the packed winding vector of the steps,
-    summed over the M symmetry copies (perms).
+def _cover_search(poly, word, pole_perm, tri_perm, M):
+    """The cheapest block of a route in the class of the cyclically reduced
+    chamber word, by one A* search over (pole, i, tail) in the cover, on the
+    polyhedron's search_moves; see min_total_angle.  Returns (p0, c0, moves,
+    counters): the block leaves pole p0 in chamber c0 and makes moves;
+    counters are (starts, pops, states, depth).  Raises RuntimeError past
+    _MAX_POPS expanded states, or with no block left.
     """
+    by_start, by_pair = poly.search_moves
+    l, D = len(word), _TAIL_DEPTH
 
-    def __init__(self, poly, perms):
-        super().__init__()
-        self.tess, self.runs, self.steps = poly.tessellation, poly.arc_runs, poly.winding_steps
-        self.perms = perms
+    def walk(i, tail, chambers):
+        """The lift of the walk from (i, tail) through chambers, or None
+        once its tail would pass D."""
+        for c in chambers:
+            if tail:
+                if c == (tail[-2] if len(tail) > 1 else word[i % l]):
+                    tail = tail[:-1]
+                elif len(tail) < D:
+                    tail += (c,)
+                else:
+                    return None
+            elif c == word[(i + 1) % l]:
+                i += 1
+            elif c == word[(i - 1) % l]:
+                i -= 1
+            elif D:
+                tail = (c,)
+            else:
+                return None
+        return i, tail
 
-    def winding(self, path):
-        return sum(self.steps[p[a], p[b]] for a, b in zip(path, path[1:]) for p in self.perms)
+    heap, best, parent, roots, order = [], {}, {}, [], itertools.count()
 
-    def __missing__(self, key):
-        if len(key) == 1:
-            fan = self.tess.fan[key[0]]
-            steps = zip(fan, fan[1:] + fan[:1])
-            value = list(itertools.accumulate(map(self.winding, steps), initial=0))
-        elif len(key) == 2:
-            value = [(list(run), self.winding(run)) for run in self.runs[key]]
-        else:
-            pid, c_in, c_out = key
-            fan, prefix = self.tess.fan[pid], self[pid,]
-            L, loop = len(fan), prefix[-1]
-            i_in, i_out = fan.index(c_in), fan.index(c_out)
-            ahead = prefix[i_out] - prefix[i_in] + (loop if i_out < i_in else 0)
-            fwd = (i_out - i_in) % L
-            turns = [*range(_TURN_CAP + 1), *range(-1, -_TURN_CAP - 1 - (c_in != c_out), -1)]
-            value = [(fan, i_in, fwd + k * L) for k in turns], [ahead + k * loop for k in turns]
-        self[key] = value
-        return value
+    def push(s, g, move, x, parent_key):
+        # entries pop by f = g + bound, then start, then push order
+        key = (s, move[0], *x)
+        if g < best.get(key, math.inf):
+            best[key], parent[key] = g, (parent_key, move)
+            heapq.heappush(heap, (g + roots[s][3][move[0]], s, next(order), g, key))
 
-
-def _route(fan, i_in, s):
-    """The chambers strictly inside the walk of s steps around fan from
-    fan[i_in], backwards if s < 0."""
-    d = 1 if s >= 0 else -1
-    return [fan[i % len(fan)] for i in range(i_in + d, i_in + s, d)]
-
-
-def _resolutions(options, fund_axes):
-    """Wall-side selections of the fundamental block, in product order: yields
-    (arc_sel, option_lists, weights, arc_winding), read from the call's
-    options; option_lists holds each junction's route descriptors and
-    arc_winding is the winding of the selected arcs' own steps.
-    """
-    exit_perm = options.perms[1 % len(options.perms)]
-    arc_choices = [options[a, b] for a, b in zip(fund_axes, fund_axes[1:])]
-    for choice in itertools.product(*arc_choices):
-        arc_sel = tuple(run for run, _ in choice)
-        exits = [run[0] for run in arc_sel[1:]] + [exit_perm[arc_sel[0][0]]]
-        junctions = [
-            options[key] for key in zip(fund_axes[1:], (run[-1] for run in arc_sel), exits)
-        ]
-        yield (
-            arc_sel,
-            [routes for routes, _ in junctions],
-            [weights for _, weights in junctions],
-            sum(winding for _, winding in choice),
-        )
-
-
-def _winding_solutions(weights, residual):
-    """Option index tuples, in product order, whose weights sum to residual.
-
-    reach[j] holds the sums reachable over the junctions after j, so the walk
-    enters only options that can still complete the residual.
-    """
-    reach = [{0}]
-    for ws in weights[:0:-1]:
-        reach.insert(0, {w + s for w in ws for s in reach[0]})
-
-    def walk(j, rest):
-        if j == len(weights):
-            yield ()
-        else:
-            for o, w in enumerate(weights[j]):
-                if rest - w in reach[j]:
-                    yield from ((o, *tail) for tail in walk(j + 1, rest - w))
-
-    return walk(0, residual)
-
-
-def _skeleton_realizes(options, target, goal, fund_axes, spent):
-    """Try junction/side resolutions of the arc skeleton against the class word.
-
-    fund_axes = (s_0, ..., s_f) with s_f the symmetry image of s_0; the full
-    loop is the concatenation of M symmetry-translated copies of the
-    fundamental block, options.perms.  The winding vector is an invariant
-    of the class, so only resolutions whose vector is the target's (goal)
-    can match; they come in product order, and the first one whose reduced
-    word is the target is the match a check of every resolution would find.
-    Only the resolutions handed over get their junction routes built, by
-    _route.  Returns (word, turns) of the match, with turns the most whole
-    turns one of its routes takes about a pole, or None; the resolutions
-    covered (reduced, or rejected by the filter) up to the match; and the
-    reductions performed.  Raises once the call has covered more than
-    _COMBO_CAP, spent included.
-    """
-    tried, checked, budget = 0, 0, _COMBO_CAP - spent
-    for arc_sel, option_lists, weights, arc_winding in _resolutions(options, fund_axes):
-        sizes = [len(opts) for opts in option_lists]
-        found = None
-        for sel in _winding_solutions(weights, goal - arc_winding):
-            index = 0
-            for o, n in zip(sel, sizes):
-                index = index * n + o
-            if tried + index + 1 > budget:
-                break
-            checked += 1
-            routes = [opts[o] for opts, o in zip(option_lists, sel)]
-            block = [c for run, route in zip(arc_sel, routes) for c in run + _route(*route)]
-            word = [perm[c] for perm in options.perms for c in block]
-            reduced = reduce_cyclic_word(word)
-            if len(reduced) == len(target) and canonical_cyclic_word(reduced) == target:
-                found = tuple(word), max(abs(s) // len(fan) for fan, _, s in routes)
-                break
-        tried += index + 1 if found else math.prod(sizes)
-        if tried > budget:
-            raise RuntimeError(
-                "minimal-angle realization search exhausted its resolution budget"
-            )
-        if found:
-            return found, tried, checked
-    return None, tried, checked
-
-
-def _skeleton_pops(poly, M, pole_perm):
-    """A* search over symmetry-periodic junction sequences on the successor
-    arcs of the polyhedron's arc_table.
-
-    Yields (cost, axes, closed) from every pole at cost 0, without end: every
-    open sequence, of any length, is extended by each successor j of its
-    last pole, and closed when j is the symmetry image of its first pole.
-    Entries pop in the order of (f, k, closed): k = (cost, parent's k, j),
-    where the arc of angle theta to j adds M * theta to the parent's cost,
-    and f = parent's cost + M * (theta + closing_angles[j, close]), lowered
-    by _BOUND_SLACK on open entries, so that a rounding never lifts an
-    ancestor's f to its closed descendant's cost.  theta + d rounds before
-    the product, so f grows along each successor_orders row for every M.
-    The bound is admissible; the closing table makes it consistent and it
-    is 0 on closed entries, so closed entries pop in the order of (cost, k):
-    the order in which a uniform-cost search that breaks ties by push order
-    pops them.  The open children of a pop enter the heap lazily, in the
-    order of their successor_orders row, a full permutation of the
-    successors: each entry carries its siblings' row and its rank in it, and
-    pushes the next sibling when it pops.  Of the P x P closing table the
-    call reads the P root bounds and the rows of the closing poles it meets.
-    The caller ends the stream, at a match or at a budget.
-    """
-    _, successors = poly.arc_table
-    closing, orders = poly.closing_angles, poly.successor_orders
-    P = len(successors)
-    distances, rows = {}, {}
-    no_row = ((), (), ())
-
-    def children(i, close):
-        """(row, twin): row is (ranks, successors[i], d) with ranks the
-        successor_orders row of (i, close) and d the closing angles to
-        close; twin is M theta for the arc to close itself, or None."""
-        entry = rows.get((i, close))
-        if entry is None:
-            d = distances.get(close)
-            if d is None:
-                # closing_angles is symmetric: its row close is its column
-                d = distances[close] = closing[close].tolist()
-            twin = next((M * theta for theta, j in successors[i] if j == close), None)
-            entry = rows[i, close] = (orders[i][close], successors[i], d), twin
-        return entry
-
-    def push_open(parent, axes, row, rank):
-        ranks, succ, d = row
-        theta, j = succ[ranks[rank]]
-        key = (parent[0] + M * theta, parent, j)
-        f = parent[0] + (M * (theta + d[j]) - _BOUND_SLACK)
-        heapq.heappush(heap, (f, key, False, axes + (j,), row, rank))
-
-    roots = (M * closing[list(pole_perm), range(P)] - _BOUND_SLACK).tolist()
-    heap = [(roots[s0], (0.0, (), s0), False, (s0,), no_row, -1) for s0 in range(P)]
-    heapq.heapify(heap)
+    # every block starts at a move crossing w[0] -> w[1], lifted to
+    # (0, ()) -> (1, ()), and ends at (R p0, sigma(x0)) from its start
+    # (p0, x0), sigma(i, tail) = (i + l/M, R tail)
+    for p0, k, move in by_pair.get(word[:2], ()):
+        x0 = walk(0, (), move[1][k - 1::-1] if k else ())
+        x1 = x0 and walk(*x0, move[1][1:])
+        if x1:
+            goal = (pole_perm[p0], x0[0] + l // M, tuple(tri_perm[c] for c in x0[1]))
+            roots.append((p0, x0, goal, poly.closing_angles[goal[0]].tolist()))
+            push(len(roots) - 1, move[2], move, x1, None)
+    pops = 0
     while heap:
-        _, key, closed, axes, siblings, rank = heapq.heappop(heap)
-        cost = key[0]
-        yield cost, axes, closed
-        if closed:
+        _, s, _, g, key = heapq.heappop(heap)
+        if g > best[key]:
             continue
-        if rank + 1 < len(siblings[0]):
-            push_open(key[1], axes[:-1], siblings, rank + 1)
-        close = pole_perm[axes[0]]
-        row, twin = children(axes[-1], close)
-        push_open(key, axes, row, 0)
-        if twin is not None:
-            closed_key = (cost + twin, key, close)
-            heapq.heappush(heap, (cost + twin, closed_key, True, axes + (close,), no_row, -1))
+        pops += 1
+        if pops > _MAX_POPS:
+            raise RuntimeError(f"minimal-angle search exhausted its pop budget at tail depth {D}")
+        _, p, i, tail = key
+        if key[1:] == roots[s][2]:
+            break
+        for move in by_start[p, tail[-1] if tail else word[i % l]]:
+            x = walk(i, tail, move[1][1:])
+            if x is not None:
+                push(s, g + move[2], move, x, key)
+    else:
+        raise RuntimeError(f"minimal-angle search found no block within tail depth {D}")
+    moves = []
+    while key is not None:
+        key, move = parent[key]
+        moves.append(move)
+    moves.reverse()
+    p0, (i, tail) = roots[s][:2]
+    c0, depth = tail[-1] if tail else word[i % l], len(tail)
+    for _, run, _ in moves:
+        for c in run[1:]:
+            i, tail = walk(i, tail, (c,))
+            depth = max(depth, len(tail))
+    return p0, c0, moves, (len(roots), pops, len(best), depth)
 
 
 def _logged(cone, result):
     """Send the search counters of one min_total_angle call to the module logger."""
     _log.debug(
-        "min_total_angle %s: total_angle=%r arcs=%d turns=%d pops=%d skeletons=%d combinations=%d "
-        "checked=%d",
+        "min_total_angle %s: total_angle=%r arcs=%d turns=%d starts=%d pops=%d states=%d depth=%d",
         cone.group.tag, result.total_angle, len(result.arc_angles), result.turns,
-        result.pops, result.skeletons, result.combinations, result.checked,
+        result.starts, result.pops, result.states, result.depth,
     )
     return result
 
@@ -1301,28 +1152,28 @@ def min_total_angle(cone):
     """Minimal total angle of circular-arc loops through rotation semi-axes
     realizing the cone's loop class, with the realizing skeleton.
 
-    Runs an A* search over symmetry-periodic junction sequences, bounded
-    below by the least angle still needed to close (the polyhedron's
-    closing_angles); the bound is admissible, so the first closed skeleton
-    whose chamber word (over junction and wall-side resolutions) matches the
-    class is still optimal.  Closed skeletons pop in the order a
-    uniform-cost search pops them, up to the answer, and a winding-number
-    filter hands over only the resolutions with the class's winding vector,
-    in product order; so the result, skeletons and combinations are those
-    of reducing every resolution of every skeleton in turn, while pops
-    counts the A* pops (open sequences and closed skeletons) and checked the
-    reductions made.  What depends only on the geometry, the arcs' wall-side
-    runs (arc_runs) and the successor rows in bound order
-    (successor_orders), is read from the polyhedron's tables, built on
-    first use; a call builds only the windings over its M symmetry copies
-    and its root bounds, each once, and the junction routes of the
-    resolutions it reduces.  The minimum is over skeletons of every length
-    and routes of up to _TURN_CAP extra turns about a pole: the search ends
-    only at a match or at a budget.  Raises ValueError for a central cone,
-    one whose class a great circle run once or repeated carries, decided
-    exactly by _central_circle_exists before the search; RuntimeError past
-    the call's budgets, module constants: _MAX_POPS heap pops or _COMBO_CAP
-    junction resolutions covered.
+    The sphere minus the poles retracts onto the chamber graph, whose
+    universal cover is a tree; the class's cyclically reduced word w =
+    cone.canonical_word, of length l, repeats along an axis there.  A
+    chamber of the cover is (i, tail): tail is the reduced chamber path, at
+    most _TAIL_DEPTH long, by which it leaves the axis at position i, over
+    w[i mod l].  A route alternates arcs between poles and junctions, walks
+    around a pole's fan.  One A* search runs over (pole, i, tail) on the
+    polyhedron's search_moves: a fan step costs 0, an arc walks its run and
+    costs its angle, and closing_angles to the goal pole is the consistent
+    bound; ties go to the earlier start, then the earlier push.  The
+    extra symmetry (R, M) lifts to sigma(i, tail) = (i + l/M, R tail).  A
+    symmetric loop of the class crosses the axis edge w[0] -> w[1] forwards,
+    up to sigma, so each block starts at a move making that crossing, a
+    fan step at a pole of the side between w[0] and w[1] or an arc whose
+    run holds the pair, and ends at (R p0, sigma(x0)) from its start
+    (p0, x0); every start shares the one heap.  The answer is M blocks of
+    the cheapest.  So the minimum is over every route whose lift stays
+    within _TAIL_DEPTH chambers of the axis, with any number of turns.
+    Raises ValueError for a central cone, one whose class a great circle
+    run once or repeated carries, decided exactly by _central_circle_exists
+    before the search, and for an R that does not shift w by l/M;
+    RuntimeError past _MAX_POPS expanded states.
     """
     tag = cone.group.tag
     T = cone.period
@@ -1341,71 +1192,64 @@ def min_total_angle(cone):
             times=np.array([0.0, 0.25 * T, 0.5 * T, 0.75 * T]),
             word=(),
             turns=0,
+            starts=0,
             pops=0,
-            skeletons=0,
-            combinations=0,
-            checked=0,
+            states=0,
+            depth=0,
         )
         return _logged(cone, result)
 
-    nu = cone.nu
-    poly = nu.polyhedron
+    poly = cone.nu.polyhedron
     tess = poly.tessellation
-    target = cone.canonical_word
-    if _central_circle_exists(poly, target):
+    word = cone.canonical_word
+    if _central_circle_exists(poly, word):
         raise ValueError("central cone: a planar loop through the origin represents this class")
 
     R, M = cone.extra_symmetry if cone.extra_symmetry is not None else (np.eye(3), 1)
     g = tess.group.index(R)
     pole_perm, tri_perm = tess.pole_permutations[g], tess.triangle_permutations[g]
-    pole_perm_pows = [tuple(range(len(tess.points)))]
-    tri_perm_pows = [tuple(range(len(tess.triangles)))]
+    l = len(word)
+    if l % M or any(tri_perm[c] != word[(k + l // M) % l] for k, c in enumerate(word)):
+        raise ValueError("the extra symmetry does not shift the class word by 1/M of its length")
+    p0, c0, moves, (starts, pops, states, depth) = _cover_search(poly, word, pole_perm, tri_perm, M)
+
+    # the loop: M images of the block's stops (pole, chamber) and chambers
+    stops, chambers = [(p0, c0)], [c0]
+    for pole, run, _ in moves:
+        stops.append((pole, run[-1]))
+        chambers += run[1:]
+    pole_pows, tri_pows = [range(len(tess.points))], [range(len(tess.triangles))]
     for _ in range(1, M):
-        pole_perm_pows.append(tuple(pole_perm[p] for p in pole_perm_pows[-1]))
-        tri_perm_pows.append(tuple(tri_perm[c] for c in tri_perm_pows[-1]))
+        pole_pows.append([pole_perm[p] for p in pole_pows[-1]])
+        tri_pows.append([tri_perm[c] for c in tri_pows[-1]])
+    loop = [(pp[p], tp[c]) for pp, tp in zip(pole_pows, tri_pows) for p, c in stops[:-1]]
+    # cut after an arc, so that each junction is one run of stops at its pole
+    cut = next(k for k in range(len(loop)) if loop[k - 1][0] != loop[k][0])
+    junctions = [
+        (p, [tess.fan[p].index(c) for _, c in run])
+        for p, run in itertools.groupby(loop[cut:] + loop[:cut], key=lambda stop: stop[0])
+    ]
+    turns = 0
+    for p, at in junctions:
+        L = len(tess.fan[p])
+        net = sum(1 if (b - a) % L == 1 else -1 for a, b in zip(at, at[1:]))
+        turns = max(turns, abs(net) // L)
 
-    pts = tess.points
-    angles, _ = poly.arc_table
-    steps = poly.winding_steps
-    goal = sum(steps[target[i - 1], target[i]] for i in range(len(target)))
-    options = _SearchOptions(poly, tri_perm_pows)
-
-    seen_skeletons = set()
-    pops = combinations = checked = 0
-    for cost, axes, closed in _skeleton_pops(poly, M, pole_perm):
-        pops += 1
-        if pops > _MAX_POPS:
-            raise RuntimeError("minimal-angle search exhausted its pop budget")
-        if not closed:
-            continue
-        full = [perm[a] for perm in pole_perm_pows for a in axes[:-1]]
-        canon = canonical_cyclic_word(full)
-        if canon in seen_skeletons:
-            continue
-        seen_skeletons.add(canon)
-        found, tried, reductions = _skeleton_realizes(options, target, goal, axes, combinations)
-        combinations += tried
-        checked += reductions
-        if found is None:
-            continue
-        word, turns = found
-        m = len(full)
-        semi_axes = pts[full]
-        arc_angles = np.array([angles[full[i], full[(i + 1) % m]] for i in range(m)])
-        total = float(arc_angles.sum())
-        times = np.concatenate(([0.0], np.cumsum(arc_angles)[:-1])) * (T / total)
-        result = MinimalAngleResult(
-            total_angle=total,
-            semi_axes=semi_axes,
-            arc_angles=arc_angles,
-            times=times,
-            word=word,
-            turns=turns,
-            pops=pops,
-            skeletons=len(seen_skeletons),
-            combinations=combinations,
-            checked=checked,
-        )
-        return _logged(cone, result)
-    # every open pop pushes a child, so the stream ends only if that breaks
-    raise RuntimeError("minimal-angle search exhausted all candidates without a realization")
+    full = canonical_cyclic_word([p for p, _ in junctions])
+    m = len(full)
+    angles = poly.arc_table[0]
+    arc_angles = np.array([angles[full[i], full[(i + 1) % m]] for i in range(m)])
+    total = float(arc_angles.sum())
+    result = MinimalAngleResult(
+        total_angle=total,
+        semi_axes=tess.points[list(full)],
+        arc_angles=arc_angles,
+        times=np.concatenate(([0.0], np.cumsum(arc_angles)[:-1])) * (T / total),
+        word=tuple(tp[c] for tp in tri_pows for c in chambers[:-1]),
+        turns=turns,
+        starts=starts,
+        pops=pops,
+        states=states,
+        depth=depth,
+    )
+    return _logged(cone, result)

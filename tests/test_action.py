@@ -826,6 +826,38 @@ def test_order_one_reduction_constrains_nothing():
     assert admits(red, pts) and parent_admits(red, pts)
 
 
+def tilted_t3(eps):
+    """T's order-3 generator times the rotation by eps about e3: R^3 misses
+    the identity by 2 eps in the row-sum norm, and violation_factor() at
+    M = 3 is 1.244, so the tolerance 1e-12 falls at eps = 4.0e-13."""
+    c, s = math.cos(eps), math.sin(eps)
+    return builtin_group("T").generators[1] @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12, 5e-13])
+def test_extra_reduction_refuses_an_order_its_lifts_would_break(eps):
+    """Past the threshold a unit loop along the worst row of R^3 - I breaks
+    the LoopPath check in its wrap-around block, so the matrix is refused."""
+    R = tilted_t3(eps)
+    miss = np.abs(np.linalg.matrix_power(R, 3) - np.eye(3)).sum(axis=1)
+    z = np.sign(np.linalg.matrix_power(R, 3) - np.eye(3))[np.argmax(miss)]
+    residual = np.max(np.abs(R @ (np.linalg.matrix_power(R, 2) @ z) - z))
+    assert CHECK_REDUCTIONS["extra-T3"].violation_factor() * residual > 1e-12 * max(1.0, np.max(np.abs(z)))
+    with pytest.raises(ValueError, match="must have order M"):
+        SymmetryReduction("extra", matrix=R, M=3)
+
+
+@pytest.mark.parametrize("eps", [3e-13, 1e-13, 0.0])
+def test_extra_reduction_admits_every_lift_of_an_order_it_accepts(eps):
+    red = SymmetryReduction("extra", matrix=tilted_t3(eps), M=3)
+    rng = np.random.default_rng(5)
+    for scale in (1e-3, 1.0, 1e3):
+        for n in (3, 60, 1500):
+            z = scale * rng.uniform(-1.0, 1.0, size=(n // 3, 3))
+            z[0] = scale * np.sign(np.linalg.matrix_power(red.matrix, 3) - np.eye(3))[0]
+            assert LoopPath(red.lift(z, n), 1.0, red).n == n
+
+
 @pytest.mark.parametrize("name, n", [("klein", 66), ("extra-T3", 10), ("extra-I5", 12), ("italian", 9)])
 def test_loop_path_refuses_a_sample_count_the_divisor_does_not_divide(name, n):
     red = CHECK_REDUCTIONS[name]

@@ -26,6 +26,8 @@ from choreo.reference_tables import (
     catalog_rows,
 )
 
+import min_angle_reference as REF
+
 TWO_PI = 2.0 * math.pi
 
 # Edge chord lengths of the inscribed equal-edge solids (unit circumradius),
@@ -1771,6 +1773,16 @@ def test_min_total_angle_refuses_a_class_the_sample_missed():
             H.min_total_angle(cone)
 
 
+def test_min_total_angle_refuses_a_symmetry_that_does_not_shift_the_class():
+    """The search lifts R to the shift by l/M along the class's axis, so a
+    class word that R does not shift that way is refused."""
+    cone = H.catalog_cone("T", "nu1")
+    # where the cached property keeps the cone's class
+    cone.__dict__["canonical_word"] = H.catalog_cone("T", "nu3").canonical_word
+    with pytest.raises(ValueError, match="does not shift the class word"):
+        H.min_total_angle(cone)
+
+
 def conjugated_cone(base, element):
     nu = base.nu.transformed(base.group.elements[element])
     M = base.extra_symmetry[1]
@@ -1781,15 +1793,17 @@ def conjugated_cone(base, element):
     )
 
 
-# min_total_angle of the 14 rows that finish in under a second, each
-# conjugated by group elements 0 and |G|/2, recorded at full precision from
-# the search with the quadratic word reduction and the sampled-circle loop;
-# then the unconjugated T nu6, O nu1, O nu2 and I nu1 (element null).  These
-# and the skeleton and combination counters come from the search that
-# reduced every junction resolution in turn.  The last entry, I nu2, never
-# finished there: it was first recorded from the winding-filtered search.
-# pops counts the pops of the A* search, which were re-recorded when it
-# replaced the uniform-cost heap; every other field stayed bitwise equal.
+# min_total_angle of the 14 rows that finish in under a second under the
+# reference search, each conjugated by group elements 0 and |G|/2, then the
+# unconjugated T nu6, O nu1, O nu2, I nu1 and I nu2 (element null).  The
+# total angles, arc counts and semi-axes were first recorded from the
+# reference search (min_angle_reference); the cover search rotates each
+# skeleton to the canonical cyclic word of its pole indices, which rotated
+# the semi-axes of O nu1, I nu1 and I nu4 g0 and, summing the arcs in that
+# order, moved I nu1's total angle by one ulp: those were re-recorded.  The
+# words are the reference's routes, 12 of them unreduced, so they compare
+# by class.  starts, pops, states and depth are the cover search's
+# counters; reference holds the reference search's.
 PINS = json.loads((Path(__file__).parent / "data" / "min_total_angle_pins.json").read_text())
 
 
@@ -1809,11 +1823,13 @@ def test_min_total_angle_pinned(pin):
     assert repr(res.total_angle) == repr(pin["total_angle"])
     assert len(res.arc_angles) == pin["arcs"]
     assert res.semi_axes.tobytes() == np.array(pin["semi_axes"]).tobytes()
-    assert H.canonical_cyclic_word(res.word) == tuple(pin["word"])
-    assert (res.pops, res.skeletons, res.combinations) == (
-        pin["pops"], pin["skeletons"], pin["combinations"]
-    )
-    assert 1 <= res.checked <= res.combinations
+    points = H.build_archimedean(pin["tag"]).tessellation.points.tolist()
+    poles = [points.index(axis) for axis in pin["semi_axes"]]
+    assert tuple(poles) == H.canonical_cyclic_word(poles)
+    assert H.cyclic_words_equal(res.word, pin["word"])
+    counters = (res.starts, res.pops, res.states, res.depth)
+    assert counters == (pin["starts"], pin["pops"], pin["states"], pin["depth"])
+    assert 1 <= res.starts and res.pops <= res.states and res.depth <= H._TAIL_DEPTH
 
 
 def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
@@ -1824,65 +1840,61 @@ def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
             period=TWO_PI, central_mass=0.5,
         )
     )
-    assert (klein.pops, klein.skeletons, klein.combinations, klein.checked) == (0, 0, 0, 0)
+    assert (klein.starts, klein.pops, klein.states, klein.depth) == (0, 0, 0, 0)
 
-    tries, checks = [], []
-    realize = H._skeleton_realizes
+    calls = []
+    search = H._cover_search
 
     def counted(*args):
-        word, tried, checked = realize(*args)
-        tries.append(tried)
-        checks.append(checked)
-        return word, tried, checked
+        calls.append(search(*args))
+        return calls[-1]
 
-    monkeypatch.setattr(H, "_skeleton_realizes", counted)
+    monkeypatch.setattr(H, "_cover_search", counted)
     cone = H.catalog_cone("T", "nu1")
     res = H.min_total_angle(cone)
-    assert res.skeletons == len(tries) > 1
-    assert res.combinations == sum(tries) > res.skeletons
-    assert res.checked == sum(checks) >= 1
-    assert res.combinations > res.checked
-    assert res.pops > res.skeletons
+    assert len(calls) == 1 and calls[0][3] == (res.starts, res.pops, res.states, res.depth)
+    assert 1 < res.starts < res.pops < res.states
     messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
     assert len(messages) == 2
     for result, message in zip((klein, res), messages):
-        counts = f"pops={result.pops} skeletons={result.skeletons} combinations={result.combinations}"
+        counts = f"starts={result.starts} pops={result.pops} states={result.states} depth={result.depth}"
         assert counts in message
-        assert f"checked={result.checked}" in message
+        assert f"turns={result.turns} " in message
     assert capsys.readouterr() == ("", "")
     # the search stops at its pop budget: res.pops is exactly enough
     monkeypatch.setattr(H, "_MAX_POPS", res.pops)
     assert H.min_total_angle(cone).total_angle == res.total_angle
     monkeypatch.setattr(H, "_MAX_POPS", res.pops - 1)
-    with pytest.raises(RuntimeError, match="pop budget"):
+    with pytest.raises(RuntimeError, match=f"pop budget at tail depth {H._TAIL_DEPTH}"):
         H.min_total_angle(cone)
 
 
 def test_min_total_angle_combo_cap_bounds_the_call(monkeypatch):
+    """The reference search's resolution budget covers the whole call."""
     tries = []
-    realize = H._skeleton_realizes
+    realize = REF.skeleton_realizes
 
     def counted(*args):
         word, tried, checked = realize(*args)
         tries.append(tried)
         return word, tried, checked
 
-    monkeypatch.setattr(H, "_skeleton_realizes", counted)
+    monkeypatch.setattr(REF, "skeleton_realizes", counted)
     cone = H.catalog_cone("T", "nu1")
-    res = H.min_total_angle(cone)
+    res = REF.min_total_angle(cone)
     # one less than the call's total is still more than any one skeleton
     # needs, so only a budget over the whole call can stop the search
     assert max(tries) < res.combinations - 1
-    monkeypatch.setattr(H, "_COMBO_CAP", res.combinations)
-    assert H.min_total_angle(cone).total_angle == res.total_angle
-    monkeypatch.setattr(H, "_COMBO_CAP", res.combinations - 1)
+    monkeypatch.setattr(REF, "COMBO_CAP", res.combinations)
+    assert REF.min_total_angle(cone).total_angle == res.total_angle
+    monkeypatch.setattr(REF, "COMBO_CAP", res.combinations - 1)
     with pytest.raises(RuntimeError, match="resolution budget"):
-        H.min_total_angle(cone)
+        REF.min_total_angle(cone)
 
 
-# (tag, name, turns at _TURN_CAP = 2, total angle with one turn fewer): the
-# rows that ROADMAP item 17's table finds larger at a lower cap, with the
-# angles it measured there.
+# (tag, name, turns, total angle with one turn fewer): the rows whose
+# realizing route needs whole turns about a junction pole, with the angles
+# that ROADMAP item 17's table measured with one turn fewer allowed.
 TURN_ROWS = [
     ("T", "nu6", 2, 8.7451),
     ("T", "nu4", 1, 7.3858),
@@ -1894,36 +1906,41 @@ TURN_ROWS = [
 
 @pytest.mark.parametrize("tag,name,turns,fewer", TURN_ROWS, ids=lambda v: str(v))
 def test_min_total_angle_reports_the_turns_it_needs(tag, name, turns, fewer, monkeypatch, caplog):
-    """turns is the most extra turns a route of the answer takes, and it is
-    needed: with _TURN_CAP one below it the minimum rises."""
+    """turns is the most whole turns the realizing route takes about a
+    junction pole, and they are needed: the reference search with its turn
+    cap one below finds only a larger angle."""
     caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
     cone = H.catalog_cone(tag, name)
     res = H.min_total_angle(cone)
-    assert res.turns == turns if turns > 1 else res.turns >= turns
-    assert f"turns={res.turns} " in caplog.records[-1].getMessage()
-    monkeypatch.setattr(H, "_TURN_CAP", res.turns - 1)
-    capped = H.min_total_angle(cone)
+    assert res.turns == turns
+    assert f"turns={turns} " in caplog.records[-1].getMessage()
+    monkeypatch.setattr(REF, "TURN_CAP", turns - 1)
+    capped = REF.min_total_angle(cone)
     assert capped.total_angle > res.total_angle
     assert capped.total_angle == pytest.approx(fewer, abs=1e-4)
-    assert capped.turns < res.turns
+    assert capped.turns < turns
 
 
 def test_min_total_angle_is_unchanged_by_a_third_turn(monkeypatch):
-    """ROADMAP item 17's cap, measured: with _TURN_CAP at 3 every catalog
-    row returns the total angle it returns at 2, to the last bit.  I nu1
-    and I nu2 are left out: at cap 3 they exhaust _COMBO_CAP."""
+    """ROADMAP item 17's cap, measured: with TURN_CAP at 3 the reference
+    search returns on every catalog row the total angle of the cover search,
+    which counts no turns, to the last bit.  I nu1 and I nu2 are left out:
+    at cap 3 they exhaust COMBO_CAP."""
     rows = [row for row in ALL_ROWS if row not in {("I", "nu1"), ("I", "nu2")}]
-    assert len(rows) == 17 and H._TURN_CAP == 2
-    at_two = [repr(H.min_total_angle(H.catalog_cone(*row)).total_angle) for row in rows]
-    monkeypatch.setattr(H, "_TURN_CAP", 3)
-    assert [repr(H.min_total_angle(H.catalog_cone(*row)).total_angle) for row in rows] == at_two
+    assert len(rows) == 17 and REF.TURN_CAP == 2
+    monkeypatch.setattr(REF, "TURN_CAP", 3)
+    for row in rows:
+        cone = H.catalog_cone(*row)
+        want = repr(H.min_total_angle(cone).total_angle)
+        assert repr(REF.min_total_angle(cone).total_angle) == want, row
 
 
 def test_min_total_angle_builds_routes_only_for_the_resolutions_it_reduces(monkeypatch):
-    """_route builds one route per junction of each resolution the search
-    reduces, on every pin, and no other: checked x junctions per block."""
+    """The reference search's junction_route builds one route per junction
+    of each resolution it reduces, on every pin, and no other: checked x
+    junctions per block."""
     built, wanted = [], []
-    route, realize = H._route, H._skeleton_realizes
+    route, realize = REF.junction_route, REF.skeleton_realizes
 
     def counted_route(*descriptor):
         built.append(descriptor)
@@ -1934,18 +1951,21 @@ def test_min_total_angle_builds_routes_only_for_the_resolutions_it_reduces(monke
         wanted.append(checked * (len(fund_axes) - 1))
         return found, tried, checked
 
-    monkeypatch.setattr(H, "_route", counted_route)
-    monkeypatch.setattr(H, "_skeleton_realizes", recorded)
+    monkeypatch.setattr(REF, "junction_route", counted_route)
+    monkeypatch.setattr(REF, "skeleton_realizes", recorded)
     for pin in PINS:
         built.clear()
         wanted.clear()
-        res = H.min_total_angle(pinned_cone(pin))
-        assert 0 <= res.turns <= H._TURN_CAP
+        res = REF.min_total_angle(pinned_cone(pin))
+        assert 0 <= res.turns <= REF.TURN_CAP
         assert len(built) == sum(wanted) >= res.checked, pin_id(pin)
+        counters = {"pops": res.pops, "skeletons": res.skeletons, "combinations": res.combinations}
+        assert counters == pin["reference"]
 
 
 # ---------------------------------------------------------------------------
-# The winding filter and the lazy heap against the loops they replaced
+# The reference search: its winding filter and lazy heap against the loops
+# they replaced
 
 DIFF_CASES = [(p["tag"], p["name"], p["element"]) for p in PINS if p["element"] is not None]
 
@@ -2016,18 +2036,18 @@ def test_junction_routes_are_the_signed_turn_walks(tag, name):
     poly = H.build_archimedean(tag)
     tess = poly.tessellation
     R, M = (np.eye(3), 1) if name is None else H.catalog_cone(tag, name).extra_symmetry
-    options = H._SearchOptions(poly, search_perms(tess, R, M))
+    options = REF.SearchOptions(poly, search_perms(tess, R, M))
     for pid, fan in enumerate(tess.fan):
         for c_in, c_out in itertools.product(fan, repeat=2):
             descriptors, weights = options[pid, c_in, c_out]
-            routes = [H._route(*d) for d in descriptors]
+            routes = [REF.junction_route(*d) for d in descriptors]
             want = [
                 list(reference_junction_route(tess, pid, c_in, c_out, direction, turns))
                 for direction in (1, -1)
-                for turns in range(H._TURN_CAP + 1)
+                for turns in range(REF.TURN_CAP + 1)
             ]
             if c_in == c_out:
-                del want[H._TURN_CAP + 1]  # the empty walk backwards is the one forwards
+                del want[REF.TURN_CAP + 1]  # the empty walk backwards is the one forwards
             assert routes == want
             assert len(set(map(tuple, routes))) == len(routes)
             assert weights == [options.winding([c_in, *route, c_out]) for route in routes]
@@ -2135,7 +2155,7 @@ def test_winding_steps_match_the_cross_product_body_up_to_coordinate_signs(tag, 
     cross(p_a, p_b) negates whole coordinates, `flipped` of the P - 1."""
     poly = H.build_archimedean(tag)
     P = len(poly.tessellation.points)
-    steps, reference = poly.winding_steps, reference_winding_steps(poly)
+    steps, reference = REF.winding_steps(poly), reference_winding_steps(poly)
     assert all(type(v) is int for v in steps.values())
     assert set(steps) == set(reference)
     new = np.array([unpack_winding(steps[k], P) for k in reference])
@@ -2153,7 +2173,7 @@ def test_winding_steps_are_a_basis_of_the_first_homology(tag):
     single relation that their sum is 0 (a dropped cut lowers the rank)."""
     poly = H.build_archimedean(tag)
     tess = poly.tessellation
-    steps = poly.winding_steps
+    steps = REF.winding_steps(poly)
     P, ntri = len(tess.points), len(tess.triangles)
     assert set(steps) == {(s, t) for s in range(ntri) for t in (s, *tess.neighbors[s])}
     for (s, t), packed in steps.items():
@@ -2173,15 +2193,15 @@ def test_winding_filter_matches_filtered_product(tag, name, element, monkeypatch
     the resolutions of the old product whose winding vector is the target's,
     in product order, and no resolution that realizes the class is lost."""
     calls = []
-    realize = H._skeleton_realizes
+    realize = REF.skeleton_realizes
 
     def recorded(*args):
         calls.append(args)
         return realize(*args)
 
-    monkeypatch.setattr(H, "_skeleton_realizes", recorded)
+    monkeypatch.setattr(REF, "skeleton_realizes", recorded)
     cone = conjugated_cone(H.catalog_cone(tag, name), element)
-    H.min_total_angle(cone)
+    REF.min_total_angle(cone)
     cuts = reference_cuts(tag)
     goal = reference_winding(cuts, cone.canonical_word)
     realized = 0
@@ -2189,10 +2209,10 @@ def test_winding_filter_matches_filtered_product(tag, name, element, monkeypatch
         assert target == cone.canonical_word
         tri_perm_pows = options.perms
         tri_perm = tri_perm_pows[1 % len(tri_perm_pows)]
-        old = reference_resolutions(options.tess, fund_axes, tri_perm, H._TURN_CAP)
+        old = reference_resolutions(options.tess, fund_axes, tri_perm, REF.TURN_CAP)
         new = [
-            (arc_sel, [[H._route(*o) for o in opts] for opts in descriptors], weights, arc_winding)
-            for arc_sel, descriptors, weights, arc_winding in H._resolutions(options, fund_axes)
+            (arc_sel, [[REF.junction_route(*o) for o in opts] for opts in descriptors], weights, arc_winding)
+            for arc_sel, descriptors, weights, arc_winding in REF.resolutions(options, fund_axes)
         ]
         assert [(arc_sel, option_lists) for arc_sel, option_lists, _, _ in new] == old
         for arc_sel, option_lists, weights, arc_winding in new:
@@ -2204,7 +2224,7 @@ def test_winding_filter_matches_filtered_product(tag, name, element, monkeypatch
                 reduced = H.reduce_cyclic_word(word)
                 if len(reduced) == len(target) and H.canonical_cyclic_word(reduced) == target:
                     matching.append(sel)
-            assert list(H._winding_solutions(weights, packed_goal - arc_winding)) == passing
+            assert list(REF.winding_solutions(weights, packed_goal - arc_winding)) == passing
             assert set(matching) <= set(passing)
             realized += len(matching)
     assert realized >= 1
@@ -2236,12 +2256,12 @@ def test_lazy_heap_pops_like_the_eager_heap(tag, name, element):
     sequences that the eager uniform-cost heap pops at cost <= theta*, in
     the same order and at bitwise the same costs, with fewer pops."""
     cone = conjugated_cone(H.catalog_cone(tag, name), element)
-    pops = H.min_total_angle(cone).pops
+    pops = REF.min_total_angle(cone).pops
     R, M = cone.extra_symmetry
     poly = cone.nu.polyhedron
     pole_perm = poly.tessellation.pole_permutations[poly.group.index(R)]
     successors, fmax = poly.arc_table[1], max(2, math.ceil(4 * cone.nu.steps / M))
-    search = H._skeleton_pops(poly, M, pole_perm)
+    search = REF.skeleton_pops(poly, M, pole_perm)
     astar = list(itertools.islice(search, pops))
     assert len(astar) == pops
     closed = [(cost, axes) for cost, axes, is_closed in astar if is_closed]
@@ -2292,7 +2312,7 @@ def test_successor_orders_match_the_sorted_rows(tag):
     poly = H.build_archimedean(tag)
     d = poly.closing_angles
     successors = poly.arc_table[1]
-    orders = poly.successor_orders
+    orders = REF.successor_orders(poly)
     assert len(orders) == len(successors)
     for i, row in enumerate(successors):
         assert len(orders[i]) == len(successors)
@@ -2305,17 +2325,18 @@ def test_successor_orders_match_the_sorted_rows(tag):
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_every_open_sequence_can_grow_and_close(tag):
-    """The premise of a search with no length cap and no infinite bounds:
-    every pole has successors, every closing angle is finite, and every
-    successor_orders row is a full permutation of its successor row, so
-    every open pop pushes a child and every root can close."""
+    """The premise of the reference search, with no length cap and no
+    infinite bounds: every pole has successors, every closing angle is
+    finite, and every successor_orders row is a full permutation of its
+    successor row, so every open pop pushes a child and every root can
+    close."""
     poly = H.build_archimedean(tag)
     successors = poly.arc_table[1]
     assert np.isfinite(poly.closing_angles).all()
     for i, row in enumerate(successors):
         assert row
         for k in range(len(successors)):
-            assert sorted(poly.successor_orders[i][k]) == list(range(len(row)))
+            assert sorted(REF.successor_orders(poly)[i][k]) == list(range(len(row)))
 
 
 def reference_pole_inside_arc(points, za, zb):
@@ -2387,37 +2408,133 @@ def test_edge_chambers_match_the_crossing_loop_on_every_edge(tag):
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_search_tables_are_read_only(tag):
     poly = H.build_archimedean(tag)
-    runs, orders = poly.arc_runs, poly.successor_orders
-    with pytest.raises(TypeError):
-        runs[0, 1] = ((0,),)
-    with pytest.raises(TypeError):
-        orders[0] = ()
-    with pytest.raises(TypeError):
-        orders[0][0] = b""
+    runs, (by_start, by_pair) = poly.arc_runs, poly.search_moves
+    for table, key in ((runs, (0, 1)), (by_start, (0, 0)), (by_pair, (0, 1))):
+        with pytest.raises(TypeError):
+            table[key] = ()
     assert all(type(run) is tuple for sides in runs.values() for run in (sides, *sides))
-    assert all(type(row) is bytes for rows in orders for row in rows)
+    for table in (by_start, by_pair):
+        assert all(type(moves) is tuple for moves in table.values())
+    assert all(type(run) is tuple for moves in by_start.values() for _, run, _ in moves)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_search_moves_index_the_fan_steps_and_the_arc_runs(tag):
+    """by_start holds, from each pole and chamber of its fan, the steps to
+    both fan neighbours and then every arc run that leaves the pole there,
+    at its arc_table angle; by_pair lists every move at each chamber step
+    of its run."""
+    poly = H.build_archimedean(tag)
+    tess, angles = poly.tessellation, poly.arc_table[0]
+    by_start, by_pair = poly.search_moves
+    want = defaultdict(list)
+    for p, fan in enumerate(tess.fan):
+        for k, c in enumerate(fan):
+            want[p, c] += [(p, (c, fan[k - 1]), 0.0), (p, (c, fan[(k + 1) % len(fan)]), 0.0)]
+    for (a, b), runs in poly.arc_runs.items():
+        for run in runs:
+            want[a, run[0]].append((b, run, angles[a, b]))
+    assert by_start == {key: tuple(moves) for key, moves in want.items()}
+    pairs = defaultdict(list)
+    for (p, _), moves in want.items():
+        for move in moves:
+            run = move[1]
+            for k in range(len(run) - 1):
+                pairs[run[k], run[k + 1]].append((p, k, move))
+    assert {key: sorted(v) for key, v in by_pair.items()} == {key: sorted(v) for key, v in pairs.items()}
+    assert all(d in tess.neighbors[c] for c, d in by_pair)
 
 
 def test_min_total_angle_calls_share_the_search_tables(monkeypatch):
     """Two calls on different conjugates read the polyhedron's tables, not
     tables of their own."""
     seen = []
-    pops, realize = H._skeleton_pops, H._skeleton_realizes
+    search = H._cover_search
 
-    def recorded_pops(poly, *args):
-        seen.append(("orders", poly.successor_orders))
-        return pops(poly, *args)
+    def recorded(poly, *args):
+        seen.append((poly, poly.search_moves, poly.closing_angles))
+        return search(poly, *args)
 
-    def recorded_realize(options, *args):
-        seen.append(("runs", options.runs))
-        return realize(options, *args)
-
-    monkeypatch.setattr(H, "_skeleton_pops", recorded_pops)
-    monkeypatch.setattr(H, "_skeleton_realizes", recorded_realize)
+    monkeypatch.setattr(H, "_cover_search", recorded)
     base = H.catalog_cone("O", "nu4")
     poly = base.nu.polyhedron
     for element in (0, base.group.order // 2):
         H.min_total_angle(conjugated_cone(base, element))
-    assert {name for name, _ in seen} == {"orders", "runs"}
-    tables = {"orders": poly.successor_orders, "runs": poly.arc_runs}
-    assert all(table is tables[name] for name, table in seen)
+    assert len(seen) == 2
+    assert all(p is poly for p, _, _ in seen)
+    assert all(moves is poly.search_moves and d is poly.closing_angles for _, moves, d in seen)
+
+
+# ---------------------------------------------------------------------------
+# The cover search against the reference search
+
+
+def with_no_extra_symmetry(cone):
+    return H.ConeSpec(
+        group=cone.group, nu=cone.nu, alpha=cone.alpha, extra_symmetry=None,
+        period=cone.period, central_mass=cone.central_mass,
+    )
+
+
+@pytest.mark.parametrize("tag,name", [("T", "nu1"), ("O", "nu4"), ("O", "nu5"), ("I", "nu4")])
+def test_min_total_angle_without_an_extra_symmetry(tag, name):
+    """Without its extra symmetry a cone's class holds every loop it held
+    with it, so the minimum can only fall; the reference search exhausted
+    its resolution budget on these four."""
+    cone = H.catalog_cone(tag, name)
+    free = with_no_extra_symmetry(cone)
+    res = H.min_total_angle(free)
+    assert H.cyclic_words_equal(res.word, free.reduced_word)
+    assert res.total_angle <= H.min_total_angle(cone).total_angle + 1e-12
+    assert res.starts >= 1 and res.depth <= H._TAIL_DEPTH
+    with pytest.raises(RuntimeError, match="resolution budget"):
+        REF.min_total_angle(free)
+
+
+ARC_ROWS = [
+    ("T", "nu1"), ("T", "nu2"), ("T", "nu3"), ("T", "nu4"), ("T", "nu5"),
+    ("O", "nu3"), ("O", "nu4"), ("O", "nu5"), ("O", "nu6"), ("O", "nu7"), ("O", "nu8"), ("O", "nu9"),
+    ("I", "nu3"), ("I", "nu4"),
+]
+SLOW_ROWS = [("T", "nu6"), ("O", "nu1"), ("O", "nu2"), ("I", "nu1"), ("I", "nu2")]
+
+
+def reference_cases():
+    """(row, element): every conjugate of the 14 rows the benchmark runs,
+    and the five slower rows at elements 0 and |G|/2."""
+    order = {tag: H.build_archimedean(tag).group.order for tag in "TOI"}
+    cases = [(row, g) for row in ARC_ROWS for g in range(order[row[0]])]
+    return cases + [(row, g) for row in SLOW_ROWS for g in (0, order[row[0]] // 2)]
+
+
+def test_min_total_angle_matches_the_reference_search():
+    """On 348 conjugates of the benchmark's rows and on the slower rows, the
+    cover search, with any number of turns, finds the reference search's
+    angle within 1e-12, on a skeleton of as many arcs.  A smaller angle
+    would be a route that the reference's turn cap left out."""
+    cases = reference_cases()
+    assert len(cases) == 348 + 10
+    lower, other = [], []
+    for row, g in cases:
+        cone = conjugated_cone(H.catalog_cone(*row), g)
+        res, ref = H.min_total_angle(cone), REF.min_total_angle(cone)
+        assert H.cyclic_words_equal(res.word, cone.reduced_word)
+        if res.total_angle < ref.total_angle - 1e-12:
+            lower.append((row, g, res.turns, res.total_angle, ref.total_angle))
+        elif abs(res.total_angle - ref.total_angle) > 1e-12 or len(res.arc_angles) != len(ref.arc_angles):
+            other.append((row, g, res.total_angle, ref.total_angle))
+    assert lower == [], f"the turn cap of the reference search binds on {lower}"
+    assert other == []
+
+
+@pytest.mark.parametrize("cone_of", ["row", "pin"])
+def test_min_total_angle_is_unchanged_by_a_deeper_tail(cone_of, monkeypatch):
+    """Doubling _TAIL_DEPTH keeps the total angle of every catalog row and
+    every pin to the last bit."""
+    if cone_of == "row":
+        cones = [H.catalog_cone(*row) for row in ALL_ROWS]
+    else:
+        cones = [pinned_cone(pin) for pin in PINS]
+    at_depth = [repr(H.min_total_angle(cone).total_angle) for cone in cones]
+    monkeypatch.setattr(H, "_TAIL_DEPTH", 2 * H._TAIL_DEPTH)
+    assert [repr(H.min_total_angle(cone).total_angle) for cone in cones] == at_depth
