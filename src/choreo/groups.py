@@ -93,9 +93,10 @@ class RotationGroup:
     constructions of the same group list the elements identically.  Despite
     the name, elements of determinant -1 are allowed (the vertical groups
     are generated by rotoreflections); the polyhedral groups are proper.
-    The element index, the element orders, the factors every
-    pair-potential evaluation uses (``pair_forms``) and the fixed sets that
-    collision_distance reads (``fixed_sets``) are built once per group.
+    The element index, the product table (``products``), the element
+    orders, the factors every pair-potential evaluation uses
+    (``pair_forms``) and the fixed sets that collision_distance reads
+    (``fixed_sets``) are built once per group.
     """
 
     tag: str
@@ -133,6 +134,15 @@ class RotationGroup:
                 return tuple(orders.tolist())
             P = P @ E
         raise ValueError("no power of an element up to the group order is the identity")
+
+    @cached_property
+    def products(self):
+        """products[g][h]: the index of elements[g] @ elements[h], read
+        through the element index."""
+        E = np.array(self.elements)
+        keys = np.round(E[:, None] @ E[None], KEY_DECIMALS).reshape(len(E), len(E), 9) + 0.0
+        # one row of Python floats at a time: all rows at once raise peak memory 1.3 MB for I
+        return tuple(tuple(self._positions[tuple(key)] for key in row.tolist()) for row in keys)
 
     def point_permutations(self, points):
         """How the elements permute a point set they preserve, indexed like

@@ -44,39 +44,57 @@ _log = logging.getLogger(__name__)
 class ArchimedeanPolyhedron:
     """Equal-edge solid inscribed in the unit sphere, stored as a graph.
 
-    vertices is the orbit of the base point q in deterministic group-element
-    order; edges maps index pairs (i, j) with i < j to the side type 1 or 2.
-    The base point sits on the triangle side joining the two higher-order
-    poles of the base tessellation triangle, equidistant from the planes of
-    the other two sides, so that both reflected copies q1, q2 are at the
-    same chord distance ell.  Cached per tag, it owns its tables, each built
-    on first use: the group action on the vertices (vertex_permutations,
-    element_between), the estimates' base-edge constants (edge_quadratics,
-    midpoint_chords), edge_chambers and the minimal-angle search tables
-    (arc_table, closing_angles, arc_runs and search_moves, which indexes
-    the fan steps and arc runs).
+    base_points is (q, q1, q2).  Vertex g is elements[g] @ q, and the
+    vertices must be one free orbit of the group.  The steps s1, s2 are the
+    vertex indices of q1, q2, and vertex g is joined to products[g][s] for
+    s in s1, s2 and their inverses: the graph is the Cayley graph of the
+    two steps.  edges maps index pairs (i, j) with i < j to the side type 1
+    or 2 of their step (1 for both on T, whose full symmetry group
+    exchanges the two base segments).  The built-in q sits on the triangle
+    side joining the two higher-order poles of the base tessellation
+    triangle, equidistant from the planes of the other two sides, and q1,
+    q2 are its mirror images in them, at the same chord distance ell.
+    Cached per tag, it owns its tables, each built on first use: the group
+    action on the vertices (vertex_permutations, element_between), the
+    estimates' base-edge constants (edge_quadratics, midpoint_chords),
+    edge_chambers and the minimal-angle search tables (arc_table,
+    closing_angles, arc_runs and search_moves, which indexes the fan steps
+    and arc runs).  Every vertex table reads group.products.
     edge_chambers and arc_runs read their great arcs with _arc_chambers.
     """
 
-    def __init__(self, group, tessellation, vertices, edges, base_points):
+    def __init__(self, group, tessellation, base_points):
         self.group = group
         self.tessellation = tessellation
-        self.vertices = np.array(vertices, dtype=float)
-        self.vertices.setflags(write=False)
-        self.edges = dict(edges)
         self.base_points = tuple(np.array(p, dtype=float) for p in base_points)
-        lengths = [
-            np.linalg.norm(self.vertices[i] - self.vertices[j]) for (i, j) in self.edges
-        ]
+        q, q1, q2 = self.base_points
+        self.vertices = np.array(group.elements) @ q
+        self.vertices.setflags(write=False)
+        index = {matrix_key(v): g for g, v in enumerate(self.vertices)}
+        if len(index) != group.order:
+            raise ValueError(f"the {len(index)} distinct vertices are not one free orbit of the group")
+        try:
+            steps = ((index[matrix_key(q1)], 1), (index[matrix_key(q2)], 1 if group.tag == "T" else 2))
+        except KeyError:
+            raise ValueError("q1 and q2 must be vertices") from None
+        # side types keyed by the ordered pair; an edge both steps make keeps
+        # the type of the first
+        products, types = group.products, {}
+        for g, row in enumerate(products):
+            for s, typ in steps:
+                types.setdefault((g, row[s]), typ)
+                types.setdefault((row[s], g), typ)
+        self._edge_types = types
+        self.edges = {(i, j): typ for (i, j), typ in types.items() if i < j}
+        lengths = [np.linalg.norm(self.vertices[i] - self.vertices[j]) for (i, j) in self.edges]
         spread = max(lengths) - min(lengths)
         if spread > 1e-10:
             raise ValueError(f"edge lengths are not uniform (spread {spread:.2e})")
         self.edge_length = float(np.mean(lengths))
-        adj = {i: [] for i in range(len(self.vertices))}
-        for (i, j), typ in self.edges.items():
+        adj = [[] for _ in self.vertices]
+        for (i, j), typ in types.items():
             adj[i].append((j, typ))
-            adj[j].append((i, typ))
-        self._adjacency = {i: tuple(sorted(pairs)) for i, pairs in adj.items()}
+        self._adjacency = tuple(tuple(sorted(pairs)) for pairs in adj)
 
     @property
     def vertex_count(self):
@@ -86,29 +104,22 @@ class ArchimedeanPolyhedron:
         return self._adjacency[i]
 
     def edge_type(self, i, j):
-        """Side type of the edge {i, j}, or None if the pair is not an edge."""
-        return self.edges.get((min(i, j), max(i, j)))
+        """Side type of the edge from i to j, or None if the pair is not an edge."""
+        return self._edge_types.get((i, j))
 
-    @cached_property
+    @property
     def vertex_permutations(self):
         """How each group element permutes the vertex indices, indexed like
-        group.elements."""
-        return self.group.point_permutations(self.vertices)
+        group.elements: elements[g] maps vertex i to vertex products[g][i]."""
+        return self.group.products
 
     @cached_property
     def element_between(self):
         """element_between[a][b]: index of the one group element that maps
-        vertex a to vertex b.  The vertices are one free orbit of the group
-        (vertex i is elements[i] @ q); ValueError if they are not."""
-        table = [[None] * self.vertex_count for _ in range(self.vertex_count)]
-        for g, perm in enumerate(self.vertex_permutations):
-            for a, b in enumerate(perm):
-                if table[a][b] is not None:
-                    raise ValueError(f"elements {table[a][b]} and {g} both map vertex {a} to {b}")
-                table[a][b] = g
-        if self.group.order != self.vertex_count:
-            raise ValueError("the vertices are not one orbit of the group")
-        return tuple(map(tuple, table))
+        vertex a to vertex b, products[b][inverse of a]."""
+        products, eye = self.group.products, self.group.identity_index
+        inverse = [row.index(eye) for row in products]
+        return tuple(tuple(row[inverse[a]] for row in products) for a in range(self.vertex_count))
 
     @cached_property
     def edge_quadratics(self):
@@ -306,43 +317,19 @@ def _build_archimedean_cached(tag):
     q1 = q - 2.0 * (q @ n1) * n1
     q2 = q - 2.0 * (q @ n2) * n2
 
-    verts = []
-    index = {}
-    for R in group.elements:
-        v = R @ q
-        key = matrix_key(v)
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(v)
-
-    edges = {}
-    for R in group.elements:
-        vq = index[matrix_key(R @ q)]
-        for typ, qq in ((1, q1), (2, q2)):
-            vr = index[matrix_key(R @ qq)]
-            e = (min(vq, vr), max(vq, vr))
-            prev = edges.get(e)
-            if prev is not None and prev != typ and tag != "T":
-                raise ValueError(f"edge {e} received conflicting side types")
-            edges.setdefault(e, typ)
-    if tag == "T":
-        # The two base segments are exchanged by the full symmetry group, so a
-        # single side type is used for the tetrahedral graph.
-        edges = {e: 1 for e in edges}
-
-    expected = {"T": (12, 24), "O": (24, 48), "I": (60, 120)}[tag]
-    if (len(verts), len(edges)) != expected:
-        raise ValueError(
-            f"unexpected graph size {(len(verts), len(edges))} for tag {tag!r}"
-        )
-    return ArchimedeanPolyhedron(group, tess, verts, edges, (q, q1, q2))
+    poly = ArchimedeanPolyhedron(group, tess, (q, q1, q2))
+    if len(poly.edges) != 2 * group.order:
+        raise ValueError(f"{len(poly.edges)} edges for tag {tag!r}, not {2 * group.order}")
+    return poly
 
 
 def build_archimedean(group):
     """Edge graph of the equal-edge solid for a polyhedral rotation group.
 
-    Accepts a RotationGroup or one of the tags "T", "O", "I".  The result is
-    cached per tag.
+    Accepts a RotationGroup or one of the tags "T", "O", "I".  Vertex g is
+    elements[g] @ q, and the graph is the Cayley graph of the group for
+    the two steps that map q to its mirror images q1 and q2, so every
+    vertex table reads group.products.  The result is cached per tag.
     """
     tag = group if isinstance(group, str) else group.tag
     tag = str(tag).upper()
@@ -364,11 +351,13 @@ def reconstruct_numbering(polyhedron, rows):
     numbers (ValueError otherwise).  The search places each row as a closed
     edge path, prunes on side-type counts, and requires for each row a group
     element R with R^M = identity that shifts the cycle by steps/M positions:
-    the first placed pair of labels steps/M apart fixes R (element_between),
-    and every other placed pair must agree, checked as each label is placed
-    against the R its row's placed pairs share.  Labels not used by any row are
-    assigned to the remaining vertices in sorted order, so the result is a
-    bijection.  Raises ValueError if the rows cannot be realized,
+    the first placed pair of labels steps/M apart fixes R (element_between,
+    which reads group.products, vertex g being elements[g] @ q), and every
+    other placed pair must agree, checked as each label is placed against
+    the R its row's placed pairs share.  Steps and side types are read off
+    the Cayley graph's ordered pairs (neighbors, edge_type).  Labels not
+    used by any row are assigned to the remaining vertices in sorted order,
+    so the result is a bijection.  Raises ValueError if the rows cannot be realized,
     RuntimeError past _NUMBERING_NODE_CAP search nodes; logs the node count
     at DEBUG.
     """
@@ -946,7 +935,7 @@ def catalog_cone(tag, name, *, period=TWO_PI, central_mass=0.0, alpha=None):
 # Minimal total angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimalAngleResult:
     """Minimal total angle and the circular-arc skeleton realizing it.
 

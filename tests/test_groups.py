@@ -137,6 +137,24 @@ def test_index_locates_elements_and_rejects_others(tag):
         RotationGroup(tag="bad", elements=[-np.eye(3)]).identity_index
 
 
+@pytest.mark.parametrize(
+    "tag,n", [("Z4", None), ("Z2N", 3), ("KLEIN", None), ("T", None), ("O", None), ("I", None)]
+)
+def test_products_index_every_pair_product(tag, n):
+    G = builtin_group(tag, n=n)
+    table = G.products
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert table is G.products
+    everyone = list(range(G.order))
+    for g, A in enumerate(G.elements):
+        assert [table[g][h] for h in everyone] == [G.index(A @ B) for B in G.elements]
+        assert sorted(table[g]) == everyone
+        assert sorted(row[g] for row in table) == everyone
+    eye = G.identity_index
+    assert list(table[eye]) == everyone
+    assert [row[eye] for row in table] == everyone
+
+
 # ---------------------------------------------------------------------------
 # poles
 

@@ -128,6 +128,73 @@ def test_vertex_permutations_match_per_element_maps(tag):
         assert poly.vertex_permutations[g] == tuple(index[matrix_key(R @ v)] for v in poly.vertices)
 
 
+def reference_archimedean_tables(group, base_points):
+    """The rounded-coordinate constructions the Cayley-graph tables replaced:
+    the vertex dedupe, the matrix_key edge loop with its T special case, the
+    per-element vertex maps, the element_between double loop and the
+    (min, max) edge_type lookup."""
+    q, q1, q2 = base_points
+    verts, index = [], {}
+    for R in group.elements:
+        key = matrix_key(R @ q)
+        if key not in index:
+            index[key] = len(verts)
+            verts.append(R @ q)
+    edges = {}
+    for R in group.elements:
+        vq = index[matrix_key(R @ q)]
+        for typ, qq in ((1, q1), (2, q2)):
+            vr = index[matrix_key(R @ qq)]
+            e = (min(vq, vr), max(vq, vr))
+            assert edges.get(e, typ) == typ or group.tag == "T"
+            edges.setdefault(e, typ)
+    if group.tag == "T":
+        edges = {e: 1 for e in edges}
+    vertices = np.array(verts, dtype=float)
+    perms = tuple(
+        tuple(index[matrix_key(R @ v)] for v in vertices) for R in group.elements
+    )
+    between = [[None] * len(vertices) for _ in vertices]
+    for g, perm in enumerate(perms):
+        for a, b in enumerate(perm):
+            assert between[a][b] is None
+            between[a][b] = g
+    lengths = [np.linalg.norm(vertices[i] - vertices[j]) for (i, j) in edges]
+    assert max(lengths) - min(lengths) <= 1e-10
+    adjacency = {i: [] for i in range(len(vertices))}
+    for (i, j), typ in edges.items():
+        adjacency[i].append((j, typ))
+        adjacency[j].append((i, typ))
+    return {
+        "vertices": vertices,
+        "edges": edges,
+        "neighbors": [tuple(sorted(adjacency[i])) for i in range(len(vertices))],
+        "vertex_permutations": perms,
+        "element_between": tuple(map(tuple, between)),
+        "edge_type": lambda i, j: edges.get((min(i, j), max(i, j))),
+        "edge_length": float(np.mean(lengths)),
+    }
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_cayley_graph_tables_match_the_rounded_coordinate_constructions(tag):
+    poly = H.build_archimedean(tag)
+    ref = reference_archimedean_tables(poly.group, poly.base_points)
+    nv = poly.vertex_count
+    assert poly.vertices.tobytes() == ref["vertices"].tobytes()
+    assert poly.vertices.shape == ref["vertices"].shape
+    # the same edges in the same order, since edge_length sums over them
+    assert list(poly.edges.items()) == list(ref["edges"].items())
+    assert type(poly.edges) is dict
+    assert [poly.neighbors(i) for i in range(nv)] == ref["neighbors"]
+    assert poly.vertex_permutations == ref["vertex_permutations"]
+    assert poly.element_between == ref["element_between"]
+    assert all(
+        poly.edge_type(i, j) == ref["edge_type"](i, j) for i in range(nv) for j in range(nv)
+    )
+    assert repr(poly.edge_length) == repr(ref["edge_length"])
+
+
 def test_build_archimedean_rejects_vertical_tags():
     with pytest.raises(ValueError):
         H.build_archimedean("Z4")
@@ -421,21 +488,15 @@ def test_element_between_is_one_element_per_vertex_pair(tag):
     assert type(table) is tuple and all(type(row) is tuple for row in table)
 
 
-def test_element_between_refuses_a_vertex_set_without_free_action():
-    """The six order-4 poles of O, joined as the octahedron: each is fixed by
-    its own quarter turns, so four elements map it to itself."""
+def test_construction_refuses_a_vertex_set_without_free_action():
+    """A base point on one of O's order-4 poles is fixed by that pole's
+    quarter turns, so its orbit is the six order-4 poles, not 24 vertices."""
     poly = H.build_archimedean("O")
     tess = poly.tessellation
-    axes = tess.points[[p for p, order in enumerate(tess.pole_order) if order == 4]]
-    edges = {
-        (i, j): 1
-        for i, j in itertools.combinations(range(len(axes)), 2)
-        if abs(axes[i] @ axes[j]) < 1e-9
-    }
-    assert len(axes) == 6 and len(edges) == 12
-    octahedron = H.ArchimedeanPolyhedron(poly.group, tess, axes, edges, poly.base_points)
-    with pytest.raises(ValueError, match="both map vertex"):
-        octahedron.element_between
+    pole = tess.points[tess.pole_order.index(4)]
+    assert len({matrix_key(R @ pole) for R in poly.group.elements}) == 6
+    with pytest.raises(ValueError, match="the 6 distinct vertices are not one free orbit"):
+        H.ArchimedeanPolyhedron(poly.group, tess, (pole, *poly.base_points[1:]))
 
 
 def reference_extra_symmetry(nu, M):
@@ -628,7 +689,14 @@ def test_edge_chambers_refuse_an_edge_through_a_pole(order):
         if len(hit) and tess.pole_order[hit[0]] == order:
             chords.append((np.linalg.norm(poly.vertices[i] - poly.vertices[j]), i, j))
     _, i, j = min(chords)
-    through = H.ArchimedeanPolyhedron(poly.group, tess, poly.vertices, {(i, j): 1}, poly.base_points)
+    # the step from vertex i to vertex j, made the polyhedron's one step
+    products, eye = poly.group.products, poly.group.identity_index
+    inverse = [row.index(eye) for row in products]
+    s = products[inverse[i]][j]
+    step = poly.vertices[s]
+    through = H.ArchimedeanPolyhedron(poly.group, tess, (poly.base_points[0], step, step))
+    assert set(through.edges) == {tuple(sorted((g, row[s]))) for g, row in enumerate(products)}
+    assert through.edge_type(i, j) == through.edge_type(j, i) == 1
     with pytest.raises(ValueError, match="adjacent chamber"):
         through.edge_chambers
 
@@ -1333,6 +1401,16 @@ def test_min_total_angle_platonic(tag, name, expected, arcs):
     assert np.all(np.diff(res.times) > 0.0)
     assert res.times[-1] < cone.period
     assert H.cyclic_words_equal(res.word, cone.reduced_word)
+
+
+def test_minimal_angle_results_compare_and_hash_by_identity():
+    """Array fields made field-wise == ambiguous: == raised ValueError and
+    hash raised TypeError.  Equality is identity."""
+    cone = H.catalog_cone("T", "nu1")
+    first, second = H.min_total_angle(cone), H.min_total_angle(cone)
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert len({first, second}) == 2
 
 
 def test_min_total_angle_budget_exhaustion(monkeypatch):
