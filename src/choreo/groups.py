@@ -16,6 +16,7 @@ Each derived table has one owner, the group or the tessellation, and is a
 cached attribute of it, built on first use.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,6 +29,7 @@ KEY_DECIMALS = 9
 _IDENTITY_ATOL = 1e-9
 # Elements generate_group may collect before it gives up.
 _CLOSURE_CAP = 200
+_log = logging.getLogger(__name__)
 
 
 def matrix_key(M):
@@ -37,6 +39,26 @@ def matrix_key(M):
     """
     r = np.round(np.asarray(M, dtype=float), KEY_DECIMALS) + 0.0
     return tuple(r.ravel())
+
+
+def _matcher(targets):
+    """match(images): for each image, the index of the row of targets nearest
+    it by squared distance, so rows of mixed norms match; KeyError if the
+    image does not round to that row's key.  ValueError if two rows share a key."""
+    T = np.asarray(targets, dtype=float).reshape(len(targets), -1)
+    keys = np.round(T, KEY_DECIMALS) + 0.0
+    if len(set(map(tuple, keys.tolist()))) < len(keys):
+        raise ValueError("the points to match are not distinct")
+
+    def match(images):
+        images = images.reshape(-1, T.shape[1])
+        # |x - t|^2 less the |x|^2 it adds for every t
+        near = ((T * T).sum(axis=1) - 2.0 * images @ T.T).argmin(axis=1)
+        if not (np.round(images, KEY_DECIMALS) == keys[near]).all():
+            raise KeyError("an image matches none of the points")
+        return tuple(near.tolist())
+
+    return match
 
 
 def is_orthogonal(M):
@@ -137,19 +159,21 @@ class RotationGroup:
 
     @cached_property
     def products(self):
-        """products[g][h]: the index of elements[g] @ elements[h], read
-        through the element index."""
+        """products[g][h]: the index of elements[g] @ elements[h], row g one
+        product elements[g] @ elements matched to the elements (_matcher)."""
         E = np.array(self.elements)
-        keys = np.round(E[:, None] @ E[None], KEY_DECIMALS).reshape(len(E), len(E), 9) + 0.0
-        # one row of Python floats at a time: all rows at once raise peak memory 1.3 MB for I
-        return tuple(tuple(self._positions[tuple(key)] for key in row.tolist()) for row in keys)
+        match = _matcher(E)
+        # one row at a time: all rows at once hold |G|^3 distances
+        return tuple(match(A @ E) for A in E)
 
     def point_permutations(self, points):
         """How the elements permute a point set they preserve, indexed like
-        elements: entry g maps i to the index of elements[g] @ points[i]."""
-        index = {matrix_key(p): i for i, p in enumerate(points)}
-        images = np.round(np.einsum("gij,pj->gpi", self.elements, points), KEY_DECIMALS) + 0.0
-        return tuple(tuple(index[tuple(x)] for x in image) for image in images)
+        elements: entry g maps i to the index of elements[g] @ points[i],
+        matched to the points (_matcher) one element at a time.  KeyError if
+        an element moves the set off itself, ValueError if the set repeats a point."""
+        pts = np.asarray(points, dtype=float)
+        match = _matcher(pts)
+        return tuple(match(pts @ R.T) for R in self.elements)
 
     @cached_property
     def pair_forms(self):
@@ -383,10 +407,11 @@ class Tessellation:
     holds the side, +1 when that stored normal points into t (-1 when it
     points away), and the chamber across the side, which has the same wall
     with the opposite sign.  neighbors[t] is the sorted tuple of the three
-    chambers across the sides of t.  The tessellation owns the tables
-    derived from it (pole points, pole fans, the permutations by the group
-    elements, the widest chamber-to-axis chords behind the potential
-    floor), each built on first use.
+    chambers across the sides of t.  full_group_tessellation builds walls,
+    sides and neighbors in one array pass over all sides.  The tessellation
+    owns the tables derived from it (pole points, pole fans, the
+    permutations by the group elements, the widest chamber-to-axis chords
+    behind the potential floor), each built on first use.
     """
 
     group: RotationGroup
@@ -486,23 +511,27 @@ class Tessellation:
 
 
 def spherical_triangle_area(p1, p2, p3):
-    """Area of a geodesic triangle on the unit sphere (angle excess)."""
+    """Area of a geodesic triangle on the unit sphere (angle excess); for
+    corners stacked as (..., 3) arrays, the array of their areas."""
 
     def corner(a, b, c):
-        u = b - (a @ b) * a
-        v = c - (a @ c) * a
-        cosang = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+        u = b - (a * b).sum(axis=-1, keepdims=True) * a
+        v = c - (a * c).sum(axis=-1, keepdims=True) * a
+        cosang = (u * v).sum(axis=-1) / (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
         return np.arccos(np.clip(cosang, -1.0, 1.0))
 
     return corner(p1, p2, p3) + corner(p2, p3, p1) + corner(p3, p1, p2) - np.pi
 
 
 def full_group_tessellation(group):
-    """Tessellation of the sphere by the axes of a polyhedral group.
+    """Tessellation of the sphere by the axes of a polyhedral group (T, O or I).
 
-    Builds the 2N spherical triangles whose vertices are one pole from
-    each of the three orbits, with the right angle at the order-2 pole.
-    Only the tags T, O, I are accepted.
+    Builds the 2N spherical triangles whose vertices are one pole from each
+    of the three orbits, with the right angle at the order-2 pole, then all
+    their sides at once: one cross product, one np.unique for the walls, one
+    reflection of the poles in every wall, one sort of the shared edges and
+    one stacked area.  It checks that every side is on a mirror wall, every
+    edge joins two chambers and the areas sum to 4 pi.
     """
     if group.tag not in ("T", "O", "I"):
         raise ValueError("tessellation is defined for the polyhedral groups T, O, I")
@@ -527,58 +556,47 @@ def full_group_tessellation(group):
         c = pts[ci]
         near_a = sorted(orbits[oa], key=lambda i: -pts[i] @ c)[:2]
         near_b = sorted(orbits[ob], key=lambda i: -pts[i] @ c)[:2]
-        for ia in near_a:
-            for ib in near_b:
-                triangles.append((ia, ib, ci))
+        triangles += [(ia, ib, ci) for ia in near_a for ib in near_b]
     if len(triangles) != 2 * group.order:
-        raise ValueError(
-            f"built {len(triangles)} triangles, expected {2 * group.order}"
-        )
+        raise ValueError(f"built {len(triangles)} triangles, expected {2 * group.order}")
 
-    # One pass over the sides; side k of a chamber is the one opposite its
-    # corner k, and its corners are neither equal nor antipodal (both lie
-    # within a right angle of c).  A wall is a great-circle plane whose
-    # reflection p - 2 (p.n) n preserves the pole set.  Many sides lie on one
-    # wall, which is checked once and keeps the normal of the first side
-    # found on it, the sides of each chamber taken in the order ab, bc, ac.
-    pole_keys = {matrix_key(p) for p in pts}
-    walls, rows, by_edge = {}, [[None] * 3 for _ in triangles], {}
-    for t, tri in enumerate(triangles):
-        for k in (2, 0, 1):
-            i, j = (v for m, v in enumerate(tri) if m != k)
-            nrm = _first_positive(np.cross(pts[i], pts[j]))
-            key = matrix_key(nrm)
-            if key not in walls:
-                if not all(matrix_key(p - 2.0 * (p @ nrm) * nrm) in pole_keys for p in pts):
-                    raise ValueError(f"side {k} of chamber {t} is not on a mirror wall")
-                walls[key] = nrm
-            # [wall, sign, across], the wall keyed until the walls are sorted
-            rows[t][k] = [key, 1 if walls[key] @ pts[tri[k]] > 0.0 else -1, None]
-            by_edge.setdefault(frozenset((i, j)), []).append((t, k))
-    for pair in by_edge.values():
-        if len(pair) != 2:
-            raise ValueError("tessellation edge not shared by exactly two triangles")
-        (t, k), (u, m) = pair
-        rows[t][k][2], rows[u][m][2] = u, t
-    keys = sorted(walls)
-    wall_normals = np.array([walls[key] for key in keys])
-    wall_normals.flags.writeable = False
-    sides = np.array([[(keys.index(key), sign, u) for key, sign, u in row] for row in rows])
-    sides.flags.writeable = False
-
-    tess = Tessellation(
-        group=group,
-        poles=pole_list,
-        triangles=triangles,
-        neighbors=[tuple(sorted(row)) for row in sides[..., 2].tolist()],
-        wall_normals=wall_normals,
-        sides=sides,
-    )
-    total = sum(
-        spherical_triangle_area(*tess.triangle_points(i)) for i in range(len(triangles))
-    )
-    if abs(total - 4.0 * np.pi) > 1e-9:
+    # All sides at once; side k of a chamber joins its corners other than k,
+    # neither equal nor antipodal (both lie within a right angle of c).  The
+    # walls are the sorted distinct rounded normals.  A chamber's sides lie on
+    # three walls, so a wall keeps the normal of its first chamber's side, made
+    # unit alone (a batched norm differs in the last bit on 12 of I's sides).
+    tri = np.array(triangles)
+    ends = tri[:, [[1, 2], [0, 2], [0, 1]]]
+    raw = np.cross(pts[ends[..., 0]], pts[ends[..., 1]]).reshape(-1, 3)
+    unit = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    lead = unit[np.arange(len(unit)), (np.abs(unit) > 1e-9).argmax(axis=-1)]
+    unit[lead < 0.0] *= -1.0
+    keys = np.round(unit, KEY_DECIMALS) + 0.0
+    _, first, wall = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    wall_normals = np.array([_first_positive(v) for v in raw[first]])
+    mirrored = pts - 2.0 * (wall_normals @ pts.T)[..., None] * wall_normals[:, None]
+    match = _matcher(pts)  # a wall's reflection p - 2 (p.n) n preserves the poles
+    for w, side in enumerate(first.tolist()):
+        try:
+            match(mirrored[w])
+        except KeyError:
+            raise ValueError(f"side {side % 3} of chamber {side // 3} is not on a mirror wall") from None
+    # each edge, keyed lo * |poles| + hi, is on two sides, adjacent once sorted
+    edge = (ends.min(axis=-1) * len(pts) + ends.max(axis=-1)).ravel()
+    if (np.bincount(edge)[edge] != 2).any():
+        raise ValueError("tessellation edge not shared by exactly two triangles")
+    pairs = np.argsort(edge, kind="stable").reshape(-1, 2)
+    across = np.empty_like(edge)
+    across[pairs] = pairs[:, ::-1] // 3
+    wall = wall.reshape(tri.shape)
+    inward = np.einsum("tkx,tkx->tk", wall_normals[wall], pts[tri]) > 0.0
+    sides = np.stack([wall, np.where(inward, 1, -1), across.reshape(tri.shape)], axis=-1)
+    wall_normals.flags.writeable = sides.flags.writeable = False
+    neighbors = [tuple(sorted(row)) for row in sides[..., 2].tolist()]
+    if abs(spherical_triangle_area(*pts[tri.T]).sum() - 4.0 * np.pi) > 1e-9:
         raise ValueError("tessellation triangle areas do not cover the sphere")
-    return tess
+    _log.debug("full_group_tessellation %s: %d poles, %d chambers, %d walls",
+               group.tag, len(pts), len(triangles), len(wall_normals))
+    return Tessellation(group, pole_list, triangles, neighbors, wall_normals, sides)
 
 

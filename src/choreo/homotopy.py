@@ -320,6 +320,7 @@ def _build_archimedean_cached(tag):
     poly = ArchimedeanPolyhedron(group, tess, (q, q1, q2))
     if len(poly.edges) != 2 * group.order:
         raise ValueError(f"{len(poly.edges)} edges for tag {tag!r}, not {2 * group.order}")
+    _log.debug("build_archimedean %s: %d vertices, %d edges", tag, poly.vertex_count, len(poly.edges))
     return poly
 
 

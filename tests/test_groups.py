@@ -1,5 +1,6 @@
 """Group construction, poles, collision distances, tessellations."""
 
+import logging
 import math
 from collections import Counter
 from functools import lru_cache
@@ -153,6 +154,86 @@ def test_products_index_every_pair_product(tag, n):
     eye = G.identity_index
     assert list(table[eye]) == everyone
     assert [row[eye] for row in table] == everyone
+
+
+def reference_products(group):
+    """products read through the element index, one row of rounded keys at
+    a time (reference)."""
+    E = np.array(group.elements)
+    keys = np.round(E[:, None] @ E[None], groups.KEY_DECIMALS).reshape(len(E), len(E), 9) + 0.0
+    return tuple(tuple(group._positions[tuple(key)] for key in row.tolist()) for row in keys)
+
+
+def reference_point_permutations(group, points):
+    """point_permutations as a dict lookup of the rounded images (reference).
+    A repeated point keeps only its last index in the dict."""
+    index = {matrix_key(p): i for i, p in enumerate(points)}
+    images = np.round(np.einsum("gij,pj->gpi", group.elements, points), groups.KEY_DECIMALS) + 0.0
+    return tuple(tuple(index[tuple(x)] for x in image) for image in images)
+
+
+@pytest.mark.parametrize(
+    "tag,n", [("Z4", None), ("Z2N", 3), ("KLEIN", None), ("T", None), ("O", None), ("I", None)]
+)
+def test_products_match_the_element_index_lookup(tag, n):
+    G = builtin_group(tag, n=n)
+    assert G.products == reference_products(G)
+
+
+def pole_points(tag):
+    return np.array([p.point for p in poles(builtin_group(tag))])
+
+
+def test_point_permutations_match_points_of_mixed_norms():
+    """The nearest point by distance, not by dot product: a largest dot
+    product would send each unit pole to its double."""
+    G = builtin_group("T")
+    pts = pole_points("T")
+    mixed = np.concatenate([pts, 2.0 * pts])
+    perms = G.point_permutations(mixed)
+    assert perms == reference_point_permutations(G, mixed)
+    assert all(sorted(row) == list(range(len(mixed))) for row in perms)
+    assert all(max(row[: len(pts)]) < len(pts) for row in perms)
+
+
+def test_point_permutations_refuse_a_set_an_element_does_not_preserve():
+    G = builtin_group("T")
+    moved = pole_points("T")
+    moved[0] = rotation_matrix([0.3, -0.5, 0.8], 1e-6) @ moved[0]
+    with pytest.raises(KeyError):
+        reference_point_permutations(G, moved)
+    with pytest.raises(KeyError):
+        G.point_permutations(moved)
+
+
+def test_point_permutations_refuse_repeated_points():
+    """A repeated point has no one index to map to: the dict lookup returned
+    rows none of which is a permutation."""
+    G = builtin_group("T")
+    pts = pole_points("T")
+    repeated = np.concatenate([pts, pts[:1]])
+    rows = reference_point_permutations(G, repeated)
+    assert not any(sorted(row) == list(range(len(repeated))) for row in rows)
+    with pytest.raises(ValueError, match="not distinct"):
+        G.point_permutations(repeated)
+    with pytest.raises(ValueError, match="not distinct"):
+        RotationGroup(tag="bad", elements=[np.eye(3), np.eye(3)]).products
+
+
+def test_cold_icosahedral_graph_reads_no_key_per_side(monkeypatch):
+    """A cold build of I's graph makes 301 matrix_key calls, in the group
+    closure, the poles and the base vertices; per-side and per-point key
+    lookups in the tessellation and the products made 1,775."""
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return matrix_key(M)
+
+    monkeypatch.setattr(groups, "matrix_key", counted)
+    monkeypatch.setattr(H, "matrix_key", counted)
+    H._build_archimedean_cached.__wrapped__("I")
+    assert len(calls) <= 400
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +813,65 @@ def test_one_side_pass_builds_the_walls_and_neighbors_of_two(tag):
     walls, neighbors = reference_walls_and_neighbors(tess.points, tess.triangles)
     assert tess.wall_normals.tobytes() == walls.tobytes()
     assert tess.neighbors == neighbors
+
+
+def reference_side_pass(pts, triangles):
+    """wall_normals, sides and neighbors from one loop over the sides, one
+    key per side and one mirror check per new wall (reference)."""
+    pole_keys = {matrix_key(p) for p in pts}
+    walls, rows, by_edge = {}, [[None] * 3 for _ in triangles], {}
+    for t, tri in enumerate(triangles):
+        for k in (2, 0, 1):
+            i, j = (v for m, v in enumerate(tri) if m != k)
+            nrm = groups._first_positive(np.cross(pts[i], pts[j]))
+            key = matrix_key(nrm)
+            if key not in walls:
+                if not all(matrix_key(p - 2.0 * (p @ nrm) * nrm) in pole_keys for p in pts):
+                    raise ValueError(f"side {k} of chamber {t} is not on a mirror wall")
+                walls[key] = nrm
+            rows[t][k] = [key, 1 if walls[key] @ pts[tri[k]] > 0.0 else -1, None]
+            by_edge.setdefault(frozenset((i, j)), []).append((t, k))
+    for pair in by_edge.values():
+        assert len(pair) == 2
+        (t, k), (u, m) = pair
+        rows[t][k][2], rows[u][m][2] = u, t
+    keys = sorted(walls)
+    sides = np.array([[(keys.index(key), sign, u) for key, sign, u in row] for row in rows])
+    neighbors = [tuple(sorted(row)) for row in sides[..., 2].tolist()]
+    return np.array([walls[key] for key in keys]), sides, neighbors
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_array_side_pass_matches_the_per_side_loop(tag):
+    tess = full_group_tessellation(builtin_group(tag))
+    walls, sides, neighbors = reference_side_pass(tess.points, tess.triangles)
+    assert tess.wall_normals.tobytes() == walls.tobytes()
+    assert tess.sides.dtype == sides.dtype and tess.sides.tobytes() == sides.tobytes()
+    assert tess.neighbors == neighbors
+    assert tess.pole_permutations == reference_point_permutations(tess.group, tess.points)
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_spherical_triangle_area_takes_stacked_corners(tag):
+    """One stacked call gives each chamber's area, and the congruent
+    chambers each cover 4 pi / (2 |G|)."""
+    tess = full_group_tessellation(builtin_group(tag))
+    areas = spherical_triangle_area(*tess.points[np.array(tess.triangles).T])
+    assert areas.shape == (len(tess.triangles),)
+    singles = [spherical_triangle_area(*tess.triangle_points(t)) for t in range(len(tess.triangles))]
+    assert np.abs(areas - singles).max() <= 1e-15
+    assert np.abs(areas - 2.0 * np.pi / tess.group.order).max() <= 1e-12
+
+
+def test_tessellation_logs_what_it_built(caplog):
+    caplog.set_level(logging.DEBUG, logger="choreo.groups")
+    for tag in "TOI":
+        full_group_tessellation(builtin_group(tag))
+    assert [r.getMessage() for r in caplog.records if r.name == "choreo.groups"] == [
+        "full_group_tessellation T: 14 poles, 24 chambers, 6 walls",
+        "full_group_tessellation O: 26 poles, 48 chambers, 9 walls",
+        "full_group_tessellation I: 62 poles, 120 chambers, 15 walls",
+    ]
 
 
 @pytest.mark.parametrize("tag", ["T", "O", "I"])

@@ -382,10 +382,20 @@ def test_row_sets_cover_every_self_consistent_row():
     assert len(ROW_SETS) == 24
 
 
+@pytest.mark.parametrize("tag,vertices", [("T", 12), ("O", 24), ("I", 60)])
+def test_build_archimedean_logs_what_it_built(tag, vertices, caplog):
+    caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
+    poly = H._build_archimedean_cached.__wrapped__(tag)
+    messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
+    assert messages == [f"build_archimedean {tag}: {vertices} vertices, {2 * vertices} edges"]
+    assert (poly.vertex_count, len(poly.edges)) == (vertices, 2 * vertices)
+
+
 @pytest.mark.parametrize("tag,rows,nodes", [("T", 6, 79), ("O", 8, 174), ("I", 4, 4228)])
 def test_reconstruct_numbering_logs_its_node_count(tag, rows, nodes, caplog):
+    poly = H.build_archimedean(tag)
     caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
-    numbering = H.reconstruct_numbering(H.build_archimedean(tag), published_rows(tag))
+    numbering = H.reconstruct_numbering(poly, published_rows(tag))
     messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
     assert messages == [f"reconstruct_numbering {tag}: {rows} rows, {nodes} nodes"]
     assert numbering == H.published_numbering(tag)
@@ -396,9 +406,10 @@ def test_reconstruct_numbering_checks_a_row_against_earlier_rows_first(tag, node
     """In reverse order a row's pairs between labels placed by earlier rows
     are checked before its first stop is placed, as the full scan of every
     pair at every node did; the counts are that scan's."""
+    poly = H.build_archimedean(tag)
     caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
     rows = published_rows(tag)[::-1]
-    numbering = H.reconstruct_numbering(H.build_archimedean(tag), rows)
+    numbering = H.reconstruct_numbering(poly, rows)
     messages = [r.getMessage() for r in caplog.records if r.name == "choreo.homotopy"]
     assert messages == [f"reconstruct_numbering {tag}: {len(rows)} rows, {nodes} nodes"]
     assert numbering == reference_reconstruct_numbering(H.build_archimedean(tag), rows)
@@ -1911,6 +1922,7 @@ def test_min_total_angle_pinned(pin):
 
 
 def test_min_total_angle_reports_search_counters(caplog, capsys, monkeypatch):
+    H.published_numbering("T")  # the graph and numbering log their own builds
     caplog.set_level(logging.DEBUG, logger="choreo.homotopy")
     klein = H.min_total_angle(
         H.ConeSpec(
