@@ -18,8 +18,8 @@ test loop actions and a certificate's left-hand sides read it.
 
 Whatever does not depend on the exponent is read from tables built once,
 on first use: ``_edge_nodes``, the edge quadratics at both rules' nodes
-(zeta), the polyhedron's ``midpoint_chords`` (delta_min), the
-tessellation's ``widest_chords`` (tilde_U0), the sequence's
+(zeta), the polyhedron's ``midpoint_chords`` (delta_min), the one row
+of the tessellation's ``widest_chords`` (tilde_U0), the sequence's
 ``side_counts`` (test loops), the turn sines of each order (k_alpha_p)
 and the exponent-1 integrals of ``_unit_zetas``.  A call evaluates only
 the powers of alpha.  Each computed ``zeta`` logs its rule difference to
@@ -146,16 +146,17 @@ def tilde_U0(group, alpha):
     """Potential floor over one closed tessellation triangle.
 
     Returns (1/2^(alpha+1)) * sum over poles p of k_alpha_p(alpha, order_p)
-    divided by max_{u in triangle} |u x p|^alpha.  The maximum is resolved
-    in closed form and read from the tessellation's ``widest_chords`` table,
-    which does not depend on alpha; k_alpha_p is evaluated once per distinct
-    pole order.  Every triangle gives the same value; the first is used.
+    divided by max_{u in triangle} |u x p|^alpha.  Every triangle gives the
+    same value, so the maximum is read for the first triangle only, from the
+    tessellation's one row of ``widest_chords``, resolved in closed form and
+    independent of alpha; k_alpha_p is evaluated once per distinct pole
+    order.
     """
     check_alpha(alpha)
     tess = build_archimedean(group).tessellation
     k = {order: k_alpha_p(alpha, order) for order in set(tess.pole_order)}
     total = 0.0
-    for order, largest in zip(tess.pole_order, tess.widest_chords[0].tolist()):
+    for order, largest in zip(tess.pole_order, tess.widest_chords.tolist()):
         total += k[order] / largest ** alpha
     return total / 2.0 ** (alpha + 1.0)
 

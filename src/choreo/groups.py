@@ -13,7 +13,10 @@ with the unit normals of its walls, drives the homotopy bookkeeping in the
 rest of the package.
 
 Each derived table has one owner, the group or the tessellation, and is a
-cached attribute of it, built on first use.
+cached attribute of it, built on first use.  The group owns its pole table
+(``RotationGroup.poles``, the axes of its rotations with their orders) and
+the permutations of the poles by its elements; the collision set and the
+tessellation read both.
 """
 
 import logging
@@ -91,20 +94,16 @@ def _first_positive(v):
     return -v if v[np.flatnonzero(np.abs(v) > 1e-9)[0]] < 0.0 else v
 
 
-@dataclass(eq=False)
-class Pole:
-    """A unit direction fixed by some non-identity proper rotation.
-
-    order: size of the cyclic stabilizer, i.e. the largest n such that the
-    rotation by 2*pi/n about this axis belongs to the group.
-    """
-
-    point: np.ndarray
-    order: int
-
-    def __repr__(self):
-        p = np.round(self.point, 6)
-        return f"Pole(({p[0]:+.6f}, {p[1]:+.6f}, {p[2]:+.6f}), order={self.order})"
+def _rotation_axes(R):
+    """Unit axes of a (k, 3, 3) stack of proper non-identity rotations: for a
+    half turn the column of R + I = 2 p p^T of largest norm, for any other
+    the antisymmetric part of R.  Each axis is made unit alone, since a
+    batched norm may differ in the last bit."""
+    M = R + np.eye(3)
+    column = M[np.arange(len(M)), :, np.linalg.norm(M, axis=1).argmax(axis=1)]
+    spin = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=-1)
+    half = np.abs(np.trace(R, axis1=1, axis2=2) + 1.0) < 1e-9
+    return np.array([a / np.linalg.norm(a) for a in np.where(half[:, None], column, spin)]).reshape(-1, 3)
 
 
 @dataclass(eq=False)
@@ -116,8 +115,9 @@ class RotationGroup:
     the name, elements of determinant -1 are allowed (the vertical groups
     are generated by rotoreflections); the polyhedral groups are proper.
     The element index, the product table (``products``), the element
-    orders, the factors every pair-potential evaluation uses
-    (``pair_forms``) and the fixed sets that collision_distance reads
+    orders, the pole table (``poles``) and the permutations of the poles
+    (``pole_permutations``), the factors every pair-potential evaluation
+    uses (``pair_forms``) and the fixed sets that collision_distance reads
     (``fixed_sets``) are built once per group.
     """
 
@@ -176,6 +176,31 @@ class RotationGroup:
         return tuple(match(pts @ R.T) for R in self.elements)
 
     @cached_property
+    def poles(self):
+        """The pole table, read-only (points, orders): the unit axes of the
+        proper non-identity elements, both signs, sorted on their 9-decimal
+        keys, and for each the number of proper elements fixing it, identity
+        included (the order of its cyclic stabilizer).  One np.unique over
+        the keys of the candidates, taken in reverse, keeps the last
+        candidate of each key and counts the elements on it; empty for a
+        group without rotations."""
+        E = np.array(self.elements)
+        turns = E[(np.linalg.det(E) > 0.0) & ~np.isclose(E, np.eye(3), atol=_IDENTITY_ATOL).all(axis=(1, 2))]
+        axes = _rotation_axes(turns)
+        candidates = np.stack([axes, -axes], axis=1).reshape(-1, 3)[::-1]
+        _, last, count = np.unique(np.round(candidates, KEY_DECIMALS) + 0.0, axis=0,
+                                   return_index=True, return_counts=True)
+        points, orders = candidates[last], count + 1
+        points.flags.writeable = orders.flags.writeable = False
+        return points, orders
+
+    @cached_property
+    def pole_permutations(self):
+        """How each element permutes the poles, indexed like elements: one
+        point_permutations pass over the pole table."""
+        return self.point_permutations(self.poles[0])
+
+    @cached_property
     def pair_forms(self):
         """One R - I per distinct form (R - I)^T (R - I) = 2I - R - R^T of the
         non-identity elements R (R and R^-1 share one), as read-only (F, mult):
@@ -201,28 +226,23 @@ class RotationGroup:
         some element fixes only the origin.  Each vector is signed with its
         first nonzero coordinate positive, as the wall normals are, so the
         elements sharing an axis or a mirror give one entry.  The lines are
-        the poles of that sign (``poles``).  An improper element R of trace 1
-        is a reflection, in the plane normal to the axis of the half turn -R;
-        any other fixes only the origin.  For every
+        the rows of the pole table (``poles``) of that sign.  An improper
+        element R of trace 1 is a reflection, in the plane normal to the axis
+        of the half turn -R; any other fixes only the origin.  For every
         built-in group the planes are empty and the fixed set is a union of
         lines through 0, one per rotation axis.
         """
-        # of each pair of antipodal poles, the one _first_positive keeps
-        lines = tuple(p.point for p in poles(self) if _first_positive(p.point) @ p.point > 0.0)
-        planes = {}
-        origin_only = False
-        for R in self.elements:
-            if np.linalg.det(R) > 0.0:
-                continue
-            if abs(np.trace(R) - 1.0) < _IDENTITY_ATOL:
-                nrm = _first_positive(_rotation_axis(-R))
-                planes[matrix_key(nrm)] = nrm
-            else:
-                origin_only = True
+        points = self.poles[0]
+        # of each pair of antipodal poles, the one whose first nonzero coordinate is positive
+        lines = points[points[np.arange(len(points)), (np.abs(points) > 1e-9).argmax(axis=1)] > 0.0]
+        E = np.array(self.elements)
+        improper = E[np.linalg.det(E) < 0.0]
+        mirror = np.abs(np.trace(improper, axis1=1, axis2=2) - 1.0) < _IDENTITY_ATOL
+        planes = {matrix_key(n): n for n in map(_first_positive, _rotation_axes(-improper[mirror]))}
         plane_list = tuple(planes[k] for k in sorted(planes.keys()))
-        for v in (*lines, *plane_list):
+        for v in (lines, *plane_list):
             v.flags.writeable = False
-        return lines, plane_list, origin_only
+        return tuple(lines), plane_list, not mirror.all()
 
     def __iter__(self):
         return iter(self.elements)
@@ -310,58 +330,6 @@ def builtin_group(tag, n=None):
     return RotationGroup(tag=t, elements=generate_group(gens), generators=gens)
 
 
-def _rotation_axis(R):
-    """Unit axis of a proper rotation (eigenvector for eigenvalue 1)."""
-    tr = np.trace(R)
-    if abs(tr + 1.0) < 1e-9:
-        # Half turn: R + I = 2 p p^T, any nonzero column is the axis.
-        M = R + np.eye(3)
-        j = int(np.argmax(np.linalg.norm(M, axis=0)))
-        a = M[:, j]
-    else:
-        a = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return a / np.linalg.norm(a)
-
-
-def poles(group):
-    """All poles of a group: unit axes of its proper rotations, both signs.
-
-    Returns a list of Pole sorted lexicographically on rounded coordinates.
-    The order of a pole counts the group rotations fixing it (identity
-    included), i.e. the size of its cyclic stabilizer.
-    """
-    E = np.array(group.elements if isinstance(group, RotationGroup) else list(group), dtype=float)
-    dets = np.linalg.det(E)
-    eye = np.isclose(E, np.eye(3), atol=_IDENTITY_ATOL).all(axis=(1, 2))
-    seen = {}
-    for R, d, e in zip(E, dets, eye):
-        if d < 0 or e:
-            continue
-        a = _rotation_axis(R)
-        for s in (1.0, -1.0):
-            seen[matrix_key(s * a)] = s * a
-    pts = np.array([seen[k] for k in sorted(seen.keys())]).reshape(-1, 3)
-    moved = np.linalg.norm(np.einsum("gij,pj->pgi", E, pts) - pts[:, None, :], axis=-1)
-    orders = ((moved < 1e-9) & (dets > 0)).sum(axis=1)
-    return [Pole(point=p, order=o) for p, o in zip(pts, orders.tolist())]
-
-
-def pole_orbits(group, pole_list=None):
-    """Partition the poles into group orbits.
-
-    Returns a list of sorted index lists into `pole_list` (computed if not
-    given).  Orbits are ordered by their smallest member index.
-    """
-    if pole_list is None:
-        pole_list = poles(group)
-    perms = group.point_permutations(np.array([p.point for p in pole_list]))
-    orbits = []
-    for i in range(len(pole_list)):
-        if not any(i in orb for orb in orbits):
-            orbits.append(sorted({perm[i] for perm in perms}))
-    return orbits
-
-
 def collision_distance(x, group):
     """Distance from x to the collision set of the group.
 
@@ -369,7 +337,8 @@ def collision_distance(x, group):
     elements: a body on it collides with one of its symmetry copies (or
     the central mass).  Accepts a single point (3,) or an array (..., 3)
     and returns a float or an array of the leading shape.  The fixed sets
-    are read from group.fixed_sets, built once per group.
+    are read from group.fixed_sets, built once per group from its pole
+    table (group.poles).
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
@@ -395,7 +364,9 @@ def collision_distance(x, group):
 class Tessellation:
     """The sphere cut by the rotation axes of a polyhedral group.
 
-    triangles[i] = (a, b, c) indexes into poles; vertex orders are
+    points and pole_order are the group's pole table (group.poles): the
+    read-only (P, 3) unit poles and the tuple of their orders.
+    triangles[i] = (a, b, c) indexes into the poles; vertex orders are
     non-increasing along the tuple and the right angle sits at c (the
     order-2 pole).  wall_normals is the read-only (W, 3) array of the unit
     normals of the walls, the great circles whose mirror maps preserve the
@@ -409,28 +380,19 @@ class Tessellation:
     with the opposite sign.  neighbors[t] is the sorted tuple of the three
     chambers across the sides of t.  full_group_tessellation builds walls,
     sides and neighbors in one array pass over all sides.  The tessellation
-    owns the tables derived from it (pole points, pole fans, the
-    permutations by the group elements, the widest chamber-to-axis chords
-    behind the potential floor), each built on first use.
+    owns the tables derived from it (pole fans, the chamber permutations by
+    the group elements, the widest chords from chamber 0 to the axes behind
+    the potential floor), each built on first use; the pole permutations
+    are the group's.
     """
 
     group: RotationGroup
-    poles: list
+    points: np.ndarray
+    pole_order: tuple
     triangles: list
     neighbors: list
     wall_normals: np.ndarray
     sides: np.ndarray
-
-    @cached_property
-    def points(self):
-        """Unit pole directions, one row per pole (read-only)."""
-        pts = np.array([p.point for p in self.poles])
-        pts.flags.writeable = False
-        return pts
-
-    @cached_property
-    def pole_order(self):
-        return tuple(p.order for p in self.poles)
 
     def triangle_points(self, i):
         a, b, c = self.triangles[i]
@@ -438,23 +400,23 @@ class Tessellation:
 
     @cached_property
     def widest_chords(self):
-        """Max of |u x p| over the closed chamber t, at [t, p] (read-only).
+        """Max of |u x p| over the closed chamber 0, at [p] (read-only): one
+        row, since the group and the walls' mirrors carry chamber 0 onto
+        every chamber and permute the poles of each order.
 
         When the corner products u_j . p share a strict sign the maximum sits
         at a corner; otherwise the plane orthogonal to p crosses the chamber
         and the maximum is 1.
         """
-        chords = np.empty((len(self.triangles), len(self.points)))
-        # One product per pair: some corners lie on the plane orthogonal to a
+        tri = self.triangle_points(0)
+        chords = np.linalg.norm(np.cross(tri, self.points[:, None]), axis=-1).max(axis=-1)
+        # One product per pole: some corners lie on the plane orthogonal to a
         # pole, and a batched product rounds their ~1e-17 dot products to
         # other signs, so the branch would pick a corner chord 1 - 2^-52 for 1.
-        for t in range(len(self.triangles)):
-            tri = self.triangle_points(t)
-            chords[t] = np.linalg.norm(np.cross(tri, self.points[:, None]), axis=-1).max(axis=-1)
-            for p, point in enumerate(self.points):
-                dots = tri @ point
-                if not (dots.min() > 0.0 or dots.max() < 0.0):
-                    chords[t, p] = 1.0
+        for p, point in enumerate(self.points):
+            dots = tri @ point
+            if not (dots.min() > 0.0 or dots.max() < 0.0):
+                chords[p] = 1.0
         chords.flags.writeable = False
         return chords
 
@@ -497,8 +459,8 @@ class Tessellation:
 
     @cached_property
     def pole_permutations(self):
-        """How each group element permutes the poles, indexed like group.elements."""
-        return self.group.point_permutations(self.points)
+        """How each group element permutes the poles: the group's table."""
+        return self.group.pole_permutations
 
     @cached_property
     def triangle_permutations(self):
@@ -526,19 +488,22 @@ def spherical_triangle_area(p1, p2, p3):
 def full_group_tessellation(group):
     """Tessellation of the sphere by the axes of a polyhedral group (T, O or I).
 
-    Builds the 2N spherical triangles whose vertices are one pole from each
-    of the three orbits, with the right angle at the order-2 pole, then all
-    their sides at once: one cross product, one np.unique for the walls, one
-    reflection of the poles in every wall, one sort of the shared edges and
-    one stacked area.  It checks that every side is on a mirror wall, every
+    Reads the group's pole table and the pole orbits off its pole
+    permutations.  Builds the 2N spherical triangles whose vertices are one
+    pole from each of the three orbits, with the right angle at the order-2
+    pole, then all their sides at once: one cross product, one np.unique for
+    the walls, one reflection of the poles in every wall, one sort of the
+    shared edges and one stacked area.  It checks that every side is on a mirror wall, every
     edge joins two chambers and the areas sum to 4 pi.
     """
     if group.tag not in ("T", "O", "I"):
         raise ValueError("tessellation is defined for the polyhedral groups T, O, I")
-    pole_list = poles(group)
-    pts = np.array([p.point for p in pole_list])
-    orders = np.array([p.order for p in pole_list])
-    orbits = pole_orbits(group, pole_list)
+    pts, orders = group.poles
+    # the orbits, sorted, in the order of their smallest members
+    orbits = {}
+    for i, first in enumerate(np.array(group.pole_permutations).min(axis=0).tolist()):
+        orbits.setdefault(first, []).append(i)
+    orbits = list(orbits.values())
 
     c_candidates = [oi for oi, orb in enumerate(orbits) if orders[orb[0]] == 2]
     if len(c_candidates) != 1:
@@ -597,6 +562,6 @@ def full_group_tessellation(group):
         raise ValueError("tessellation triangle areas do not cover the sphere")
     _log.debug("full_group_tessellation %s: %d poles, %d chambers, %d walls",
                group.tag, len(pts), len(triangles), len(wall_normals))
-    return Tessellation(group, pole_list, triangles, neighbors, wall_normals, sides)
+    return Tessellation(group, pts, tuple(orders.tolist()), triangles, neighbors, wall_normals, sides)
 
 

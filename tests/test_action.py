@@ -23,7 +23,7 @@ from choreo.action import (
     second_variation_vertical,
 )
 from choreo.estimates import general_lower_bound, klein_test_loop_bound
-from choreo.groups import builtin_group, generate_group, poles
+from choreo.groups import builtin_group, generate_group
 from choreo.reference_tables import LOOP_CATALOG
 
 
@@ -120,7 +120,7 @@ def test_collision_error_reports_node():
 
 def test_collision_error_reports_lowest_node_of_a_polyhedral_pair_collision():
     group = builtin_group("I")
-    axes = {k: [p.point for p in poles(group) if p.order == k] for k in (3, 5)}
+    axes = {k: group.poles[0][group.poles[1] == k] for k in (3, 5)}
     n = 1024
     t = np.arange(n) * (2 * np.pi / n)
     pts = np.stack([1.3 * np.cos(t), 1.1 * np.sin(t), 0.5 * np.cos(t + 0.4)], axis=1)
@@ -1338,8 +1338,7 @@ def test_pair_term_near_a_pole_axis_matches_mpmath(tag):
     eye = group.identity_index
     others = [R for i, R in enumerate(group.elements) if i != eye]
     alpha = 1.5
-    for pole in poles(group):
-        a = pole.point
+    for a in group.poles[0]:
         e = np.cross(a, [0.3, -0.5, 0.8])
         e /= np.linalg.norm(e)
         for delta in (1e-3, 1e-6):
@@ -1439,7 +1438,7 @@ def test_objective_is_bitwise_the_parent_kernels(tag, n, monkeypatch):
 def test_collision_past_the_first_block_names_its_node(node):
     # 1,537 nodes make blocks 0-511, 512-1023, 1024-1535 and the lone 1536
     group = builtin_group("I")
-    axis = next(p.point for p in poles(group) if p.order == 5)
+    axis = group.poles[0][group.poles[1] == 5][0]
     pts = wavy_points(1537, 23)
     pts[node] = 1.2 * axis
     cone = SimpleNamespace(group=group, alpha=1.5, central_mass=0.8)

@@ -558,9 +558,9 @@ def test_tilde_u0_grid_cross_check(tag, alpha):
     pts = np.array(pts)
     assert len(pts) >= 200
     total = 0.0
-    for pole in tess.poles:
-        largest = np.linalg.norm(np.cross(pts, pole.point), axis=1).max()
-        total += k_alpha_p(alpha, pole.order) / largest ** alpha
+    for point, order in zip(tess.points, tess.pole_order):
+        largest = np.linalg.norm(np.cross(pts, point), axis=1).max()
+        total += k_alpha_p(alpha, order) / largest ** alpha
     grid_value = total / 2.0 ** (alpha + 1.0)
     closed = tilde_U0(tag, alpha)
     assert grid_value >= closed - 1e-12
@@ -573,13 +573,13 @@ def reference_tilde_u0(tag, alpha, triangle):
     tess = build_archimedean(tag).tessellation
     corners = tess.triangle_points(triangle)
     total = 0.0
-    for pole in tess.poles:
-        dots = corners @ pole.point
+    for point, order in zip(tess.points, tess.pole_order):
+        dots = corners @ point
         if dots.min() > 0.0 or dots.max() < 0.0:
-            largest = float(np.linalg.norm(np.cross(corners, pole.point), axis=1).max())
+            largest = float(np.linalg.norm(np.cross(corners, point), axis=1).max())
         else:
             largest = 1.0
-        total += k_alpha_p(alpha, pole.order) / largest ** alpha
+        total += k_alpha_p(alpha, order) / largest ** alpha
     return total / 2.0 ** (alpha + 1.0)
 
 

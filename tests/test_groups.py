@@ -10,18 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choreo import groups
+from choreo import estimates, groups
 from choreo import homotopy as H
 from choreo.groups import (
-    Pole,
     RotationGroup,
     builtin_group,
     collision_distance,
     full_group_tessellation,
     generate_group,
     matrix_key,
-    pole_orbits,
-    poles,
     rotation_matrix,
     spherical_triangle_area,
 )
@@ -181,7 +178,7 @@ def test_products_match_the_element_index_lookup(tag, n):
 
 
 def pole_points(tag):
-    return np.array([p.point for p in poles(builtin_group(tag))])
+    return builtin_group(tag).poles[0].copy()
 
 
 def test_point_permutations_match_points_of_mixed_norms():
@@ -221,9 +218,10 @@ def test_point_permutations_refuse_repeated_points():
 
 
 def test_cold_icosahedral_graph_reads_no_key_per_side(monkeypatch):
-    """A cold build of I's graph makes 301 matrix_key calls, in the group
-    closure, the poles and the base vertices; per-side and per-point key
-    lookups in the tessellation and the products made 1,775."""
+    """A cold build of I's graph makes 183 matrix_key calls: 121 in the group
+    closure and 62 for the vertex index.  The per-element pole loop added
+    118, and per-side and per-point key lookups in the tessellation and the
+    products made 1,775 in all."""
     calls = []
 
     def counted(M):
@@ -233,7 +231,7 @@ def test_cold_icosahedral_graph_reads_no_key_per_side(monkeypatch):
     monkeypatch.setattr(groups, "matrix_key", counted)
     monkeypatch.setattr(H, "matrix_key", counted)
     H._build_archimedean_cached.__wrapped__("I")
-    assert len(calls) <= 400
+    assert len(calls) <= 183
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def test_cold_icosahedral_graph_reads_no_key_per_side(monkeypatch):
 
 def pole_census(group):
     """How many poles have each order."""
-    return Counter(p.order for p in poles(group))
+    return Counter(group.poles[1].tolist())
 
 
 def test_pole_census_t():
@@ -261,58 +259,67 @@ def test_pole_census_i():
 
 
 def test_z4_poles():
-    ps = poles(builtin_group("Z4"))
-    assert len(ps) == 2
-    for p in ps:
-        assert p.order == 2
-        assert abs(abs(p.point[2]) - 1.0) < 1e-12
+    points, orders = builtin_group("Z4").poles
+    assert len(points) == 2
+    assert orders.tolist() == [2, 2]
+    assert np.abs(np.abs(points[:, 2]) - 1.0).max() < 1e-12
 
 
 def test_klein_poles():
-    ps = poles(builtin_group("KLEIN"))
-    assert len(ps) == 6
-    assert all(p.order == 2 for p in ps)
+    points, orders = builtin_group("KLEIN").poles
+    assert len(points) == 6
+    assert orders.tolist() == [2] * 6
 
 
 def test_poles_are_unit_and_closed_under_group():
     for tag in ("T", "O", "I"):
         G = builtin_group(tag)
-        ps = poles(G)
-        pts = {matrix_key(p.point) for p in ps}
-        for p in ps:
-            assert abs(np.linalg.norm(p.point) - 1.0) < 1e-12
+        points = G.poles[0]
+        keys = {matrix_key(p) for p in points}
+        for p in points:
+            assert abs(np.linalg.norm(p) - 1.0) < 1e-12
             for R in G:
-                assert matrix_key(R @ p.point) in pts
+                assert matrix_key(R @ p) in keys
 
 
-def reference_pole_orders(elements, pole_list):
+def reference_pole_orders(elements, points):
     """Stabilizer orders counted with a det and a norm per (pole, element)
     pair, as before the one-pass count (reference)."""
     return [
-        sum(1 for R in elements if np.linalg.det(R) > 0 and np.linalg.norm(R @ p.point - p.point) < 1e-9)
-        for p in pole_list
+        sum(1 for R in elements if np.linalg.det(R) > 0 and np.linalg.norm(R @ p - p) < 1e-9)
+        for p in points
     ]
 
 
 @pytest.mark.parametrize("tag,n", [("T", None), ("O", None), ("I", None), ("Z4", None), ("KLEIN", None), ("Z2N", 3)])
 def test_pole_orders_match_the_per_pair_loop(tag, n):
     G = group_of(tag, n)
-    ps = poles(G)
-    assert ps
-    assert [p.order for p in ps] == reference_pole_orders(G.elements, ps)
-    assert all(type(p.order) is int for p in ps)
-    plain = poles([np.array(R) for R in G.elements])
-    assert [p.order for p in plain] == [p.order for p in ps]
-    assert [p.point.tobytes() for p in plain] == [p.point.tobytes() for p in ps]
+    points, orders = G.poles
+    assert len(points)
+    assert orders.tolist() == reference_pole_orders(G.elements, points)
 
 
 def test_poles_of_the_trivial_group_are_empty():
-    assert poles([np.eye(3)]) == []
+    G = RotationGroup(tag="trivial", elements=[np.eye(3)])
+    points, orders = G.poles
+    assert points.shape == (0, 3) and orders.shape == (0,)
+    assert G.fixed_sets == ((), (), False)
+    with pytest.raises(ValueError, match="trivial group has no collision set"):
+        collision_distance(np.ones(3), G)
+
+
+def read_pole_orbits(group):
+    """The pole orbits, read off the pole permutations as the tessellation
+    reads them: sorted lists, in the order of their smallest members."""
+    orbits = {}
+    for i, first in enumerate(np.array(group.pole_permutations).min(axis=0).tolist()):
+        orbits.setdefault(first, []).append(i)
+    return list(orbits.values())
 
 
 def test_pole_orbits_sizes():
     G = builtin_group("O")
-    orbs = pole_orbits(G)
+    orbs = read_pole_orbits(G)
     sizes = sorted(len(o) for o in orbs)
     assert sizes == [6, 8, 12]
 
@@ -322,15 +329,126 @@ def test_stabilizer_is_cyclic():
     # of the primitive rotation by 2*pi/o about it
     for tag in ("T", "O", "I"):
         G = builtin_group(tag)
-        for p in poles(G):
-            R1 = rotation_matrix(p.point, 2.0 * np.pi / p.order)
-            powers = {matrix_key(np.linalg.matrix_power(R1, k)) for k in range(p.order)}
+        for p, order in zip(*G.poles):
+            R1 = rotation_matrix(p, 2.0 * np.pi / order)
+            powers = {matrix_key(np.linalg.matrix_power(R1, k)) for k in range(order)}
             stab = {
                 matrix_key(R)
                 for R in G
-                if np.linalg.det(R) > 0 and np.linalg.norm(R @ p.point - p.point) < 1e-9
+                if np.linalg.det(R) > 0 and np.linalg.norm(R @ p - p) < 1e-9
             }
             assert stab == powers
+
+
+def reference_rotation_axis(R):
+    """Unit axis of one proper rotation, as the per-element pole loop took
+    it (reference)."""
+    if abs(np.trace(R) + 1.0) < 1e-9:
+        M = R + np.eye(3)
+        a = M[:, int(np.argmax(np.linalg.norm(M, axis=0)))]
+    else:
+        a = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return a / np.linalg.norm(a)
+
+
+def reference_poles(group):
+    """(points, orders) from one loop over the elements, two keys per axis
+    in a dict that keeps the last candidate, and a (pole, element) recount
+    of the orders (reference)."""
+    E = np.array(group.elements, dtype=float)
+    dets = np.linalg.det(E)
+    eye = np.isclose(E, np.eye(3), atol=1e-9).all(axis=(1, 2))
+    seen = {}
+    for R, d, e in zip(E, dets, eye):
+        if d < 0 or e:
+            continue
+        a = reference_rotation_axis(R)
+        for s in (1.0, -1.0):
+            seen[matrix_key(s * a)] = s * a
+    pts = np.array([seen[k] for k in sorted(seen.keys())]).reshape(-1, 3)
+    moved = np.linalg.norm(np.einsum("gij,pj->pgi", E, pts) - pts[:, None, :], axis=-1)
+    return pts, ((moved < 1e-9) & (dets > 0)).sum(axis=1).tolist()
+
+
+def reference_pole_orbits(group, points):
+    """The orbits from the dict-lookup permutations, each a sorted list, in
+    the order of their smallest members (reference)."""
+    perms = reference_point_permutations(group, points)
+    orbits = []
+    for i in range(len(points)):
+        if not any(i in orb for orb in orbits):
+            orbits.append(sorted({perm[i] for perm in perms}))
+    return orbits
+
+
+def reference_fixed_sets(group):
+    """The fixed sets read off the reference poles, one axis per reflection
+    (reference)."""
+    points, _ = reference_poles(group)
+    lines = [p for p in points if groups._first_positive(p) @ p > 0.0]
+    planes, origin_only = {}, False
+    for R in group.elements:
+        if np.linalg.det(R) > 0.0:
+            continue
+        if abs(np.trace(R) - 1.0) < 1e-9:
+            nrm = groups._first_positive(reference_rotation_axis(-R))
+            planes[matrix_key(nrm)] = nrm
+        else:
+            origin_only = True
+    return lines, [planes[k] for k in sorted(planes)], origin_only
+
+
+POLE_GROUPS = [("Z4", None), ("KLEIN", None), *(("Z2N", n) for n in range(2, 7)),
+               ("T", None), ("O", None), ("I", None)]
+
+
+@pytest.mark.parametrize("tag,n", POLE_GROUPS)
+def test_pole_table_matches_the_per_element_loop(tag, n):
+    """Points (bytes), orders, orbits and fixed sets (bytes) as the loop over
+    the elements gave them, and one read-only table built once."""
+    G = builtin_group(tag, n=n)
+    points, orders = G.poles
+    want_points, want_orders = reference_poles(G)
+    assert points.shape == want_points.shape and points.tobytes() == want_points.tobytes()
+    assert orders.tolist() == want_orders
+    assert read_pole_orbits(G) == reference_pole_orbits(G, want_points)
+    # each order counts the proper elements that fix the pole
+    proper = np.linalg.det(np.array(G.elements)) > 0.0
+    fixed = np.array(G.pole_permutations) == np.arange(len(points))
+    assert orders.tolist() == fixed[proper].sum(axis=0).tolist()
+    lines, planes, origin_only = G.fixed_sets
+    want_lines, want_planes, want_origin_only = reference_fixed_sets(G)
+    assert [d.tobytes() for d in lines] == [d.tobytes() for d in want_lines]
+    assert [d.tobytes() for d in planes] == [d.tobytes() for d in want_planes]
+    assert origin_only == want_origin_only
+    # one read-only table, built once
+    assert G.poles is G.poles and G.pole_permutations is G.pole_permutations
+    assert not points.flags.writeable and not orders.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_tessellation_from_the_reference_pole_table_is_the_same(tag, monkeypatch):
+    """A polyhedron built on a group seeded with the per-element loop's pole
+    table and the dict-lookup permutations has the same chambers, sides,
+    walls, fans, chamber permutations and published numbering."""
+    kept, numbering = H.build_archimedean(tag), H.published_numbering(tag)
+    group = builtin_group(tag)
+    points, orders = reference_poles(group)
+    group.__dict__["poles"] = (points, np.array(orders))
+    group.__dict__["pole_permutations"] = reference_point_permutations(group, points)
+    monkeypatch.setattr(H, "builtin_group", lambda t: group)
+    fresh = H._build_archimedean_cached.__wrapped__(tag)
+    want, got = kept.tessellation, fresh.tessellation
+    assert got.points is points and want.points.tobytes() == points.tobytes()
+    assert got.triangles == want.triangles and got.neighbors == want.neighbors
+    assert got.sides.tobytes() == want.sides.tobytes()
+    assert got.wall_normals.tobytes() == want.wall_normals.tobytes()
+    assert got.fan == want.fan
+    assert got.triangle_permutations == want.triangle_permutations
+    monkeypatch.setattr(H, "_build_archimedean_cached", lambda t: fresh)
+    assert H.published_numbering(tag) == numbering
 
 
 @pytest.mark.parametrize(
@@ -417,8 +535,8 @@ def test_fixed_sets_match_the_per_call_body(tag):
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_fixed_lines_are_the_first_positive_poles(tag):
     G = builtin_group(tag)
-    want = [p.point for p in poles(G) if np.array_equal(first_positive(p.point), p.point)]
-    assert len(want) == len(poles(G)) // 2
+    want = [p for p in G.poles[0] if np.array_equal(first_positive(p), p)]
+    assert len(want) == len(G.poles[0]) // 2
     assert [d.tolist() for d in G.fixed_sets[0]] == [p.tolist() for p in want]
 
 
@@ -441,6 +559,11 @@ def test_fixed_sets_of_improper_groups_match_the_per_call_body(name):
     assert len(lines) == len(want_lines)
     for got, want in zip((*lines, *planes), (*want_lines, *want_planes)):
         assert np.max(np.abs(got - want)) <= 5e-16
+    # bitwise equal to the loop over the elements
+    want_lines, want_planes, _ = reference_fixed_sets(G)
+    assert [d.tobytes() for d in lines] == [d.tobytes() for d in want_lines]
+    assert [d.tobytes() for d in planes] == [d.tobytes() for d in want_planes]
+    assert G.poles[0].tobytes() == reference_poles(G)[0].tobytes()
 
 
 @pytest.mark.parametrize("tag, axes", [("Z4", 1), ("KLEIN", 3), ("T", 7), ("O", 13), ("I", 31)])
@@ -448,16 +571,16 @@ def test_fixed_sets_list_each_axis_once(tag, axes):
     G = builtin_group(tag)
     lines = np.array(G.fixed_sets[0])
     assert len(lines) == axes
-    assert len(poles(G)) == 2 * axes
-    for p in poles(G):
+    assert len(G.poles[0]) == 2 * axes
+    for p in G.poles[0]:
         # every pole lies on exactly one fixed line, up to sign
-        assert np.sum(np.abs(np.abs(lines @ p.point) - 1.0) < 1e-9) == 1, p
+        assert np.sum(np.abs(np.abs(lines @ p) - 1.0) < 1e-9) == 1, p
 
 
 def distance_to_pole_axes(x, group):
     """Distance from each point to the nearest rotation axis, read off the
     poles rather than the fixed-set table."""
-    axes = np.array([p.point for p in poles(group)])
+    axes = group.poles[0]
     residual = x[:, None, :] - (x @ axes.T)[:, :, None] * axes
     return np.linalg.norm(residual, axis=-1).min(axis=1)
 
@@ -537,8 +660,8 @@ def test_collision_distance_is_group_invariant(tag, xyz, ridx):
 def test_collision_distance_zero_on_poles():
     for tag in ("T", "O", "I"):
         G = builtin_group(tag)
-        for p in poles(G):
-            assert collision_distance(1.7 * p.point, G) < 1e-9
+        for p in G.poles[0]:
+            assert collision_distance(1.7 * p, G) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -566,21 +689,20 @@ def test_z2n_reads_an_integral_n_as_an_int():
     assert [builtin_group("Z2N", n).order for n in (3.0, np.int64(3))] == [6, 6]
 
 
-def test_tessellation_refuses_a_side_off_every_mirror_wall(monkeypatch):
+def test_tessellation_refuses_a_side_off_every_mirror_wall():
     # One pole orbit of T turned by 0.02 rad about a generic axis keeps the
     # orbits and the chamber count, but a side reaching a turned pole no
-    # longer lies on a plane whose reflection keeps the pole set.
+    # longer lies on a plane whose reflection keeps the pole set.  The group's
+    # pole table is seeded with the turned orbit after its permutations were
+    # matched on the true poles.
     group = builtin_group("T")
-    pole_list = poles(group)
-    orbits = pole_orbits(group, pole_list)
-    turn = rotation_matrix([0.3, -0.5, 0.8], 0.02)
-    turned = list(pole_list)
-    for i in orbits[0]:
-        turned[i] = Pole(point=turn @ pole_list[i].point, order=pole_list[i].order)
-    monkeypatch.setattr(groups, "poles", lambda g: turned)
-    monkeypatch.setattr(groups, "pole_orbits", lambda g, pole_list=None: orbits)
+    points, orders = group.poles
+    orbit = read_pole_orbits(group)[0]
+    turned = points.copy()
+    turned[orbit] = turned[orbit] @ rotation_matrix([0.3, -0.5, 0.8], 0.02).T
+    group.__dict__["poles"] = (turned, orders)
     with pytest.raises(ValueError, match="not on a mirror wall"):
-        full_group_tessellation(builtin_group("T"))
+        full_group_tessellation(group)
 
 
 def test_tessellation_counts():
@@ -595,7 +717,7 @@ def test_separate_builds_compare_by_identity():
     first, second = (full_group_tessellation(builtin_group("T")) for _ in range(2))
     assert first == first and not first != first
     assert first != second and not first == second
-    assert first.group != second.group and first.poles[0] != second.poles[0]
+    assert first.group != second.group and first.points is not second.points
     assert len({first, second, first.group, second.group}) == 4
 
 
@@ -607,7 +729,7 @@ def test_tessellation_rejects_non_polyhedral():
 def test_tessellation_vertex_orders_o():
     tess = full_group_tessellation(builtin_group("O"))
     for a, b, c in tess.triangles:
-        orders = (tess.poles[a].order, tess.poles[b].order, tess.poles[c].order)
+        orders = (tess.pole_order[a], tess.pole_order[b], tess.pole_order[c])
         assert orders == (4, 3, 2)
 
 
@@ -939,9 +1061,11 @@ def test_permutation_tables_match_per_element_maps(tag):
 
 def test_tessellation_points_are_built_once_and_read_only():
     tess = full_group_tessellation(builtin_group("O"))
-    assert tess.points is tess.points
+    assert tess.points is tess.group.poles[0]
     assert not tess.points.flags.writeable
-    assert np.array_equal(tess.points, [p.point for p in tess.poles])
+    assert tess.pole_order == tuple(tess.group.poles[1].tolist())
+    assert all(type(order) is int for order in tess.pole_order)
+    assert tess.pole_permutations is tess.group.pole_permutations
 
 
 def reference_widest_chords(tess, triangle):
@@ -949,10 +1073,10 @@ def reference_widest_chords(tess, triangle):
     it before the chord table (reference)."""
     corners = tess.triangle_points(triangle)
     row = []
-    for pole in tess.poles:
-        dots = corners @ pole.point
+    for point in tess.points:
+        dots = corners @ point
         if dots.min() > 0.0 or dots.max() < 0.0:
-            row.append(float(np.linalg.norm(np.cross(corners, pole.point), axis=1).max()))
+            row.append(float(np.linalg.norm(np.cross(corners, point), axis=1).max()))
         else:
             row.append(1.0)
     return row
@@ -961,11 +1085,26 @@ def reference_widest_chords(tess, triangle):
 @pytest.mark.parametrize("tag", ["T", "O", "I"])
 def test_widest_chords_match_the_per_pole_loop(tag):
     tess = full_group_tessellation(builtin_group(tag))
-    table = tess.widest_chords
-    assert table is tess.widest_chords
-    assert not table.flags.writeable
-    assert table.shape == (len(tess.triangles), len(tess.poles))
-    for t in range(len(tess.triangles)):
-        assert table[t].tolist() == reference_widest_chords(tess, t)
-    # every chamber sees some axis plane cross it and some axis at a corner
-    assert (table == 1.0).any(axis=1).all() and (table < 1.0).any(axis=1).all()
+    row = tess.widest_chords
+    assert row is tess.widest_chords
+    assert not row.flags.writeable
+    assert row.shape == (len(tess.points),)
+    assert row.tolist() == reference_widest_chords(tess, 0)
+    # some axis plane crosses chamber 0 and some axis sits at a corner
+    assert (row == 1.0).any() and (row < 1.0).any()
+
+
+@pytest.mark.parametrize("tag", ["T", "O", "I"])
+def test_every_chamber_gives_the_potential_floor_of_chamber_0(tag):
+    """The floor summed from any chamber's per-pole chords is tilde_U0,
+    which reads chamber 0's row only, within a relative 1e-12: the chambers
+    are images of chamber 0 under the group and the wall mirrors, so their
+    rows are permutations of its row up to rounding."""
+    tess = H.build_archimedean(tag).tessellation
+    for alpha in (1.0, 1.37, 1.5, 1.9):
+        k = [estimates.k_alpha_p(alpha, order) for order in tess.pole_order]
+        floor = estimates.tilde_U0(tag, alpha)
+        for t in range(len(tess.triangles)):
+            chords = reference_widest_chords(tess, t)
+            total = sum(c / largest ** alpha for c, largest in zip(k, chords)) / 2.0 ** (alpha + 1.0)
+            assert abs(total - floor) <= 1e-12 * floor

@@ -22,7 +22,6 @@ OPTIONS = [
     "estimates.klein_test_loop_bound(rho)",
     "estimates.rotating_polygon_action(satellites)",
     "groups.builtin_group(n)",
-    "groups.pole_orbits(pole_list)",
     "homotopy.catalog_cone(alpha)",
     "homotopy.catalog_cone(central_mass)",
     "homotopy.catalog_cone(period)",
